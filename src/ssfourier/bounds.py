@@ -16,13 +16,13 @@ squares) with valid=False and a reason; nothing is extrapolated silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError
-from .measures import as_weights
+from .measures import REAL_LAMBDA_TOL, as_weights
 
 TRIVIAL_DELTA = 2.0
 
@@ -47,19 +47,6 @@ def eta_two_digit(c: float, p1: float, p2: float) -> float:
     if p1 <= 0 or p2 <= 0 or p1 + p2 > 1.0 + 1e-12:
         raise DomainError("need p1, p2 > 0 with p1 + p2 <= 1")
     return p1 + p2 - math.sqrt(p1 * p1 + 2 * p1 * p2 * math.cos(math.pi * c) + p2 * p2)
-
-
-def _abs_phi_two_digit(theta, p):
-    """Worst-case |Phi| when only the first two (normalized) digits are used."""
-    rest = 1.0 - p[0] - p[1]
-    return np.abs(p[0] + p[1] * np.exp(2j * np.pi * theta)) + rest
-
-
-def _abs_phi_lattice3(x, y, p):
-    """|p1 + p2 e^{2 pi i x} + p3 e^{-2 pi i y}| + remaining mass."""
-    rest = 1.0 - p[0] - p[1] - p[2]
-    val = p[0] + p[1] * np.exp(2j * np.pi * x) + p[2] * np.exp(-2j * np.pi * y)
-    return np.abs(val) + rest
 
 
 @lru_cache(maxsize=256)
@@ -88,55 +75,49 @@ def eta_numeric(
         raise DomainError(f"c must lie in (0, 1), got {c!r}")
     p = as_weights(params)
     if phi_kind in ("two_digit", "simplex_sum_d"):
-        lo, hi = c / 2.0, 0.5
-        theta = np.linspace(lo, hi, grid)
-        f = 1.0 - _abs_phi_two_digit(theta, p)
-        best_i = int(np.argmin(f))
-        best_x, best = float(theta[best_i]), float(f[best_i])
-        width = (hi - lo) / grid
-        prev = math.inf
-        for _ in range(200):
-            if abs(prev - best) < refine_tol:
-                return best
-            prev = best
-            a = max(lo, best_x - width)
-            b = min(hi, best_x + width)
-            theta = np.linspace(a, b, 65)
-            f = 1.0 - _abs_phi_two_digit(theta, p)
-            i = int(np.argmin(f))
-            if f[i] < best:
-                best, best_x = float(f[i]), float(theta[i])
-            width *= 0.5
-        raise ConvergenceError("eta refinement stalled (two_digit)")
-    if phi_kind == "lattice_3digit":
+        # worst-case |Phi| when only the first two (normalized) digits are used
+        def gap(theta):
+            val = p[0] + p[1] * np.exp(2j * np.pi * theta)
+            return 1.0 - (np.abs(val) + (1.0 - p[0] - p[1]))
+
+        box = [(c / 2.0, 0.5)]
+        axes = [np.linspace(c / 2.0, 0.5, grid)]
+        width, fine = (0.5 - c / 2.0) / grid, 65
+    elif phi_kind == "lattice_3digit":
         if len(p) < 3:
             raise DomainError("lattice_3digit needs at least 3 weights")
-        ax = np.linspace(-0.5, 0.5, grid, endpoint=False)
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        mask = xx * xx + yy * yy >= (c / 2.0) ** 2
-        f = 1.0 - _abs_phi_lattice3(xx, yy, p)
-        f = np.where(mask, f, np.inf)
+
+        # |p1 + p2 e^{2 pi i x} + p3 e^{-2 pi i y}| + remaining mass
+        def gap(x, y):
+            val = p[0] + p[1] * np.exp(2j * np.pi * x) + p[2] * np.exp(-2j * np.pi * y)
+            f = 1.0 - (np.abs(val) + (1.0 - p[0] - p[1] - p[2]))
+            return np.where(x * x + y * y >= (c / 2.0) ** 2, f, np.inf)
+
+        box = [(-0.5, 0.5)] * 2
+        axes = [np.linspace(-0.5, 0.5, grid, endpoint=False)] * 2
+        width, fine = 1.5 / grid, 33
+    else:
+        raise DomainError(f"unknown phi_kind {phi_kind!r}")
+    pts = np.meshgrid(*axes, indexing="ij")
+    f = gap(*pts).ravel()
+    i = int(np.argmin(f))
+    best, at = float(f[i]), [float(x.ravel()[i]) for x in pts]
+    prev = math.inf
+    for _ in range(200):
+        if abs(prev - best) < refine_tol:
+            return best
+        prev = best
+        pts = np.meshgrid(
+            *(np.linspace(max(lo, x - width), min(hi, x + width), fine)
+              for x, (lo, hi) in zip(at, box)),
+            indexing="ij",
+        )
+        f = gap(*pts).ravel()
         i = int(np.argmin(f))
-        best = float(f.ravel()[i])
-        bx, by = float(xx.ravel()[i]), float(yy.ravel()[i])
-        width = 1.5 / grid
-        prev = math.inf
-        for _ in range(200):
-            if abs(prev - best) < refine_tol:
-                return best
-            prev = best
-            gx = np.linspace(max(-0.5, bx - width), min(0.5, bx + width), 33)
-            gy = np.linspace(max(-0.5, by - width), min(0.5, by + width), 33)
-            xx2, yy2 = np.meshgrid(gx, gy, indexing="ij")
-            mask2 = xx2 * xx2 + yy2 * yy2 >= (c / 2.0) ** 2
-            f2 = np.where(mask2, 1.0 - _abs_phi_lattice3(xx2, yy2, p), np.inf)
-            i2 = int(np.argmin(f2))
-            if f2.ravel()[i2] < best:
-                best = float(f2.ravel()[i2])
-                bx, by = float(xx2.ravel()[i2]), float(yy2.ravel()[i2])
-            width *= 0.5
-        raise ConvergenceError("eta refinement stalled (lattice_3digit)")
-    raise DomainError(f"unknown phi_kind {phi_kind!r}")
+        if f[i] < best:
+            best, at = float(f[i]), [float(x.ravel()[i]) for x in pts]
+        width *= 0.5
+    raise ConvergenceError(f"eta refinement stalled ({phi_kind})")
 
 
 @dataclass(frozen=True)
@@ -155,18 +136,7 @@ class DecayBound:
     reason: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "regime": self.regime,
-            "epsilon": self.epsilon,
-            "epsilon_tilde": self.epsilon_tilde,
-            "rho": self.rho,
-            "eta": self.eta,
-            "entropy": self.entropy,
-            "delta": self.delta,
-            "branching": self.branching,
-            "valid": self.valid,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def _assemble_bound(
@@ -205,20 +175,32 @@ def _assemble_bound(
     )
 
 
-def _complex_parameters_from_modulus(lam_abs: float, p):
+def good_rho(lam_abs: float) -> float:
+    """Radius rho = |lam|^2 / (2(|lam|^2 + 3)) of a good digit error |eps_j|."""
     a2 = lam_abs**2
-    c = a2 / (a2 + 3.0)
+    return a2 / (2.0 * (a2 + 3.0))
+
+
+def good_index_requirement(epsilon_tilde: float, N: int) -> int:
+    """Good indices S(N, et) asks for: ceil((1 - et) N), et clamped to [0, 1]."""
+    et = min(max(epsilon_tilde, 0.0), 1.0)
+    return max(0, math.ceil((1.0 - et) * N - 1e-9))
+
+
+def sequence_count(branching: int, epsilon_tilde: float, N: int) -> float:
+    """M_N * e^{h(et) N}: admissible digit sequences times good-index sets.
+
+    M_N = 3 * 4^3 * branching^(3*et*N + 2); et must lie in [0, 1].
+    """
+    m_n = 3.0 * 64.0 * branching ** (3.0 * epsilon_tilde * N + 2.0)
+    return m_n * math.exp(entropy_h(epsilon_tilde) * N)
+
+
+def _complex_parameters(lam_abs: float, p):
+    c = 2.0 * good_rho(lam_abs)
     eta = eta_two_digit(c, p[0], p[1])
-    branching = math.ceil(0.5 * (1.0 + 3.0 / a2))
+    branching = math.ceil(0.5 * (1.0 + 3.0 / lam_abs**2))
     return c, eta, branching
-
-
-def _complex_parameters(lam: complex, p):
-    if lam.imag == 0.0:
-        raise RegimeError("complex regime needs Im(lambda) != 0")
-    if not 0.0 < abs(lam) < 1.0:
-        raise DomainError("need 0 < |lambda| < 1")
-    return _complex_parameters_from_modulus(abs(lam), p)
 
 
 def delta_complex(lam: complex, p, epsilon: float) -> DecayBound:
@@ -230,7 +212,11 @@ def delta_complex(lam: complex, p, epsilon: float) -> DecayBound:
     """
     p = as_weights(p)
     lam = complex(lam)
-    c, eta, branching = _complex_parameters(lam, p)
+    if lam.imag == 0.0:
+        raise RegimeError("complex regime needs Im(lambda) != 0")
+    if not 0.0 < abs(lam) < 1.0:
+        raise DomainError("need 0 < |lambda| < 1")
+    c, eta, branching = _complex_parameters(abs(lam), p)
     return _assemble_bound("complex", abs(lam), 1.0, branching, c, eta, epsilon)
 
 
@@ -283,29 +269,57 @@ def covering_bound(lam: complex, p, epsilon: float, N: int) -> float:
     rather than hidden.
     """
     lam = complex(lam)
-    p = as_weights(p)
     if N < 0:
         raise DomainError("N must be >= 0")
-    c, eta, branching = _complex_parameters(lam, p)
-    et = epsilon * math.log(abs(lam)) / math.log1p(-eta)
+    bound = delta_complex(lam, p, epsilon)
+    et = bound.epsilon_tilde
     if not 0.0 < et < 1.0:
         raise DomainError(
             f"epsilon_tilde = {et:g} outside (0, 1): covering count undefined"
         )
     a, b = lam.real, lam.imag
     q = (math.ceil((abs(a) + 1.0) / (2.0 * abs(b))) + 1) * 2
-    m_n = 3.0 * 64.0 * branching ** (3.0 * et * N + 2.0)
-    return m_n * math.exp(entropy_h(et) * N) * q
+    return sequence_count(bound.branching, et, N) * q
 
 
-def _delta_dispatch(lam, p, epsilon, regime, d):
+def delta_bound(lam, p, epsilon: float, regime: str, d: int | None = None):
+    """delta(eps) in ``regime``: "complex", "real_noncollinear", "higher_dim".
+
+    "auto" is "real_noncollinear" when |Im lam| <= REAL_LAMBDA_TOL (the
+    ``IFSDescriptor.lambda_is_real`` rule) and "complex" otherwise.  The
+    real regimes evaluate at Re(lam) and refuse a larger imaginary part;
+    ``d`` (default 3) is the dimension of the "higher_dim" regime.
+    """
+    lam = complex(lam)
+    is_real = abs(lam.imag) <= REAL_LAMBDA_TOL
+    if regime == "auto":
+        regime = "real_noncollinear" if is_real else "complex"
     if regime == "complex":
         return delta_complex(lam, p, epsilon)
+    if regime not in ("real_noncollinear", "higher_dim"):
+        raise DomainError(f"unknown regime {regime!r}")
+    if not is_real:
+        raise RegimeError(f"{regime} regime needs real lambda, got {lam!r}")
     if regime == "real_noncollinear":
-        return delta_real_noncollinear(lam, p, epsilon)
-    if regime == "higher_dim":
-        return delta_higherdim(lam, p, epsilon, d if d is not None else 3)
-    raise DomainError(f"unknown regime {regime!r}")
+        return delta_real_noncollinear(lam.real, p, epsilon)
+    return delta_higherdim(lam.real, p, epsilon, 3 if d is None else d)
+
+
+def bisect_sign_change(g, lo: float, hi: float, xtol: float, max_steps: int) -> float:
+    """Midpoint of the last bracket of a sign change of g from > 0 to <= 0.
+
+    Halves [lo, hi] keeping g(lo) > 0 >= g(hi) until it is no wider than
+    ``xtol``, ``max_steps`` halvings are done, or no float lies between.
+    """
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or mid == lo or mid == hi:
+            break
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_flattening_epsilon(
@@ -325,30 +339,18 @@ def solve_flattening_epsilon(
     """
     if not 0.0 < kappa < 2.0:
         raise DomainError("kappa must lie in (0, 2)")
-    if regime == "auto":
-        regime = "complex" if complex(lam).imag != 0.0 else "real_noncollinear"
 
     def g(eps):
-        bound = _delta_dispatch(lam, p, eps, regime, d)
+        bound = delta_bound(lam, p, eps, regime, d)
         return kappa - 2.0 * eps - min(bound.delta, TRIVIAL_DELTA)
 
-    lo, hi = 0.0, kappa / 2.0
-    if g(hi) >= 0.0:
+    if g(kappa / 2.0) >= 0.0:
         raise ConvergenceError(
             "no sign change for kappa - 2*eps - delta(eps) on (0, kappa/2)"
         )
     # g(0+) -> kappa > 0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    eps = 0.5 * (lo + hi)
-    bound = _delta_dispatch(lam, p, eps, regime, d)
-    return eps, 2.0 * eps, bound
+    eps = bisect_sign_change(g, 0.0, kappa / 2.0, xtol=1e-13, max_steps=200)
+    return eps, 2.0 * eps, delta_bound(lam, p, eps, regime, d)
 
 
 @dataclass(frozen=True)
@@ -386,18 +388,17 @@ def _smallest_n_below(alam: float, threshold: float) -> int:
     return n
 
 
-def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor: float):
+def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor):
     """Correlation-dimension lower bound 2 - (delta(sigma/2) + sigma).
 
     N is the smallest integer with |lam|^N < 1/sqrt(2) (so |lam|^N falls
     in (1/2, 1/sqrt(2)) whenever |lam| > 1/sqrt(2)), sigma =
-    sigma_factor/(N-1), and delta is evaluated for the convolution factor
-    measure at contraction lam^N.  delta only depends on |lam^N|, so the
-    degenerate alignment Im(lam^N) = 0 is noted rather than refused; it
-    is capped at the trivial exponent 2 where the explicit formula gives
-    no information.
+    sigma_factor(|lam|)/(N-1), and delta is evaluated for the convolution
+    factor measure at contraction lam^N.  delta only depends on |lam^N|,
+    so the degenerate alignment Im(lam^N) = 0 is noted rather than
+    refused; it is capped at the trivial exponent 2 where the explicit
+    formula gives no information.
     """
-    lam = complex(lam)
     alam = abs(lam)
     if not 0.0 < p_bias < 1.0:
         raise DomainError("p_bias must lie in (0, 1)")
@@ -406,7 +407,7 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor: float):
     if not alam < 1.0:
         raise DomainError("need |lambda| < 1")
     N = _smallest_n_below(alam, 2.0**-0.5)
-    sigma = sigma_factor / (N - 1)
+    sigma = sigma_factor(alam) / (N - 1)
     epsilon = sigma / 2.0
     lam_n = lam**N
     note = ""
@@ -415,7 +416,7 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor: float):
             "degenerate alignment: Im(lambda^N) = 0; delta evaluated "
             "through |lambda^N| only"
         )
-        c, eta, branching = _complex_parameters_from_modulus(
+        c, eta, branching = _complex_parameters(
             alam**N, (p_bias, 1.0 - p_bias)
         )
         bound = _assemble_bound("complex", alam**N, 1.0, branching, c, eta, epsilon)
@@ -427,19 +428,13 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor: float):
     return N, sigma, kappa, 2.0 - kappa, note
 
 
-def bernoulli_dim_lower(lam: complex, p_bias: float) -> DimensionBound:
-    """Biased-Bernoulli dimension lower bounds via the convolution tower.
-
-    sigma = 1/(N-1) with N minimal for |lam|^N < 1/sqrt(2); kappa =
-    delta(sigma/2; lam^N) + sigma; dim2_lower = 2 - kappa.  The Frostman
-    bound uses the two-factor decomposition at lam^2 and the planar
-    convolution inequality dim_inf(mu*nu) >= dim_2(mu) + dim_2(nu) - 2.
-    """
+def _bernoulli_bounds(lam, p_bias: float, sigma_factor) -> DimensionBound:
+    """Both pipeline stages: dim2 at lam, then Frostman through lam^2."""
     lam = complex(lam)
-    N, sigma, kappa, dim2, note = _dim2_pipeline(lam, p_bias, 1.0)
+    N, sigma, kappa, dim2, note = _dim2_pipeline(lam, p_bias, sigma_factor)
     lam_sq = lam * lam
     if abs(lam_sq) > 2.0**-0.5:
-        _, _, _, dim2_sq, note_sq = _dim2_pipeline(lam_sq, p_bias, 1.0)
+        _, _, _, dim2_sq, note_sq = _dim2_pipeline(lam_sq, p_bias, sigma_factor)
         diminf = 2.0 * dim2_sq - 2.0
         if note_sq and not note:
             note = "lambda^2 stage: " + note_sq
@@ -453,6 +448,17 @@ def bernoulli_dim_lower(lam: complex, p_bias: float) -> DimensionBound:
     )
 
 
+def bernoulli_dim_lower(lam: complex, p_bias: float) -> DimensionBound:
+    """Biased-Bernoulli dimension lower bounds via the convolution tower.
+
+    sigma = 1/(N-1) with N minimal for |lam|^N < 1/sqrt(2); kappa =
+    delta(sigma/2; lam^N) + sigma; dim2_lower = 2 - kappa.  The Frostman
+    bound uses the two-factor decomposition at lam^2 and the planar
+    convolution inequality dim_inf(mu*nu) >= dim_2(mu) + dim_2(nu) - 2.
+    """
+    return _bernoulli_bounds(lam, p_bias, lambda alam: 1.0)
+
+
 def bernoulli_unbiased_dim_lower(lam: complex) -> DimensionBound:
     """Unbiased pipeline with the open-set-condition base value.
 
@@ -461,23 +467,9 @@ def bernoulli_unbiased_dim_lower(lam: complex) -> DimensionBound:
     (log(1/|lam|)/log(2/|lam|)) / (N-1); the rest matches the biased
     pipeline.
     """
-    lam = complex(lam)
-    alam = abs(lam)
-    factor = math.log(1.0 / alam) / math.log(2.0 / alam)
-    N, sigma, kappa, dim2, note = _dim2_pipeline(lam, 0.5, factor)
-    lam_sq = lam * lam
-    if abs(lam_sq) > 2.0**-0.5:
-        factor_sq = math.log(1.0 / abs(lam_sq)) / math.log(2.0 / abs(lam_sq))
-        _, _, _, dim2_sq, note_sq = _dim2_pipeline(lam_sq, 0.5, factor_sq)
-        diminf = 2.0 * dim2_sq - 2.0
-        if note_sq and not note:
-            note = "lambda^2 stage: " + note_sq
-    else:
-        diminf = 0.0
-        note = (note + "; " if note else "") + (
-            "|lambda^2| <= 1/sqrt(2): Frostman stage unavailable, trivial 0 used"
-        )
-    return DimensionBound(lam, 0.5, N, sigma, kappa, dim2, min(diminf, dim2), note)
+    return _bernoulli_bounds(
+        lam, 0.5, lambda alam: math.log(1.0 / alam) / math.log(2.0 / alam)
+    )
 
 
 def osc_correlation_dimension(lam_abs: float, p_bias: float) -> float:

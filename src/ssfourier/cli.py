@@ -25,9 +25,7 @@ from .bounds import (
     bernoulli_dim_lower,
     bernoulli_unbiased_dim_lower,
     covering_bound,
-    delta_complex,
-    delta_higherdim,
-    delta_real_noncollinear,
+    delta_bound,
     solve_flattening_epsilon,
 )
 from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
@@ -143,7 +141,8 @@ def _cmd_eval(args) -> str:
 def _cmd_scan(args):
     ifs = _ifs_from_args(args)
     fieldobj = grid_scan(
-        ifs, args.T, args.subgrid_k, args.tol, workers=args.workers
+        ifs, args.T, args.subgrid_k, args.tol, workers=args.workers,
+        cell_budget=args.budget,
     )
     if args.format == "csv":
         return scanfield_to_csv(fieldobj)
@@ -158,39 +157,28 @@ def _cmd_scan(args):
 def _cmd_bounds(args):
     p = _parse_float_list(args.p)
     lam = parse_complex(args.lam)
-    regime = args.regime
-    if regime == "auto":
-        regime = "complex" if lam.imag != 0.0 else "real_noncollinear"
     if args.sweep:
         lo, hi, n = args.sweep.split(":")
         eps_values = np.geomspace(float(lo), float(hi), int(n))
         lines = ["lambda_re,lambda_im,epsilon,delta,valid"]
         for eps in eps_values:
-            b = _bounds_dispatch(lam, p, float(eps), regime, args.d)
+            b = delta_bound(lam, p, float(eps), args.regime, args.d)
             lines.append(
                 f"{lam.real!r},{lam.imag!r},{eps!r},{b.delta!r},{int(b.valid)}"
             )
         return "\n".join(lines) + "\n"
-    bound = _bounds_dispatch(lam, p, args.epsilon, regime, args.d)
+    bound = delta_bound(lam, p, args.epsilon, args.regime, args.d)
     doc = bound.to_json()
     if args.kappa is not None:
-        eps, sigma, root = solve_flattening_epsilon(lam, p, args.kappa, regime, args.d)
+        eps, sigma, root = solve_flattening_epsilon(
+            lam, p, args.kappa, args.regime, args.d
+        )
         doc["flattening"] = {"kappa": args.kappa, "epsilon": eps, "sigma": sigma,
                              "delta_at_root": root.delta}
     if args.covering_N is not None:
         doc["covering_bound"] = covering_bound(lam, p, args.epsilon, args.covering_N)
         doc["covering_N"] = args.covering_N
     return _json_dump(doc)
-
-
-def _bounds_dispatch(lam, p, epsilon, regime, d):
-    if regime == "complex":
-        return delta_complex(lam, p, epsilon)
-    if regime == "real_noncollinear":
-        return delta_real_noncollinear(lam.real, p, epsilon)
-    if regime == "higher_dim":
-        return delta_higherdim(lam.real, p, epsilon, d)
-    raise _UsageError(f"unknown regime {regime!r}")
 
 
 def _cmd_ek(args):
@@ -288,7 +276,9 @@ def _cmd_bernoulli(args):
     doc = bound.to_json()
     if args.frostman:
         ifs = IFSDescriptor(lam, (-1.0, 1.0), (args.p_bias, 1.0 - args.p_bias))
-        doc["frostman_estimate"] = frostman_estimate(ifs, seed=args.seed)
+        doc["frostman_estimate"] = frostman_estimate(
+            ifs, seed=args.seed, atom_budget=args.budget
+        )
     return _json_dump(doc)
 
 
@@ -342,7 +332,8 @@ def build_parser() -> _Parser:
         elif name == "verify":
             q.add_argument("--lambda", dest="lam", required=True)
             q.add_argument("--samples", type=int, default=10000)
-            q.add_argument("--seed", type=int, default=0)
+            # absent unless given here, so a global --seed is not reset
+            q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         elif name == "enumerate":
             q.add_argument("--lambda", dest="lam", required=True)
             q.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)
@@ -390,8 +381,11 @@ _COMMANDS = {
 }
 
 
-def _config_hash(argv) -> str:
-    return hashlib.sha256(json.dumps(list(argv)).encode()).hexdigest()[:16]
+def _config_hash(args) -> str:
+    """Hash of the effective arguments, --config contents included."""
+    effective = {k: v for k, v in vars(args).items() if k != "config"}
+    doc = json.dumps(effective, sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
 def _error_doc(kind: str, message: str) -> str:
@@ -409,6 +403,8 @@ def run(argv) -> int:
             # config values take precedence over flags
             with open(args.config, "r", encoding="utf-8") as fh:
                 for key, value in json.load(fh).items():
+                    if key not in vars(args):
+                        raise _UsageError(f"unknown config key {key!r}")
                     setattr(args, key, value)
         if args.workers is None:
             args.workers = 1
@@ -433,7 +429,7 @@ def run(argv) -> int:
     meta = {
         "tool": "ssfourier",
         "version": __version__,
-        "config_hash": _config_hash(argv),
+        "config_hash": _config_hash(args),
         "seed": getattr(args, "seed", None),
         "wall_time_s": round(time.monotonic() - start, 6),
     }

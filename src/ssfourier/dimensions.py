@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -36,30 +36,29 @@ class DyadicHistogram:
     masses: dict
 
 
-def dyadic_histogram(
-    mu: DiscreteMeasure, level: int, shift: complex = 0.0
-) -> DyadicHistogram:
+def _dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
+    """Occupied cells [i, i+1) x [j, j+1) / 2^level of mu + shift.
+
+    Returns the cells as complex keys i + j*1j in lexicographic (i, j)
+    order, and their masses.  Floored coordinates are exact floats, so
+    the keys are exact at every level.
+    """
     if level < 0:
         raise DomainError("level must be >= 0")
     scale = 2.0**level
     pos = mu.positions + shift
-    ii = np.floor(pos.real * scale).astype(np.int64)
-    jj = np.floor(pos.imag * scale).astype(np.int64)
-    keys = np.stack([ii, jj], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.bincount(inverse, weights=mu.weights, minlength=len(uniq))
-    masses = {(int(i), int(j)): float(s) for (i, j), s in zip(uniq, sums)}
-    return DyadicHistogram(level, masses)
+    keys = np.floor(pos.real * scale) + 1j * np.floor(pos.imag * scale)
+    cells, inverse = np.unique(keys, return_inverse=True)
+    return cells, np.bincount(inverse, weights=mu.weights, minlength=cells.size)
 
 
-def _cell_masses(mu: DiscreteMeasure, level: int, shift: complex) -> np.ndarray:
-    scale = 2.0**level
-    pos = mu.positions + shift
-    ii = np.floor(pos.real * scale).astype(np.int64)
-    jj = np.floor(pos.imag * scale).astype(np.int64)
-    keys = np.stack([ii, jj], axis=1)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return np.bincount(inverse, weights=mu.weights)
+def dyadic_histogram(
+    mu: DiscreteMeasure, level: int, shift: complex = 0.0
+) -> DyadicHistogram:
+    cells, masses = _dyadic_cells(mu, level, shift)
+    return DyadicHistogram(
+        level, {(int(z.real), int(z.imag)): float(m) for z, m in zip(cells, masses)}
+    )
 
 
 def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
@@ -68,8 +67,7 @@ def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
         raise DomainError("q must be > 1")
     if n < 0:
         raise DomainError("n must be >= 0")
-    masses = _cell_masses(mu, n, 0.0)
-    return float(np.sum(masses**q))
+    return float(np.sum(_dyadic_cells(mu, n)[1] ** q))
 
 
 def _resolution_level_cap(mu: DiscreteMeasure) -> int | None:
@@ -115,18 +113,26 @@ def dim_q_estimate(
     """
     if q <= 1.0:
         raise DomainError("q must be > 1")
+    fit = _conservative_fit(mu, n_min, n_max, q - 1.0, lambda m: np.sum(m**q))
+    return _clamped(fit, "dim_q")
+
+
+def _conservative_fit(mu, n_min, n_max, x_factor: float, statistic):
+    """Fit log statistic(cell masses) on x_factor * log(2^-n) per anchor.
+
+    Both anchors (origin and the fixed irrational shift) are fitted over
+    the usable levels; the fit with the smaller slope is returned.
+    """
     levels = _levels(mu, n_min, n_max)
     best = None
     for shift in (0.0, _SHIFT):
-        xs, ys = [], []
-        for n in levels:
-            s_n = float(np.sum(_cell_masses(mu, n, shift) ** q))
-            xs.append((q - 1.0) * (-n * math.log(2.0)))
-            ys.append(math.log(s_n))
+        xs = [x_factor * (-n * math.log(2.0)) for n in levels]
+        ys = [math.log(float(statistic(_dyadic_cells(mu, n, shift)[1])))
+              for n in levels]
         fit = linregress(xs, ys)
         if best is None or fit.slope < best.slope:
             best = fit
-    return _clamped(best, "dim_q")
+    return best
 
 
 def _clamped(fit, label: str) -> tuple[float, float]:
@@ -143,18 +149,7 @@ def dim_inf_estimate(
     mu: DiscreteMeasure, n_min: int, n_max: int
 ) -> tuple[float, float]:
     """Regression of log max cell mass against log(2^-n); conservative anchor."""
-    levels = _levels(mu, n_min, n_max)
-    best = None
-    for shift in (0.0, _SHIFT):
-        xs, ys = [], []
-        for n in levels:
-            m = float(_cell_masses(mu, n, shift).max())
-            xs.append(-n * math.log(2.0))
-            ys.append(math.log(m))
-        fit = linregress(xs, ys)
-        if best is None or fit.slope < best.slope:
-            best = fit
-    return _clamped(best, "dim_inf")
+    return _clamped(_conservative_fit(mu, n_min, n_max, 1.0, np.max), "dim_inf")
 
 
 def alpha_estimate(
@@ -196,17 +191,7 @@ class FlatteningReport:
     bound: DecayBound
 
     def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "sigma": self.sigma,
-            "dim2_nu": self.dim2_nu,
-            "stderr_nu": self.stderr_nu,
-            "dim2_conv": self.dim2_conv,
-            "stderr_conv": self.stderr_conv,
-            "margin": self.margin,
-            "bound": self.bound.to_json(),
-        }
+        return asdict(self)
 
 
 def flattening_check(
@@ -234,10 +219,7 @@ def flattening_check(
             f"nu is too regular: dim2 estimate {dim2_nu:.3f} exceeds "
             f"2 - kappa = {2.0 - kappa_assumed:.3f}"
         )
-    eps, sigma, bound = solve_flattening_epsilon(
-        ifs.lam, ifs.probs, kappa_assumed,
-        regime="complex" if not ifs.lambda_is_real else "real_noncollinear",
-    )
+    eps, sigma, bound = solve_flattening_epsilon(ifs.lam, ifs.probs, kappa_assumed)
     if depth is None:
         depth = max(3, math.ceil(n_max * math.log(2.0) / math.log(1.0 / abs(ifs.lam))))
     mu_fin = finite_approximation(ifs, depth, atom_budget=atom_budget)

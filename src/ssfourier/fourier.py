@@ -35,11 +35,16 @@ def phi(ifs: IFSDescriptor, u) -> complex | np.ndarray:
     with equality at u = 0.
     """
     u_arr = np.asarray(u, dtype=np.complex128)
-    out = np.zeros(u_arr.shape, dtype=np.complex128)
-    for w, p in zip(ifs.digits, ifs.probs):
-        out += p * np.exp(2j * np.pi * (w.real * u_arr.real - w.imag * u_arr.imag))
+    out = _phi_raw(ifs.digits, ifs.probs, u_arr)
     if np.isscalar(u) or u_arr.shape == ():
         return complex(out)
+    return out
+
+
+def _phi_raw(digits, probs, u: np.ndarray) -> np.ndarray:
+    out = np.zeros(u.shape, dtype=np.complex128)
+    for w, p in zip(digits, probs):
+        out += p * np.exp(2j * np.pi * (w.real * u.real - w.imag * u.imag))
     return out
 
 
@@ -80,10 +85,7 @@ def _mu_hat_raw(lam, digits, probs, xi: np.ndarray, tol: float) -> np.ndarray:
     kmax = int(k.max(initial=0))
     u = np.conj(xi)
     for n in range(kmax):
-        f = np.zeros(xi.shape, dtype=np.complex128)
-        for w, p in zip(digits, probs):
-            f += p * np.exp(2j * np.pi * (w.real * u.real - w.imag * u.imag))
-        out = np.where(k > n, out * f, out)
+        out = np.where(k > n, out * _phi_raw(digits, probs, u), out)
         u = u * lam
     return out
 
@@ -108,28 +110,17 @@ def mu_hat_many(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> np.ndarray:
     return _mu_hat_raw(ifs.lam, ifs.digits, ifs.probs, xi, tol)
 
 
-try:  # hot loop; plain numpy below is the reference fallback
-    from numba import njit as _njit, prange as _prange
+def fourier_sum(
+    positions: np.ndarray, weights: np.ndarray, xi: np.ndarray
+) -> np.ndarray:
+    """Direct Fourier sum sum_k w_k exp(2*pi*i*Re(z_k*conj(xi))).
 
-    @_njit(parallel=True, fastmath=True, cache=True)
-    def _fourier_sum_kernel(xr, xim, pr, pim, w):  # pragma: no cover
-        out = np.empty(xr.size, dtype=np.complex128)
-        for k in _prange(xr.size):
-            a, b = xr[k], xim[k]
-            acc_re, acc_im = 0.0, 0.0
-            for j in range(pr.size):
-                ph = a * pr[j] + b * pim[j]
-                ph = 6.283185307179586 * (ph - np.floor(ph + 0.5))
-                acc_re += w[j] * np.cos(ph)
-                acc_im += w[j] * np.sin(ph)
-            out[k] = acc_re + 1j * acc_im
-        return out
-
-except ImportError:  # pragma: no cover
-    _fourier_sum_kernel = None
-
-
-def _fourier_sum_numpy(positions, weights, xi):
+    The independent oracle path for discrete measures: no product
+    structure, no truncation, just the plain exponential sum.  Per-lane
+    results are a function of that lane's frequency alone, so output
+    never depends on batching or thread count.
+    """
+    xi = np.asarray(xi, dtype=np.complex128).ravel()
     out = np.zeros(xi.shape, dtype=np.complex128)
     xr, xi_im = xi.real, xi.imag
     pr, pi = positions.real, positions.imag
@@ -142,28 +133,6 @@ def _fourier_sum_numpy(positions, weights, xi):
             acc += np.exp(2j * np.pi * phase) @ weights[asl]
         out[sl] = acc
     return out
-
-
-def fourier_sum(
-    positions: np.ndarray, weights: np.ndarray, xi: np.ndarray
-) -> np.ndarray:
-    """Direct Fourier sum sum_k w_k exp(2*pi*i*Re(z_k*conj(xi))).
-
-    The independent oracle path for discrete measures: no product
-    structure, no truncation, just the plain exponential sum.  Per-lane
-    results are a function of that lane's frequency alone, so output
-    never depends on batching or thread count.
-    """
-    xi = np.asarray(xi, dtype=np.complex128).ravel()
-    if _fourier_sum_kernel is not None and xi.size * positions.size > 1 << 16:
-        return _fourier_sum_kernel(
-            np.ascontiguousarray(xi.real),
-            np.ascontiguousarray(xi.imag),
-            np.ascontiguousarray(positions.real),
-            np.ascontiguousarray(positions.imag),
-            np.ascontiguousarray(weights),
-        )
-    return _fourier_sum_numpy(positions, weights, xi)
 
 
 def ft_measure(mu: DiscreteMeasure, xi) -> np.ndarray:

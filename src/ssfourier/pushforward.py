@@ -10,15 +10,16 @@ Pisot-parameter examples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import linregress
 
-from .bounds import TRIVIAL_DELTA, delta_complex, delta_real_noncollinear
+from .bounds import TRIVIAL_DELTA, bisect_sign_change, delta_bound
 from .errors import DomainError, RegimeError
-from .fourier import fourier_sum
+from .fourier import ft_measure
 from .measures import (
     DEFAULT_ATOM_BUDGET,
     DiscreteMeasure,
@@ -68,6 +69,14 @@ def _disk_samples(radius: float, count: int) -> np.ndarray:
     return r * np.exp(1j * golden * k)
 
 
+def _derivative_extrema(f: AnalyticMap, ifs: IFSDescriptor, samples: int):
+    """Sampled (min |F''|, max |F''|, max |F'|) over the support disk."""
+    pts = _disk_samples(max(support_radius(ifs), 1e-30), samples)
+    f1 = f.derivative()
+    abs_f2 = np.abs(f1.derivative()(pts))
+    return float(np.min(abs_f2)), float(np.max(abs_f2)), float(np.max(np.abs(f1(pts))))
+
+
 def check_second_derivative(
     f: AnalyticMap, ifs: IFSDescriptor, samples: int = 4096
 ) -> tuple[float, float]:
@@ -76,34 +85,13 @@ def check_second_derivative(
     Samples a deterministic spiral on the closed disk of support radius;
     the density is the caller-visible ``samples`` count.
     """
-    radius = support_radius(ifs)
-    pts = _disk_samples(max(radius, 1e-30), samples)
-    f1 = f.derivative()
-    f2 = f1.derivative()
-    min_f2 = float(np.min(np.abs(f2(pts))))
-    max_f1 = float(np.max(np.abs(f1(pts))))
+    min_f2, _, max_f1 = _derivative_extrema(f, ifs, samples)
     return min_f2, max_f1
 
 
 def pushforward_measure(f: AnalyticMap, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Image measure: every atom mapped through F, weights unchanged."""
     return DiscreteMeasure(f(mu.positions), mu.weights.copy())
-
-
-def _f2_certified(f: AnalyticMap, ifs: IFSDescriptor, samples: int, min_f2: float) -> bool:
-    """Scale-aware non-vanishing test for F'' on the support disk.
-
-    A zero of F'' inside the disk pulls the sampled minimum down to
-    roughly max|F''| * R / sqrt(samples) (nearest spiral sample), so the
-    certification requires min/max to clear a 4/sqrt(samples) relative
-    floor in addition to an absolute one.
-    """
-    if min_f2 <= 1e-12:
-        return False
-    pts = _disk_samples(max(support_radius(ifs), 1e-30), samples)
-    f2 = f.derivative().derivative()
-    max_f2 = float(np.max(np.abs(f2(pts))))
-    return min_f2 > (4.0 / math.sqrt(samples)) * max_f2
 
 
 @dataclass(frozen=True)
@@ -133,22 +121,7 @@ class DecayProfile:
     inv_lipschitz: float
 
     def to_json(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "annulus_max": list(self.annulus_max),
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "predicted_exponent": self.predicted_exponent,
-            "epsilon_used": self.epsilon_used,
-            "delta_used": self.delta_used,
-            "frostman_s": self.frostman_s,
-            "directions": self.directions,
-            "jittered": self.jittered,
-            "approx_depth": self.approx_depth,
-            "min_abs_f2": self.min_abs_f2,
-            "max_abs_f1": self.max_abs_f1,
-            "inv_lipschitz": self.inv_lipschitz,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -244,8 +217,7 @@ def annulus_maxima(
     if isinstance(mu, SplitPushforward):
         transform = mu.transform
     else:
-        def transform(xi):
-            return fourier_sum(mu.positions, mu.weights, xi)
+        transform = partial(ft_measure, mu)
     rng = np.random.default_rng(seed)
     out = np.empty(len(radii))
     for i, t_rad in enumerate(radii):
@@ -267,24 +239,13 @@ def _best_exponent(lam, probs, regime: str, s: float) -> tuple[float, float, flo
     exponent so the equation always brackets.
     """
     def delta_of(eps):
-        if regime == "complex":
-            return min(delta_complex(lam, probs, eps).delta, TRIVIAL_DELTA)
-        return min(delta_real_noncollinear(lam, probs, eps).delta, TRIVIAL_DELTA)
+        return min(delta_bound(lam, probs, eps, regime).delta, TRIVIAL_DELTA)
 
     def g(eps):
         return s - delta_of(eps) - eps
 
-    lo, hi = 0.0, max(s, 1e-6)
-    if g(hi) > 0:
-        eps = hi
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        eps = 0.5 * (lo + hi)
+    hi = max(s, 1e-6)
+    eps = hi if g(hi) > 0 else bisect_sign_change(g, 0.0, hi, xtol=0.0, max_steps=80)
     if eps <= 0.0:
         return 0.0, 0.0, delta_of(1e-9)
     d = delta_of(eps)
@@ -315,15 +276,20 @@ def decay_profile(
     radius T the result differs from the direct sum over the merged
     tower by at most 2*pi*T*max|F'|*merge_tol, plus rounding.  Degree
     >= 3 maps, and splits over the budget, build the merged tower under
-    ``atom_budget`` (BudgetError past it) and sum it directly.
+    ``atom_budget`` (BudgetError past it) and sum it directly.  The
+    Frostman exponent is estimated under the same ``atom_budget``.
     """
     radii = tuple(float(t) for t in radii)
     if len(radii) < 3:
         raise DomainError("need at least 3 radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be increasing")
-    min_f2, max_f1 = check_second_derivative(f, ifs, samples)
-    if f.degree >= 2 and not _f2_certified(f, ifs, samples, min_f2):
+    # A zero of F'' inside the disk pulls the sampled minimum down to about
+    # max|F''| * R / sqrt(samples) (nearest spiral sample), so certification
+    # asks min/max to clear a 4/sqrt(samples) floor besides an absolute one.
+    min_f2, max_f2, max_f1 = _derivative_extrema(f, ifs, samples)
+    certified = min_f2 > 1e-12 and min_f2 > (4.0 / math.sqrt(samples)) * max_f2
+    if f.degree >= 2 and not certified:
         raise DomainError(
             f"second-derivative certification failed: sampled min |F''| = {min_f2:g}"
         )
@@ -337,7 +303,7 @@ def decay_profile(
         )
     maxima = annulus_maxima(target, radii, directions, directions, seed)
     fit = linregress([math.log(t) for t in radii], [math.log(v) for v in maxima])
-    s = frostman_estimate(ifs, seed=seed)
+    s = frostman_estimate(ifs, seed=seed, atom_budget=atom_budget)
     try:
         regime = ifs.bound_regime()
         predicted, eps_used, delta_used = _best_exponent(ifs.lam, ifs.probs, regime, s)
@@ -372,16 +338,17 @@ def frostman_estimate(
 ) -> float:
     """Frostman exponent s with mu(B(x, r)) <= C r^s, by ball counting.
 
-    Builds a deep discrete approximation, samples ball centers from the
-    measure itself, and regresses log max ball mass on log r.  Agrees
-    with the Frostman (dim_inf) estimator up to grid-versus-ball
-    geometry.
+    Builds the discrete approximation of depth max(3, floor(log(budget)
+    / log(m))) under ``atom_budget`` (default 2e6; BudgetError when even
+    depth 3 does not fit), samples ball centers from the measure itself,
+    and regresses log max ball mass on log r.  Agrees with the Frostman
+    (dim_inf) estimator up to grid-versus-ball geometry.
     """
     if ifs.is_atomic:
         raise DomainError("Frostman estimation refuses atomic systems")
     budget = 2 * 10**6 if atom_budget is None else int(atom_budget)
     depth = max(3, int(math.log(budget) / math.log(ifs.m)))
-    mu = finite_approximation(ifs, depth, atom_budget=max(budget * ifs.m, 10**7))
+    mu = finite_approximation(ifs, depth, atom_budget=budget)
     radius = max(support_radius(ifs), 1e-12)
     if radii is None:
         radii = [radius * 2.0**-k for k in range(2, 9)]

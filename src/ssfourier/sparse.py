@@ -17,11 +17,17 @@ covering counts against the explicit bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import covering_bound, delta_complex
+from .bounds import (
+    covering_bound,
+    delta_complex,
+    good_index_requirement,
+    good_rho,
+    sequence_count,
+)
 from .errors import BudgetError, DomainError, RegimeError
 from .fourier import _scan_points
 from .measures import IFSDescriptor
@@ -66,6 +72,33 @@ class EKTrace:
         return float(self._ds[j])
 
 
+def _digit_expansion(lam: complex, t, N: int):
+    """Re(t lam^{-j}) = r_j + eps_j for j < N along the last axis.
+
+    t is a scalar or an array of frequencies with |t| < 1.  Returns
+    (t lam^{-j}, r_j as floats, eps_j in [-1/2, 1/2)).  Raises
+    OverflowError when |lam|^{-(N-1)} would push the digits past exact
+    float integer range (2^52).
+    """
+    if lam.imag == 0.0:
+        raise RegimeError("digit expansion needs Im(lambda) != 0")
+    if not 0.0 < abs(lam) < 1.0:
+        raise DomainError("need 0 < |lambda| < 1")
+    if abs(lam) ** (-(N - 1)) > _SAFE_MAGNITUDE:
+        raise OverflowError(
+            f"|lambda|^-{N - 1} exceeds the safe digit magnitude 2^52"
+        )
+    us = np.asarray(t)[..., None] * (1.0 / lam) ** np.arange(N)
+    r = np.floor(us.real + 0.5)
+    return us, r, us.real - r
+
+
+def _sparse_membership(eps: np.ndarray, rho: float, epsilon_tilde: float, slack: float):
+    """S(N, et) membership along the last axis of the digit errors."""
+    good = np.sum(np.abs(eps) < rho + slack, axis=-1)
+    return good >= good_index_requirement(epsilon_tilde, eps.shape[-1])
+
+
 def ek_trace(lam: complex, t: complex, N: int) -> EKTrace:
     """Trace the digit expansion of Re(lam^{-j} t) for j = 0..N-1.
 
@@ -75,33 +108,18 @@ def ek_trace(lam: complex, t: complex, N: int) -> EKTrace:
     """
     lam = complex(lam)
     t = complex(t)
-    if lam.imag == 0.0:
-        raise RegimeError("ek_trace needs Im(lambda) != 0")
-    if not 0.0 < abs(lam) < 1.0:
-        raise DomainError("need 0 < |lambda| < 1")
     if abs(t) >= 1.0:
         raise DomainError("need |t| < 1")
     if N < 2:
         raise DomainError("need N >= 2")
-    if abs(lam) ** (-(N - 1)) * max(abs(t), 1.0) > _SAFE_MAGNITUDE:
-        raise OverflowError(
-            f"|lambda|^-{N - 1} exceeds the safe digit magnitude 2^52"
-        )
-    a2 = abs(lam) ** 2
-    us = t * (1.0 / lam) ** np.arange(N)
-    cs = us.real.copy()
-    ds = us.imag.copy()
-    r = np.floor(cs + 0.5).astype(np.int64)
-    eps = cs - r
-    rho = a2 / (2.0 * (a2 + 3.0))
-    return EKTrace(lam, t, N, r, eps, rho, cs, ds)
+    us, r, eps = _digit_expansion(lam, t, N)
+    rho = good_rho(abs(lam))
+    return EKTrace(lam, t, N, r.astype(np.int64), eps, rho, us.real, us.imag)
 
 
 def in_sparse_set(trace: EKTrace, epsilon_tilde: float, slack: float = 0.0) -> bool:
     """Membership t in S(N, et): |eps_j| < rho for >= (1 - et)N indices."""
-    et = min(max(epsilon_tilde, 0.0), 1.0)
-    need = max(0, math.ceil((1.0 - et) * trace.N - 1e-9))
-    return int(np.sum(np.abs(trace.eps) < trace.rho + slack)) >= need
+    return bool(_sparse_membership(trace.eps, trace.rho, epsilon_tilde, slack))
 
 
 def digit_transition_bound(lam: complex) -> tuple[float, int]:
@@ -115,10 +133,12 @@ def digit_transition_bound(lam: complex) -> tuple[float, int]:
     return b, math.ceil(b)
 
 
-def _uniform_disk(rng: np.random.Generator, n: int) -> np.ndarray:
-    radius = np.sqrt(rng.random(n))
-    angle = 2.0 * np.pi * rng.random(n)
-    return radius * np.exp(1j * angle)
+def _sampled_expansion(lam: complex, sample_count: int, N: int, seed: int):
+    """Digit expansions of frequencies drawn uniformly in the unit disk."""
+    rng = np.random.default_rng(seed)
+    radius = np.sqrt(rng.random(sample_count))
+    angle = 2.0 * np.pi * rng.random(sample_count)
+    return _digit_expansion(lam, radius * np.exp(1j * angle), N)
 
 
 def verify_digit_inequality(
@@ -135,13 +155,9 @@ def verify_digit_inequality(
     bound, _ = digit_transition_bound(lam)
     if N < 3:
         raise DomainError("need N >= 3 to check a transition")
-    rng = np.random.default_rng(seed)
-    t = _uniform_disk(rng, sample_count)
+    _, r, _ = _sampled_expansion(lam, sample_count, N, seed)
     a2 = abs(lam) ** 2
-    a = lam.real
-    us = t[:, None] * (1.0 / lam) ** np.arange(N)[None, :]
-    r = np.floor(us.real + 0.5)
-    lhs = np.abs(r[:, 2:] - (2.0 * a * r[:, 1:-1] - r[:, :-2]) / a2)
+    lhs = np.abs(r[:, 2:] - (2.0 * lam.real * r[:, 1:-1] - r[:, :-2]) / a2)
     return int(np.sum(lhs > bound + FLOAT_SLACK))
 
 
@@ -158,27 +174,17 @@ def unique_continuation_violations(
     lam = complex(lam)
     if N < 3:
         raise DomainError("need N >= 3")
-    rng = np.random.default_rng(seed)
-    ts = _uniform_disk(rng, sample_count)
+    _, r, eps = _sampled_expansion(lam, sample_count, N, seed)
     a2 = abs(lam) ** 2
-    a = lam.real
-    rho = a2 / (2.0 * (a2 + 3.0))
-    radius = rho * (1.0 + (1.0 + 2.0 * abs(a)) / a2)
-    violations = 0
-    for t in ts:
-        trace = ek_trace(lam, t, N)
-        good = trace.good
-        r = trace.r
-        for j in range(1, N - 1):
-            if not (good[j - 1] and good[j] and good[j + 1]):
-                continue
-            center = (2.0 * a * r[j] - r[j - 1]) / a2
-            lo = math.ceil(center - radius - FLOAT_SLACK)
-            hi = math.floor(center + radius + FLOAT_SLACK)
-            admissible = list(range(lo, hi + 1))
-            if len(admissible) != 1 or admissible[0] != r[j + 1]:
-                violations += 1
-    return violations
+    rho = good_rho(abs(lam))
+    radius = rho * (1.0 + (1.0 + 2.0 * abs(lam.real)) / a2)
+    good = np.abs(eps) < rho
+    runs = good[:, :-2] & good[:, 1:-1] & good[:, 2:]
+    center = (2.0 * lam.real * r[:, 1:-1] - r[:, :-2]) / a2
+    lo = np.ceil(center - radius - FLOAT_SLACK)
+    hi = np.floor(center + radius + FLOAT_SLACK)
+    forced = (lo == hi) & (lo == r[:, 2:])
+    return int(np.sum(runs & ~forced))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +257,8 @@ def enumerate_digit_sequences(
     if lam.imag == 0.0:
         raise RegimeError("enumeration needs Im(lambda) != 0")
     et = min(max(float(epsilon_tilde), 0.0), 1.0)
-    a2 = abs(lam) ** 2
-    rho = a2 / (2.0 * (a2 + 3.0))
-    n_good = max(0, math.ceil((1.0 - et) * N - 1e-9))
+    rho = good_rho(abs(lam))
+    n_good = good_index_requirement(et, N)
     inv_pows = [(1.0 / lam) ** j for j in range(N)]
     alphas = [z.real for z in inv_pows]
     betas = [z.imag for z in inv_pows]
@@ -290,9 +295,7 @@ def enumerate_digit_sequences(
 
     rec(0, [], (-1.0, 1.0, -1.0, 1.0), 0)
     _, branching = digit_transition_bound(lam)
-    h = -et * math.log(et) - (1 - et) * math.log(1 - et) if 0 < et < 1 else 0.0
-    m_n = 3.0 * 64.0 * branching ** (3.0 * et * N + 2.0)
-    return len(found), m_n * math.exp(h * N)
+    return len(found), sequence_count(branching, et, N)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +324,7 @@ class CoveringReport:
     checked_points: int
 
     def to_json(self) -> dict:
-        return {
-            "T": self.T,
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "epsilon_tilde": self.epsilon_tilde,
-            "empirical_count": self.empirical_count,
-            "bound_count": self.bound_count,
-            "subgrid_k": self.subgrid_k,
-            "inclusion_violations": self.inclusion_violations,
-            "checked_points": self.checked_points,
-        }
+        return asdict(self)
 
 
 def covering_report(
@@ -368,19 +361,12 @@ def covering_report(
     else:
         # degenerate threshold regime: no finite covering count applies
         bound = float("inf")
-    need = max(0, math.ceil((1.0 - min(et, 1.0)) * N - 1e-9))
-    a2 = abs(lam) ** 2
-    rho = a2 / (2.0 * (a2 + 3.0))
     ts = lam**N * np.conj(xi)
     certain = (values - 2.0 * tol >= threshold) & (np.abs(ts) < 1.0)
     ts_q = ts[certain]
-    violations = 0
-    if ts_q.size:
-        us = ts_q[:, None] * (1.0 / lam) ** np.arange(N)[None, :]
-        cs = us.real
-        eps_j = cs - np.floor(cs + 0.5)
-        good_counts = np.sum(np.abs(eps_j) < rho + FLOAT_SLACK, axis=1)
-        violations = int(np.sum(good_counts < need))
+    _, _, eps = _digit_expansion(lam, ts_q, N)
+    member = _sparse_membership(eps, good_rho(abs(lam)), et, FLOAT_SLACK)
+    violations = int(np.sum(~member))
     return CoveringReport(
         T=float(T),
         N=N,

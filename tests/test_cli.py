@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ssfourier.pushforward
 from ssfourier.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -57,6 +58,25 @@ class TestBounds:
         assert code == EXIT_DOMAIN
         assert "error" in json.loads(out)
 
+    def test_real_noncollinear_flattening(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--lambda", "0.5", "--p", "0.2,0.3,0.5",
+            "--regime", "real_noncollinear", "--kappa", "0.5",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        f = doc["flattening"]
+        assert doc["regime"] == "real_noncollinear"
+        assert abs(f["kappa"] - 2 * f["epsilon"] - f["delta_at_root"]) < 1e-10
+
+    def test_real_regime_refuses_complex_lambda(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--lambda", "0.5+0.5i", "--p", "0.2,0.3,0.5",
+            "--regime", "real_noncollinear",
+        )
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["kind"] == "RegimeError"
+
 
 class TestEval:
     def test_xi_zero(self, capsys):
@@ -97,6 +117,18 @@ class TestEK:
         code, _, err = run_cli(capsys, "ek", "--lambda", "1")
         assert code == EXIT_USAGE
 
+    def test_global_seed_reaches_verify(self, capsys, tmp_path):
+        verify = ["ek", "verify", "--lambda", "0.5+0.5i", "--samples", "500",
+                  "--N", "10"]
+        outs = []
+        for name, argv in (("global", ["--seed", "5", *verify]),
+                           ("local", [*verify, "--seed", "5"])):
+            path = tmp_path / f"{name}.json"
+            assert run_cli(capsys, "--out", str(path), *argv)[0] == EXIT_OK
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["seed"] == 5
+
 
 class TestPush:
     def test_budget_refusal(self, capsys):
@@ -106,6 +138,43 @@ class TestPush:
             capsys, "--budget", "1000", "push", "--lambda", "0.5+0.5i",
             "--coeffs", "0,0,1", "--radii", "8,16,32", "--directions", "16",
             "--depth", "12",
+        )
+        assert code == EXIT_BUDGET
+        assert json.loads(out)["error"]["kind"] == "budget"
+
+    @pytest.mark.parametrize("argv", [
+        ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1", "--radii", "8,16,32",
+         "--directions", "16", "--depth", "8"],
+        ["bernoulli", "--lambda", "0.8+0.3i", "--frostman"],
+    ], ids=["push", "bernoulli"])
+    def test_budget_caps_every_tower(self, capsys, monkeypatch, argv):
+        built = []
+        tower = ssfourier.pushforward.finite_approximation
+
+        def recording(*args, **kwargs):
+            mu = tower(*args, **kwargs)
+            built.append(mu.n_atoms)
+            return mu
+
+        monkeypatch.setattr(ssfourier.pushforward, "finite_approximation", recording)
+        code, _, _ = run_cli(capsys, "--budget", "1000", *argv)
+        assert code == EXIT_OK
+        assert built and max(built) <= 1000
+
+    def test_real_noncollinear_profile(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "push", "--lambda", "0.5", "--digits", "0,1,i",
+            "--coeffs", "0,0,1", "--radii", "1,2,4", "--directions", "8",
+            "--depth", "6",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["delta_used"] > 0.0
+
+
+class TestScan:
+    def test_budget_refusal(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--budget", "10", "scan", "--lambda", "0.5+0.5i", "--T", "3",
         )
         assert code == EXIT_BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"
@@ -145,6 +214,29 @@ class TestOutputsAndConfig:
         )
         assert code == EXIT_OK
         assert json.loads(out)["epsilon"] == 0.015
+
+    def test_config_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilonn": 3}))
+        code, _, err = run_cli(
+            capsys, "--config", str(cfg), "bounds", "--lambda", "0.5+0.5i",
+            "--p", "0.5,0.5",
+        )
+        assert code == EXIT_USAGE
+        assert "epsilonn" in err
+
+    def test_config_hash_follows_file_contents(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        hashes = []
+        for eps in (0.015, 0.02, 0.015):
+            cfg.write_text(json.dumps({"epsilon": eps}))
+            code, _, err = run_cli(
+                capsys, "--config", str(cfg), "bounds", "--lambda", "0.5+0.5i",
+                "--p", "0.5,0.5",
+            )
+            assert code == EXIT_OK
+            hashes.append(json.loads(err.strip().splitlines()[-1])["config_hash"])
+        assert hashes[0] != hashes[1] and hashes[0] == hashes[2]
 
     def test_scan_formats(self, capsys, tmp_path):
         for fmt, checker in (

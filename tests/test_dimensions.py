@@ -6,6 +6,7 @@ import pytest
 from ssfourier import (
     DiscreteMeasure,
     DomainError,
+    IFSDescriptor,
     alpha_estimate,
     dim_inf_estimate,
     dim_q_estimate,
@@ -175,6 +176,12 @@ class TestFlatteningCheck:
             complex_bernoulli.lam, complex_bernoulli.probs, 0.5
         )
         assert report.sigma == sigma and report.epsilon == eps
+
+    def test_real_noncollinear_regime(self, sierpinski):
+        segment = finite_approximation(IFSDescriptor(0.5, (0, 1), (0.5, 0.5)), 8)
+        report = flattening_check(sierpinski, segment, (1, 6), 0.9, depth=6)
+        assert report.bound.regime == "real_noncollinear"
+        assert report.sigma > 0.0
 
     def test_too_regular_rejected(self, complex_bernoulli, unit_square):
         nu = finite_approximation(unit_square, 7)

@@ -21,7 +21,7 @@ from ssfourier import (
     scanfield_to_csv,
     truncation_index,
 )
-from ssfourier.fourier import _scan_cells
+from ssfourier.fourier import _POINT_CHUNK, _scan_cells
 
 from conftest import random_two_digit_ifs
 
@@ -146,6 +146,13 @@ class TestGridScan:
     def test_worker_determinism(self, complex_bernoulli):
         a = grid_scan(complex_bernoulli, 6.0, subgrid_k=3, workers=1)
         b = grid_scan(complex_bernoulli, 6.0, subgrid_k=3, workers=4)
+        assert a.cells == b.cells
+
+    def test_worker_determinism_across_chunks(self, complex_bernoulli):
+        # T = 72 samples 264,384 points: five chunks, spread over the pool
+        a = grid_scan(complex_bernoulli, 72.0, workers=1)
+        assert len(a.cells) * 16 > 4 * _POINT_CHUNK
+        b = grid_scan(complex_bernoulli, 72.0, workers=2)
         assert a.cells == b.cells
 
     def test_cells_cover_disk(self):
