@@ -322,6 +322,27 @@ def bisect_sign_change(g, lo: float, hi: float, xtol: float, max_steps: int) -> 
     return 0.5 * (lo + hi)
 
 
+def linear_fit(xs, ys) -> tuple[float, float]:
+    """Least-squares line through (xs, ys): returns (slope, slope stderr).
+
+    The formulas of SciPy's linregress (population moments from
+    np.cov(bias=1), r clipped to [-1, 1], stderr 0 for two points).
+    DomainError for fewer than two points or when all x are equal.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    n = x.size
+    if n < 2 or np.amax(x) == np.amin(x):
+        raise DomainError("a linear fit needs at least two distinct x values")
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    if sxx == 0.0 or syy == 0.0:
+        r = math.nan if sxy == 0.0 else 0.0
+    else:
+        r = min(max(sxy / math.sqrt(sxx * syy), -1.0), 1.0)
+    stderr = 0.0 if n == 2 else math.sqrt((1.0 - r * r) * syy / sxx / (n - 2))
+    return float(sxy / sxx), float(stderr)
+
+
 def solve_flattening_epsilon(
     lam,
     p,

@@ -381,6 +381,42 @@ _COMMANDS = {
 }
 
 
+def _selected_actions(parser, args) -> dict:
+    """Actions of ``parser`` and of the subparsers ``args`` selected, by dest."""
+    actions = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            chosen = getattr(args, action.dest, None)
+            if chosen in action.choices:
+                actions.update(_selected_actions(action.choices[chosen], args))
+        else:
+            actions.setdefault(action.dest, action)
+    return actions
+
+
+def _config_value(action, key: str, value):
+    """Check and convert one config value as its flag would be on the command line.
+
+    Flags without an argument take JSON booleans; any other value goes
+    through the flag's ``type`` as command-line text (JSON numbers as
+    their JSON text) and then its ``choices``.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise _UsageError(f"config key {key!r} needs true or false")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = text if action.type is None else action.type(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise _UsageError(f"config key {key!r}: invalid value {text!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(
+            f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
+        )
+    return value
+
+
 def _config_hash(args) -> str:
     """Hash of the effective arguments, --config contents included."""
     effective = {k: v for k, v in vars(args).items() if k != "config"}
@@ -402,10 +438,12 @@ def run(argv) -> int:
         if args.config:
             # config values take precedence over flags
             with open(args.config, "r", encoding="utf-8") as fh:
-                for key, value in json.load(fh).items():
-                    if key not in vars(args):
-                        raise _UsageError(f"unknown config key {key!r}")
-                    setattr(args, key, value)
+                config = json.load(fh)
+            actions = _selected_actions(parser, args)
+            for key, value in config.items():
+                if key not in vars(args) or key not in actions:
+                    raise _UsageError(f"unknown config key {key!r}")
+                setattr(args, key, _config_value(actions[key], key, value))
         if args.workers is None:
             args.workers = 1
         if not args.command:

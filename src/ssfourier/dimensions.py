@@ -16,10 +16,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import linregress
 
-from .bounds import DecayBound, solve_flattening_epsilon
+from .bounds import DecayBound, linear_fit, solve_flattening_epsilon
 from .errors import DomainError
 from .fourier import energy_integral
 from .measures import DiscreteMeasure, IFSDescriptor, convolve, finite_approximation
@@ -76,15 +74,9 @@ def _resolution_level_cap(mu: DiscreteMeasure) -> int | None:
     Exactly coinciding atoms act as one; the smallest positive gap sets
     the resolution.
     """
-    if mu.n_atoms < 2:
+    gap = mu.min_atom_gap
+    if gap is None:
         return None
-    pts = np.column_stack([mu.positions.real, mu.positions.imag])
-    tree = cKDTree(pts)
-    dists, _ = tree.query(pts, k=2)
-    positive = dists[:, 1][dists[:, 1] > 0.0]
-    if positive.size == 0:
-        return None
-    gap = float(positive.min())
     return math.floor(-math.log2(4.0 * gap) - 1e-9)
 
 
@@ -129,20 +121,20 @@ def _conservative_fit(mu, n_min, n_max, x_factor: float, statistic):
         xs = [x_factor * (-n * math.log(2.0)) for n in levels]
         ys = [math.log(float(statistic(_dyadic_cells(mu, n, shift)[1])))
               for n in levels]
-        fit = linregress(xs, ys)
-        if best is None or fit.slope < best.slope:
+        fit = linear_fit(xs, ys)
+        if best is None or fit[0] < best[0]:
             best = fit
     return best
 
 
 def _clamped(fit, label: str) -> tuple[float, float]:
-    slope = float(fit.slope)
+    slope, stderr = fit
     if slope < 0.0 or slope > 2.0:
         if slope < -1e-6 or slope > 2.0 + 1e-6:
             warnings.warn(f"{label} estimate {slope:.3f} clamped to [0, 2]",
                           stacklevel=3)
         slope = min(max(slope, 0.0), 2.0)
-    return slope, float(fit.stderr)
+    return slope, stderr
 
 
 def dim_inf_estimate(
@@ -171,8 +163,7 @@ def alpha_estimate(
         raise DomainError("radii must be geometrically spaced")
     xs = [math.log(t) for t in T_values]
     ys = [math.log(energy_integral(mu, t, step)) for t in T_values]
-    fit = linregress(xs, ys)
-    alpha = float(fit.slope)
+    alpha, _ = linear_fit(xs, ys)
     return alpha, 2.0 - alpha
 
 

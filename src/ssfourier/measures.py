@@ -19,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -197,6 +198,20 @@ class DiscreteMeasure:
     @property
     def n_atoms(self) -> int:
         return int(self.positions.size)
+
+    @cached_property
+    def min_atom_gap(self) -> float | None:
+        """Smallest positive distance between an atom and its nearest other atom.
+
+        Exactly coinciding atoms act as one.  None for a single atom or when
+        every nearest-atom distance is 0.  Computed once per measure.
+        """
+        if self.n_atoms < 2:
+            return None
+        pts = np.column_stack([self.positions.real, self.positions.imag])
+        dists, _ = cKDTree(pts).query(pts, k=2)
+        positive = dists[:, 1][dists[:, 1] > 0.0]
+        return float(positive.min()) if positive.size else None
 
     @classmethod
     def dirac(cls, z: complex) -> "DiscreteMeasure":

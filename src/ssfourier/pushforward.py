@@ -15,11 +15,10 @@ from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import linregress
 
-from .bounds import TRIVIAL_DELTA, bisect_sign_change, delta_bound
+from .bounds import TRIVIAL_DELTA, bisect_sign_change, delta_bound, linear_fit
 from .errors import DomainError, RegimeError
-from .fourier import ft_measure
+from .fourier import fourier_sum, ft_measure
 from .measures import (
     DEFAULT_ATOM_BUDGET,
     DiscreteMeasure,
@@ -141,7 +140,10 @@ class SplitPushforward:
     conj xi)), E2 likewise over v2, and G[v1, v2] = e(Re(c2 (v1 + v2)^2
     conj xi)).  That is one matrix product per frequency and
     O(U V1 + U V2 + V1 V2) exponentials instead of U V1 V2; the tower
-    itself is never built.
+    itself is never built.  For affine F (c2 = 0) G is all ones and the
+    sum factors further: the transform is e(Re(c0 conj xi)) times the
+    product of the three block transforms at conj(c1) xi, each a direct
+    sum, so U + V1 + V2 exponentials per frequency.
     """
 
     f: AnalyticMap
@@ -155,8 +157,14 @@ class SplitPushforward:
     def transform(self, xi) -> np.ndarray:
         """FT(F_# mu_D) at a flat array of frequencies."""
         xi = np.asarray(xi, dtype=np.complex128).ravel()
+        if self.f.degree <= 1:
+            xi_c1 = np.conj(self.f.derivative().coeffs[0]) * xi
+            out = _e((self.f.coeffs[0] * np.conj(xi)).real)
+            for b in self.blocks:
+                out = out * fourier_sum(b.positions, b.weights, xi_c1)
+            return out
         (u, wu), (v1, w1), (v2, w2) = ((b.positions, b.weights) for b in self.blocks)
-        c2 = self.f.coeffs[2] if self.f.degree == 2 else 0.0
+        c2 = self.f.coeffs[2]
         fu, dfu = self.f(u), self.f.derivative()(u)
         sq = c2 * (v1[:, None] + v2[None, :]) ** 2
         per_xi = u.size * (v1.size + 2 * v2.size) + v1.size * v2.size
@@ -302,7 +310,9 @@ def decay_profile(
             f, finite_approximation(ifs, approx_depth, atom_budget=budget)
         )
     maxima = annulus_maxima(target, radii, directions, directions, seed)
-    fit = linregress([math.log(t) for t in radii], [math.log(v) for v in maxima])
+    slope, stderr = linear_fit(
+        [math.log(t) for t in radii], [math.log(v) for v in maxima]
+    )
     s = frostman_estimate(ifs, seed=seed, atom_budget=atom_budget)
     try:
         regime = ifs.bound_regime()
@@ -314,8 +324,8 @@ def decay_profile(
     return DecayProfile(
         radii=radii,
         annulus_max=tuple(float(v) for v in maxima),
-        slope=float(fit.slope),
-        stderr=float(fit.stderr),
+        slope=slope,
+        stderr=stderr,
         predicted_exponent=predicted,
         epsilon_used=eps_used,
         delta_used=delta_used,
@@ -365,5 +375,4 @@ def frostman_estimate(
             best = max(best, float(mu.weights[neighbors].sum()))
         xs.append(math.log(r))
         ys.append(math.log(best))
-    fit = linregress(xs, ys)
-    return max(float(fit.slope), 0.0)
+    return max(linear_fit(xs, ys)[0], 0.0)

@@ -20,7 +20,7 @@ from ssfourier import (
     osc_correlation_dimension,
     solve_flattening_epsilon,
 )
-from ssfourier.bounds import _assemble_bound
+from ssfourier.bounds import _assemble_bound, linear_fit
 
 LAM_C = (1 + 1j) / 2
 P3 = (1 / 3, 1 / 3, 1 / 3)
@@ -318,3 +318,24 @@ class TestAssembledInvariants:
             for v in (b.epsilon_tilde, b.rho, b.eta, b.entropy, b.delta):
                 assert math.isfinite(v)
             assert b.valid or b.reason
+
+
+class TestLinearFit:
+    def test_matches_linregress(self):
+        from scipy.stats import linregress
+
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 4, 7, 50):
+            for _ in range(25):
+                x = rng.normal(size=n) * rng.uniform(0.1, 10.0) + rng.normal()
+                y = rng.uniform(-3.0, 3.0) * x + rng.normal(size=n) * rng.uniform(0.0, 2.0)
+                slope, stderr = linear_fit(x, y)
+                ref = linregress(x, y)
+                assert slope == pytest.approx(ref.slope, rel=1e-14, abs=0.0)
+                assert stderr == pytest.approx(ref.stderr, rel=1e-14, abs=0.0)
+
+    def test_identical_x_refused(self):
+        with pytest.raises(DomainError):
+            linear_fit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+        with pytest.raises(DomainError):
+            linear_fit([1.0], [0.0])

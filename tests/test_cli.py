@@ -225,6 +225,41 @@ class TestOutputsAndConfig:
         assert code == EXIT_USAGE
         assert "epsilonn" in err
 
+    def test_config_values_parsed_like_flags(self, capsys, tmp_path):
+        base = ("bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5")
+        code, want, _ = run_cli(capsys, *base, "--epsilon", "0.02")
+        assert code == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        for value in ("0.02", 0.02):
+            cfg.write_text(json.dumps({"epsilon": value}))
+            code, out, _ = run_cli(capsys, "--config", str(cfg), *base)
+            assert code == EXIT_OK and out == want
+
+    @pytest.mark.parametrize("doc", [
+        {"regime": "bogus"}, {"epsilon": "abc"}, {"epsilon": True},
+        {"d": 3.5}, {"kappa": None},
+    ])
+    def test_config_bad_value_is_usage_error(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "--config", str(cfg), "bounds", "--lambda", "0.5+0.5i",
+            "--p", "0.5,0.5",
+        )
+        assert code == EXIT_USAGE
+        assert next(iter(doc)) in err
+
+    def test_config_switch_needs_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        argv = ("--config", str(cfg), "bernoulli", "--lambda", "0.8+0.3i")
+        cfg.write_text(json.dumps({"unbiased": "no"}))
+        assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+        cfg.write_text(json.dumps({"unbiased": True}))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, "bernoulli", "--lambda", "0.8+0.3i",
+                              "--unbiased")[1]
+
     def test_config_hash_follows_file_contents(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         hashes = []

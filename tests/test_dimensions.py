@@ -15,6 +15,7 @@ from ssfourier import (
     flattening_check,
     lq_moment,
 )
+from ssfourier import measures
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 
@@ -120,6 +121,21 @@ class TestDimEstimates:
             dim_q_estimate(mu, 2.0, 1, 20)  # resolution cap leaves enough...
         with pytest.raises(DomainError):
             dim_q_estimate(mu, 2.0, 5, 6)   # too few levels outright
+
+
+class TestResolutionCap:
+    def test_gap_computed_once_per_measure(self, sierpinski, monkeypatch):
+        mu = finite_approximation(sierpinski, 8)
+        built = []
+        tree = measures.cKDTree
+        monkeypatch.setattr(measures, "cKDTree",
+                            lambda pts: built.append(len(pts)) or tree(pts))
+        dim_q_estimate(mu, 2.0, 1, 8)
+        dim_inf_estimate(mu, 1, 8)
+        assert built == [mu.n_atoms]
+        # atoms 2^-7 apart: levels above 4, where cells are < 4x the gap, are cut
+        with pytest.raises(DomainError):
+            dim_q_estimate(mu, 2.0, 3, 8)
 
 
 class TestAlphaEstimate:

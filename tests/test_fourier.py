@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from ssfourier import (
     scanfield_to_csv,
     truncation_index,
 )
-from ssfourier.fourier import _POINT_CHUNK, _scan_cells
+import ssfourier
+from ssfourier.fourier import _ENERGY_BLOCK, _POINT_CHUNK, _scan_cells, fourier_sum
 
 from conftest import random_two_digit_ifs
 
@@ -213,3 +218,50 @@ class TestEnergyIntegral:
     def test_step_precondition(self, bernoulli_half):
         with pytest.raises(DomainError):
             energy_integral(bernoulli_half, 4.0, 0.75)
+
+    @staticmethod
+    def _lattice(t_rad, step):
+        n = math.ceil(t_rad / step)
+        coords = (np.arange(-n, n) + 0.5) * step
+        xi = (coords[:, None] + 1j * coords[None, :]).ravel()
+        return xi[np.abs(xi) < t_rad]
+
+    def test_tensor_grid_matches_direct_sum(self):
+        # off-lattice atoms spanning more than one block; T is not a
+        # multiple of step, so the disk cuts through lattice rows
+        rng = np.random.default_rng(20261018)
+        n_atoms = _ENERGY_BLOCK + 1809
+        pos = rng.uniform(-1.5, 2.5, n_atoms) + 1j * rng.uniform(-2.0, 1.0, n_atoms)
+        wts = rng.uniform(0.1, 1.0, n_atoms)
+        mu = DiscreteMeasure(pos, wts / wts.sum())
+        t_rad, step = 3.3, 0.3
+        vals = fourier_sum(mu.positions, mu.weights, self._lattice(t_rad, step))
+        want = float(np.sum(np.abs(vals) ** 2)) * step * step
+        got = energy_integral(mu, t_rad, step)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_blas_thread_count_invariance(self):
+        script = (
+            "import numpy as np\n"
+            "from ssfourier import DiscreteMeasure, energy_integral\n"
+            "rng = np.random.default_rng(5)\n"
+            "pos = rng.normal(size=20000) + 1j * rng.normal(size=20000)\n"
+            "mu = DiscreteMeasure(pos, np.full(20000, 1 / 20000))\n"
+            "print(repr(energy_integral(mu, 6.1, 0.25)))\n"
+        )
+        src = str(Path(ssfourier.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0].strip() and outs[0] == outs[1]
+
+    def test_ifs_target_uses_product_formula(self, complex_bernoulli):
+        t_rad, step = 3.3, 0.3
+        vals = mu_hat_many(complex_bernoulli, self._lattice(t_rad, step), 1e-9)
+        want = float(np.sum(np.abs(vals) ** 2)) * step * step
+        assert energy_integral(complex_bernoulli, t_rad, step) == want
