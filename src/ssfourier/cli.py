@@ -74,17 +74,33 @@ def _parse_complex_list(text: str) -> list[complex]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse number list {text!r}") from exc
 
 
 def _parse_radii(text: str) -> list[float]:
-    # either a comma list or "a:b:count" geometric
-    if ":" in text:
-        a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
+    """Positive radii: a comma list, or "a:b:count" geometric from a to b."""
+    fields = text.split(":")
+    if len(fields) == 1:
+        radii = _parse_float_list(text)
+    elif len(fields) == 3:
+        try:
+            a, b, n = float(fields[0]), float(fields[1]), int(fields[2])
+        except ValueError as exc:
+            raise _UsageError(f"cannot parse radius range {text!r}") from exc
+        radii = [a, b]
+    else:
+        raise _UsageError(f"radius range {text!r} is not a:b:count")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise _UsageError(f"radii must be positive and finite: {text!r}")
+    if len(fields) == 3:
+        if n < 2:
+            raise _UsageError(f"radius range {text!r} needs count >= 2")
         ratio = (b / a) ** (1.0 / (n - 1))
-        return [a * ratio**k for k in range(n)]
-    return _parse_float_list(text)
+        radii = [a * ratio**k for k in range(n)]
+    return radii
 
 
 def _ifs_from_args(args) -> IFSDescriptor:
@@ -233,14 +249,15 @@ def _load_measure(args) -> DiscreteMeasure:
 
 
 def _cmd_dim(args):
+    radii = None if args.T_values is None else _parse_radii(args.T_values)
     mu = _load_measure(args)
     doc = {}
     d2, e2 = dim_q_estimate(mu, args.q, args.n_min, args.n_max)
     doc["dim_q"] = {"q": args.q, "estimate": d2, "stderr": e2}
     dinf, einf = dim_inf_estimate(mu, args.n_min, args.n_max)
     doc["dim_inf"] = {"estimate": dinf, "stderr": einf}
-    if args.T_values:
-        alpha, via = alpha_estimate(mu, _parse_radii(args.T_values), args.step)
+    if radii is not None:
+        alpha, via = alpha_estimate(mu, radii, args.step)
         doc["alpha"] = {"estimate": alpha, "dim2_via_alpha": via}
     if args.format == "csv":
         lines = ["n,s_n,log_s_n"]

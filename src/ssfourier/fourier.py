@@ -24,6 +24,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SUBGRID_K = 4
 DEFAULT_CELL_BUDGET = 10**7
 _POINT_CHUNK = 1 << 16
+_ROW_BLOCK = 64
 _ATOM_CHUNK = 1 << 16
 _ENERGY_BLOCK = 1 << 13
 _BIN_MAGIC = b"SSFGRID1"
@@ -176,9 +177,42 @@ def _scan_cells(T: float):
     return ii[keep], jj[keep]
 
 
-def _scan_chunk(args):
-    lam, digits, probs, xi, tol = args
-    return np.abs(_mu_hat_raw(lam, digits, probs, xi, tol))
+def _scan_block(args):
+    """|Truncated product| at the points (xs[rows], ys[cols]) of one block.
+
+    With c_j = w_j * lam^l, Phi(lam^l conj xi) = sum_j p_j e(Re(c_j) x)
+    e(Im(c_j) y): each level costs 2m exponentials per axis value and m
+    complex multiply-adds per point of the tensor grid xs x ys.  A point's
+    value is read off after its own truncation index K of factors, so it
+    is the product ``_mu_hat_raw`` evaluates at that frequency, and it
+    depends on no other point of the block.
+    """
+    lam, digits, probs, tol, xs, ys, rows, cols = args
+    k = _trunc_k_raw(lam, digits, np.abs(xs[rows] + 1j * ys[cols]).ravel(), tol)
+    order = np.argsort(k, kind="stable")
+    kmax = int(k.max(initial=0))
+    # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
+    edges = np.searchsorted(k[order], np.arange(kmax + 2))
+    at = (rows * ys.size + cols).ravel()[order]
+    values = np.ones(k.size)
+    out = np.ones((xs.size, ys.size), dtype=np.complex128)
+    flat = out.ravel()
+    phi = np.empty_like(out)
+    term = np.empty_like(out)
+    probs = np.asarray(probs, dtype=np.float64)[:, None]
+    c = np.asarray(digits, dtype=np.complex128)
+    for level in range(kmax):
+        ex = probs * np.exp(2j * np.pi * np.outer(c.real, xs))
+        ey = np.exp(2j * np.pi * np.outer(c.imag, ys))
+        np.multiply(ex[0][:, None], ey[0], out=phi)
+        for j in range(1, c.size):
+            np.multiply(ex[j][:, None], ey[j], out=term)
+            phi += term
+        out *= phi
+        done = slice(edges[level + 1], edges[level + 2])
+        values[order[done]] = np.abs(flat[at[done]])
+        c = c * lam
+    return values
 
 
 def _scan_points(
@@ -191,12 +225,18 @@ def _scan_points(
 ):
     """Shared scan core: cell indices, sample frequencies, sampled |mu_hat|.
 
-    Points are laid out cell-major then subgrid-major, and evaluated in
-    fixed-size chunks whose boundaries do not depend on the worker count,
+    Points are laid out cell-major then subgrid-major.  They all lie on
+    the tensor grid axis x axis, axis = (i + a/k for -n <= i < n, a < k),
+    where the digit character separates (``_scan_block``).  The grid is
+    evaluated in blocks of max(1, _ROW_BLOCK // k) cell rows, each over
+    the column span of its own disk cells, with the per-point truncation
+    index K of ``_mu_hat_raw``, so every value agrees with ``mu_hat_many``
+    at its frequency to rounding.  Each value depends on its frequency
+    alone, and block boundaries do not depend on the worker count either,
     so the output is bit-for-bit reproducible for any ``workers``.
     """
-    if T < 1:
-        raise DomainError("scan radius T must be >= 1")
+    if not 1 <= T < math.inf:
+        raise DomainError("scan radius T must be finite and >= 1")
     if subgrid_k < 1:
         raise DomainError("subgrid_k must be >= 1")
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else int(cell_budget)
@@ -206,22 +246,29 @@ def _scan_points(
         raise BudgetError(
             f"scan would sample {n_points} points (budget {budget})"
         )
-    offs = np.arange(subgrid_k) / subgrid_k
-    oa, ob = np.meshgrid(offs, offs, indexing="ij")
-    oa, ob = oa.ravel(), ob.ravel()
-    xi = (
-        (ci[:, None] + oa[None, :]) + 1j * (cj[:, None] + ob[None, :])
-    ).ravel()
-    chunks = [
-        (ifs.lam, ifs.digits, ifs.probs, xi[s : s + _POINT_CHUNK], tol)
-        for s in range(0, xi.size, _POINT_CHUNK)
-    ]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [_scan_chunk(c) for c in chunks]
+    n, k = math.ceil(T), subgrid_k
+    axis = (np.arange(-n, n)[:, None] + np.arange(k) / k).ravel()
+    sub = np.arange(k)
+    gx = ((ci + n) * k)[:, None, None] + sub[None, :, None]
+    gy = ((cj + n) * k)[:, None, None] + sub[None, None, :]
+    step = max(1, _ROW_BLOCK // k)
+    # cells are sorted by row, so each block of cell rows is a run of cells
+    starts = np.searchsorted(ci, np.arange(-n, n + step, step))
+    blocks = []
+    for s0, s1 in zip(starts[:-1], starts[1:]):
+        rows, cols = gx[s0:s1], gy[s0:s1]
+        r0, r1, c0, c1 = rows.min(), rows.max() + 1, cols.min(), cols.max() + 1
+        blocks.append((
+            ifs.lam, ifs.digits, ifs.probs, tol,
+            axis[r0:r1], axis[c0:c1], rows - r0, cols - c0,
+        ))
+    if workers <= 1 or len(blocks) <= 1:
+        parts = [_scan_block(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
-    values = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            parts = list(pool.map(_scan_block, blocks))
+    xi = (axis[gx] + 1j * axis[gy]).ravel()
+    values = np.concatenate(parts)
     return ci, cj, xi, values
 
 
@@ -236,7 +283,12 @@ def grid_scan(
     """Scan |mu_hat| over every unit cell meeting the disk |xi| <= T.
 
     Stores, per cell, the maximum sampled value on the subgrid lattice.
-    Deterministic: identical output for any worker count.
+    The samples form a tensor grid xs x ys on which the phase separates,
+    Re(c*conj(xi)) = Re(c)*x + Im(c)*y, so each factor of the product
+    costs exponentials per axis value and multiply-adds per point; each
+    point keeps its own truncation index K (see ``_scan_points``).  Row
+    blocks of fixed size go to ``workers`` processes; the output is
+    identical for any worker count.
     """
     ci, cj, _, values = _scan_points(ifs, T, subgrid_k, tol, workers, cell_budget)
     per_cell = values.reshape(ci.size, subgrid_k * subgrid_k).max(axis=1)
@@ -264,8 +316,8 @@ def scanfield_to_binary(fieldobj: ScanField) -> bytes:
     n = math.ceil(fieldobj.T)
     side = 2 * n
     grid = np.full((side, side), -1.0, dtype="<f8")
-    for (i, j), v in fieldobj.cells.items():
-        grid[i + n, j + n] = v
+    ij = np.array(list(fieldobj.cells), dtype=np.int64).reshape(-1, 2) + n
+    grid[ij[:, 0], ij[:, 1]] = list(fieldobj.cells.values())
     header = struct.pack(
         "<8sdII8x", _BIN_MAGIC, fieldobj.T, fieldobj.subgrid_k, len(fieldobj.cells)
     )
@@ -279,11 +331,9 @@ def scanfield_from_binary(blob: bytes) -> ScanField:
     n = math.ceil(T)
     side = 2 * n
     grid = np.frombuffer(blob, dtype="<f8", offset=32).reshape(side, side)
-    cells = {}
-    for i in range(side):
-        for j in range(side):
-            if grid[i, j] >= 0.0:
-                cells[(i - n, j - n)] = float(grid[i, j])
+    ii, jj = np.nonzero(grid >= 0.0)
+    keys = zip((ii - n).tolist(), (jj - n).tolist())
+    cells = dict(zip(keys, grid[ii, jj].tolist()))
     if len(cells) != count:
         raise DomainError("scan-field cell count mismatch")
     return ScanField(T=T, subgrid_k=int(k), cells=cells, tol=float("nan"))

@@ -8,6 +8,7 @@ from ssfourier.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_radii,
     parse_complex,
     run,
 )
@@ -191,6 +192,46 @@ class TestUsageErrors:
     def test_bad_complex(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--lambda", "zzz", "--xi", "0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--lambda", "0.5+0.5i", "--p", "abc"),
+            ("eval", "--lambda", "0.5+0.5i", "--probs", "x,y", "--xi", "1"),
+        ],
+    )
+    def test_bad_number_list(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+
+    def test_scan_radius_not_a_number(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--lambda", "0.5+0.5i", "--T", "nan")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["kind"] == "DomainError"
+
+
+class TestRadii:
+    BAD = ["0,1,2", "2:8:1", "2:8", "-1,2", "1:2:3:4", "a,b", "2:x:3", ""]
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_dim_T_values_refused(self, capsys, text):
+        code, out, err = run_cli(
+            capsys, "dim", "--lambda", "0.5", "--digits", "0,1,i", "--depth", "7",
+            "--n-min", "1", "--n-max", "4", "--T-values", text,
+        )
+        assert code == EXIT_USAGE and out == "" and "usage error" in err
+
+    @pytest.mark.parametrize("text", BAD)
+    def test_push_radii_refused(self, capsys, text):
+        code, out, _ = run_cli(
+            capsys, "push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1",
+            "--radii", text,
+        )
+        assert code == EXIT_USAGE and out == ""
+
+    def test_geometric_range_unchanged(self):
+        ratio = (16.0 / 1.0) ** (1.0 / (9 - 1))
+        assert _parse_radii("1:16:9") == [1.0 * ratio**k for k in range(9)]
+        assert _parse_radii("2,4.5, 8") == [2.0, 4.5, 8.0]
 
 
 class TestOutputsAndConfig:

@@ -1,11 +1,15 @@
+import cmath
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ssfourier import (
@@ -26,7 +30,8 @@ from ssfourier import (
     truncation_index,
 )
 import ssfourier
-from ssfourier.fourier import _ENERGY_BLOCK, _POINT_CHUNK, _scan_cells, fourier_sum
+import ssfourier.fourier
+from ssfourier.fourier import _ENERGY_BLOCK, _scan_cells, _scan_points, fourier_sum
 
 from conftest import random_two_digit_ifs
 
@@ -126,6 +131,32 @@ class TestMuHat:
         assert np.all(mu_hat_many(ifs, xi, 1e-12) == 1.0)
 
 
+SCAN_SYSTEMS = {
+    "three_digit": IFSDescriptor(
+        0.45 + 0.55j, (0.0, 1.0 - 0.5j, -0.3 + 0.8j), (0.2, 0.5, 0.3)
+    ),
+    "atomic": IFSDescriptor(0.5, (0.0, 0.0), (0.5, 0.5)),
+}
+
+
+def _random_scan_system(r, theta, flip, digits):
+    """Non-real lambda of modulus r and 2-4 weighted complex digits."""
+    total = sum(w for _, _, w in digits)
+    return IFSDescriptor(
+        cmath.rect(r, -theta if flip else theta),
+        tuple(complex(a, b) for a, b, _ in digits),
+        tuple(w / total for _, _, w in digits),
+    )
+
+
+def assert_scan_matches_oracle(ifs, T, k, tol):
+    """Every tensor-grid scan value equals |mu_hat_many| at its xi."""
+    _, _, xi, values = _scan_points(ifs, T, k, tol, 1, None)
+    want = np.abs(mu_hat_many(ifs, xi, tol))
+    assert np.max(np.abs(values - want)) <= 1e-13
+    assert values[xi == 0] == 1.0
+
+
 class TestGridScan:
     def test_origin_cell(self, complex_bernoulli):
         field = grid_scan(complex_bernoulli, 1.0, subgrid_k=3, tol=1e-9)
@@ -153,12 +184,50 @@ class TestGridScan:
         b = grid_scan(complex_bernoulli, 6.0, subgrid_k=3, workers=4)
         assert a.cells == b.cells
 
-    def test_worker_determinism_across_chunks(self, complex_bernoulli):
-        # T = 72 samples 264,384 points: five chunks, spread over the pool
+    def test_worker_determinism_across_chunks(self, complex_bernoulli, monkeypatch):
+        # T = 72 samples 264,384 points in more row blocks than workers,
+        # so the pool spreads them over both processes
+        blocks = []
+        block = ssfourier.fourier._scan_block
+        monkeypatch.setattr(
+            ssfourier.fourier, "_scan_block", lambda args: blocks.append(1) or block(args)
+        )
         a = grid_scan(complex_bernoulli, 72.0, workers=1)
-        assert len(a.cells) * 16 > 4 * _POINT_CHUNK
+        monkeypatch.undo()
+        assert len(blocks) > 2
         b = grid_scan(complex_bernoulli, 72.0, workers=2)
         assert a.cells == b.cells
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    @pytest.mark.parametrize(
+        "system, T, k",
+        [
+            ("complex_bernoulli", 12.0, 3),
+            ("three_digit", 9.5, 4),
+            ("bernoulli_half", 8.0, 4),
+            ("atomic", 5.0, 2),
+        ],
+    )
+    def test_matches_per_point_oracle(self, request, system, T, k, tol):
+        ifs = SCAN_SYSTEMS.get(system) or request.getfixturevalue(system)
+        assert_scan_matches_oracle(ifs, T, k, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ifs=st.builds(
+            _random_scan_system,
+            st.floats(0.31, 0.89),
+            st.floats(0.1, math.pi - 0.1),
+            st.booleans(),
+            st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),
+                     min_size=2, max_size=4),
+        ),
+        T=st.floats(1.0, 8.0),
+        k=st.integers(1, 3),
+        tol=st.sampled_from([1e-9, 1e-4]),
+    )
+    def test_random_systems_match_per_point_oracle(self, ifs, T, k, tol):
+        assert_scan_matches_oracle(ifs, T, k, tol)
 
     def test_cells_cover_disk(self):
         ci, cj = _scan_cells(2.5)
@@ -171,6 +240,9 @@ class TestGridScan:
     def test_rejects_bad_args(self, complex_bernoulli):
         with pytest.raises(DomainError):
             grid_scan(complex_bernoulli, 0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                grid_scan(complex_bernoulli, bad)
         with pytest.raises(DomainError):
             grid_scan(complex_bernoulli, 4.0, subgrid_k=0)
 
@@ -187,6 +259,26 @@ class TestScanFieldIO:
         back = scanfield_from_binary(scanfield_to_binary(field))
         assert back.T == field.T and back.subgrid_k == field.subgrid_k
         assert back.cells == field.cells
+
+    def test_binary_matches_cellwise_dump(self, complex_bernoulli):
+        field = grid_scan(complex_bernoulli, 72.0, subgrid_k=1)
+        n = 72
+        grid = np.full((2 * n, 2 * n), -1.0, dtype="<f8")
+        for (i, j), v in field.cells.items():
+            grid[i + n, j + n] = v
+        blob = scanfield_to_binary(field)
+        assert blob[32:] == grid.tobytes()
+        back = scanfield_from_binary(blob)
+        assert back.T == field.T and back.subgrid_k == 1
+        assert back.cells == field.cells
+        assert scanfield_to_binary(back) == blob
+
+    def test_binary_cell_count_checked(self, complex_bernoulli):
+        blob = bytearray(scanfield_to_binary(grid_scan(complex_bernoulli, 3.0)))
+        (count,) = struct.unpack_from("<I", blob, 20)
+        struct.pack_into("<I", blob, 20, count - 1)
+        with pytest.raises(DomainError):
+            scanfield_from_binary(bytes(blob))
 
 
 class TestEnergyIntegral:

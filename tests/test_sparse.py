@@ -165,6 +165,12 @@ class TestCoveringReport:
         b = covering_report(complex_bernoulli, 0.05, 7, subgrid_k=2, workers=4)
         assert a == b
 
+    def test_determinism_across_workers_many_blocks(self, complex_bernoulli):
+        # N = 12 scans the T = 64 disk: 128 cell rows, several row blocks
+        a = covering_report(complex_bernoulli, 0.05, 12, tol=1e-9, workers=1)
+        b = covering_report(complex_bernoulli, 0.05, 12, tol=1e-9, workers=2)
+        assert a == b
+
     def test_regime_refusals(self, bernoulli_half, sierpinski):
         with pytest.raises(RegimeError):
             covering_report(bernoulli_half, 0.05, 8)
