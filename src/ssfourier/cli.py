@@ -30,7 +30,7 @@ from .bounds import (
 )
 from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
 from .errors import BudgetError, ConvergenceError, DomainError
-from .fourier import grid_scan, mu_hat, scanfield_to_binary, scanfield_to_csv
+from .fourier import grid_scan, mu_hat_many, scanfield_to_binary, scanfield_to_csv
 from .measures import (
     DiscreteMeasure,
     IFSDescriptor,
@@ -103,6 +103,22 @@ def _parse_radii(text: str) -> list[float]:
     return radii
 
 
+def _parse_sweep(text: str) -> tuple[float, float, int]:
+    """An epsilon sweep "lo:hi:count": positive finite bounds, count >= 1."""
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise _UsageError(f"sweep {text!r} is not lo:hi:count")
+    try:
+        lo, hi, n = float(fields[0]), float(fields[1]), int(fields[2])
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse sweep {text!r}") from exc
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise _UsageError(f"sweep bounds must be positive and finite: {text!r}")
+    if n < 1:
+        raise _UsageError(f"sweep {text!r} needs count >= 1")
+    return lo, hi, n
+
+
 def _ifs_from_args(args) -> IFSDescriptor:
     if getattr(args, "ifs", None):
         with open(args.ifs, "r", encoding="utf-8") as fh:
@@ -147,10 +163,12 @@ def _cx(z: complex) -> list[float]:
 
 def _cmd_eval(args) -> str:
     ifs = _ifs_from_args(args)
-    rows = []
-    for xi in _parse_complex_list(args.xi):
-        val = mu_hat(ifs, xi, args.tol)
-        rows.append({"xi": _cx(xi), "mu_hat": _cx(val), "abs": abs(val)})
+    xis = _parse_complex_list(args.xi)
+    values = mu_hat_many(ifs, xis, args.tol).tolist()
+    rows = [
+        {"xi": _cx(xi), "mu_hat": _cx(val), "abs": abs(val)}
+        for xi, val in zip(xis, values)
+    ]
     return _json_dump({"results": rows})
 
 
@@ -174,8 +192,8 @@ def _cmd_bounds(args):
     p = _parse_float_list(args.p)
     lam = parse_complex(args.lam)
     if args.sweep:
-        lo, hi, n = args.sweep.split(":")
-        eps_values = np.geomspace(float(lo), float(hi), int(n))
+        lo, hi, n = _parse_sweep(args.sweep)
+        eps_values = np.geomspace(lo, hi, n)
         lines = ["lambda_re,lambda_im,epsilon,delta,valid"]
         for eps in eps_values:
             b = delta_bound(lam, p, float(eps), args.regime, args.d)

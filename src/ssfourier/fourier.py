@@ -92,24 +92,28 @@ def _mu_hat_raw(lam, digits, probs, xi: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def mu_hat(ifs: IFSDescriptor, xi: complex, tol: float = 1e-12) -> complex:
-    """Fourier transform at one frequency via the truncated product.
+def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
+    """Fourier transform via the truncated product, at one frequency or
+    elementwise over an array of frequencies.
 
-    The truncation index K is the smallest integer whose geometric tail
-    bound falls below ``tol``; the result is within 2*tol of the exact
-    value for tol <= 1/2, and its modulus is an upper bound on |mu_hat|.
+    The truncation index K of each frequency is the smallest integer whose
+    geometric tail bound falls below ``tol``; the result is within 2*tol of
+    the exact value for tol <= 1/2, and its modulus is an upper bound on
+    |mu_hat|.  Each value depends on its own frequency alone, so a batch
+    gives the same bits as one call per frequency.
     """
-    return complex(
-        _mu_hat_raw(ifs.lam, ifs.digits, ifs.probs, np.array([xi]), tol)[0]
-    )
+    xi_arr = np.asarray(xi, dtype=np.complex128)
+    out = _mu_hat_raw(ifs.lam, ifs.digits, ifs.probs, xi_arr.reshape(-1), tol)
+    if xi_arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(xi_arr.shape)
 
 
 def mu_hat_many(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized mu_hat over an array of frequencies."""
+    """mu_hat over an array of frequencies; always returns an array."""
     if tol <= 0:
         raise DomainError("tol must be > 0")
-    xi = np.asarray(xi, dtype=np.complex128)
-    return _mu_hat_raw(ifs.lam, ifs.digits, ifs.probs, xi, tol)
+    return np.asarray(mu_hat(ifs, np.asarray(xi, dtype=np.complex128), tol))
 
 
 def fourier_sum(

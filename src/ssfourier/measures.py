@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BudgetError, DomainError, RegimeError
 
@@ -208,6 +207,8 @@ class DiscreteMeasure:
         """
         if self.n_atoms < 2:
             return None
+        from scipy.spatial import cKDTree
+
         pts = np.column_stack([self.positions.real, self.positions.imag])
         dists, _ = cKDTree(pts).query(pts, k=2)
         positive = dists[:, 1][dists[:, 1] > 0.0]
@@ -228,13 +229,100 @@ def _sorted_atoms(pos: np.ndarray, wts: np.ndarray):
     return pos[order], wts[order]
 
 
-def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
-    """Coalesce atoms closer than ``tol``.
+def _merge_components(pts: np.ndarray, tol: float):
+    """Components of the graph joining atoms at distance <= ``tol``.
 
-    Weights are added and positions are weight-averaged, so mass and the
-    barycenter are preserved.  With ``tol <= 0`` only exactly coinciding
-    atoms merge.  The result is sorted lexicographically by (re, im),
-    which makes merged measures canonical for comparison.
+    Returns ``(label, count)``: ``label[i]`` numbers the component of atom
+    i, components numbered in the order of their smallest member; or None
+    when no two atoms are joined.  A pair is joined exactly when
+    dx*dx + dy*dy <= tol*tol (cKDTree's query_pairs rule).
+
+    Candidate pairs come from a grid hash.  Cells have side h, a hair
+    over max(tol, span / 2**30) so that a joined pair never lands two
+    cells apart after rounding, and keys (ix << 32) | iy, stable-sorted.
+    An atom meets the later atoms of its own cell, and the atoms of its
+    four forward neighbour cells when it lies within about tol of the
+    shared edge.  Components come from hooking larger roots onto smaller
+    ones with pointer jumping, which leaves each labelled by its smallest
+    member.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    n = x.size
+    x0, y0 = x.min(), y.min()
+    span = max(x.max() - x0, y.max() - y0)
+    h = max(tol, span / 2**30) * (1.0 + 2.0**-16)
+    u, v = (x - x0) / h, (y - y0) / h
+    fu, fv = np.floor(u), np.floor(v)
+    # +1 keeps iy - 1 >= 0 for the (ix + 1, iy - 1) neighbour
+    key = ((fu.astype(np.int64) + 1) << 32) | (fv.astype(np.int64) + 1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # cell coordinates are off by under 2**-22 each, so both atoms of a
+    # joined pair in neighbouring cells lie within tol / h + 2**-21 of the edge
+    edge = min(1.0, 2.0 * tol / h + 2.0**-18)
+    fu, fv = (u - fu)[order], (v - fv)[order]
+    right, top, bottom = fu >= 1.0 - edge, fv >= 1.0 - edge, fv <= edge
+    brk = np.flatnonzero(key[1:] != key[:-1]) + 1
+    run_end = np.append(brk, n)
+    run_of = np.zeros(n, dtype=np.int64)
+    run_of[brk] = 1
+    run_of = np.cumsum(run_of)
+    # the atom at sorted position src[g] meets those at positions lo[g]..hi[g]-1
+    src, lo, hi = [np.arange(n)], [np.arange(1, n + 1)], [run_end[run_of]]
+    for off, mask in (
+        (1, top),
+        ((1 << 32) - 1, right & bottom),
+        (1 << 32, right),
+        ((1 << 32) + 1, right & top),
+    ):
+        p = np.flatnonzero(mask)
+        target = key[p] + off
+        start = np.searchsorted(key, target)
+        hit = key[np.minimum(start, n - 1)] == target
+        src.append(p[hit])
+        lo.append(start[hit])
+        hi.append(run_end[run_of[start[hit]]])
+    src, lo, hi = np.concatenate(src), np.concatenate(lo), np.concatenate(hi)
+    count = hi - lo
+    group = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count) - count
+    a = order[src[group]]
+    b = order[lo[group] + np.arange(group.size) - first[group]]
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    keep = dx * dx + dy * dy <= tol * tol
+    if not keep.any():
+        return None
+    a, b = a[keep], b[keep]
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            break
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    root = label == np.arange(n)
+    comp = np.cumsum(root) - 1
+    return comp[label], int(comp[-1]) + 1
+
+
+def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
+    """Coalesce atoms within distance ``tol`` of each other.
+
+    Atoms join when dx*dx + dy*dy <= tol*tol, and joins chain: every
+    connected group becomes one atom.  Weights are added and positions
+    are weight-averaged in atom order, so mass and the barycenter are
+    preserved.  Merged atoms are tested again, up to 8 passes.  Pairs are
+    found through a grid hash of cell side about max(tol, span / 2**30),
+    with no tree and no Python loop over atoms or pairs.  With
+    ``tol <= 0`` only exactly coinciding atoms merge.  The result is
+    sorted lexicographically by (re, im), which makes merged measures
+    canonical for comparison.
     """
     pos, wts = mu.positions, mu.weights
     if tol <= 0.0:
@@ -247,25 +335,10 @@ def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
 
     pts = np.column_stack([pos.real, pos.imag])
     for _ in range(8):
-        tree = cKDTree(pts)
-        pairs = tree.query_pairs(tol, output_type="ndarray")
-        if pairs.size == 0:
+        components = _merge_components(pts, tol)
+        if components is None:
             break
-        parent = np.arange(len(pts))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        roots = np.array([find(i) for i in range(len(pts))])
-        _, inverse = np.unique(roots, return_inverse=True)
-        k = inverse.max() + 1
+        inverse, k = components
         wsum = np.bincount(inverse, weights=wts, minlength=k)
         xsum = np.bincount(inverse, weights=wts * pts[:, 0], minlength=k)
         ysum = np.bincount(inverse, weights=wts * pts[:, 1], minlength=k)

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bounds import TRIVIAL_DELTA, bisect_sign_change, delta_bound, linear_fit
 from .errors import DomainError, RegimeError
@@ -356,6 +355,8 @@ def frostman_estimate(
     """
     if ifs.is_atomic:
         raise DomainError("Frostman estimation refuses atomic systems")
+    from scipy.spatial import cKDTree
+
     budget = 2 * 10**6 if atom_budget is None else int(atom_budget)
     depth = max(3, int(math.log(budget) / math.log(ifs.m)))
     mu = finite_approximation(ifs, depth, atom_budget=budget)

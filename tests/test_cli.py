@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ssfourier
 import ssfourier.pushforward
+from ssfourier import IFSDescriptor, mu_hat, truncation_index
 from ssfourier.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -50,6 +57,16 @@ class TestBounds:
         lines = out.strip().splitlines()
         assert lines[0] == "lambda_re,lambda_im,epsilon,delta,valid"
         assert len(lines) == 6
+        eps = [line.split(",")[2] for line in lines[1:]]
+        assert eps == [repr(e) for e in np.geomspace(1e-4, 1e-2, 5)]
+
+    @pytest.mark.parametrize("text", ["1e-4:1e-3", "1e-4:1e-3:0", "a:b:3", "0:1e-3:5"])
+    def test_bad_sweep_refused(self, capsys, text):
+        code, out, err = run_cli(
+            capsys, "bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5",
+            "--sweep", text,
+        )
+        assert code == EXIT_USAGE and out == "" and "usage error" in err
 
     def test_regime_error_exit_code(self, capsys):
         code, out, _ = run_cli(
@@ -87,6 +104,37 @@ class TestEval:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["results"][0]["mu_hat"] == [1.0, 0.0]
+
+
+    def test_rows_match_per_point_mu_hat(self, capsys):
+        ifs = IFSDescriptor(0.6 + 0.3j, (-1.0, 0.5j, 1.0 + 1.0j), (0.2, 0.3, 0.5))
+        xis = ["0", "0.3", "1+2i", "-17.5-5i", "250i", "1e4-3e3i"]
+        tol = 1e-10
+        ks = truncation_index(ifs, [abs(complex(x.replace("i", "j"))) for x in xis], tol)
+        assert len(set(ks.tolist())) == len(xis)
+        code, out, _ = run_cli(
+            capsys, "eval", "--lambda", "0.6+0.3i", "--digits=-1,0.5i,1+1i",
+            "--probs", "0.2,0.3,0.5", "--tol", repr(tol), "--xi", ",".join(xis),
+        )
+        assert code == EXIT_OK
+        rows = json.loads(out)["results"]
+        assert len(rows) == len(xis)
+        for text, row in zip(xis, rows):
+            xi = complex(text.replace("i", "j"))
+            val = mu_hat(ifs, xi, tol)
+            assert repr(row["xi"]) == repr([xi.real, xi.imag])
+            assert repr(row["mu_hat"]) == repr([val.real, val.imag])
+            assert repr(row["abs"]) == repr(abs(val))
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(ssfourier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, ssfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestEK:

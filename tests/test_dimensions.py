@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from ssfourier import (
     DiscreteMeasure,
@@ -15,7 +16,6 @@ from ssfourier import (
     flattening_check,
     lq_moment,
 )
-from ssfourier import measures
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 
@@ -127,8 +127,8 @@ class TestResolutionCap:
     def test_gap_computed_once_per_measure(self, sierpinski, monkeypatch):
         mu = finite_approximation(sierpinski, 8)
         built = []
-        tree = measures.cKDTree
-        monkeypatch.setattr(measures, "cKDTree",
+        tree = scipy.spatial.cKDTree
+        monkeypatch.setattr(scipy.spatial, "cKDTree",
                             lambda pts: built.append(len(pts)) or tree(pts))
         dim_q_estimate(mu, 2.0, 1, 8)
         dim_inf_estimate(mu, 1, 8)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from ssfourier import measures
 from ssfourier import (
     BudgetError,
     DiscreteMeasure,
@@ -230,6 +234,156 @@ class TestMergeAtoms:
         assert merged.n_atoms == 2
         bary = np.sum(merged.positions * merged.weights)
         assert abs(bary - np.sum(mu.positions * mu.weights)) < 1e-15
+
+
+def reference_merge(mu, tol):
+    """The cKDTree + union-find merge that grid-hash merging replaced."""
+    pos, wts = mu.positions, mu.weights
+    pts = np.column_stack([pos.real, pos.imag])
+    for _ in range(8):
+        pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+        if pairs.size == 0:
+            break
+        parent = np.arange(len(pts))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+        roots = np.array([find(i) for i in range(len(pts))])
+        _, inverse = np.unique(roots, return_inverse=True)
+        k = inverse.max() + 1
+        wsum = np.bincount(inverse, weights=wts, minlength=k)
+        xsum = np.bincount(inverse, weights=wts * pts[:, 0], minlength=k)
+        ysum = np.bincount(inverse, weights=wts * pts[:, 1], minlength=k)
+        pts = np.column_stack([xsum / wsum, ysum / wsum])
+        wts = wsum
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    return DiscreteMeasure((pts[:, 0] + 1j * pts[:, 1])[order], wts[order])
+
+
+def assert_same_bits(got, want):
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def weighted(points, rng):
+    w = rng.uniform(0.5, 1.5, len(points))
+    return DiscreteMeasure(np.asarray(points, dtype=np.complex128), w / w.sum())
+
+
+class TestMergeOracle:
+    """Grid-hash merging against the reference merge, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ifs, depth",
+        [
+            (IFSDescriptor(0.5 + 0.5j, (-1.0, 0.0, 1.0), (1 / 3,) * 3), 10),
+            (IFSDescriptor(0.5j, tuple(complex(a, b) for a in (-1, 0, 1)
+                                       for b in (-1, 0, 1)), (1 / 9,) * 9), 5),
+        ],
+        ids=["push-lattice", "nine-digit"],
+    )
+    def test_towers(self, ifs, depth, monkeypatch):
+        got = finite_approximation(ifs, depth)
+        monkeypatch.setattr(measures, "merge_atoms", reference_merge)
+        want = finite_approximation(ifs, depth)
+        assert got.n_atoms < ifs.m**depth  # the tower really merges
+        assert_same_bits(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sites=st.integers(1, 300),
+        planted=st.integers(0, 300),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.37]),
+        offset=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                  allow_infinity=False),
+        reach=st.floats(0.0, 0.99),
+    )
+    def test_planted_near_duplicates(self, seed, sites, planted, tol, offset, reach):
+        # base atoms on distinct sites of a lattice of spacing 6 tol, each
+        # moved by up to tol / 2 per axis; planted copies lie within
+        # reach * tol of a base atom, so every group joins through its base
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(40 * 40, size=min(sites, 1600), replace=False)
+        base = (cells % 40 + 1j * (cells // 40)) * 6 * tol + offset
+        base = base + tol * (rng.uniform(-0.5, 0.5, base.size)
+                             + 1j * rng.uniform(-0.5, 0.5, base.size))
+        near = base[rng.integers(0, base.size, planted)]
+        near = near + reach * tol * rng.uniform(0, 1, planted) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, planted))
+        mu = weighted(rng.permutation(np.concatenate([base, near])), rng)
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms <= base.size
+        assert_same_bits(got, reference_merge(mu, tol))
+
+    def test_pair_exactly_tol_apart(self):
+        # (3, 4) / 16 and (5, 0) / 16 are exact: squared distances are exactly
+        # tol^2; d exceeds tol by one unit in the last place of 20 and 30
+        tol = 5 / 16
+        d = tol + 2.0**-48
+        pts = [0.0, tol, 10.0, 10.0 + (3 + 4j) / 16, 20.0, 20.0 + d, 30j, 30j + 1j * d]
+        mu = weighted(pts, np.random.default_rng(3))
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 6  # the two pairs at tol join, the two just over do not
+        assert_same_bits(got, reference_merge(mu, tol))
+
+    def test_pair_rounded_two_cells_apart(self):
+        # with cells of side exactly tol, rounding puts these two atoms,
+        # joined at distance <= tol, into cells 1002 and 1004
+        tol = 0.9301261242672791
+        a, b = 309.0179381053621, 309.9480642296293
+        assert (b - a) ** 2 <= tol**2
+        assert math.floor((b + 623.8985645347188) / tol) - math.floor(
+            (a + 623.8985645347188) / tol) == 2
+        mu = weighted([-623.8985645347188, a, b], np.random.default_rng(9))
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 2
+        assert_same_bits(got, reference_merge(mu, tol))
+
+    def test_pairs_straddling_cell_edges(self):
+        # pairs 0.99999 tol apart whose left atoms sweep the last 1% of a
+        # cell (side about tol), 3 tol apart in y so pairs stay separate
+        tol = 1e-3
+        t = np.linspace(0.99, 1.0, 2001)
+        left = (5.0 - t) * tol + 3j * tol * np.arange(t.size)
+        pts = np.concatenate([[0.0], left, left + 0.99999 * tol])
+        mu = weighted(pts, np.random.default_rng(11))
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 1 + t.size
+        assert_same_bits(got, reference_merge(mu, tol))
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, math.pi / 2])
+    def test_long_chain(self, angle):
+        tol = 1e-3
+        pts = 0.9 * tol * np.arange(2500) * np.exp(1j * angle) + (2 - 1j)
+        mu = weighted(pts, np.random.default_rng(5))
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 1
+        assert_same_bits(got, reference_merge(mu, tol))
+
+    def test_second_pass(self):
+        # a1, a2 are 0.9 tol apart and b is 1.05 tol from both, so only
+        # a1, a2 join at first; their midpoint lies 0.95 tol from b
+        tol = 1e-6
+        motif = np.array([0.45j, -0.45j, 0.95]) * tol
+        sites = np.arange(50) * (1.0 + 0.5j)
+        pts = (sites[:, None] + motif[None, :]).ravel()
+        mu = weighted(pts, np.random.default_rng(7))
+        assert abs(motif[2] - motif[0]) > tol
+        first = measures._merge_components(
+            np.column_stack([mu.positions.real, mu.positions.imag]), tol)
+        assert first[1] == 100
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 50
+        assert_same_bits(got, reference_merge(mu, tol))
 
 
 class TestSerialization:
