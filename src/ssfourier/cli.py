@@ -103,6 +103,15 @@ def _parse_radii(text: str) -> list[float]:
     return radii
 
 
+def _worker_count(text: str) -> int:
+    """A positive integer worker count (--workers or SSFOURIER_WORKERS)."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer (--workers or SSFOURIER_WORKERS)"
+        )
+    return int(text)
+
+
 def _parse_sweep(text: str) -> tuple[float, float, int]:
     """An epsilon sweep "lo:hi:count": positive finite bounds, count >= 1."""
     fields = text.split(":")
@@ -182,7 +191,7 @@ def _cmd_scan(args):
         return scanfield_to_csv(fieldobj)
     if args.format == "bin":
         return scanfield_to_binary(fieldobj)
-    cells = [[i, j, v] for (i, j), v in sorted(fieldobj.cells.items())]
+    cells = [[i, j, v] for (i, j), v in fieldobj.cells.items()]
     return _json_dump(
         {"T": fieldobj.T, "subgrid_k": fieldobj.subgrid_k, "cells": cells}
     )
@@ -322,11 +331,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON file whose values override flags")
     parser.add_argument("--format", choices=["json", "csv", "bin"], default="json")
     parser.add_argument("--out", help="write results to this path")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("SSFOURIER_WORKERS", "0")) or None,
-    )
+    # a string default goes through the type check too; an empty variable is unset
+    parser.add_argument("--workers", type=_worker_count,
+                        default=os.environ.get("SSFOURIER_WORKERS") or "1")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None)
     sub = parser.add_subparsers(dest="command")
@@ -479,8 +486,6 @@ def run(argv) -> int:
                 if key not in vars(args) or key not in actions:
                     raise _UsageError(f"unknown config key {key!r}")
                 setattr(args, key, _config_value(actions[key], key, value))
-        if args.workers is None:
-            args.workers = 1
         if not args.command:
             raise _UsageError("missing subcommand")
         if args.command == "ek" and not getattr(args, "ek_cmd", None):

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,83 +41,57 @@ def phi(ifs: IFSDescriptor, u) -> complex | np.ndarray:
     with equality at u = 0.
     """
     u_arr = np.asarray(u, dtype=np.complex128)
-    out = _phi_raw(ifs.digits, ifs.probs, u_arr)
-    if np.isscalar(u) or u_arr.shape == ():
-        return complex(out)
-    return out
-
-
-def _phi_raw(digits, probs, u: np.ndarray) -> np.ndarray:
-    out = np.zeros(u.shape, dtype=np.complex128)
-    for w, p in zip(digits, probs):
-        out += p * np.exp(2j * np.pi * (w.real * u.real - w.imag * u.imag))
-    return out
-
-
-def _trunc_k_raw(lam, digits, abs_xi, tol: float) -> np.ndarray:
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-    abs_xi = np.asarray(abs_xi, dtype=np.float64)
-    w_max = max(abs(w) for w in digits)
-    if w_max == 0.0:
-        return np.zeros(abs_xi.shape, dtype=np.int64)
-    alam = abs(lam)
-    tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
-    with np.errstate(divide="ignore"):
-        k = np.ceil(np.log(np.where(tail0 > 0, tol / tail0, 1.0)) / math.log(alam))
-    return np.where(tail0 < tol, 0, np.maximum(k, 0)).astype(np.int64)
+    out = np.zeros(u_arr.shape, dtype=np.complex128)
+    for w, p in zip(ifs.digits, ifs.probs):
+        out += p * np.exp(2j * np.pi * (w.real * u_arr.real - w.imag * u_arr.imag))
+    return complex(out) if u_arr.ndim == 0 else out
 
 
 def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     """Smallest K with sum_{n>=K} 2*pi*max|w|*|lam|^n*|xi| < tol.
 
     Uses |Phi(u) - 1| <= 2*pi*max|w|*|u| per omitted factor, summed over
-    the geometric tail.  Vectorized over |xi|.
+    the geometric tail.  Vectorized over |xi|; K is 0 everywhere when all
+    digits are 0.  Raises DomainError unless tol > 0.
     """
-    return _trunc_k_raw(ifs.lam, ifs.digits, abs_xi, tol)
-
-
-def _mu_hat_raw(lam, digits, probs, xi: np.ndarray, tol: float) -> np.ndarray:
-    """Truncated product over a flat complex array, per-point K.
-
-    Each output lane is a function of its own xi only, so results are
-    independent of batching or worker layout.
-    """
-    xi = np.asarray(xi, dtype=np.complex128)
-    out = np.ones(xi.shape, dtype=np.complex128)
-    if max(abs(w) for w in digits) == 0.0:
-        return out
-    k = _trunc_k_raw(lam, digits, np.abs(xi), tol)
-    kmax = int(k.max(initial=0))
-    u = np.conj(xi)
-    for n in range(kmax):
-        out = np.where(k > n, out * _phi_raw(digits, probs, u), out)
-        u = u * lam
-    return out
+    if tol <= 0:
+        raise DomainError("tol must be > 0")
+    abs_xi = np.asarray(abs_xi, dtype=np.float64)
+    w_max = max(abs(w) for w in ifs.digits)
+    if w_max == 0.0:
+        return np.zeros(abs_xi.shape, dtype=np.int64)
+    alam = abs(ifs.lam)
+    tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
+    with np.errstate(divide="ignore"):
+        k = np.ceil(np.log(np.where(tail0 > 0, tol / tail0, 1.0)) / math.log(alam))
+    return np.where(tail0 < tol, 0, np.maximum(k, 0)).astype(np.int64)
 
 
 def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
     """Fourier transform via the truncated product, at one frequency or
     elementwise over an array of frequencies.
 
-    The truncation index K of each frequency is the smallest integer whose
-    geometric tail bound falls below ``tol``; the result is within 2*tol of
+    Each frequency keeps the first K factors, K = ``truncation_index`` at
+    |xi|, the smallest integer whose geometric tail bound falls below
+    ``tol`` (tol <= 0 is a DomainError); the result is within 2*tol of
     the exact value for tol <= 1/2, and its modulus is an upper bound on
     |mu_hat|.  Each value depends on its own frequency alone, so a batch
     gives the same bits as one call per frequency.
     """
     xi_arr = np.asarray(xi, dtype=np.complex128)
-    out = _mu_hat_raw(ifs.lam, ifs.digits, ifs.probs, xi_arr.reshape(-1), tol)
-    if xi_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(xi_arr.shape)
+    flat = xi_arr.reshape(-1)
+    k = truncation_index(ifs, np.abs(flat), tol)
+    out = np.ones(flat.shape, dtype=np.complex128)
+    u = np.conj(flat)
+    for n in range(int(k.max(initial=0))):
+        out = np.where(k > n, out * phi(ifs, u), out)
+        u = u * ifs.lam
+    return complex(out[0]) if xi_arr.ndim == 0 else out.reshape(xi_arr.shape)
 
 
 def mu_hat_many(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> np.ndarray:
     """mu_hat over an array of frequencies; always returns an array."""
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-    return np.asarray(mu_hat(ifs, np.asarray(xi, dtype=np.complex128), tol))
+    return np.asarray(mu_hat(ifs, xi, tol))
 
 
 def fourier_sum(
@@ -151,7 +129,7 @@ def ft_measure(mu: DiscreteMeasure, xi) -> np.ndarray:
 # frequency-grid scanning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanField:
     """Per-cell sampled maxima of |mu_hat| over a disk of radius T.
 
@@ -160,25 +138,33 @@ class ScanField:
     subgrid_k x subgrid_k lattice of points (i + a/k, j + b/k), which
     includes the anchor corner, so the origin cell always samples
     mu_hat(0) = 1.
+
+    ``grid`` is a read-only float64 array of shape (2n, 2n), n = ceil(T),
+    with cell (i, j) at ``grid[i + n, j + n]`` and -1.0 outside the disk;
+    ``cells`` derives from it the read-only mapping (i, j) -> value.
     """
 
     T: float
     subgrid_k: int
-    cells: dict
+    grid: np.ndarray
     tol: float
-    cell_size: float = 1.0
+
+    @cached_property
+    def cells(self) -> MappingProxyType:
+        n = math.ceil(self.T)
+        ii, jj = np.nonzero(self.grid >= 0.0)
+        keys = zip((ii - n).tolist(), (jj - n).tolist())
+        return MappingProxyType(dict(zip(keys, self.grid[ii, jj].tolist())))
 
 
 def _scan_cells(T: float):
-    """Indices of unit cells whose closure meets the closed disk |xi| <= T."""
+    """Row-major indices (i, j) of the unit cells whose closure meets |xi| <= T."""
     n = math.ceil(T)
     idx = np.arange(-n, n)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    nx = np.clip(0.0, ii, ii + 1.0)
-    ny = np.clip(0.0, jj, jj + 1.0)
-    keep = nx * nx + ny * ny <= T * T
-    return ii[keep], jj[keep]
+    near = np.clip(0.0, idx, idx + 1.0)
+    sq = near * near
+    ii, jj = np.nonzero(sq[:, None] + sq[None, :] <= T * T)
+    return ii - n, jj - n
 
 
 def _scan_block(args):
@@ -188,11 +174,11 @@ def _scan_block(args):
     e(Im(c_j) y): each level costs 2m exponentials per axis value and m
     complex multiply-adds per point of the tensor grid xs x ys.  A point's
     value is read off after its own truncation index K of factors, so it
-    is the product ``_mu_hat_raw`` evaluates at that frequency, and it
-    depends on no other point of the block.
+    is the product ``mu_hat`` evaluates at that frequency, and it depends
+    on no other point of the block.
     """
-    lam, digits, probs, tol, xs, ys, rows, cols = args
-    k = _trunc_k_raw(lam, digits, np.abs(xs[rows] + 1j * ys[cols]).ravel(), tol)
+    ifs, tol, xs, ys, rows, cols = args
+    k = truncation_index(ifs, np.abs(xs[rows] + 1j * ys[cols]).ravel(), tol)
     order = np.argsort(k, kind="stable")
     kmax = int(k.max(initial=0))
     # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
@@ -203,8 +189,8 @@ def _scan_block(args):
     flat = out.ravel()
     phi = np.empty_like(out)
     term = np.empty_like(out)
-    probs = np.asarray(probs, dtype=np.float64)[:, None]
-    c = np.asarray(digits, dtype=np.complex128)
+    probs = np.asarray(ifs.probs, dtype=np.float64)[:, None]
+    c = np.asarray(ifs.digits, dtype=np.complex128)
     for level in range(kmax):
         ex = probs * np.exp(2j * np.pi * np.outer(c.real, xs))
         ey = np.exp(2j * np.pi * np.outer(c.imag, ys))
@@ -215,42 +201,49 @@ def _scan_block(args):
         out *= phi
         done = slice(edges[level + 1], edges[level + 2])
         values[order[done]] = np.abs(flat[at[done]])
-        c = c * lam
+        c = c * ifs.lam
     return values
 
 
-def _scan_points(
+def scan_blocks(
     ifs: IFSDescriptor,
     T: float,
     subgrid_k: int,
     tol: float,
-    workers: int,
-    cell_budget: int | None,
-):
-    """Shared scan core: cell indices, sample frequencies, sampled |mu_hat|.
+    workers: int = 1,
+    cell_budget: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The scan core: sampled |mu_hat| on every unit cell meeting |xi| <= T.
 
-    Points are laid out cell-major then subgrid-major.  They all lie on
-    the tensor grid axis x axis, axis = (i + a/k for -n <= i < n, a < k),
-    where the digit character separates (``_scan_block``).  The grid is
-    evaluated in blocks of max(1, _ROW_BLOCK // k) cell rows, each over
-    the column span of its own disk cells, with the per-point truncation
-    index K of ``_mu_hat_raw``, so every value agrees with ``mu_hat_many``
-    at its frequency to rounding.  Each value depends on its frequency
-    alone, and block boundaries do not depend on the worker count either,
-    so the output is bit-for-bit reproducible for any ``workers``.
+    Checks the arguments and the point budget at once (first the lower
+    bound pi T^2 k^2, as the cells cover the disk, so no O(T^2) work is
+    done past the budget), then returns an iterator over row blocks of
+    (ci, cj, xi, values): cell indices, sample frequencies and truncated
+    |mu_hat|, cell-major then subgrid-major, blocks in row order.  The
+    points lie on the tensor grid axis x axis, axis = (i + a/k for
+    -n <= i < n, a < k), where the digit character separates
+    (``_scan_block``).  A block is max(1, _ROW_BLOCK // k) cell rows,
+    evaluated over the column span of its own cells with the per-point
+    truncation index K of ``mu_hat``, so every value agrees with
+    ``mu_hat_many`` at its frequency to rounding.  Values depend on
+    their frequency alone and blocks not on ``workers``, so the output
+    is bit-for-bit the same for any worker count.  With ``workers`` > 1
+    blocks are evaluated in a process pool; closing the iterator shuts
+    it down.
     """
     if not 1 <= T < math.inf:
         raise DomainError("scan radius T must be finite and >= 1")
     if subgrid_k < 1:
         raise DomainError("subgrid_k must be >= 1")
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else int(cell_budget)
+    k = subgrid_k
+    least = math.pi * (T * k) ** 2
+    if least > budget:
+        raise BudgetError(f"scan would sample over {least:.0f} points (budget {budget})")
     ci, cj = _scan_cells(T)
-    n_points = ci.size * subgrid_k * subgrid_k
-    if n_points > budget:
-        raise BudgetError(
-            f"scan would sample {n_points} points (budget {budget})"
-        )
-    n, k = math.ceil(T), subgrid_k
+    if ci.size * k * k > budget:
+        raise BudgetError(f"scan would sample {ci.size * k * k} points (budget {budget})")
+    n = math.ceil(T)
     axis = (np.arange(-n, n)[:, None] + np.arange(k) / k).ravel()
     sub = np.arange(k)
     gx = ((ci + n) * k)[:, None, None] + sub[None, :, None]
@@ -258,22 +251,26 @@ def _scan_points(
     step = max(1, _ROW_BLOCK // k)
     # cells are sorted by row, so each block of cell rows is a run of cells
     starts = np.searchsorted(ci, np.arange(-n, n + step, step))
+    spans = list(zip(starts[:-1], starts[1:]))
     blocks = []
-    for s0, s1 in zip(starts[:-1], starts[1:]):
+    for s0, s1 in spans:
         rows, cols = gx[s0:s1], gy[s0:s1]
         r0, r1, c0, c1 = rows.min(), rows.max() + 1, cols.min(), cols.max() + 1
-        blocks.append((
-            ifs.lam, ifs.digits, ifs.probs, tol,
-            axis[r0:r1], axis[c0:c1], rows - r0, cols - c0,
-        ))
-    if workers <= 1 or len(blocks) <= 1:
-        parts = [_scan_block(b) for b in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_block, blocks))
-    xi = (axis[gx] + 1j * axis[gy]).ravel()
-    values = np.concatenate(parts)
-    return ci, cj, xi, values
+        blocks.append((ifs, tol, axis[r0:r1], axis[c0:c1], rows - r0, cols - c0))
+
+    def stream():
+        size = min(workers, len(blocks))  # workers beyond the blocks would sit idle
+        pool = ProcessPoolExecutor(size) if size > 1 else None
+        try:
+            run = map if pool is None else pool.map
+            for (s0, s1), values in zip(spans, run(_scan_block, blocks)):
+                xi = (axis[gx[s0:s1]] + 1j * axis[gy[s0:s1]]).ravel()
+                yield ci[s0:s1], cj[s0:s1], xi, values
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    return stream()
 
 
 def grid_scan(
@@ -286,45 +283,37 @@ def grid_scan(
 ) -> ScanField:
     """Scan |mu_hat| over every unit cell meeting the disk |xi| <= T.
 
-    Stores, per cell, the maximum sampled value on the subgrid lattice.
-    The samples form a tensor grid xs x ys on which the phase separates,
-    Re(c*conj(xi)) = Re(c)*x + Im(c)*y, so each factor of the product
-    costs exponentials per axis value and multiply-adds per point; each
-    point keeps its own truncation index K (see ``_scan_points``).  Row
-    blocks of fixed size go to ``workers`` processes; the output is
-    identical for any worker count.
+    Stores, per cell, the maximum sampled value on the subgrid lattice
+    in the dense grid of a ``ScanField``, reduced block by block from
+    ``scan_blocks`` so no per-point array outlives its block.  The
+    output is identical for any ``workers``.
     """
-    ci, cj, _, values = _scan_points(ifs, T, subgrid_k, tol, workers, cell_budget)
-    per_cell = values.reshape(ci.size, subgrid_k * subgrid_k).max(axis=1)
-    cells = {
-        (int(i), int(j)): float(v) for i, j, v in zip(ci, cj, per_cell)
-    }
-    return ScanField(T=float(T), subgrid_k=subgrid_k, cells=cells, tol=tol)
+    blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
+    n = math.ceil(T)
+    grid = np.full((2 * n, 2 * n), -1.0)
+    with closing(blocks):
+        for ci, cj, _, values in blocks:
+            grid[ci + n, cj + n] = values.reshape(ci.size, -1).max(axis=1)
+    grid.flags.writeable = False
+    return ScanField(T=float(T), subgrid_k=subgrid_k, grid=grid, tol=tol)
 
 
 def scanfield_to_csv(fieldobj: ScanField) -> str:
-    lines = ["i,j,max_abs_muhat"]
-    for (i, j), v in sorted(fieldobj.cells.items()):
-        lines.append(f"{i},{j},{v!r}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{i},{j},{v!r}" for (i, j), v in fieldobj.cells.items())
+    return "\n".join(["i,j,max_abs_muhat", *rows]) + "\n"
 
 
 def scanfield_to_binary(fieldobj: ScanField) -> bytes:
-    """Compact dump: 32-byte header then a full square float64 grid.
+    """Compact dump: 32-byte header then the full square float64 grid.
 
     Header: magic (8s), T (f64), subgrid_k (u32), cell count (u32),
-    8 reserved zero bytes; little-endian.  The grid covers
-    [-ceil(T), ceil(T))^2 row-major in i then j; cells outside the scan
-    disk hold -1.0.
+    8 reserved zero bytes; little-endian.  The grid is ``ScanField.grid``
+    row-major: [-ceil(T), ceil(T))^2 in i then j, with -1.0 outside the
+    scan disk.
     """
-    n = math.ceil(fieldobj.T)
-    side = 2 * n
-    grid = np.full((side, side), -1.0, dtype="<f8")
-    ij = np.array(list(fieldobj.cells), dtype=np.int64).reshape(-1, 2) + n
-    grid[ij[:, 0], ij[:, 1]] = list(fieldobj.cells.values())
-    header = struct.pack(
-        "<8sdII8x", _BIN_MAGIC, fieldobj.T, fieldobj.subgrid_k, len(fieldobj.cells)
-    )
+    grid = fieldobj.grid.astype("<f8", copy=False)
+    count = int(np.count_nonzero(grid >= 0.0))
+    header = struct.pack("<8sdII8x", _BIN_MAGIC, fieldobj.T, fieldobj.subgrid_k, count)
     return header + grid.tobytes()
 
 
@@ -332,15 +321,11 @@ def scanfield_from_binary(blob: bytes) -> ScanField:
     magic, T, k, count = struct.unpack_from("<8sdII", blob)
     if magic != _BIN_MAGIC:
         raise DomainError("bad scan-field magic")
-    n = math.ceil(T)
-    side = 2 * n
+    side = 2 * math.ceil(T)
     grid = np.frombuffer(blob, dtype="<f8", offset=32).reshape(side, side)
-    ii, jj = np.nonzero(grid >= 0.0)
-    keys = zip((ii - n).tolist(), (jj - n).tolist())
-    cells = dict(zip(keys, grid[ii, jj].tolist()))
-    if len(cells) != count:
+    if np.count_nonzero(grid >= 0.0) != count:
         raise DomainError("scan-field cell count mismatch")
-    return ScanField(T=T, subgrid_k=int(k), cells=cells, tol=float("nan"))
+    return ScanField(T=T, subgrid_k=int(k), grid=grid, tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +369,6 @@ def energy_integral(target, T: float, step: float) -> float:
     xi = lattice[inside]
     total = 0.0
     for s in range(0, xi.size, _POINT_CHUNK):
-        vals = _mu_hat_raw(
-            target.lam, target.digits, target.probs, xi[s : s + _POINT_CHUNK], 1e-9
-        )
+        vals = mu_hat(target, xi[s : s + _POINT_CHUNK], 1e-9)
         total += float(np.sum(np.abs(vals) ** 2))
     return total * step * step

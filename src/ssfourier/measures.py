@@ -242,9 +242,11 @@ def _merge_components(pts: np.ndarray, tol: float):
     cells apart after rounding, and keys (ix << 32) | iy, stable-sorted.
     An atom meets the later atoms of its own cell, and the atoms of its
     four forward neighbour cells when it lies within about tol of the
-    shared edge.  Components come from hooking larger roots onto smaller
-    ones with pointer jumping, which leaves each labelled by its smallest
-    member.
+    shared edge.  An atom equal to the one before it in that order joins
+    the first atom of its run instead and is left out of the hash, so g
+    coinciding atoms alone in a cell cost g - 1 pairs, not g(g - 1)/2.
+    Components come from hooking larger roots onto smaller ones with
+    pointer jumping, which leaves each labelled by its smallest member.
     """
     x, y = pts[:, 0], pts[:, 1]
     n = x.size
@@ -256,19 +258,24 @@ def _merge_components(pts: np.ndarray, tol: float):
     # +1 keeps iy - 1 >= 0 for the (ix + 1, iy - 1) neighbour
     key = ((fu.astype(np.int64) + 1) << 32) | (fv.astype(np.int64) + 1)
     order = np.argsort(key, kind="stable")
+    copy = np.r_[False, (np.diff(x[order]) == 0.0) & (np.diff(y[order]) == 0.0)]
+    copies = order[copy]
+    firsts = order[np.maximum.accumulate(np.where(copy, 0, np.arange(n)))][copy]
+    order = order[~copy]
     key = key[order]
+    m = order.size
     # cell coordinates are off by under 2**-22 each, so both atoms of a
     # joined pair in neighbouring cells lie within tol / h + 2**-21 of the edge
     edge = min(1.0, 2.0 * tol / h + 2.0**-18)
     fu, fv = (u - fu)[order], (v - fv)[order]
     right, top, bottom = fu >= 1.0 - edge, fv >= 1.0 - edge, fv <= edge
     brk = np.flatnonzero(key[1:] != key[:-1]) + 1
-    run_end = np.append(brk, n)
-    run_of = np.zeros(n, dtype=np.int64)
+    run_end = np.append(brk, m)
+    run_of = np.zeros(m, dtype=np.int64)
     run_of[brk] = 1
     run_of = np.cumsum(run_of)
     # the atom at sorted position src[g] meets those at positions lo[g]..hi[g]-1
-    src, lo, hi = [np.arange(n)], [np.arange(1, n + 1)], [run_end[run_of]]
+    src, lo, hi = [np.arange(m)], [np.arange(1, m + 1)], [run_end[run_of]]
     for off, mask in (
         (1, top),
         ((1 << 32) - 1, right & bottom),
@@ -278,7 +285,7 @@ def _merge_components(pts: np.ndarray, tol: float):
         p = np.flatnonzero(mask)
         target = key[p] + off
         start = np.searchsorted(key, target)
-        hit = key[np.minimum(start, n - 1)] == target
+        hit = key[np.minimum(start, m - 1)] == target
         src.append(p[hit])
         lo.append(start[hit])
         hi.append(run_end[run_of[start[hit]]])
@@ -290,9 +297,9 @@ def _merge_components(pts: np.ndarray, tol: float):
     b = order[lo[group] + np.arange(group.size) - first[group]]
     dx, dy = x[a] - x[b], y[a] - y[b]
     keep = dx * dx + dy * dy <= tol * tol
-    if not keep.any():
+    if not keep.any() and copies.size == 0:
         return None
-    a, b = a[keep], b[keep]
+    a, b = np.r_[a[keep], copies], np.r_[b[keep], firsts]
     label = np.arange(n)
     while True:
         la, lb = label[a], label[b]

@@ -112,7 +112,6 @@ class DecayProfile:
     delta_used: float
     frostman_s: float
     directions: int
-    jittered: int
     approx_depth: int
     min_abs_f2: float
     max_abs_f1: float
@@ -213,10 +212,12 @@ def annulus_maxima(
     mu: DiscreteMeasure | SplitPushforward,
     radii,
     directions: int = 256,
-    jittered: int = 256,
     seed: int = 0,
 ) -> np.ndarray:
     """Max |FT(mu)| over sampled directions on each circle |xi| = T.
+
+    Each circle gets ``directions`` equispaced angles and one jittered
+    angle per sector, all drawn from one generator seeded with ``seed``.
 
     ``mu`` is a DiscreteMeasure, summed directly (the oracle path), or a
     SplitPushforward, evaluated through its tower split.
@@ -228,11 +229,8 @@ def annulus_maxima(
     rng = np.random.default_rng(seed)
     out = np.empty(len(radii))
     for i, t_rad in enumerate(radii):
-        angles = 2.0 * np.pi * np.arange(directions) / directions
-        if jittered:
-            angles = np.concatenate(
-                [angles, 2.0 * np.pi * (np.arange(jittered) + rng.random(jittered)) / jittered]
-            )
+        sectors = np.arange(directions)
+        angles = 2.0 * np.pi * np.r_[sectors, sectors + rng.random(directions)] / directions
         xi = t_rad * np.exp(1j * angles)
         out[i] = float(np.max(np.abs(transform(xi))))
     return out
@@ -308,7 +306,7 @@ def decay_profile(
         target = pushforward_measure(
             f, finite_approximation(ifs, approx_depth, atom_budget=budget)
         )
-    maxima = annulus_maxima(target, radii, directions, directions, seed)
+    maxima = annulus_maxima(target, radii, directions, seed)
     slope, stderr = linear_fit(
         [math.log(t) for t in radii], [math.log(v) for v in maxima]
     )
@@ -330,7 +328,6 @@ def decay_profile(
         delta_used=delta_used,
         frostman_s=s,
         directions=directions,
-        jittered=directions,
         approx_depth=approx_depth,
         min_abs_f2=min_f2,
         max_abs_f1=max_f1,

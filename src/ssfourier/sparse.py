@@ -17,6 +17,7 @@ covering counts against the explicit bound.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .bounds import (
     sequence_count,
 )
 from .errors import BudgetError, DomainError, RegimeError
-from .fourier import _scan_points
+from .fourier import scan_blocks
 from .measures import IFSDescriptor
 
 FLOAT_SLACK = 1e-9
@@ -343,7 +344,9 @@ def covering_report(
     truncation error still reaches the threshold) is rescaled to
     t = lam^N * conj(xi) and must land in S(N, et); membership is tested
     with 1e-9 additive slack on rho.  Frequencies with |t| >= 1 are
-    outside the statement and are skipped.
+    outside the statement and are skipped.  Each row block of
+    ``scan_blocks`` is counted and audited before the next is read, so
+    memory is O(block), not O(points).
     """
     if ifs.bound_regime() != "complex":
         raise RegimeError("covering reports need the complex (Im lambda != 0) regime")
@@ -351,22 +354,24 @@ def covering_report(
     if N < 2:
         raise DomainError("need N >= 2")
     T = abs(lam) ** (-N)
-    ci, cj, xi, values = _scan_points(ifs, T, subgrid_k, tol, workers, cell_budget)
-    per_cell = values.reshape(ci.size, subgrid_k * subgrid_k).max(axis=1)
+    blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
     threshold = T ** (-epsilon)
-    empirical = int(np.sum(per_cell >= threshold))
     et = delta_complex(lam, ifs.probs, epsilon).epsilon_tilde
     if 0.0 < et < 1.0:
         bound = covering_bound(lam, ifs.probs, epsilon, N)
     else:
         # degenerate threshold regime: no finite covering count applies
         bound = float("inf")
-    ts = lam**N * np.conj(xi)
-    certain = (values - 2.0 * tol >= threshold) & (np.abs(ts) < 1.0)
-    ts_q = ts[certain]
-    _, _, eps = _digit_expansion(lam, ts_q, N)
-    member = _sparse_membership(eps, good_rho(abs(lam)), et, FLOAT_SLACK)
-    violations = int(np.sum(~member))
+    empirical = violations = checked = 0
+    with closing(blocks):
+        for ci, _, xi, values in blocks:
+            empirical += int(np.sum(values.reshape(ci.size, -1).max(axis=1) >= threshold))
+            ts = lam**N * np.conj(xi)
+            certain = (values - 2.0 * tol >= threshold) & (np.abs(ts) < 1.0)
+            _, _, eps = _digit_expansion(lam, ts[certain], N)
+            member = _sparse_membership(eps, good_rho(abs(lam)), et, FLOAT_SLACK)
+            violations += int(np.sum(~member))
+            checked += member.size
     return CoveringReport(
         T=float(T),
         N=N,
@@ -376,5 +381,5 @@ def covering_report(
         bound_count=float(bound),
         subgrid_k=subgrid_k,
         inclusion_violations=violations,
-        checked_points=int(ts_q.size),
+        checked_points=checked,
     )

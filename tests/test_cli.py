@@ -228,6 +228,20 @@ class TestScan:
         assert code == EXIT_BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--lambda", "0.5+0.5i", "--T", "1e9"],
+            ["ek", "cover", "--lambda", "0.5+0.5i", "--epsilon", "0.05", "--N", "60"],
+        ],
+        ids=["scan-T-1e9", "cover-N-60"],
+    )
+    def test_huge_disk_refused_before_cells(self, capsys, argv):
+        # pi T^2 k^2 sampled points at least: refused with no O(T^2) array
+        code, out, _ = run_cli(capsys, "--budget", "1000", *argv)
+        assert code == EXIT_BUDGET
+        assert json.loads(out)["error"]["kind"] == "budget"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -418,3 +432,31 @@ class TestWorkerDeterminism:
             assert code == EXIT_OK
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    @pytest.mark.parametrize("value", ["-3", "0", "abc", "2.5"])
+    def test_bad_worker_flag_refused(self, capsys, monkeypatch, value):
+        monkeypatch.delenv("SSFOURIER_WORKERS", raising=False)
+        code, out, err = run_cli(
+            capsys, "--workers", value, "eval", "--lambda", "0.5+0.5i", "--xi", "1",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "positive integer" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
+    def test_bad_worker_env_refused(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SSFOURIER_WORKERS", value)
+        code, out, err = run_cli(capsys, "eval", "--lambda", "0.5+0.5i", "--xi", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert "SSFOURIER_WORKERS" in err
+
+    def test_worker_env_default(self, capsys, monkeypatch, tmp_path):
+        # an empty variable counts as unset (1 worker); --workers overrides it
+        hashes = {}
+        for env, flag in (("", []), ("1", []), ("3", []), ("abc", ["--workers", "3"])):
+            monkeypatch.setenv("SSFOURIER_WORKERS", env)
+            code, _, err = run_cli(
+                capsys, *flag, "eval", "--lambda", "0.5+0.5i", "--xi", "1",
+            )
+            assert code == EXIT_OK
+            hashes[env] = json.loads(err)["config_hash"]
+        assert hashes[""] == hashes["1"] != hashes["3"] == hashes["abc"]

@@ -31,7 +31,8 @@ from ssfourier import (
 )
 import ssfourier
 import ssfourier.fourier
-from ssfourier.fourier import _ENERGY_BLOCK, _scan_cells, _scan_points, fourier_sum
+from ssfourier.errors import BudgetError
+from ssfourier.fourier import _ENERGY_BLOCK, _scan_cells, fourier_sum, scan_blocks
 
 from conftest import random_two_digit_ifs
 
@@ -150,11 +151,13 @@ def _random_scan_system(r, theta, flip, digits):
 
 
 def assert_scan_matches_oracle(ifs, T, k, tol):
-    """Every tensor-grid scan value equals |mu_hat_many| at its xi."""
-    _, _, xi, values = _scan_points(ifs, T, k, tol, 1, None)
-    want = np.abs(mu_hat_many(ifs, xi, tol))
-    assert np.max(np.abs(values - want)) <= 1e-13
-    assert values[xi == 0] == 1.0
+    """Every streamed scan value equals |mu_hat_many| at its xi."""
+    origin = []
+    for _, _, xi, values in scan_blocks(ifs, T, k, tol):
+        want = np.abs(mu_hat_many(ifs, xi, tol))
+        assert np.max(np.abs(values - want)) <= 1e-13
+        origin.extend(values[xi == 0])
+    assert origin == [1.0]
 
 
 class TestGridScan:
@@ -229,6 +232,54 @@ class TestGridScan:
     def test_random_systems_match_per_point_oracle(self, ifs, T, k, tol):
         assert_scan_matches_oracle(ifs, T, k, tol)
 
+    def test_blocks_stream_cells_in_order(self, complex_bernoulli):
+        # T = 40, k = 4: blocks of 16 cell rows, concatenating to every disk
+        # cell in sorted order with k * k points each, cell-major
+        k = 4
+        parts = list(scan_blocks(complex_bernoulli, 40.0, k, 1e-9))
+        assert len(parts) == 5
+        ci, cj = _scan_cells(40.0)
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), ci)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), cj)
+        for bi, bj, xi, values in parts:
+            assert xi.shape == values.shape == (bi.size * k * k,)
+            assert np.array_equal(np.floor(xi.real).reshape(-1, k * k)[:, 0], bi)
+            assert np.array_equal(np.floor(xi.imag).reshape(-1, k * k)[:, 0], bj)
+
+    def test_pool_shut_down_when_consumer_stops(self, complex_bernoulli, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        calls = []
+
+        class Pool(ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                calls.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(ssfourier.fourier, "ProcessPoolExecutor", Pool)
+        blocks = scan_blocks(complex_bernoulli, 72.0, 4, 1e-9, workers=2)
+        next(blocks)
+        blocks.close()
+        assert calls == [True]
+
+    def test_budget_lower_bound_before_cells(self, complex_bernoulli, monkeypatch):
+        # pi T^2 k^2 points at least: T = 1e9 is refused without building
+        # the 2e9 x 2e9 cell grid
+        def no_cells(T):
+            raise AssertionError("cell grid built")
+
+        monkeypatch.setattr(ssfourier.fourier, "_scan_cells", no_cells)
+        with pytest.raises(BudgetError):
+            grid_scan(complex_bernoulli, 1e9, cell_budget=1000)
+        with pytest.raises(BudgetError):
+            grid_scan(complex_bernoulli, 10.0, subgrid_k=2, cell_budget=1256)
+
+    def test_exact_budget_still_checked(self, complex_bernoulli):
+        # pi * 3^2 * 4^2 = 452.4 points at least; the disk has 36 cells, 576 points
+        with pytest.raises(BudgetError):
+            grid_scan(complex_bernoulli, 3.0, cell_budget=575)
+        assert len(grid_scan(complex_bernoulli, 3.0, cell_budget=576).cells) == 36
+
     def test_cells_cover_disk(self):
         ci, cj = _scan_cells(2.5)
         assert (0, 0) in set(zip(ci.tolist(), cj.tolist()))
@@ -248,6 +299,22 @@ class TestGridScan:
 
 
 class TestScanFieldIO:
+    def test_dense_grid_layout(self, complex_bernoulli):
+        field = grid_scan(complex_bernoulli, 2.5, subgrid_k=2)
+        n = 3
+        assert field.grid.shape == (2 * n, 2 * n) and field.grid.dtype == np.float64
+        ci, cj = _scan_cells(2.5)
+        inside = np.zeros((2 * n, 2 * n), dtype=bool)
+        inside[ci + n, cj + n] = True
+        assert np.all(field.grid[~inside] == -1.0)
+        assert np.all(field.grid[inside] >= 0.0)
+        assert list(field.cells) == sorted(zip(ci.tolist(), cj.tolist()))
+        assert all(field.grid[i + n, j + n] == v for (i, j), v in field.cells.items())
+        with pytest.raises(TypeError):
+            field.cells[(0, 0)] = 0.5
+        with pytest.raises(ValueError):
+            field.grid[n, n] = 0.5
+
     def test_csv(self, complex_bernoulli):
         field = grid_scan(complex_bernoulli, 2.0, subgrid_k=2)
         text = scanfield_to_csv(field)

@@ -406,3 +406,28 @@ class TestDiscreteMeasureValidation:
     def test_positive_weights(self):
         with pytest.raises(DomainError):
             DiscreteMeasure(np.array([0j, 1j]), np.array([1.2, -0.2]))
+
+    def test_exact_duplicate_groups(self):
+        # groups of up to 400 exactly coinciding atoms; the first ten sites
+        # chain at 0.8 tol, the rest stand 3 tol apart; -0.0 and 0.0 coincide
+        tol = 1e-3
+        rng = np.random.default_rng(17)
+        step = np.where(np.arange(40) < 10, 0.8, 3.0) * tol
+        sites = np.concatenate([[complex(-0.0, 0.0)], 1.0 + np.cumsum(step) + 0.25j])
+        sizes = rng.integers(1, 401, sites.size)
+        pts = np.concatenate([np.repeat(sites, sizes), [0.0, 5.0]])
+        mu = weighted(rng.permutation(pts), rng)
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 1 + 1 + 30 + 1
+        assert_same_bits(got, reference_merge(mu, tol))
+
+    def test_convolved_tower_duplicates(self, monkeypatch):
+        # mu * mu of the depth-5 push lattice tower: 19,881 sums onto 577
+        # points, about 34 exactly coinciding atoms per point
+        ifs = IFSDescriptor(0.5 + 0.5j, (-1.0, 0.0, 1.0), (1 / 3,) * 3)
+        mu = finite_approximation(ifs, 5)
+        got = convolve(mu, mu, merge_tol=1e-12)
+        monkeypatch.setattr(measures, "merge_atoms", reference_merge)
+        want = convolve(mu, mu, merge_tol=1e-12)
+        assert got.n_atoms == 577
+        assert_same_bits(got, want)

@@ -130,7 +130,7 @@ class TestDecayProfile:
 
     def test_atom_profile_constant(self):
         mu = DiscreteMeasure.dirac(0.3 + 0.1j)
-        vals = annulus_maxima(mu, [4.0, 8.0, 16.0], directions=16, jittered=16, seed=0)
+        vals = annulus_maxima(mu, [4.0, 8.0, 16.0], directions=16, seed=0)
         assert np.allclose(vals, 1.0, atol=1e-12)
 
     def test_certification_required(self, complex_bernoulli):
@@ -164,8 +164,8 @@ class TestSplitPushforward:
         pushed = pushforward_measure(f, tower)
         split = split_pushforward(f, ifs, depth)
         radii = [4.0, 16.0, 64.0, 256.0]
-        got = annulus_maxima(split, radii, directions=32, jittered=32, seed=3)
-        want = annulus_maxima(pushed, radii, directions=32, jittered=32, seed=3)
+        got = annulus_maxima(split, radii, directions=32, seed=3)
+        want = annulus_maxima(pushed, radii, directions=32, seed=3)
         assert np.max(np.abs(got - want)) < 1e-12
         rng = np.random.default_rng(11)
         xi = 256.0 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
@@ -181,7 +181,7 @@ class TestSplitPushforward:
         prof = decay_profile(f, complex_bernoulli, radii,
                              directions=16, approx_depth=8, seed=2)
         pushed = pushforward_measure(f, finite_approximation(complex_bernoulli, 8))
-        assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, 16, seed=2))
+        assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, seed=2))
 
     def test_split_over_budget_uses_merged_tower(self):
         # 25^3 split terms exceed the budget while the merged depth-9 tower
@@ -192,7 +192,7 @@ class TestSplitPushforward:
         prof = decay_profile(f, LATTICE, radii, directions=16, approx_depth=9,
                              seed=2, atom_budget=10**4)
         pushed = pushforward_measure(f, finite_approximation(LATTICE, 9))
-        assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, 16, seed=2))
+        assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, seed=2))
 
 
 class TestFrostman:
