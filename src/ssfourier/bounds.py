@@ -153,8 +153,8 @@ def _assemble_bound(
     delta = (coef * log(branching) * et + h(et)) / log(1/|lam|), with
     et = eps * log|lam| / log(1 - eta).
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError("epsilon must be finite and > 0")
     et = epsilon * math.log(lam_abs) / math.log1p(-eta)
     rho = c / 2.0
     if 0.0 < et < 1.0:

@@ -318,10 +318,17 @@ def scanfield_to_binary(fieldobj: ScanField) -> bytes:
 
 
 def scanfield_from_binary(blob: bytes) -> ScanField:
+    """Inverse of ``scanfield_to_binary``; a malformed blob is a DomainError."""
+    if len(blob) < 32:
+        raise DomainError("scan-field blob shorter than its 32-byte header")
     magic, T, k, count = struct.unpack_from("<8sdII", blob)
     if magic != _BIN_MAGIC:
         raise DomainError("bad scan-field magic")
+    if not 0.0 <= T < math.inf:
+        raise DomainError("scan-field radius T must be finite and >= 0")
     side = 2 * math.ceil(T)
+    if len(blob) != 32 + 8 * side * side:
+        raise DomainError(f"scan-field blob length {len(blob)} does not fit T = {T!r}")
     grid = np.frombuffer(blob, dtype="<f8", offset=32).reshape(side, side)
     if np.count_nonzero(grid >= 0.0) != count:
         raise DomainError("scan-field cell count mismatch")

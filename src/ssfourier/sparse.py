@@ -136,6 +136,8 @@ def digit_transition_bound(lam: complex) -> tuple[float, int]:
 
 def _sampled_expansion(lam: complex, sample_count: int, N: int, seed: int):
     """Digit expansions of frequencies drawn uniformly in the unit disk."""
+    if sample_count < 1:
+        raise DomainError("need at least 1 sample")
     rng = np.random.default_rng(seed)
     radius = np.sqrt(rng.random(sample_count))
     angle = 2.0 * np.pi * rng.random(sample_count)
@@ -192,72 +194,66 @@ def unique_continuation_violations(
 # exhaustive enumeration of admissible digit sequences
 # ---------------------------------------------------------------------------
 
-_BOX_TOL = 1e-12
+_STRIP_TOL = 1e-12
 
 
-def _propagate(cons, box):
-    """Tighten an (x, y) box against strip constraints a*x - b*y in [lo, hi].
+def _clip_strip(poly, vs, lo, hi):
+    """Vertices of a convex polygon where lo <= v <= hi, in boundary order.
 
-    Interval constraint propagation to a fixpoint; returns None when the
-    box empties or leaves the unit disk (tolerance 1e-12).
+    ``poly`` lists the (x, y) vertices and ``vs`` the linear form v at
+    each of them.  One Sutherland-Hodgman pass clips both sides: a vertex
+    inside the strip is kept, and an edge that crosses a strip line adds
+    the crossing point, two crossings ordered by the edge's direction.
     """
-    xlo, xhi, ylo, yhi = box
-    for _ in range(40):
-        changed = False
-        for al, be, lo, hi in cons:
-            if al != 0.0:
-                t1, t2 = be * ylo, be * yhi
-                nlo, nhi = lo + min(t1, t2), hi + max(t1, t2)
-                if al > 0:
-                    cand_lo, cand_hi = nlo / al, nhi / al
-                else:
-                    cand_lo, cand_hi = nhi / al, nlo / al
-                if cand_lo > xlo + 1e-15:
-                    xlo, changed = cand_lo, True
-                if cand_hi < xhi - 1e-15:
-                    xhi, changed = cand_hi, True
-            if be != 0.0:
-                t1, t2 = al * xlo, al * xhi
-                nlo, nhi = min(t1, t2) - hi, max(t1, t2) - lo
-                if be > 0:
-                    cand_lo, cand_hi = nlo / be, nhi / be
-                else:
-                    cand_lo, cand_hi = nhi / be, nlo / be
-                if cand_lo > ylo + 1e-15:
-                    ylo, changed = cand_lo, True
-                if cand_hi < yhi - 1e-15:
-                    yhi, changed = cand_hi, True
-            if xlo > xhi + _BOX_TOL or ylo > yhi + _BOX_TOL:
-                return None
-        if not changed:
-            break
-    nx = min(max(0.0, xlo), xhi)
-    ny = min(max(0.0, ylo), yhi)
-    if nx * nx + ny * ny > 1.0 + _BOX_TOL:
-        return None
-    return (xlo, xhi, ylo, yhi)
+    out = []
+    n = len(poly)
+    for i in range(n):
+        v0, v1 = vs[i], vs[i + 1 - n]
+        if lo <= v0 <= hi:
+            out.append(poly[i])
+        for c in ((lo, hi) if v0 < v1 else (hi, lo)):
+            if v0 < c < v1 or v1 < c < v0:
+                s = (c - v0) / (v1 - v0)
+                (x0, y0), (x1, y1) = poly[i], poly[i + 1 - n]
+                out.append((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    return out
 
 
-def enumerate_digit_sequences(
-    lam: complex, epsilon_tilde: float, N: int
-) -> tuple[int, float]:
-    """Exhaustively count digit sequences realizable with enough good indices.
+def _meets_disk(poly):
+    """Whether a convex polygon meets |t|^2 <= 1 + 1e-12.
 
-    Recursive branching over (r_j, good-required) choices with interval
-    constraint pruning on (Re t, Im t); a sequence counts when some box
-    consistent with it intersects the unit disk (outer approximation at
-    tolerance 1e-12) and carries at least ceil((1 - et) N) required-good
-    indices.  Returns (count, M_N * e^{h(et) N}); et is clamped to [0, 1]
-    so et -> 1 enumerates with no good-index requirement at all.
+    True when a vertex lies in the disk, when the point of some edge
+    nearest the origin does, or when the origin lies inside the polygon.
+    Polygons with one or two vertices (slivers) are handled alike.
     """
-    lam = complex(lam)
-    if N < 1:
-        raise DomainError("need N >= 1")
-    if N > ENUM_MAX_N:
-        raise BudgetError(f"enumeration is exhaustive only up to N = {ENUM_MAX_N}")
-    if lam.imag == 0.0:
-        raise RegimeError("enumeration needs Im(lambda) != 0")
-    et = min(max(float(epsilon_tilde), 0.0), 1.0)
+    limit = 1.0 + _STRIP_TOL
+    if any(x * x + y * y <= limit for x, y in poly):
+        return True
+    n = len(poly)
+    crosses = []
+    for i in range(n):
+        (x0, y0), (x1, y1) = poly[i], poly[i + 1 - n]
+        dx, dy = x1 - x0, y1 - y0
+        dd = dx * dx + dy * dy
+        if dd > 0.0:
+            s = -(x0 * dx + y0 * dy) / dd
+            if 0.0 < s < 1.0:
+                px, py = x0 + s * dx, y0 + s * dy
+                if px * px + py * py <= limit:
+                    return True
+        crosses.append(x0 * y1 - y0 * x1)
+    return all(c > 0.0 for c in crosses) or all(c < 0.0 for c in crosses)
+
+
+def _admissible_sequences(lam: complex, et: float, N: int) -> set[tuple[int, ...]]:
+    """Digit tuples (r_0..r_{N-1}) realizable in the disk with enough good indices.
+
+    Depth-first search over (r_j, good-required) choices.  Each node
+    carries the convex polygon of t = x + iy consistent with its prefix:
+    the square [-1, 1]^2 clipped by the strips
+    r_j - half - 1e-12 <= Re(lam^{-j} t) <= r_j + half + 1e-12,
+    half = rho for a required-good index and 1/2 otherwise.
+    """
     rho = good_rho(abs(lam))
     n_good = good_index_requirement(et, N)
     inv_pows = [(1.0 / lam) ** j for j in range(N)]
@@ -266,21 +262,16 @@ def enumerate_digit_sequences(
     found: set[tuple[int, ...]] = set()
     digits: list[int] = []
 
-    def interval_over_box(al, be, box):
-        xlo, xhi, ylo, yhi = box
-        t1, t2 = al * xlo, al * xhi
-        s1, s2 = be * ylo, be * yhi
-        return min(t1, t2) - max(s1, s2), max(t1, t2) - min(s1, s2)
-
-    def rec(j, cons, box, tights):
+    def rec(j, poly, tights):
         if j == N:
             if tights >= n_good:
                 found.add(tuple(digits))
             return
         al, be = alphas[j], betas[j]
-        lo, hi = interval_over_box(al, be, box)
-        rmin = math.ceil(lo - 0.5 - FLOAT_SLACK)
-        rmax = math.floor(hi + 0.5 + FLOAT_SLACK)
+        vs = [al * x - be * y for x, y in poly]
+        vmin, vmax = min(vs), max(vs)
+        rmin = math.ceil(vmin - 0.5 - FLOAT_SLACK)
+        rmax = math.floor(vmax + 0.5 + FLOAT_SLACK)
         remaining_after = N - j - 1
         for r in range(rmin, rmax + 1):
             digits.append(r)
@@ -288,15 +279,47 @@ def enumerate_digit_sequences(
                 if not tight and tights + remaining_after < n_good:
                     continue
                 half = rho if tight else 0.5
-                con = (al, be, r - half - _BOX_TOL, r + half + _BOX_TOL)
-                nb = _propagate(cons + [con], box)
-                if nb is not None:
-                    rec(j + 1, cons + [con], nb, tights + (1 if tight else 0))
+                lo, hi = r - half - _STRIP_TOL, r + half + _STRIP_TOL
+                if lo <= vmin and vmax <= hi:
+                    child = poly
+                else:
+                    child = _clip_strip(poly, vs, lo, hi)
+                    if not child or not _meets_disk(child):
+                        continue
+                rec(j + 1, child, tights + (1 if tight else 0))
             digits.pop()
 
-    rec(0, [], (-1.0, 1.0, -1.0, 1.0), 0)
+    rec(0, [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)], 0)
+    return found
+
+
+def enumerate_digit_sequences(
+    lam: complex, epsilon_tilde: float, N: int
+) -> tuple[int, float]:
+    """Exhaustively count digit sequences realizable with enough good indices.
+
+    A sequence r_0..r_{N-1} counts when the set of t in the unit disk with
+    Re(lam^{-j} t) within rho of r_j at >= ceil((1 - et) N) indices and
+    within 1/2 of r_j at the others is non-empty.  That set is a convex
+    polygon, and the search clips it exactly, strip by strip; each strip
+    is widened by 1e-12 on both sides and the disk to |t|^2 <= 1 + 1e-12,
+    so the count is exact up to that widening and never misses a
+    realizable sequence.  Returns (count, M_N * e^{h(et) N}); a finite
+    et is clamped to [0, 1], so et -> 1 enumerates with no good-index
+    requirement at all.
+    """
+    lam = complex(lam)
+    if N < 1:
+        raise DomainError("need N >= 1")
+    if N > ENUM_MAX_N:
+        raise BudgetError(f"enumeration is exhaustive only up to N = {ENUM_MAX_N}")
+    if lam.imag == 0.0:
+        raise RegimeError("enumeration needs Im(lambda) != 0")
+    if not math.isfinite(epsilon_tilde):
+        raise DomainError("epsilon_tilde must be finite")
+    et = min(max(float(epsilon_tilde), 0.0), 1.0)
     _, branching = digit_transition_bound(lam)
-    return len(found), sequence_count(branching, et, N)
+    return len(_admissible_sequences(lam, et, N)), sequence_count(branching, et, N)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +376,10 @@ def covering_report(
     lam = ifs.lam
     if N < 2:
         raise DomainError("need N >= 2")
+    et = delta_complex(lam, ifs.probs, epsilon).epsilon_tilde
     T = abs(lam) ** (-N)
     blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
     threshold = T ** (-epsilon)
-    et = delta_complex(lam, ifs.probs, epsilon).epsilon_tilde
     if 0.0 < et < 1.0:
         bound = covering_bound(lam, ifs.probs, epsilon, N)
     else:

@@ -190,6 +190,20 @@ class TestDeltaHigherDim:
             delta_higherdim(0.5, P3, 0.01, 2)
 
 
+class TestEpsilonGuard:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize(
+        "delta",
+        [lambda e: delta_complex(LAM_C, (0.5, 0.5), e),
+         lambda e: delta_real_noncollinear(0.5, P3, e),
+         lambda e: delta_higherdim(0.5, P3, e, 3)],
+        ids=["complex", "real_noncollinear", "higher_dim"],
+    )
+    def test_refused_in_every_regime(self, delta, eps):
+        with pytest.raises(DomainError):
+            delta(eps)
+
+
 class TestCoveringBound:
     def test_n_zero_value(self):
         # only the M_N prefactor and the squares-per-rectangle factor remain

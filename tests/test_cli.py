@@ -9,6 +9,7 @@ import pytest
 
 import ssfourier
 import ssfourier.pushforward
+import ssfourier.sparse
 from ssfourier import IFSDescriptor, mu_hat, truncation_index
 from ssfourier.cli import (
     EXIT_BUDGET,
@@ -25,6 +26,15 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity extensions."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 class TestParsing:
@@ -67,6 +77,15 @@ class TestBounds:
             "--sweep", text,
         )
         assert code == EXIT_USAGE and out == "" and "usage error" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_refused(self, capsys, value):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5",
+            "--epsilon", value,
+        )
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
 
     def test_regime_error_exit_code(self, capsys):
         code, out, _ = run_cli(
@@ -161,6 +180,49 @@ class TestEK:
         )
         assert code == EXIT_BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"
+
+    def test_enumerate_benchmark_case(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "ek", "enumerate", "--lambda", "0.5+0.5i",
+            "--eps-tilde", "0.3", "--N", "13",
+        )
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["count"] == 101
+        assert doc["bound"] == 95578025051374.4
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_enumerate_non_finite_eps_tilde_refused(self, capsys, value):
+        code, out, _ = run_cli(
+            capsys, "ek", "enumerate", "--lambda", "0.5+0.5i",
+            "--eps-tilde", value, "--N", "6",
+        )
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_verify_needs_a_sample(self, capsys, value):
+        code, out, _ = run_cli(
+            capsys, "ek", "verify", "--lambda", "0.5+0.5i",
+            "--samples", value, "--N", "10",
+        )
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_cover_non_finite_epsilon_refused_before_scan(
+        self, capsys, monkeypatch, value
+    ):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan started before epsilon was checked")
+
+        monkeypatch.setattr(ssfourier.sparse, "scan_blocks", no_scan)
+        code, out, _ = run_cli(
+            capsys, "ek", "cover", "--lambda", "0.5+0.5i",
+            "--epsilon", value, "--N", "8",
+        )
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
 
     def test_missing_subcommand_usage(self, capsys):
         code, _, err = run_cli(capsys, "ek", "--lambda", "1")

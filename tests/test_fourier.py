@@ -340,6 +340,25 @@ class TestScanFieldIO:
         assert back.cells == field.cells
         assert scanfield_to_binary(back) == blob
 
+    @pytest.mark.parametrize("cut", [8, 1])
+    def test_binary_truncated_refused(self, complex_bernoulli, cut):
+        blob = scanfield_to_binary(grid_scan(complex_bernoulli, 3.0))
+        with pytest.raises(DomainError):
+            scanfield_from_binary(blob[:-cut])
+
+    @pytest.mark.parametrize("size", [0, 20, 31])
+    def test_binary_shorter_than_header_refused(self, complex_bernoulli, size):
+        blob = scanfield_to_binary(grid_scan(complex_bernoulli, 3.0))
+        with pytest.raises(DomainError):
+            scanfield_from_binary(blob[:size])
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -3.0])
+    def test_binary_bad_radius_refused(self, complex_bernoulli, T):
+        blob = bytearray(scanfield_to_binary(grid_scan(complex_bernoulli, 3.0)))
+        struct.pack_into("<d", blob, 8, T)
+        with pytest.raises(DomainError):
+            scanfield_from_binary(bytes(blob))
+
     def test_binary_cell_count_checked(self, complex_bernoulli):
         blob = bytearray(scanfield_to_binary(grid_scan(complex_bernoulli, 3.0)))
         (count,) = struct.unpack_from("<I", blob, 20)

@@ -1,8 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ssfourier import sparse
 from ssfourier import (
     BudgetError,
     DomainError,
@@ -18,6 +22,96 @@ from ssfourier import (
 )
 
 LAM = (1 + 1j) / 2
+OTHER_LAMS = (0.3 + 0.6j, -0.5 + 0.25j, cmath.rect(0.71, 1.0))
+
+
+def _reference_propagate(cons, box):
+    """Tighten an (x, y) box against strips a*x - b*y in [lo, hi].
+
+    Interval constraint propagation to a fixpoint; None when the box
+    empties or leaves the unit disk (tolerance 1e-12).
+    """
+    xlo, xhi, ylo, yhi = box
+    for _ in range(40):
+        changed = False
+        for al, be, lo, hi in cons:
+            if al != 0.0:
+                t1, t2 = be * ylo, be * yhi
+                nlo, nhi = lo + min(t1, t2), hi + max(t1, t2)
+                if al > 0:
+                    cand_lo, cand_hi = nlo / al, nhi / al
+                else:
+                    cand_lo, cand_hi = nhi / al, nlo / al
+                if cand_lo > xlo + 1e-15:
+                    xlo, changed = cand_lo, True
+                if cand_hi < xhi - 1e-15:
+                    xhi, changed = cand_hi, True
+            if be != 0.0:
+                t1, t2 = al * xlo, al * xhi
+                nlo, nhi = min(t1, t2) - hi, max(t1, t2) - lo
+                if be > 0:
+                    cand_lo, cand_hi = nlo / be, nhi / be
+                else:
+                    cand_lo, cand_hi = nhi / be, nlo / be
+                if cand_lo > ylo + 1e-15:
+                    ylo, changed = cand_lo, True
+                if cand_hi < yhi - 1e-15:
+                    yhi, changed = cand_hi, True
+            if xlo > xhi + 1e-12 or ylo > yhi + 1e-12:
+                return None
+        if not changed:
+            break
+    nx = min(max(0.0, xlo), xhi)
+    ny = min(max(0.0, ylo), yhi)
+    if nx * nx + ny * ny > 1.0 + 1e-12:
+        return None
+    return (xlo, xhi, ylo, yhi)
+
+
+def reference_box_count(lam, et, N):
+    """The box search the polygon search replaced: an outer approximation.
+
+    Same (r_j, good-required) branching and prune, but each node keeps an
+    (x, y) box tightened by the prefix's strips, and the digit range at
+    level j is the interval of Re(lam^{-j} t) over that box.
+    """
+    rho = sparse.good_rho(abs(lam))
+    n_good = sparse.good_index_requirement(et, N)
+    inv_pows = [(1.0 / lam) ** j for j in range(N)]
+    found = set()
+    digits = []
+
+    def rec(j, cons, box, tights):
+        if j == N:
+            if tights >= n_good:
+                found.add(tuple(digits))
+            return
+        al, be = inv_pows[j].real, inv_pows[j].imag
+        xlo, xhi, ylo, yhi = box
+        lo = min(al * xlo, al * xhi) - max(be * ylo, be * yhi)
+        hi = max(al * xlo, al * xhi) - min(be * ylo, be * yhi)
+        for r in range(math.ceil(lo - 0.5 - 1e-9), math.floor(hi + 0.5 + 1e-9) + 1):
+            digits.append(r)
+            for tight in (True, False):
+                if not tight and tights + N - j - 1 < n_good:
+                    continue
+                half = rho if tight else 0.5
+                con = (al, be, r - half - 1e-12, r + half + 1e-12)
+                nb = _reference_propagate(cons + [con], box)
+                if nb is not None:
+                    rec(j + 1, cons + [con], nb, tights + (1 if tight else 0))
+            digits.pop()
+
+    rec(0, [], (-1.0, 1.0, -1.0, 1.0), 0)
+    return len(found)
+
+
+def sampled_admissible(lam, et, N, samples, seed):
+    """Digit tuples of t drawn in the disk that have enough good indices."""
+    _, r, eps = sparse._sampled_expansion(lam, samples, N, seed)
+    good = np.sum(np.abs(eps) < sparse.good_rho(abs(lam)), axis=1)
+    keep = r[good >= sparse.good_index_requirement(et, N)].astype(np.int64)
+    return {tuple(row) for row in np.unique(keep, axis=0).tolist()}
 
 
 class TestEKTrace:
@@ -141,6 +235,87 @@ class TestEnumeration:
             enumerate_digit_sequences(LAM, 0.1, 15)
         with pytest.raises(RegimeError):
             enumerate_digit_sequences(0.5, 0.1, 5)
+
+
+class TestEnumerationOracle:
+    """The polygon search against the box search and against sampling."""
+
+    @pytest.mark.parametrize("et", [0.05, 0.1])
+    @pytest.mark.parametrize("n", [1, 6, 8, 10])
+    def test_equal_on_criterion_grid(self, et, n):
+        count, _ = enumerate_digit_sequences(LAM, et, n)
+        assert count == reference_box_count(LAM, et, n)
+
+    @pytest.mark.parametrize("n, want", [(8, 37), (13, 101)])
+    def test_equal_on_benchmark_cases(self, n, want):
+        count, _ = enumerate_digit_sequences(LAM, 0.3, n)
+        assert count == reference_box_count(LAM, 0.3, n) == want
+
+    @pytest.mark.parametrize("lam", (LAM, *OTHER_LAMS))
+    @pytest.mark.parametrize(
+        "et, n", [(0.0, 8), (0.3, 2), (0.3, 5), (0.3, 8), (0.6, 5), (0.6, 8),
+                  (1.0, 2), (1.0, 5)],
+    )
+    def test_never_above_box(self, lam, et, n):
+        count, _ = enumerate_digit_sequences(lam, et, n)
+        assert 1 <= count <= reference_box_count(lam, et, n)
+
+    def test_relaxed_counts_fall_below_box(self):
+        # the box is an outer approximation; the polygon is exact
+        for et, n, want, box in ((1.0, 6, 341, 351), (0.6, 8, 301, 305)):
+            assert enumerate_digit_sequences(LAM, et, n)[0] == want
+            assert reference_box_count(LAM, et, n) == box
+
+    def test_strip_touching_an_edge_keeps_the_sliver(self):
+        # lam = i/c with the level-1 strip of digit 2 ending exactly on the
+        # square's top edge: the clip is the 2-vertex segment y = 1, which
+        # meets the disk at t = i
+        c = 2.0 - 0.5 - 1e-12
+        lam = 1j / c
+        assert (1.0 / lam) == -1j * c
+        found = sparse._admissible_sequences(lam, 1.0, 2)
+        assert {(0, 2), (0, -2)} <= found
+        assert len(found) == reference_box_count(lam, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "poly, meets",
+        [
+            ([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)], True),  # holds the disk
+            ([(1.1, -2.0), (2.0, -2.0), (2.0, 2.0), (1.1, 2.0)], False),
+            ([(0.9, -1.0), (0.9, 1.0)], True),  # a segment through the disk
+            ([(0.8, 0.8), (1.0, 1.0)], False),  # on a line through the origin
+            ([(0.8, 0.8)], False),
+            ([(0.6, 0.8)], True),  # on the circle
+        ],
+    )
+    def test_disk_test(self, poly, meets):
+        assert sparse._meets_disk(poly) is meets
+
+    @pytest.mark.parametrize(
+        "lam, et, n",
+        [(LAM, 0.6, 8), (OTHER_LAMS[0], 0.6, 8), (OTHER_LAMS[1], 1.0, 5),
+         (OTHER_LAMS[2], 0.5, 9), (0.8j, 0.6, 10)],
+    )
+    def test_every_sampled_sequence_found(self, lam, et, n):
+        found = sparse._admissible_sequences(complex(lam), et, n)
+        sampled = sampled_admissible(complex(lam), et, n, 100_000, seed=17)
+        assert len(sampled) >= 20
+        assert sampled <= found
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        modulus=st.floats(0.3, 0.9),
+        angle=st.floats(0.05, math.pi - 0.05),
+        lower=st.booleans(),
+        et=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_lambda(self, modulus, angle, lower, et, n, seed):
+        lam = cmath.rect(modulus, -angle if lower else angle)
+        found = sparse._admissible_sequences(lam, et, n)
+        assert sampled_admissible(lam, et, n, 5_000, seed) <= found
+        assert len(found) <= reference_box_count(lam, et, n)
 
 
 class TestCoveringReport:
