@@ -182,7 +182,9 @@ def good_rho(lam_abs: float) -> float:
 
 
 def good_index_requirement(epsilon_tilde: float, N: int) -> int:
-    """Good indices S(N, et) asks for: ceil((1 - et) N), et clamped to [0, 1]."""
+    """Good indices S(N, et) asks for: ceil((1 - et) N), finite et clamped to [0, 1]."""
+    if not math.isfinite(epsilon_tilde):
+        raise DomainError(f"epsilon_tilde must be finite, got {epsilon_tilde!r}")
     et = min(max(epsilon_tilde, 0.0), 1.0)
     return max(0, math.ceil((1.0 - et) * N - 1e-9))
 

@@ -276,6 +276,18 @@ def _load_measure(args) -> DiscreteMeasure:
 
 
 def _cmd_dim(args):
+    if args.format == "csv":
+        # the CSV holds the moment rows alone, so nothing else is computed
+        if args.T_values is not None:
+            raise _UsageError("--T-values has no column in dim's CSV output")
+        if args.n_min < 0 or args.n_max < args.n_min:
+            raise DomainError("need 0 <= n_min <= n_max")
+        mu = _load_measure(args)
+        lines = ["n,s_n,log_s_n"]
+        for n in range(args.n_min, args.n_max + 1):
+            s_n = lq_moment(mu, n, args.q)
+            lines.append(f"{n},{s_n!r},{math.log(s_n)!r}")
+        return "\n".join(lines) + "\n"
     radii = None if args.T_values is None else _parse_radii(args.T_values)
     mu = _load_measure(args)
     doc = {}
@@ -286,12 +298,6 @@ def _cmd_dim(args):
     if radii is not None:
         alpha, via = alpha_estimate(mu, radii, args.step)
         doc["alpha"] = {"estimate": alpha, "dim2_via_alpha": via}
-    if args.format == "csv":
-        lines = ["n,s_n,log_s_n"]
-        for n in range(args.n_min, args.n_max + 1):
-            s_n = lq_moment(mu, n, args.q)
-            lines.append(f"{n},{s_n!r},{math.log(s_n)!r}")
-        return "\n".join(lines) + "\n"
     return _json_dump(doc)
 
 
@@ -422,6 +428,19 @@ _COMMANDS = {
     "bernoulli": _cmd_bernoulli,
 }
 
+# --format values each subcommand writes; bounds --sweep writes CSV under
+# the default json too
+_FORMATS = {
+    "eval": ("json",),
+    "scan": ("json", "csv", "bin"),
+    "bounds": ("json",),
+    "bounds --sweep": ("json", "csv"),
+    "ek": ("json",),
+    "dim": ("json", "csv"),
+    "push": ("json", "csv"),
+    "bernoulli": ("json",),
+}
+
 
 def _selected_actions(parser, args) -> dict:
     """Actions of ``parser`` and of the subparsers ``args`` selected, by dest."""
@@ -490,6 +509,11 @@ def run(argv) -> int:
             raise _UsageError("missing subcommand")
         if args.command == "ek" and not getattr(args, "ek_cmd", None):
             raise _UsageError("ek needs one of: trace, verify, enumerate, cover")
+        writer = args.command
+        if writer == "bounds" and args.sweep:
+            writer = "bounds --sweep"
+        if args.format not in _FORMATS[writer]:
+            raise _UsageError(f"{writer} cannot write --format {args.format}")
         result = _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -34,6 +34,7 @@ REAL_LAMBDA_TOL = 1e-14
 COLLINEAR_TOL = 1e-12
 
 _SAMPLE_BLOCK = 1 << 16  # fixed so output never depends on worker count
+_PAIR_BLOCK = 1 << 18  # grid-hash candidate pairs per block; keeps memory O(n)
 
 
 @dataclass(frozen=True)
@@ -200,19 +201,27 @@ class DiscreteMeasure:
 
     @cached_property
     def min_atom_gap(self) -> float | None:
-        """Smallest positive distance between an atom and its nearest other atom.
+        """Smallest positive distance between two atoms.
 
         Exactly coinciding atoms act as one.  None for a single atom or when
-        every nearest-atom distance is 0.  Computed once per measure.
+        all atoms coincide.  Computed once per measure.  The smallest
+        positive distance between consecutive atoms in (re, im) or (im, re)
+        order is a pair distance, so it bounds the gap from above; the
+        closest pair is then among the grid-hash pairs within that bound,
+        widened by a hair because sqrt(d2)**2 can round below d2.  Taking
+        both orders keeps the bound near the gap on lattices whose spacing
+        differs between the axes.
         """
-        if self.n_atoms < 2:
+        x, y = self.positions.real, self.positions.imag
+        bound = _consecutive_d2(x, y)
+        if bound == math.inf:
             return None
-        from scipy.spatial import cKDTree
-
-        pts = np.column_stack([self.positions.real, self.positions.imag])
-        dists, _ = cKDTree(pts).query(pts, k=2)
-        positive = dists[:, 1][dists[:, 1] > 0.0]
-        return float(positive.min()) if positive.size else None
+        tol = math.sqrt(bound) * (1.0 + 2.0**-20)
+        best = min(
+            float(np.min(d2, initial=math.inf, where=d2 > 0.0))
+            for _, _, d2 in _close_pairs(x, y, tol)
+        )
+        return math.sqrt(best)
 
     @classmethod
     def dirac(cls, z: complex) -> "DiscreteMeasure":
@@ -224,9 +233,101 @@ class DiscreteMeasure:
         return cls(np.array(pos, dtype=np.complex128), np.array(wts, dtype=np.float64))
 
 
+def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
+    """Smallest positive d2 between consecutive atoms in (x, y) or (y, x) order."""
+    best = math.inf
+    for order in (np.lexsort((y, x)), np.lexsort((x, y))):
+        dx, dy = np.diff(x[order]), np.diff(y[order])
+        d2 = dx * dx + dy * dy
+        best = min(best, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
+    return best
+
+
 def _sorted_atoms(pos: np.ndarray, wts: np.ndarray):
     order = np.lexsort((pos.imag, pos.real))
     return pos[order], wts[order]
+
+
+def _close_pairs(x: np.ndarray, y: np.ndarray, tol: float):
+    """Blocks ``(a, b, d2)`` of the atom pairs at distance <= ``tol``.
+
+    ``d2 = dx*dx + dy*dy``, and a pair is within ``tol`` exactly when
+    d2 <= tol*tol (cKDTree's query_pairs rule).  Every such pair is in
+    some block, with one exception: an atom equal to the atom before it
+    in the hash order comes only once, paired at d2 = 0 with the first
+    atom of its run, which has the same position and takes its other
+    pairs.  Blocks hold at most about ``_PAIR_BLOCK`` candidate pairs each, so
+    memory stays O(n) however many pairs there are.
+
+    Candidate pairs come from a grid hash.  Cells have side h, a hair
+    over max(tol, span / 2**30) so that a close pair never lands two
+    cells apart after rounding, and keys (ix << 32) | iy, stable-sorted.
+    An atom meets the later atoms of its own cell, and the atoms of its
+    four forward neighbour cells when it lies within about tol of the
+    shared edge.  Leaving runs of equal atoms out of the hash makes g
+    coinciding atoms alone in a cell cost g - 1 pairs, not g(g - 1)/2.
+    """
+    n = x.size
+    x0, y0 = x.min(), y.min()
+    span = max(x.max() - x0, y.max() - y0)
+    h = max(tol, span / 2**30) * (1.0 + 2.0**-16)
+    u, v = (x - x0) / h, (y - y0) / h
+    # u, v >= 0, so truncation is floor; +1 keeps iy - 1 >= 0 for the
+    # (ix + 1, iy - 1) neighbour
+    key = ((u.astype(np.int64) + 1) << 32) | (v.astype(np.int64) + 1)
+    order = np.argsort(key, kind="stable")
+    copy = np.r_[False, (np.diff(x[order]) == 0.0) & (np.diff(y[order]) == 0.0)]
+    firsts = order[np.maximum.accumulate(np.where(copy, 0, np.arange(n)))][copy]
+    yield order[copy], firsts, np.zeros(firsts.size)
+    order = order[~copy]
+    key = key[order]
+    m = order.size
+    # cell coordinates are off by under 2**-22 each, so both atoms of a
+    # close pair in neighbouring cells lie within tol / h + 2**-21 of the edge
+    edge = min(1.0, 2.0 * tol / h + 2.0**-18)
+    u, v = np.modf(u[order])[0], np.modf(v[order])[0]
+    right, top, bottom = u >= 1.0 - edge, v >= 1.0 - edge, v <= edge
+    brk = np.flatnonzero(key[1:] != key[:-1]) + 1
+    run_end = np.append(brk, m)
+    run_of = np.zeros(m, dtype=np.int64)
+    run_of[brk] = 1
+    run_of = np.cumsum(run_of)
+    # one cell direction at a time: the atom at sorted position src[g]
+    # meets those at positions lo[g]..hi[g]-1
+    for off, mask in (
+        (0, None),
+        (1, top),
+        ((1 << 32) - 1, right & bottom),
+        (1 << 32, right),
+        ((1 << 32) + 1, right & top),
+    ):
+        if mask is None:
+            src, lo = np.arange(m), np.arange(1, m + 1)
+            hi = run_end[run_of]
+        else:
+            src = np.flatnonzero(mask)
+            target = key[src] + off
+            lo = np.searchsorted(key, target)
+            hit = key[np.minimum(lo, m - 1)] == target
+            src, lo = src[hit], lo[hit]
+            hi = run_end[run_of[lo]]
+        met = hi > lo
+        src, lo, count = src[met], lo[met], (hi - lo)[met]
+        ends = np.cumsum(count)
+        # pair ends[g] - count[g] + k of the direction is (src[g], lo[g] + k)
+        lo = lo - (ends - count)
+        s = 0
+        while s < src.size:
+            base = int(ends[s - 1]) if s else 0
+            t = max(s + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, "right")))
+            group = np.repeat(np.arange(s, t), count[s:t])
+            a = order[src[group]]
+            b = order[lo[group] + base + np.arange(group.size)]
+            dx, dy = x[a] - x[b], y[a] - y[b]
+            d2 = dx * dx + dy * dy
+            keep = d2 <= tol * tol
+            yield a[keep], b[keep], d2[keep]
+            s = t
 
 
 def _merge_components(pts: np.ndarray, tol: float):
@@ -234,72 +335,14 @@ def _merge_components(pts: np.ndarray, tol: float):
 
     Returns ``(label, count)``: ``label[i]`` numbers the component of atom
     i, components numbered in the order of their smallest member; or None
-    when no two atoms are joined.  A pair is joined exactly when
-    dx*dx + dy*dy <= tol*tol (cKDTree's query_pairs rule).
-
-    Candidate pairs come from a grid hash.  Cells have side h, a hair
-    over max(tol, span / 2**30) so that a joined pair never lands two
-    cells apart after rounding, and keys (ix << 32) | iy, stable-sorted.
-    An atom meets the later atoms of its own cell, and the atoms of its
-    four forward neighbour cells when it lies within about tol of the
-    shared edge.  An atom equal to the one before it in that order joins
-    the first atom of its run instead and is left out of the hash, so g
-    coinciding atoms alone in a cell cost g - 1 pairs, not g(g - 1)/2.
-    Components come from hooking larger roots onto smaller ones with
-    pointer jumping, which leaves each labelled by its smallest member.
+    when no two atoms are joined.  Pairs come from ``_close_pairs``;
+    components from hooking larger roots onto smaller ones with pointer
+    jumping, which leaves each labelled by its smallest member.
     """
-    x, y = pts[:, 0], pts[:, 1]
-    n = x.size
-    x0, y0 = x.min(), y.min()
-    span = max(x.max() - x0, y.max() - y0)
-    h = max(tol, span / 2**30) * (1.0 + 2.0**-16)
-    u, v = (x - x0) / h, (y - y0) / h
-    fu, fv = np.floor(u), np.floor(v)
-    # +1 keeps iy - 1 >= 0 for the (ix + 1, iy - 1) neighbour
-    key = ((fu.astype(np.int64) + 1) << 32) | (fv.astype(np.int64) + 1)
-    order = np.argsort(key, kind="stable")
-    copy = np.r_[False, (np.diff(x[order]) == 0.0) & (np.diff(y[order]) == 0.0)]
-    copies = order[copy]
-    firsts = order[np.maximum.accumulate(np.where(copy, 0, np.arange(n)))][copy]
-    order = order[~copy]
-    key = key[order]
-    m = order.size
-    # cell coordinates are off by under 2**-22 each, so both atoms of a
-    # joined pair in neighbouring cells lie within tol / h + 2**-21 of the edge
-    edge = min(1.0, 2.0 * tol / h + 2.0**-18)
-    fu, fv = (u - fu)[order], (v - fv)[order]
-    right, top, bottom = fu >= 1.0 - edge, fv >= 1.0 - edge, fv <= edge
-    brk = np.flatnonzero(key[1:] != key[:-1]) + 1
-    run_end = np.append(brk, m)
-    run_of = np.zeros(m, dtype=np.int64)
-    run_of[brk] = 1
-    run_of = np.cumsum(run_of)
-    # the atom at sorted position src[g] meets those at positions lo[g]..hi[g]-1
-    src, lo, hi = [np.arange(m)], [np.arange(1, m + 1)], [run_end[run_of]]
-    for off, mask in (
-        (1, top),
-        ((1 << 32) - 1, right & bottom),
-        (1 << 32, right),
-        ((1 << 32) + 1, right & top),
-    ):
-        p = np.flatnonzero(mask)
-        target = key[p] + off
-        start = np.searchsorted(key, target)
-        hit = key[np.minimum(start, m - 1)] == target
-        src.append(p[hit])
-        lo.append(start[hit])
-        hi.append(run_end[run_of[start[hit]]])
-    src, lo, hi = np.concatenate(src), np.concatenate(lo), np.concatenate(hi)
-    count = hi - lo
-    group = np.repeat(np.arange(count.size), count)
-    first = np.cumsum(count) - count
-    a = order[src[group]]
-    b = order[lo[group] + np.arange(group.size) - first[group]]
-    dx, dy = x[a] - x[b], y[a] - y[b]
-    keep = dx * dx + dy * dy <= tol * tol
-    if not keep.any() and copies.size == 0:
+    n = pts.shape[0]
+    a, b, _ = map(np.concatenate, zip(*_close_pairs(pts[:, 0], pts[:, 1], tol)))
+    if a.size == 0:
         return None
-    a, b = np.r_[a[keep], copies], np.r_[b[keep], firsts]
     label = np.arange(n)
     while True:
         la, lb = label[a], label[b]

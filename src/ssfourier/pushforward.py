@@ -28,6 +28,8 @@ from .measures import (
 )
 
 _SPLIT_CHUNK = 1 << 20  # complex entries per work array in one frequency batch
+_FROSTMAN_CENTERS = 128  # ball centers sampled from the measure
+_FROSTMAN_OCTAVES = range(2, 9)  # ball radii R * 2**-k, R the support radius
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,8 @@ def annulus_maxima(
     ``mu`` is a DiscreteMeasure, summed directly (the oracle path), or a
     SplitPushforward, evaluated through its tower split.
     """
+    if directions < 1:
+        raise DomainError(f"need directions >= 1, got {directions}")
     if isinstance(mu, SplitPushforward):
         transform = mu.transform
     else:
@@ -335,10 +339,30 @@ def decay_profile(
     )
 
 
+def _ball_masses(positions, weights, centers, radii) -> np.ndarray:
+    """Weight within distance r of c, for each center c and increasing radius r.
+
+    Returns shape (len(centers), len(radii)).  An atom lies in a ball
+    exactly when dx*dx + dy*dy <= r*r.  Atoms are sorted by x once, so a
+    center's candidates are the one slice |x - cx| <= max radius; each
+    atom is binned to the smallest ball it lies in and the bins add up
+    outwards.
+    """
+    r2 = np.array([r * r for r in radii])
+    order = np.argsort(positions.real, kind="stable")
+    x, y, w = positions.real[order], positions.imag[order], weights[order]
+    reach = radii[-1] * (1.0 + 2.0**-20)
+    out = np.empty((len(centers), r2.size))
+    for i, c in enumerate(centers):
+        lo, hi = np.searchsorted(x, [c.real - reach, c.real + reach], side="right")
+        dx, dy = x[lo:hi] - c.real, y[lo:hi] - c.imag
+        ring = np.searchsorted(r2, dx * dx + dy * dy)
+        out[i] = np.cumsum(np.bincount(ring, weights=w[lo:hi], minlength=r2.size + 1)[:-1])
+    return out
+
+
 def frostman_estimate(
     ifs: IFSDescriptor,
-    radii=None,
-    centers: int = 128,
     seed: int = 0,
     atom_budget: int | None = None,
 ) -> float:
@@ -346,31 +370,21 @@ def frostman_estimate(
 
     Builds the discrete approximation of depth max(3, floor(log(budget)
     / log(m))) under ``atom_budget`` (default 2e6; BudgetError when even
-    depth 3 does not fit), samples ball centers from the measure itself,
-    and regresses log max ball mass on log r.  Agrees with the Frostman
+    depth 3 does not fit), samples up to 128 ball centers from the measure
+    itself, and regresses log max ball mass on log r over the radii
+    R * 2**-k, k = 2..8, R the support radius.  Agrees with the Frostman
     (dim_inf) estimator up to grid-versus-ball geometry.
     """
     if ifs.is_atomic:
         raise DomainError("Frostman estimation refuses atomic systems")
-    from scipy.spatial import cKDTree
-
     budget = 2 * 10**6 if atom_budget is None else int(atom_budget)
     depth = max(3, int(math.log(budget) / math.log(ifs.m)))
     mu = finite_approximation(ifs, depth, atom_budget=budget)
     radius = max(support_radius(ifs), 1e-12)
-    if radii is None:
-        radii = [radius * 2.0**-k for k in range(2, 9)]
-    radii = sorted(float(r) for r in radii)
+    radii = sorted(radius * 2.0**-k for k in _FROSTMAN_OCTAVES)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(mu.n_atoms, size=min(centers, mu.n_atoms), replace=False)
-    pts = np.column_stack([mu.positions.real, mu.positions.imag])
-    tree = cKDTree(pts)
-    xs, ys = [], []
-    for r in radii:
-        best = 0.0
-        for i in idx:
-            neighbors = tree.query_ball_point(pts[i], r)
-            best = max(best, float(mu.weights[neighbors].sum()))
-        xs.append(math.log(r))
-        ys.append(math.log(best))
+    idx = rng.choice(mu.n_atoms, size=min(_FROSTMAN_CENTERS, mu.n_atoms), replace=False)
+    best = _ball_masses(mu.positions, mu.weights, mu.positions[idx], radii).max(axis=0)
+    xs = [math.log(r) for r in radii]
+    ys = [math.log(float(m)) for m in best]
     return max(linear_fit(xs, ys)[0], 0.0)

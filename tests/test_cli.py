@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,13 @@ import pytest
 import ssfourier
 import ssfourier.pushforward
 import ssfourier.sparse
-from ssfourier import IFSDescriptor, mu_hat, truncation_index
+from ssfourier import (
+    IFSDescriptor,
+    finite_approximation,
+    lq_moment,
+    mu_hat,
+    truncation_index,
+)
 from ssfourier.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -147,13 +154,30 @@ class TestEval:
 
 
 class TestImportPath:
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        # importing the CLI, and running the commands that find atom gaps and
+        # count Frostman balls, loads no scipy module
         src = str(Path(ssfourier.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, ssfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        commands = [
+            ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1", "--radii", "1,2,4",
+             "--directions", "8", "--depth", "6"],
+            ["dim", "--lambda", "0.5", "--digits", "0,1,i", "--depth", "7",
+             "--n-min", "1", "--n-max", "5"],
+            ["bernoulli", "--lambda", "0.8+0.3i", "--frostman"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from ssfourier.cli import run\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            f"    out = ['--budget', '4096', '--out', {str(tmp_path)!r} + f'/{{i}}.json']\n"
+            "    assert run(out + argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+        assert len(list(tmp_path.glob("*.json"))) == len(commands)
 
 
 class TestEK:
@@ -280,6 +304,79 @@ class TestPush:
         )
         assert code == EXIT_OK
         assert json.loads(out)["delta_used"] > 0.0
+
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_no_directions_refused(self, capsys, value):
+        code, out, _ = run_cli(
+            capsys, "push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1",
+            "--radii", "1,2,4", "--directions", value, "--depth", "6",
+        )
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["kind"] == "DomainError"
+
+
+class TestDimCsv:
+    # depth 5 atoms sit 2^-4 apart: the cap leaves the estimators too few
+    # levels, while the moment rows need no cap
+    ARGV = ["dim", "--lambda", "0.5", "--digits", "0,1,i", "--depth", "5",
+            "--n-min", "1", "--n-max", "4"]
+
+    def test_rows_are_the_moments(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "csv", *self.ARGV)
+        assert code == EXIT_OK
+        mu = finite_approximation(IFSDescriptor(0.5, (0, 1, 1j), (1 / 3,) * 3), 5)
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["n", "s_n", "log_s_n"]
+        assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4]
+        for n, s_n, log_s_n in rows[1:]:
+            want = lq_moment(mu, int(n), 2.0)
+            assert float(s_n) == want and float(log_s_n) == math.log(want)
+        assert run_cli(capsys, *self.ARGV)[0] == EXIT_DOMAIN
+
+    def test_energy_radii_refused(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "csv", *self.ARGV,
+                                 "--T-values", "2:8:3")
+        assert code == EXIT_USAGE and out == "" and "T-values" in err
+
+    @pytest.mark.parametrize("levels", [("3", "2"), ("-1", "4")])
+    def test_level_range_refused(self, capsys, levels):
+        argv = self.ARGV[:-4] + ["--n-min", levels[0], "--n-max", levels[1]]
+        code, out, _ = run_cli(capsys, "--format", "csv", *argv)
+        assert code == EXIT_DOMAIN
+        assert "n_min" in json.loads(out)["error"]["message"]
+
+
+BOUNDS = ["bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5"]
+SWEEP = BOUNDS + ["--sweep", "1e-4:1e-3:3"]
+EVAL = ["eval", "--lambda", "0.5+0.5i", "--xi", "1"]
+TRACE = ["ek", "trace", "--lambda", "0.5+0.5i", "--t", "0.3+0.4i", "--N", "5"]
+DIM = ["dim", "--lambda", "0.5", "--digits", "0,1,i", "--depth", "7",
+       "--n-min", "1", "--n-max", "5"]
+PUSH = ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1", "--radii", "1,2,4",
+        "--directions", "8", "--depth", "6"]
+BERNOULLI = ["bernoulli", "--lambda", "0.92+0.1i"]
+
+
+class TestFormats:
+    @pytest.mark.parametrize("fmt, argv", [
+        ("bin", EVAL), ("csv", EVAL), ("bin", BOUNDS), ("csv", BOUNDS),
+        ("bin", SWEEP), ("bin", TRACE), ("csv", TRACE), ("bin", DIM),
+        ("bin", PUSH), ("bin", BERNOULLI), ("csv", BERNOULLI),
+    ], ids=["eval-bin", "eval-csv", "bounds-bin", "bounds-csv", "sweep-bin",
+            "ek-bin", "ek-csv", "dim-bin", "push-bin", "bernoulli-bin",
+            "bernoulli-csv"])
+    def test_unwritable_format_refused(self, capsys, fmt, argv):
+        code, out, err = run_cli(capsys, "--budget", "4096", "--format", fmt, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"cannot write --format {fmt}" in err
+
+    def test_sweep_writes_csv_under_both(self, capsys):
+        code, default, _ = run_cli(capsys, *SWEEP)
+        assert code == EXIT_OK
+        code, csv, _ = run_cli(capsys, "--format", "csv", *SWEEP)
+        assert code == EXIT_OK and csv == default
+        assert default.startswith("lambda_re,lambda_im,epsilon,delta,valid\n")
 
 
 class TestScan:

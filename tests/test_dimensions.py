@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.spatial
 
+from ssfourier import measures
 from ssfourier import (
     DiscreteMeasure,
     DomainError,
@@ -126,13 +126,13 @@ class TestDimEstimates:
 class TestResolutionCap:
     def test_gap_computed_once_per_measure(self, sierpinski, monkeypatch):
         mu = finite_approximation(sierpinski, 8)
-        built = []
-        tree = scipy.spatial.cKDTree
-        monkeypatch.setattr(scipy.spatial, "cKDTree",
-                            lambda pts: built.append(len(pts)) or tree(pts))
+        searched = []
+        pairs = measures._close_pairs
+        monkeypatch.setattr(measures, "_close_pairs",
+                            lambda x, y, tol: searched.append(x.size) or pairs(x, y, tol))
         dim_q_estimate(mu, 2.0, 1, 8)
         dim_inf_estimate(mu, 1, 8)
-        assert built == [mu.n_atoms]
+        assert searched == [mu.n_atoms]
         # atoms 2^-7 apart: levels above 4, where cells are < 4x the gap, are cut
         with pytest.raises(DomainError):
             dim_q_estimate(mu, 2.0, 3, 8)

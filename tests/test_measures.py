@@ -386,6 +386,99 @@ class TestMergeOracle:
         assert_same_bits(got, reference_merge(mu, tol))
 
 
+def reference_min_gap(mu):
+    """The cKDTree nearest-atom gap that the grid-hash gap replaced.
+
+    Exactly coinciding atoms act as one, so duplicates are dropped first.
+    """
+    pos = np.unique(mu.positions)
+    if pos.size < 2:
+        return None
+    pts = np.column_stack([pos.real, pos.imag])
+    dists, _ = cKDTree(pts).query(pts, k=2)
+    positive = dists[:, 1][dists[:, 1] > 0.0]
+    return float(positive.min()) if positive.size else None
+
+
+def lattice_measure(n, angle, spacing=1e-3):
+    i, j = np.meshgrid(np.arange(n), np.arange(n))
+    pos = ((i + 1j * j) * np.exp(1j * angle)).ravel() * spacing
+    return DiscreteMeasure(pos, np.full(pos.size, 1.0 / pos.size))
+
+
+class TestMinGapOracle:
+    """The grid-hash nearest-atom gap against cKDTree, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ifs, depth",
+        [
+            (IFSDescriptor(0.5, (0.0, 1.0, 1j, 1 + 1j), (0.25,) * 4), 8),
+            (IFSDescriptor(0.5, (0.0, 1.0, 1j), (1 / 3,) * 3), 9),
+            (IFSDescriptor(0.5 + 0.5j, (-1.0, 0.0, 1.0), (1 / 3,) * 3), 13),
+            (IFSDescriptor(0.5 + 0.5j, (-1.0, 1.0), (0.5, 0.5)), 16),
+            (IFSDescriptor(0.6 * np.exp(1.1j), (0.0, 1.0, 1j), (1 / 3,) * 3), 10),
+        ],
+        ids=["square-8", "gasket-9", "push-lattice-13", "complex-bernoulli-16",
+             "rotated-three-digit-10"],
+    )
+    def test_towers(self, ifs, depth):
+        mu = finite_approximation(ifs, depth)
+        gap = mu.min_atom_gap
+        assert gap is not None and gap == reference_min_gap(mu)
+
+    @pytest.mark.parametrize("angle", [0.3, 1.0, 2.1])
+    def test_rotated_lattices(self, angle):
+        # every atom has four neighbours at nearly the same distance
+        mu = lattice_measure(300, angle)
+        assert mu.min_atom_gap == reference_min_gap(mu)
+
+    @pytest.mark.parametrize("scale", [(1e-3, 1.0), (1.0, 1e-3)])
+    def test_anisotropic_lattice(self, scale):
+        # consecutive atoms in (re, im) order are 1 apart in one of these,
+        # the gap is 1e-3 in both
+        i, j = np.meshgrid(np.arange(200), np.arange(200))
+        pos = (scale[0] * i + 1j * scale[1] * j).ravel()
+        mu = DiscreteMeasure(pos, np.full(pos.size, 1.0 / pos.size))
+        assert mu.min_atom_gap == reference_min_gap(mu)
+
+    def test_coinciding_atoms_act_as_one(self):
+        # every atom has an exact copy: the nearest other atom of each is at
+        # distance 0, yet the gap is the distance between the two sites
+        mu = weighted([0.0, 0.0, 0.3 + 0.4j, 0.3 + 0.4j], np.random.default_rng(1))
+        assert mu.min_atom_gap == 0.5 == reference_min_gap(mu)
+
+    def test_none(self):
+        assert DiscreteMeasure.dirac(1 + 1j).min_atom_gap is None
+        mu = weighted([2j, 2j, 2j], np.random.default_rng(2))
+        assert mu.min_atom_gap is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 400),
+        copies=st.integers(0, 100),
+        ties=st.integers(0, 100),
+        scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]),
+        offset=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                  allow_infinity=False),
+        lattice=st.booleans(),
+    )
+    def test_random_clouds(self, seed, count, copies, ties, scale, offset, lattice):
+        # a random or lattice cloud, exact copies of some atoms, and atoms
+        # one or two units in the last place away from others
+        rng = np.random.default_rng(seed)
+        if lattice:
+            pts = rng.integers(0, 20, count) + 1j * rng.integers(0, 20, count)
+        else:
+            pts = rng.normal(size=count) + 1j * rng.normal(size=count)
+        pts = pts * scale + offset
+        near = pts[rng.integers(0, count, ties)]
+        near = near + np.spacing(np.abs(near.real) + scale) * rng.integers(1, 3, ties)
+        pts = np.concatenate([pts, pts[rng.integers(0, count, copies)], near])
+        mu = weighted(rng.permutation(pts), rng)
+        assert mu.min_atom_gap == reference_min_gap(mu)
+
+
 class TestSerialization:
     def test_csv_roundtrip(self, complex_bernoulli):
         mu = finite_approximation(complex_bernoulli, 4)

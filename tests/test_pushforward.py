@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from ssfourier import pushforward
 from ssfourier import (
     AnalyticMap,
     DiscreteMeasure,
@@ -19,7 +21,7 @@ from ssfourier import (
     pushforward_measure,
     support_radius,
 )
-from ssfourier.pushforward import split_pushforward
+from ssfourier.pushforward import _ball_masses, split_pushforward
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 Z_SQUARED = AnalyticMap((0.0, 0.0, 1.0))
@@ -133,6 +135,12 @@ class TestDecayProfile:
         vals = annulus_maxima(mu, [4.0, 8.0, 16.0], directions=16, seed=0)
         assert np.allclose(vals, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("directions", [0, -3])
+    def test_no_directions_refused(self, directions):
+        mu = DiscreteMeasure.dirac(0.3 + 0.1j)
+        with pytest.raises(DomainError):
+            annulus_maxima(mu, [4.0, 8.0, 16.0], directions=directions)
+
     def test_certification_required(self, complex_bernoulli):
         with pytest.raises(DomainError):
             decay_profile(AnalyticMap((0, 0, 0, 1.0)), complex_bernoulli,
@@ -193,6 +201,42 @@ class TestSplitPushforward:
                              seed=2, atom_budget=10**4)
         pushed = pushforward_measure(f, finite_approximation(LATTICE, 9))
         assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, seed=2))
+
+
+def reference_ball_masses(positions, weights, centers, radii):
+    """The cKDTree ball masses that the x-sorted ball count replaced."""
+    tree = cKDTree(np.column_stack([positions.real, positions.imag]))
+    return np.array([
+        [weights[tree.query_ball_point([c.real, c.imag], r)].sum() for r in radii]
+        for c in centers
+    ])
+
+
+class TestBallMassOracle:
+    def test_square_counts(self, unit_square):
+        # lattice atoms: many lie on a circle of radius r up to rounding
+        mu = finite_approximation(unit_square, 8)
+        radii = sorted(support_radius(unit_square) * 2.0**-k for k in range(2, 9))
+        rng = np.random.default_rng(4)
+        centers = mu.positions[rng.choice(mu.n_atoms, 128, replace=False)]
+        ones = np.ones(mu.n_atoms)
+        got = _ball_masses(mu.positions, ones, centers, radii)
+        want = reference_ball_masses(mu.positions, ones, centers, radii)
+        assert np.array_equal(got, want)
+        diff = mu.positions[None, :] - centers[:16, None]
+        d2 = diff.real * diff.real + diff.imag * diff.imag
+        ties = sum(np.isclose(d2, r * r, rtol=1e-12, atol=0.0).sum() for r in radii)
+        assert ties > 50
+
+    @pytest.mark.parametrize(
+        "system, budget", [("unit_square", 4**7), ("complex_bernoulli", 2**14)]
+    )
+    def test_estimate_matches_oracle(self, request, system, budget, monkeypatch):
+        # dyadic weights: every ball mass is exact, whatever the order
+        ifs = request.getfixturevalue(system)
+        got = frostman_estimate(ifs, seed=3, atom_budget=budget)
+        monkeypatch.setattr(pushforward, "_ball_masses", reference_ball_masses)
+        assert got == frostman_estimate(ifs, seed=3, atom_budget=budget)
 
 
 class TestFrostman:

@@ -181,6 +181,14 @@ class TestEKTrace:
         assert not in_sparse_set(trace2, 0.5)
         assert in_sparse_set(trace2, 1.0)
 
+    @pytest.mark.parametrize("et", [math.nan, math.inf, -math.inf])
+    def test_membership_refuses_non_finite(self, et):
+        # finite values are clamped to [0, 1]; non-finite ones are refused
+        trace = ek_trace(0.5 + 0.5j, 0.1, 6)
+        assert in_sparse_set(trace, 7.0) == in_sparse_set(trace, 1.0)
+        with pytest.raises(DomainError):
+            in_sparse_set(trace, et)
+
 
 class TestDigitTransition:
     def test_half_modulus(self):
