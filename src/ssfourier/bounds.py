@@ -22,9 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError
-from .measures import REAL_LAMBDA_TOL, as_weights
+from .measures import as_weights, is_real_lambda
 
 TRIVIAL_DELTA = 2.0
+_ETA_GRID = 512  # coarse grid points per axis of eta_numeric's search
+_ETA_REFINE_TOL = 1e-10  # eta_numeric stops when two refinements agree this closely
 
 
 def entropy_h(x: float) -> float:
@@ -50,13 +52,7 @@ def eta_two_digit(c: float, p1: float, p2: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def eta_numeric(
-    phi_kind: str,
-    params: tuple,
-    c: float,
-    grid: int = 512,
-    refine_tol: float = 1e-10,
-) -> float:
+def eta_numeric(phi_kind: str, params: tuple, c: float) -> float:
     """Numerical infimum of 1 - |Phi| over the regime's exclusion region.
 
     phi_kind selects the region and character:
@@ -64,25 +60,23 @@ def eta_numeric(
     * ``two_digit``      -- ||Re z|| >= c/2 on the circle (1D)
     * ``lattice_3digit`` -- distance to the lattice Z^2 >= c/2 (2D torus,
       digits normalized to 0, 1, i)
-    * ``simplex_sum_d``  -- ||y_1 + ... + y_d|| >= c/2; the character
-      depends on the coordinate sum only, so this reduces to the same 1D
-      problem as ``two_digit``
 
-    Coarse grid search followed by local window refinement until two
-    successive estimates differ by less than ``refine_tol``.
+    Coarse search on a ``_ETA_GRID``-point grid per axis, followed by
+    local window refinement until two successive estimates differ by less
+    than ``_ETA_REFINE_TOL``.
     """
     if not 0.0 < c < 1.0:
         raise DomainError(f"c must lie in (0, 1), got {c!r}")
     p = as_weights(params)
-    if phi_kind in ("two_digit", "simplex_sum_d"):
+    if phi_kind == "two_digit":
         # worst-case |Phi| when only the first two (normalized) digits are used
         def gap(theta):
             val = p[0] + p[1] * np.exp(2j * np.pi * theta)
             return 1.0 - (np.abs(val) + (1.0 - p[0] - p[1]))
 
         box = [(c / 2.0, 0.5)]
-        axes = [np.linspace(c / 2.0, 0.5, grid)]
-        width, fine = (0.5 - c / 2.0) / grid, 65
+        axes = [np.linspace(c / 2.0, 0.5, _ETA_GRID)]
+        width, fine = (0.5 - c / 2.0) / _ETA_GRID, 65
     elif phi_kind == "lattice_3digit":
         if len(p) < 3:
             raise DomainError("lattice_3digit needs at least 3 weights")
@@ -94,8 +88,8 @@ def eta_numeric(
             return np.where(x * x + y * y >= (c / 2.0) ** 2, f, np.inf)
 
         box = [(-0.5, 0.5)] * 2
-        axes = [np.linspace(-0.5, 0.5, grid, endpoint=False)] * 2
-        width, fine = 1.5 / grid, 33
+        axes = [np.linspace(-0.5, 0.5, _ETA_GRID, endpoint=False)] * 2
+        width, fine = 1.5 / _ETA_GRID, 33
     else:
         raise DomainError(f"unknown phi_kind {phi_kind!r}")
     pts = np.meshgrid(*axes, indexing="ij")
@@ -104,7 +98,7 @@ def eta_numeric(
     best, at = float(f[i]), [float(x.ravel()[i]) for x in pts]
     prev = math.inf
     for _ in range(200):
-        if abs(prev - best) < refine_tol:
+        if abs(prev - best) < _ETA_REFINE_TOL:
             return best
         prev = best
         pts = np.meshgrid(
@@ -198,10 +192,15 @@ def sequence_count(branching: int, epsilon_tilde: float, N: int) -> float:
     return m_n * math.exp(entropy_h(epsilon_tilde) * N)
 
 
+def transition_bound(lam_abs: float) -> float:
+    """Digit-transition bound (1 + 3/|lam|^2)/2; its ceiling is the branching."""
+    return 0.5 * (1.0 + 3.0 / lam_abs**2)
+
+
 def _complex_parameters(lam_abs: float, p):
     c = 2.0 * good_rho(lam_abs)
     eta = eta_two_digit(c, p[0], p[1])
-    branching = math.ceil(0.5 * (1.0 + 3.0 / lam_abs**2))
+    branching = math.ceil(transition_bound(lam_abs))
     return c, eta, branching
 
 
@@ -210,11 +209,12 @@ def delta_complex(lam: complex, p, epsilon: float) -> DecayBound:
 
     rho = |lam|^2 / (2(|lam|^2+3)), eta = eta_two_digit(2*rho, p1, p2),
     branching = ceil((1 + 3/|lam|^2)/2), and
-    delta = (log(branching)*et + h(et)) / log(1/|lam|).
+    delta = (log(branching)*et + h(et)) / log(1/|lam|).  A lambda that
+    ``is_real_lambda`` calls real is refused.
     """
     p = as_weights(p)
     lam = complex(lam)
-    if lam.imag == 0.0:
+    if is_real_lambda(lam):
         raise RegimeError("complex regime needs Im(lambda) != 0")
     if not 0.0 < abs(lam) < 1.0:
         raise DomainError("need 0 < |lambda| < 1")
@@ -244,7 +244,10 @@ def delta_higherdim(lam: float, p, epsilon: float, d: int) -> DecayBound:
     """Covering exponent for the R^d (d >= 3) diagonalizable-orthogonal case.
 
     delta = (log(ceil(1 + 1/lam))*et + h(et)) / log(1/lam) with eta from
-    the coordinate-sum character at c = lam / (lam+1).
+    the coordinate-sum character ||y_1 + ... + y_d|| >= c/2 at
+    c = lam / (lam+1).  That character depends on the coordinate sum only,
+    so it reduces to the 1D ``two_digit`` problem for every d; the value
+    does not depend on d, which only has to be at least 3.
     """
     lam = float(lam)
     if not 0.0 < lam < 1.0:
@@ -255,7 +258,7 @@ def delta_higherdim(lam: float, p, epsilon: float, d: int) -> DecayBound:
     if len(p) < 3:
         raise RegimeError("higher-dim regime needs at least 3 digits")
     c = lam / (lam + 1.0)
-    eta = eta_numeric("simplex_sum_d", p, c)
+    eta = eta_numeric("two_digit", p, c)
     branching = math.ceil(1.0 + 1.0 / lam)
     return _assemble_bound("higher_dim", lam, 1.0, branching, c, eta, epsilon)
 
@@ -284,16 +287,16 @@ def covering_bound(lam: complex, p, epsilon: float, N: int) -> float:
     return sequence_count(bound.branching, et, N) * q
 
 
-def delta_bound(lam, p, epsilon: float, regime: str, d: int | None = None):
+def delta_bound(lam, p, epsilon: float, regime: str):
     """delta(eps) in ``regime``: "complex", "real_noncollinear", "higher_dim".
 
-    "auto" is "real_noncollinear" when |Im lam| <= REAL_LAMBDA_TOL (the
-    ``IFSDescriptor.lambda_is_real`` rule) and "complex" otherwise.  The
-    real regimes evaluate at Re(lam) and refuse a larger imaginary part;
-    ``d`` (default 3) is the dimension of the "higher_dim" regime.
+    "auto" is "real_noncollinear" when ``is_real_lambda(lam)`` and
+    "complex" otherwise.  The real regimes evaluate at Re(lam) and refuse
+    a lambda that is not real; "higher_dim" is evaluated at d = 3, since
+    its delta is the same for every d >= 3.
     """
     lam = complex(lam)
-    is_real = abs(lam.imag) <= REAL_LAMBDA_TOL
+    is_real = is_real_lambda(lam)
     if regime == "auto":
         regime = "real_noncollinear" if is_real else "complex"
     if regime == "complex":
@@ -304,7 +307,7 @@ def delta_bound(lam, p, epsilon: float, regime: str, d: int | None = None):
         raise RegimeError(f"{regime} regime needs real lambda, got {lam!r}")
     if regime == "real_noncollinear":
         return delta_real_noncollinear(lam.real, p, epsilon)
-    return delta_higherdim(lam.real, p, epsilon, 3 if d is None else d)
+    return delta_higherdim(lam.real, p, epsilon, 3)
 
 
 def bisect_sign_change(g, lo: float, hi: float, xtol: float, max_steps: int) -> float:
@@ -350,7 +353,6 @@ def solve_flattening_epsilon(
     p,
     kappa: float,
     regime: str = "auto",
-    d: int | None = None,
 ) -> tuple[float, float, DecayBound]:
     """Solve kappa - 2*eps = delta(eps) by bisection on (0, kappa/2).
 
@@ -364,7 +366,7 @@ def solve_flattening_epsilon(
         raise DomainError("kappa must lie in (0, 2)")
 
     def g(eps):
-        bound = delta_bound(lam, p, eps, regime, d)
+        bound = delta_bound(lam, p, eps, regime)
         return kappa - 2.0 * eps - min(bound.delta, TRIVIAL_DELTA)
 
     if g(kappa / 2.0) >= 0.0:
@@ -373,7 +375,7 @@ def solve_flattening_epsilon(
         )
     # g(0+) -> kappa > 0
     eps = bisect_sign_change(g, 0.0, kappa / 2.0, xtol=1e-13, max_steps=200)
-    return eps, 2.0 * eps, delta_bound(lam, p, eps, regime, d)
+    return eps, 2.0 * eps, delta_bound(lam, p, eps, regime)
 
 
 @dataclass(frozen=True)
@@ -418,9 +420,9 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor):
     in (1/2, 1/sqrt(2)) whenever |lam| > 1/sqrt(2)), sigma =
     sigma_factor(|lam|)/(N-1), and delta is evaluated for the convolution
     factor measure at contraction lam^N.  delta only depends on |lam^N|,
-    so the degenerate alignment Im(lam^N) = 0 is noted rather than
-    refused; it is capped at the trivial exponent 2 where the explicit
-    formula gives no information.
+    so the degenerate alignment of a lam^N that ``is_real_lambda`` calls
+    real is noted rather than refused; it is capped at the trivial
+    exponent 2 where the explicit formula gives no information.
     """
     alam = abs(lam)
     if not 0.0 < p_bias < 1.0:
@@ -434,7 +436,7 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor):
     epsilon = sigma / 2.0
     lam_n = lam**N
     note = ""
-    if lam_n.imag == 0.0:
+    if is_real_lambda(lam_n):
         note = (
             "degenerate alignment: Im(lambda^N) = 0; delta evaluated "
             "through |lambda^N| only"

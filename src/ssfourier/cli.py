@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -30,7 +29,14 @@ from .bounds import (
 )
 from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
 from .errors import BudgetError, ConvergenceError, DomainError
-from .fourier import grid_scan, mu_hat_many, scanfield_to_binary, scanfield_to_csv
+from .fourier import (
+    DEFAULT_SUBGRID_K,
+    DEFAULT_TOL,
+    grid_scan,
+    mu_hat_many,
+    scanfield_to_binary,
+    scanfield_to_csv,
+)
 from .measures import (
     DiscreteMeasure,
     IFSDescriptor,
@@ -80,52 +86,39 @@ def _parse_float_list(text: str) -> list[float]:
         raise _UsageError(f"cannot parse number list {text!r}") from exc
 
 
+def _parse_range(text: str, what: str, min_count: int) -> tuple[float, float, int]:
+    """A range "a:b:count": positive finite a and b, count >= ``min_count``."""
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise _UsageError(f"{what} {text!r} is not a:b:count")
+    try:
+        a, b, n = float(fields[0]), float(fields[1]), int(fields[2])
+    except ValueError as exc:
+        raise _UsageError(f"cannot parse {what} {text!r}") from exc
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise _UsageError(f"{what} bounds must be positive and finite: {text!r}")
+    if n < min_count:
+        raise _UsageError(f"{what} {text!r} needs count >= {min_count}")
+    return a, b, n
+
+
 def _parse_radii(text: str) -> list[float]:
     """Positive radii: a comma list, or "a:b:count" geometric from a to b."""
-    fields = text.split(":")
-    if len(fields) == 1:
-        radii = _parse_float_list(text)
-    elif len(fields) == 3:
-        try:
-            a, b, n = float(fields[0]), float(fields[1]), int(fields[2])
-        except ValueError as exc:
-            raise _UsageError(f"cannot parse radius range {text!r}") from exc
-        radii = [a, b]
-    else:
-        raise _UsageError(f"radius range {text!r} is not a:b:count")
+    if ":" in text:
+        a, b, n = _parse_range(text, "radius range", 2)
+        ratio = (b / a) ** (1.0 / (n - 1))
+        return [a * ratio**k for k in range(n)]
+    radii = _parse_float_list(text)
     if not radii or not all(0.0 < r < math.inf for r in radii):
         raise _UsageError(f"radii must be positive and finite: {text!r}")
-    if len(fields) == 3:
-        if n < 2:
-            raise _UsageError(f"radius range {text!r} needs count >= 2")
-        ratio = (b / a) ** (1.0 / (n - 1))
-        radii = [a * ratio**k for k in range(n)]
     return radii
 
 
 def _worker_count(text: str) -> int:
-    """A positive integer worker count (--workers or SSFOURIER_WORKERS)."""
+    """A positive integer worker count."""
     if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive integer (--workers or SSFOURIER_WORKERS)"
-        )
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
-
-
-def _parse_sweep(text: str) -> tuple[float, float, int]:
-    """An epsilon sweep "lo:hi:count": positive finite bounds, count >= 1."""
-    fields = text.split(":")
-    if len(fields) != 3:
-        raise _UsageError(f"sweep {text!r} is not lo:hi:count")
-    try:
-        lo, hi, n = float(fields[0]), float(fields[1]), int(fields[2])
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse sweep {text!r}") from exc
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise _UsageError(f"sweep bounds must be positive and finite: {text!r}")
-    if n < 1:
-        raise _UsageError(f"sweep {text!r} needs count >= 1")
-    return lo, hi, n
 
 
 def _ifs_from_args(args) -> IFSDescriptor:
@@ -150,16 +143,16 @@ def _add_ifs_flags(sub):
     sub.add_argument("--ifs", help="JSON file with {lambda, digits, probs}")
 
 
-def _emit(args, text: str, binary: bytes | None = None):
+def _emit(args, result: str | bytes):
+    """Write a command's text or bytes to --out or stdout."""
+    binary = isinstance(result, bytes)
     if args.out:
-        mode = "wb" if binary is not None else "w"
-        with open(args.out, mode) as fh:
-            fh.write(binary if binary is not None else text)
+        with open(args.out, "wb" if binary else "w") as fh:
+            fh.write(result)
+    elif binary:
+        sys.stdout.buffer.write(result)
     else:
-        if binary is not None:
-            sys.stdout.buffer.write(binary)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(result)
 
 
 def _json_dump(doc) -> str:
@@ -201,21 +194,18 @@ def _cmd_bounds(args):
     p = _parse_float_list(args.p)
     lam = parse_complex(args.lam)
     if args.sweep:
-        lo, hi, n = _parse_sweep(args.sweep)
-        eps_values = np.geomspace(lo, hi, n)
+        lo, hi, n = _parse_range(args.sweep, "sweep", 1)
         lines = ["lambda_re,lambda_im,epsilon,delta,valid"]
-        for eps in eps_values:
-            b = delta_bound(lam, p, float(eps), args.regime, args.d)
+        for eps in np.geomspace(lo, hi, n):
+            b = delta_bound(lam, p, float(eps), args.regime)
             lines.append(
                 f"{lam.real!r},{lam.imag!r},{eps!r},{b.delta!r},{int(b.valid)}"
             )
         return "\n".join(lines) + "\n"
-    bound = delta_bound(lam, p, args.epsilon, args.regime, args.d)
+    bound = delta_bound(lam, p, args.epsilon, args.regime)
     doc = bound.to_json()
     if args.kappa is not None:
-        eps, sigma, root = solve_flattening_epsilon(
-            lam, p, args.kappa, args.regime, args.d
-        )
+        eps, sigma, root = solve_flattening_epsilon(lam, p, args.kappa, args.regime)
         doc["flattening"] = {"kappa": args.kappa, "epsilon": eps, "sigma": sigma,
                              "delta_at_root": root.delta}
     if args.covering_N is not None:
@@ -225,6 +215,13 @@ def _cmd_bounds(args):
 
 
 def _cmd_ek(args):
+    if args.ek_cmd == "cover":
+        # the system may come from --ifs, so --lambda is not read directly
+        report = covering_report(
+            _ifs_from_args(args), args.epsilon, args.N, args.subgrid_k,
+            tol=args.tol, workers=args.workers, cell_budget=args.budget,
+        )
+        return _json_dump(report.to_json())
     lam = parse_complex(args.lam)
     if args.ek_cmd == "trace":
         trace = ek_trace(lam, parse_complex(args.t), args.N)
@@ -251,20 +248,11 @@ def _cmd_ek(args):
                 "seed": args.seed,
             }
         )
-    if args.ek_cmd == "enumerate":
-        count, bound = enumerate_digit_sequences(lam, args.eps_tilde, args.N)
-        return _json_dump(
-            {"count": count, "bound": bound, "epsilon_tilde": args.eps_tilde,
-             "N": args.N}
-        )
-    if args.ek_cmd == "cover":
-        ifs = _ifs_from_args(args)
-        report = covering_report(
-            ifs, args.epsilon, args.N, args.subgrid_k,
-            tol=args.tol, workers=args.workers, cell_budget=args.budget,
-        )
-        return _json_dump(report.to_json())
-    raise _UsageError("ek needs one of: trace, verify, enumerate, cover")
+    # enumerate: run refuses a bare ek, so no other subcommand is left
+    count, bound = enumerate_digit_sequences(lam, args.eps_tilde, args.N)
+    return _json_dump(
+        {"count": count, "bound": bound, "epsilon_tilde": args.eps_tilde, "N": args.N}
+    )
 
 
 def _load_measure(args) -> DiscreteMeasure:
@@ -337,9 +325,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON file whose values override flags")
     parser.add_argument("--format", choices=["json", "csv", "bin"], default="json")
     parser.add_argument("--out", help="write results to this path")
-    # a string default goes through the type check too; an empty variable is unset
-    parser.add_argument("--workers", type=_worker_count,
-                        default=os.environ.get("SSFOURIER_WORKERS") or "1")
+    parser.add_argument("--workers", type=_worker_count, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None)
     sub = parser.add_subparsers(dest="command")
@@ -352,8 +338,9 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="frequency-grid scan of |mu_hat|")
     _add_ifs_flags(p_scan)
     p_scan.add_argument("--T", type=float, required=True)
-    p_scan.add_argument("--subgrid-k", dest="subgrid_k", type=int, default=4)
-    p_scan.add_argument("--tol", type=float, default=1e-9)
+    p_scan.add_argument("--subgrid-k", dest="subgrid_k", type=int,
+                        default=DEFAULT_SUBGRID_K)
+    p_scan.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_bounds = sub.add_parser("bounds", help="closed-form covering bounds")
     p_bounds.add_argument("--lambda", dest="lam", required=True)
@@ -363,7 +350,6 @@ def build_parser() -> _Parser:
         "--regime", choices=["auto", "complex", "real_noncollinear", "higher_dim"],
         default="auto",
     )
-    p_bounds.add_argument("--d", type=int, default=3)
     p_bounds.add_argument("--kappa", type=float, default=None,
                           help="also solve kappa - 2 eps = delta(eps)")
     p_bounds.add_argument("--covering-N", dest="covering_N", type=int, default=None)
@@ -388,8 +374,9 @@ def build_parser() -> _Parser:
         else:
             _add_ifs_flags(q)
             q.add_argument("--epsilon", type=float, required=True)
-            q.add_argument("--subgrid-k", dest="subgrid_k", type=int, default=4)
-            q.add_argument("--tol", type=float, default=1e-9)
+            q.add_argument("--subgrid-k", dest="subgrid_k", type=int,
+                           default=DEFAULT_SUBGRID_K)
+            q.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_dim = sub.add_parser("dim", help="dimension estimators")
     _add_ifs_flags(p_dim)
@@ -524,10 +511,7 @@ def run(argv) -> int:
     except (DomainError, ConvergenceError, OverflowError, FileNotFoundError) as exc:
         sys.stdout.write(_error_doc(type(exc).__name__, str(exc)))
         return EXIT_DOMAIN
-    if isinstance(result, bytes):
-        _emit(args, "", binary=result)
-    else:
-        _emit(args, result)
+    _emit(args, result)
     meta = {
         "tool": "ssfourier",
         "version": __version__,

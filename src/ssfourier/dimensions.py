@@ -26,12 +26,18 @@ from .measures import DiscreteMeasure, IFSDescriptor, convolve, finite_approxima
 _SHIFT = complex(0.6180339887498949, 0.36602540378443865)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicHistogram:
-    """Masses of the dyadic cells at one level (scale 2^-level)."""
+    """Masses of the occupied dyadic cells at one level (scale 2^-level).
+
+    ``cells`` holds the complex keys i + j*1j of the cells
+    [i, i+1) x [j, j+1) / 2^level in lexicographic (i, j) order and
+    ``masses`` their masses, as aligned arrays.
+    """
 
     level: int
-    masses: dict
+    cells: np.ndarray
+    masses: np.ndarray
 
 
 def _dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
@@ -50,13 +56,8 @@ def _dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
     return cells, np.bincount(inverse, weights=mu.weights, minlength=cells.size)
 
 
-def dyadic_histogram(
-    mu: DiscreteMeasure, level: int, shift: complex = 0.0
-) -> DyadicHistogram:
-    cells, masses = _dyadic_cells(mu, level, shift)
-    return DyadicHistogram(
-        level, {(int(z.real), int(z.imag)): float(m) for z, m in zip(cells, masses)}
-    )
+def dyadic_histogram(mu: DiscreteMeasure, level: int) -> DyadicHistogram:
+    return DyadicHistogram(level, *_dyadic_cells(mu, level))
 
 
 def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
@@ -190,12 +191,11 @@ def flattening_check(
     nu: DiscreteMeasure,
     n_range: tuple[int, int],
     kappa_assumed: float,
-    depth: int | None = None,
-    merge_tol: float = 0.0,
-    atom_budget: int | None = None,
+    depth: int,
 ) -> FlatteningReport:
     """Estimate the correlation-dimension gain of convolving with mu.
 
+    mu is the depth-``depth`` finite approximation of ``ifs``.
     sigma = 2*eps comes from the flattening equation kappa - 2*eps =
     delta(eps); the reported margin is dim2(mu * nu) - dim2(nu) - sigma,
     which the theory makes nonnegative up to estimator error (the
@@ -211,10 +211,7 @@ def flattening_check(
             f"2 - kappa = {2.0 - kappa_assumed:.3f}"
         )
     eps, sigma, bound = solve_flattening_epsilon(ifs.lam, ifs.probs, kappa_assumed)
-    if depth is None:
-        depth = max(3, math.ceil(n_max * math.log(2.0) / math.log(1.0 / abs(ifs.lam))))
-    mu_fin = finite_approximation(ifs, depth, atom_budget=atom_budget)
-    conv = convolve(mu_fin, nu, merge_tol=merge_tol, atom_budget=atom_budget)
+    conv = convolve(finite_approximation(ifs, depth), nu)
     dim2_conv, err_conv = dim_q_estimate(conv, 2.0, n_min, n_max)
     return FlatteningReport(
         kappa=kappa_assumed,

@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -63,6 +62,11 @@ class ProbabilityVector:
 
     def __getitem__(self, i):
         return self.p[i]
+
+
+def is_real_lambda(lam) -> bool:
+    """The one real-contraction rule: |Im lam| <= REAL_LAMBDA_TOL."""
+    return abs(complex(lam).imag) <= REAL_LAMBDA_TOL
 
 
 def as_weights(p) -> tuple[float, ...]:
@@ -108,7 +112,7 @@ class IFSDescriptor:
 
     @property
     def lambda_is_real(self) -> bool:
-        return abs(self.lam.imag) <= REAL_LAMBDA_TOL
+        return is_real_lambda(self.lam)
 
     @property
     def is_atomic(self) -> bool:
@@ -226,11 +230,6 @@ class DiscreteMeasure:
     @classmethod
     def dirac(cls, z: complex) -> "DiscreteMeasure":
         return cls(np.array([z], dtype=np.complex128), np.array([1.0]))
-
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[complex, float]]) -> "DiscreteMeasure":
-        pos, wts = zip(*atoms)
-        return cls(np.array(pos, dtype=np.complex128), np.array(wts, dtype=np.float64))
 
 
 def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
@@ -408,28 +407,22 @@ def support_radius(ifs: IFSDescriptor) -> float:
     return max(abs(w) for w in ifs.digits) / (1.0 - abs(ifs.lam))
 
 
-def default_merge_tol(ifs: IFSDescriptor) -> float:
-    return 1e-12 * max(support_radius(ifs), 1.0)
-
-
 def finite_approximation(
     ifs: IFSDescriptor,
     depth: int,
-    merge_tol: float | None = None,
     atom_budget: int | None = None,
 ) -> DiscreteMeasure:
     """Law of sum_{n=0}^{depth-1} lam^n X_n as a discrete measure.
 
     This is the depth-fold convolution of the scaled digit laws
     sum_j p_j delta_{lam^n w_j}, n = 0..depth-1.  Atoms within
-    ``merge_tol`` are coalesced after every convolution level.
+    1e-12 * max(support radius, 1) are coalesced after every convolution
+    level.
 
     Parameters
     ----------
     depth : int
         Number of convolution factors (depth 0 gives delta_0).
-    merge_tol : float, optional
-        Atom coalescing tolerance; defaults to 1e-12 * support radius.
     atom_budget : int, optional
         Hard cap on the working atom count (default 1e7).  Exceeding it
         raises BudgetError instead of silently subsampling.
@@ -437,8 +430,7 @@ def finite_approximation(
     if depth < 0:
         raise DomainError("depth must be >= 0")
     budget = DEFAULT_ATOM_BUDGET if atom_budget is None else int(atom_budget)
-    if merge_tol is None:
-        merge_tol = default_merge_tol(ifs)
+    merge_tol = 1e-12 * max(support_radius(ifs), 1.0)
     # m^depth may exceed the budget yet merge down (lattice digit sets);
     # the budget is enforced level by level on the working atom count
     digits = np.array(ifs.digits, dtype=np.complex128)

@@ -30,6 +30,7 @@ from .measures import (
 _SPLIT_CHUNK = 1 << 20  # complex entries per work array in one frequency batch
 _FROSTMAN_CENTERS = 128  # ball centers sampled from the measure
 _FROSTMAN_OCTAVES = range(2, 9)  # ball radii R * 2**-k, R the support radius
+_F2_SAMPLES = 4096  # spiral samples of the second-derivative certification
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def _derivative_extrema(f: AnalyticMap, ifs: IFSDescriptor, samples: int):
 
 
 def check_second_derivative(
-    f: AnalyticMap, ifs: IFSDescriptor, samples: int = 4096
+    f: AnalyticMap, ifs: IFSDescriptor, samples: int = _F2_SAMPLES
 ) -> tuple[float, float]:
     """Sampled min |F''| and M = max |F'| over the support disk.
 
@@ -268,7 +269,6 @@ def decay_profile(
     directions: int = 256,
     approx_depth: int = 16,
     seed: int = 0,
-    samples: int = 4096,
     atom_budget: int | None = None,
 ) -> DecayProfile:
     """Measure |FT(F mu)| decay over geometric annuli.
@@ -296,8 +296,8 @@ def decay_profile(
     # A zero of F'' inside the disk pulls the sampled minimum down to about
     # max|F''| * R / sqrt(samples) (nearest spiral sample), so certification
     # asks min/max to clear a 4/sqrt(samples) floor besides an absolute one.
-    min_f2, max_f2, max_f1 = _derivative_extrema(f, ifs, samples)
-    certified = min_f2 > 1e-12 and min_f2 > (4.0 / math.sqrt(samples)) * max_f2
+    min_f2, max_f2, max_f1 = _derivative_extrema(f, ifs, _F2_SAMPLES)
+    certified = min_f2 > 1e-12 and min_f2 > (4.0 / math.sqrt(_F2_SAMPLES)) * max_f2
     if f.degree >= 2 and not certified:
         raise DomainError(
             f"second-derivative certification failed: sampled min |F''| = {min_f2:g}"

@@ -28,10 +28,11 @@ from .bounds import (
     good_index_requirement,
     good_rho,
     sequence_count,
+    transition_bound,
 )
 from .errors import BudgetError, DomainError, RegimeError
-from .fourier import scan_blocks
-from .measures import IFSDescriptor
+from .fourier import DEFAULT_SUBGRID_K, DEFAULT_TOL, scan_blocks
+from .measures import IFSDescriptor, is_real_lambda
 
 FLOAT_SLACK = 1e-9
 ENUM_MAX_N = 14
@@ -78,10 +79,11 @@ def _digit_expansion(lam: complex, t, N: int):
 
     t is a scalar or an array of frequencies with |t| < 1.  Returns
     (t lam^{-j}, r_j as floats, eps_j in [-1/2, 1/2)).  Raises
+    RegimeError for a lambda that ``is_real_lambda`` calls real, and
     OverflowError when |lam|^{-(N-1)} would push the digits past exact
     float integer range (2^52).
     """
-    if lam.imag == 0.0:
+    if is_real_lambda(lam):
         raise RegimeError("digit expansion needs Im(lambda) != 0")
     if not 0.0 < abs(lam) < 1.0:
         raise DomainError("need 0 < |lambda| < 1")
@@ -118,19 +120,19 @@ def ek_trace(lam: complex, t: complex, N: int) -> EKTrace:
     return EKTrace(lam, t, N, r.astype(np.int64), eps, rho, us.real, us.imag)
 
 
-def in_sparse_set(trace: EKTrace, epsilon_tilde: float, slack: float = 0.0) -> bool:
+def in_sparse_set(trace: EKTrace, epsilon_tilde: float) -> bool:
     """Membership t in S(N, et): |eps_j| < rho for >= (1 - et)N indices."""
-    return bool(_sparse_membership(trace.eps, trace.rho, epsilon_tilde, slack))
+    return bool(_sparse_membership(trace.eps, trace.rho, epsilon_tilde, 0.0))
 
 
 def digit_transition_bound(lam: complex) -> tuple[float, int]:
-    """The transition bound (1 + 3/|lam|^2)/2 and its ceiling."""
+    """The transition bound (1 + 3/|lam|^2)/2 and its ceiling, the branching."""
     lam = complex(lam)
-    if lam.imag == 0.0:
+    if is_real_lambda(lam):
         raise RegimeError("digit transition bound needs Im(lambda) != 0")
     if not 0.0 < abs(lam) < 1.0:
         raise DomainError("need 0 < |lambda| < 1")
-    b = 0.5 * (1.0 + 3.0 / abs(lam) ** 2)
+    b = transition_bound(abs(lam))
     return b, math.ceil(b)
 
 
@@ -313,7 +315,7 @@ def enumerate_digit_sequences(
         raise DomainError("need N >= 1")
     if N > ENUM_MAX_N:
         raise BudgetError(f"enumeration is exhaustive only up to N = {ENUM_MAX_N}")
-    if lam.imag == 0.0:
+    if is_real_lambda(lam):
         raise RegimeError("enumeration needs Im(lambda) != 0")
     if not math.isfinite(epsilon_tilde):
         raise DomainError("epsilon_tilde must be finite")
@@ -355,8 +357,8 @@ def covering_report(
     ifs: IFSDescriptor,
     epsilon: float,
     N: int,
-    subgrid_k: int = 4,
-    tol: float = 1e-9,
+    subgrid_k: int = DEFAULT_SUBGRID_K,
+    tol: float = DEFAULT_TOL,
     workers: int = 1,
     cell_budget: int | None = None,
 ) -> CoveringReport:

@@ -70,12 +70,6 @@ class TestEtaNumeric:
         got = eta_numeric("two_digit", (0.5, 0.5), c)
         assert abs(got - eta_two_digit(c, 0.5, 0.5)) < 1e-6
 
-    def test_simplex_matches_two_digit(self):
-        # the coordinate-sum character reduces to the same 1D problem
-        a = eta_numeric("simplex_sum_d", P3, 0.3)
-        b = eta_numeric("two_digit", P3, 0.3)
-        assert abs(a - b) < 1e-9
-
     def test_lattice_small_c(self):
         assert eta_numeric("lattice_3digit", P3, 0.01) < 1e-3
 
@@ -176,7 +170,7 @@ class TestDeltaHigherDim:
         lam, eps = 0.5, 1e-3
         direct = delta_higherdim(lam, P3, eps, 3)
         c = lam / (lam + 1.0)
-        eta = eta_numeric("simplex_sum_d", P3, c)
+        eta = eta_numeric("two_digit", P3, c)
         rebuilt = _assemble_bound("higher_dim", lam, 1.0, 3, c, eta, eps)
         assert rebuilt == direct
         real = delta_real_noncollinear(lam, P3, eps)
@@ -188,6 +182,11 @@ class TestDeltaHigherDim:
     def test_d_precondition(self):
         with pytest.raises(RegimeError):
             delta_higherdim(0.5, P3, 0.01, 2)
+
+    def test_independent_of_d(self):
+        # the coordinate-sum character gives one delta for every d >= 3
+        want = delta_higherdim(0.5, P3, 1e-3, 3)
+        assert all(delta_higherdim(0.5, P3, 1e-3, d) == want for d in (4, 7, 20))
 
 
 class TestEpsilonGuard:
@@ -314,6 +313,16 @@ class TestBernoulliPipelines:
         assert math.isfinite(bound.dim2_lower)
         if (lam**bound.N).imag == 0.0:
             assert "degenerate" in bound.note
+
+    def test_near_real_alignment_noted(self):
+        # Im(lam^2) = -2.6e-15 is real by the REAL_LAMBDA_TOL rule, so the
+        # stage takes the modulus-only path, as for lam^2 exactly real
+        near = bernoulli_dim_lower(0.8j * cmath.exp(2e-15j), 0.5)
+        exact = bernoulli_dim_lower(0.8j, 0.5)
+        assert near.N == exact.N == 2
+        assert 0.0 < abs((near.lam**2).imag) <= 1e-14
+        assert "degenerate" in near.note and near.note == exact.note
+        assert near.dim2_lower == exact.dim2_lower
 
     def test_osc_base_value(self):
         # p = 1/2 and |lam|^N = 1/2 give exactly 1

@@ -12,10 +12,18 @@ import ssfourier
 import ssfourier.pushforward
 import ssfourier.sparse
 from ssfourier import (
+    AnalyticMap,
     IFSDescriptor,
+    alpha_estimate,
+    bernoulli_dim_lower,
+    covering_report,
+    decay_profile,
+    delta_higherdim,
     finite_approximation,
+    grid_scan,
     lq_moment,
     mu_hat,
+    mu_hat_many,
     truncation_index,
 )
 from ssfourier.cli import (
@@ -33,6 +41,11 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def same_repr(got, want) -> bool:
+    """Equal documents, every float to the last bit (json writes floats by repr)."""
+    return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def _no_constant(name):
@@ -593,29 +606,120 @@ class TestWorkerDeterminism:
         assert paths[0] == paths[1]
 
     @pytest.mark.parametrize("value", ["-3", "0", "abc", "2.5"])
-    def test_bad_worker_flag_refused(self, capsys, monkeypatch, value):
-        monkeypatch.delenv("SSFOURIER_WORKERS", raising=False)
+    def test_bad_worker_flag_refused(self, capsys, value):
         code, out, err = run_cli(
             capsys, "--workers", value, "eval", "--lambda", "0.5+0.5i", "--xi", "1",
         )
         assert code == EXIT_USAGE and out == ""
         assert "positive integer" in err
 
-    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
-    def test_bad_worker_env_refused(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SSFOURIER_WORKERS", value)
-        code, out, err = run_cli(capsys, "eval", "--lambda", "0.5+0.5i", "--xi", "1")
-        assert code == EXIT_USAGE and out == ""
-        assert "SSFOURIER_WORKERS" in err
 
-    def test_worker_env_default(self, capsys, monkeypatch, tmp_path):
-        # an empty variable counts as unset (1 worker); --workers overrides it
-        hashes = {}
-        for env, flag in (("", []), ("1", []), ("3", []), ("abc", ["--workers", "3"])):
-            monkeypatch.setenv("SSFOURIER_WORKERS", env)
-            code, _, err = run_cli(
-                capsys, *flag, "eval", "--lambda", "0.5+0.5i", "--xi", "1",
-            )
-            assert code == EXIT_OK
-            hashes[env] = json.loads(err)["config_hash"]
-        assert hashes[""] == hashes["1"] != hashes["3"] == hashes["abc"]
+class TestRealLambdaRule:
+    """One rule for a real contraction: |Im lambda| <= 1e-14."""
+
+    @staticmethod
+    def argvs(lam):
+        return [
+            ["ek", "trace", "--lambda", lam, "--t", "0.3+0.4i", "--N", "5"],
+            ["ek", "enumerate", "--lambda", lam, "--eps-tilde", "0.3", "--N", "6"],
+            ["ek", "verify", "--lambda", lam, "--samples", "100", "--N", "10"],
+            ["bounds", "--lambda", lam, "--p", "0.5,0.5", "--regime", "complex",
+             "--covering-N", "8"],
+        ]
+
+    @pytest.mark.parametrize("index", range(4), ids=["trace", "enumerate", "verify",
+                                                      "bounds"])
+    def test_near_real_refused(self, capsys, index):
+        code, out, _ = run_cli(capsys, *self.argvs("0.5+1e-15i")[index])
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "RegimeError"
+
+    def test_near_real_cover_refused(self, capsys):
+        code, out, _ = run_cli(capsys, "ek", "cover", "--lambda", "0.5+1e-15i",
+                               "--epsilon", "0.05", "--N", "4")
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "RegimeError"
+
+    def test_small_imaginary_part_accepted(self, capsys):
+        lam = "0.5+1e-13i"
+        cover = ["ek", "cover", "--lambda", lam, "--epsilon", "0.05", "--N", "4"]
+        for argv in self.argvs(lam) + [cover]:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK, argv
+            assert "error" not in json.loads(out)
+
+
+class TestLibraryAgreement:
+    """CLI outputs equal to their library calls, floats by repr."""
+
+    IFS = IFSDescriptor(0.5 + 0.5j, (-1.0, 1.0), (0.5, 0.5))
+
+    def test_scan_json(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--lambda", "0.5+0.5i", "--T", "3",
+                               "--subgrid-k", "2")
+        assert code == EXIT_OK
+        field = grid_scan(self.IFS, 3.0, 2, 1e-9)
+        want = {"T": 3.0, "subgrid_k": 2,
+                "cells": [[i, j, v] for (i, j), v in field.cells.items()]}
+        assert same_repr(strict_json(out), want)
+
+    def test_push_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "--budget", "4096", "--format", "csv", *PUSH)
+        assert code == EXIT_OK
+        prof = decay_profile(AnalyticMap((0, 0, 1)), self.IFS, [1.0, 2.0, 4.0],
+                             directions=8, approx_depth=6, atom_budget=4096)
+        rows = [
+            f"{t!r},{v!r},{prof.predicted_exponent!r}"
+            for t, v in zip(prof.radii, prof.annulus_max)
+        ]
+        assert out == "\n".join(["T,max_abs_ft,predicted_exponent", *rows]) + "\n"
+
+    def test_dim_energy_radii(self, capsys):
+        code, out, _ = run_cli(capsys, *DIM, "--T-values", "2:8:3")
+        assert code == EXIT_OK
+        mu = finite_approximation(IFSDescriptor(0.5, (0, 1, 1j), (1 / 3,) * 3), 7)
+        alpha, via = alpha_estimate(mu, [2.0, 4.0, 8.0], 0.5)
+        assert same_repr(strict_json(out)["alpha"],
+                         {"estimate": alpha, "dim2_via_alpha": via})
+
+    def test_ifs_file(self, capsys, tmp_path):
+        path = tmp_path / "ifs.json"
+        path.write_text(json.dumps(self.IFS.to_json()))
+        code, out, _ = run_cli(capsys, "eval", "--ifs", str(path), "--xi", "1.5-2i")
+        assert code == EXIT_OK
+        value = complex(mu_hat_many(self.IFS, [1.5 - 2j], 1e-12)[0])
+        want = {"results": [{"xi": [1.5, -2.0], "mu_hat": [value.real, value.imag],
+                             "abs": abs(value)}]}
+        assert same_repr(strict_json(out), want)
+        code, out, _ = run_cli(capsys, "ek", "cover", "--ifs", str(path),
+                               "--epsilon", "0.05", "--N", "4")
+        assert code == EXIT_OK
+        assert same_repr(strict_json(out),
+                         covering_report(self.IFS, 0.05, 4).to_json())
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--xi", "1"],
+        ["ek", "cover", "--epsilon", "0.05", "--N", "4"],
+    ], ids=["eval", "cover"])
+    def test_missing_lambda_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and "need --lambda" in err
+
+    def test_bounds_higher_dim(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--lambda", "0.5", "--p", "0.2,0.3,0.5",
+                               "--regime", "higher_dim")
+        assert code == EXIT_OK
+        want = delta_higherdim(0.5, (0.2, 0.3, 0.5), 0.01, 3).to_json()
+        assert same_repr(strict_json(out), want)
+
+    def test_bounds_d_flag_gone(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--lambda", "0.5", "--p", "0.2,0.3,0.5",
+                                 "--regime", "higher_dim", "--d", "3")
+        assert code == EXIT_USAGE and out == "" and "--d" in err
+
+    def test_bernoulli_without_frostman_stage(self, capsys):
+        code, out, _ = run_cli(capsys, "bernoulli", "--lambda", "0.75i")
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert "Frostman stage unavailable" in doc["note"]
+        assert same_repr(doc, bernoulli_dim_lower(0.75j, 0.5).to_json())

@@ -58,8 +58,8 @@ class TestLqMoment:
     def test_histogram_mass(self):
         mu = segment_measure(256)
         hist = dyadic_histogram(mu, 3)
-        assert abs(sum(hist.masses.values()) - 1.0) < 1e-10
-        assert len(hist.masses) <= 4**3 + 4 * 2**3  # cells meeting the segment
+        assert abs(hist.masses.sum() - 1.0) < 1e-10
+        assert hist.cells.size <= 4**3 + 4 * 2**3  # cells meeting the segment
 
     def test_preconditions(self):
         mu = segment_measure(16)

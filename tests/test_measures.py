@@ -61,6 +61,14 @@ class TestIFSDescriptor:
         digits = tuple(3 + t * (1 + 2j) for t in (0.0, 0.7, -1.3))
         assert IFSDescriptor(0.5, digits, (1 / 3,) * 3).digits_collinear
 
+    def test_real_lambda_rule(self):
+        assert measures.is_real_lambda(0.5 + 1e-15j)
+        assert measures.is_real_lambda(0.5 - 1e-14j)
+        assert not measures.is_real_lambda(0.5 + 1e-13j)
+        for lam in (0.5 + 1e-15j, 0.5 + 1e-13j, 0.5):
+            ifs = IFSDescriptor(lam, (-1.0, 1.0), (0.5, 0.5))
+            assert ifs.lambda_is_real == measures.is_real_lambda(lam)
+
     def test_regime_classification(self):
         assert IFSDescriptor((1 + 1j) / 2, (-1, 1), (0.5, 0.5)).bound_regime() == "complex"
         assert (

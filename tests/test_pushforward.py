@@ -146,6 +146,14 @@ class TestDecayProfile:
             decay_profile(AnalyticMap((0, 0, 0, 1.0)), complex_bernoulli,
                           [8.0, 16.0, 32.0], directions=16, approx_depth=6)
 
+    def test_outside_both_regimes_predicts_nothing(self, bernoulli_half):
+        # real lambda with collinear digits: no covering bound, so only the
+        # trivial exponent-0 guarantee is reported
+        prof = decay_profile(Z_SQUARED, bernoulli_half, [1.0, 2.0, 4.0],
+                             directions=8, approx_depth=6, atom_budget=4096)
+        assert (prof.predicted_exponent, prof.epsilon_used, prof.delta_used) == (0, 0, 0)
+        assert prof.frostman_s > 0.0
+
     def test_slope_negative_small_scale(self, complex_bernoulli):
         # scaled-down version of the acceptance run: genuine decay is
         # visible once the atomization floor sits below the first annuli
