@@ -31,10 +31,9 @@ from .errors import BudgetError, ConvergenceError, DomainError, RegimeError
 from .fourier import (
     ScanField,
     energy_integral,
-    ft_measure,
+    fourier_sum,
     grid_scan,
     mu_hat,
-    mu_hat_many,
     phi,
     scanfield_from_binary,
     scanfield_to_binary,

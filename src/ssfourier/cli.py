@@ -33,7 +33,7 @@ from .fourier import (
     DEFAULT_SUBGRID_K,
     DEFAULT_TOL,
     grid_scan,
-    mu_hat_many,
+    mu_hat,
     scanfield_to_binary,
     scanfield_to_csv,
 )
@@ -155,8 +155,18 @@ def _emit(args, result: str | bytes):
         sys.stdout.write(result)
 
 
+def _finite(doc):
+    """``doc`` with every non-finite float replaced by None."""
+    if isinstance(doc, dict):
+        return {key: _finite(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(value) for value in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
 def _json_dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Compact JSON with sorted keys; a non-finite float is written as null."""
+    return json.dumps(_finite(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _cx(z: complex) -> list[float]:
@@ -166,7 +176,7 @@ def _cx(z: complex) -> list[float]:
 def _cmd_eval(args) -> str:
     ifs = _ifs_from_args(args)
     xis = _parse_complex_list(args.xi)
-    values = mu_hat_many(ifs, xis, args.tol).tolist()
+    values = mu_hat(ifs, xis, args.tol).tolist()
     rows = [
         {"xi": _cx(xi), "mu_hat": _cx(val), "abs": abs(val)}
         for xi, val in zip(xis, values)

@@ -151,8 +151,9 @@ def alpha_estimate(
     """Fourier-energy growth exponent and the 2 - alpha dimension reading.
 
     Fits log of the energy integral against log T over geometrically
-    spaced radii (at least 3).  Accepts a DiscreteMeasure or an
-    IFSDescriptor (the latter evaluated through the product formula).
+    spaced radii (at least 3), each by ``energy_integral`` at ``step``.
+    Accepts a DiscreteMeasure or an IFSDescriptor (the latter through
+    the scan kernel's truncated product).
     """
     T_values = [float(t) for t in T_values]
     if len(T_values) < 3:

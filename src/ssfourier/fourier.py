@@ -27,7 +27,6 @@ from .measures import DiscreteMeasure, IFSDescriptor
 DEFAULT_TOL = 1e-9
 DEFAULT_SUBGRID_K = 4
 DEFAULT_CELL_BUDGET = 10**7
-_POINT_CHUNK = 1 << 16
 _ROW_BLOCK = 64
 _ATOM_CHUNK = 1 << 16
 _ENERGY_BLOCK = 1 << 13
@@ -89,40 +88,33 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
     return complex(out[0]) if xi_arr.ndim == 0 else out.reshape(xi_arr.shape)
 
 
-def mu_hat_many(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> np.ndarray:
-    """mu_hat over an array of frequencies; always returns an array."""
-    return np.asarray(mu_hat(ifs, xi, tol))
-
-
 def fourier_sum(
     positions: np.ndarray, weights: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
     """Direct Fourier sum sum_k w_k exp(2*pi*i*Re(z_k*conj(xi))).
 
     The independent oracle path for discrete measures: no product
-    structure, no truncation, just the plain exponential sum.  Per-lane
-    results are a function of that lane's frequency alone, so output
-    never depends on batching or thread count.
+    structure, no truncation, just the plain exponential sum, as a flat
+    array.  numpy takes another BLAS path for a one-row matrix product,
+    so a lone lane of a 256-lane block is evaluated as two copies of
+    itself.  Each lane is then a function of its own frequency alone: a
+    scalar call and any position in any batch give the same bits.
     """
     xi = np.asarray(xi, dtype=np.complex128).ravel()
     out = np.zeros(xi.shape, dtype=np.complex128)
     xr, xi_im = xi.real, xi.imag
     pr, pi = positions.real, positions.imag
     for i0 in range(0, xi.size, 256):
-        sl = slice(i0, min(i0 + 256, xi.size))
-        acc = np.zeros(sl.stop - sl.start, dtype=np.complex128)
+        lanes = np.arange(i0, min(i0 + 256, xi.size))
+        if lanes.size == 1:
+            lanes = np.repeat(lanes, 2)
+        acc = np.zeros(lanes.size, dtype=np.complex128)
         for a0 in range(0, positions.size, _ATOM_CHUNK):
             asl = slice(a0, min(a0 + _ATOM_CHUNK, positions.size))
-            phase = np.outer(xr[sl], pr[asl]) + np.outer(xi_im[sl], pi[asl])
+            phase = np.outer(xr[lanes], pr[asl]) + np.outer(xi_im[lanes], pi[asl])
             acc += np.exp(2j * np.pi * phase) @ weights[asl]
-        out[sl] = acc
+        out[lanes] = acc
     return out
-
-
-def ft_measure(mu: DiscreteMeasure, xi) -> np.ndarray:
-    shape = np.shape(xi)
-    vals = fourier_sum(mu.positions, mu.weights, np.asarray(xi, dtype=np.complex128))
-    return vals.reshape(shape) if shape else complex(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +217,7 @@ def scan_blocks(
     (``_scan_block``).  A block is max(1, _ROW_BLOCK // k) cell rows,
     evaluated over the column span of its own cells with the per-point
     truncation index K of ``mu_hat``, so every value agrees with
-    ``mu_hat_many`` at its frequency to rounding.  Values depend on
+    ``mu_hat`` at its frequency to rounding.  Values depend on
     their frequency alone and blocks not on ``workers``, so the output
     is bit-for-bit the same for any worker count.  With ``workers`` > 1
     blocks are evaluated in a process pool; closing the iterator shuts
@@ -342,12 +334,15 @@ def scanfield_from_binary(blob: bytes) -> ScanField:
 def energy_integral(target, T: float, step: float) -> float:
     """Midpoint-rule approximation of int_{|xi|<T} |eta_hat|^2 d(xi).
 
-    ``target`` may be a DiscreteMeasure or an IFSDescriptor (truncated
-    product evaluation).  The lattice has spacing ``step`` (required
-    <= 1/2) with midpoints strictly inside the disk.
+    ``target`` is a DiscreteMeasure or an IFSDescriptor.  The lattice is
+    the tensor grid c x c, c = (arange(-n, n) + 1/2) * step, cut to the
+    midpoints strictly inside the disk; DomainError unless T is finite
+    and > 0 and 0 < step <= 1/2.
 
-    For a DiscreteMeasure the lattice is the tensor grid c x c with
-    c = (arange(-n, n) + 1/2) * step, and the character separates:
+    For an IFSDescriptor blocks of _ROW_BLOCK lattice rows go through
+    the scan kernel ``_scan_block`` (the truncated product at tol 1e-9),
+    and the squares add up block by block in row order.  For a
+    DiscreteMeasure the character separates:
     e(Re(z*conj(xi))) = e(x*xi_x) * e(y*xi_y).  So the transform on the
     whole grid is G = sum_k w_k e(x_k c) (x) e(y_k c), accumulated as
     G += (w * E_x)^T @ E_y over atom blocks of fixed size in a fixed
@@ -356,26 +351,29 @@ def energy_integral(target, T: float, step: float) -> float:
     not depend on the BLAS thread count, and memory beyond G is two
     block x side arrays.
     """
-    if step > 0.5 or step <= 0:
+    if not 0.0 < T < math.inf:
+        raise DomainError("energy radius T must be finite and > 0")
+    if not 0.0 < step <= 0.5:
         raise DomainError("step must lie in (0, 1/2]")
     n = math.ceil(T / step)
     coords = (np.arange(-n, n) + 0.5) * step
     lattice = coords[:, None] + 1j * coords[None, :]
     inside = np.abs(lattice) < T
-    if isinstance(target, DiscreteMeasure):
-        pos, wts = target.positions, target.weights
-        grid = np.zeros(inside.shape, dtype=np.complex128)
-        for a0 in range(0, pos.size, _ENERGY_BLOCK):
-            blk = slice(a0, a0 + _ENERGY_BLOCK)
-            ex = wts[blk, None] * np.exp(2j * np.pi * np.outer(pos.real[blk], coords))
-            ey = np.exp(2j * np.pi * np.outer(pos.imag[blk], coords))
-            grid += ex.T @ ey
-        return float(np.sum(np.abs(grid[inside]) ** 2)) * step * step
-    if not isinstance(target, IFSDescriptor):
+    if isinstance(target, IFSDescriptor):
+        total = 0.0
+        for r0 in range(0, coords.size, _ROW_BLOCK):
+            rows, cols = np.nonzero(inside[r0 : r0 + _ROW_BLOCK])
+            block = (target, 1e-9, coords[r0 : r0 + _ROW_BLOCK], coords, rows, cols)
+            values = _scan_block(block)
+            total += float(np.sum(values * values))
+        return total * step * step
+    if not isinstance(target, DiscreteMeasure):
         raise DomainError("target must be a DiscreteMeasure or IFSDescriptor")
-    xi = lattice[inside]
-    total = 0.0
-    for s in range(0, xi.size, _POINT_CHUNK):
-        vals = mu_hat(target, xi[s : s + _POINT_CHUNK], 1e-9)
-        total += float(np.sum(np.abs(vals) ** 2))
-    return total * step * step
+    pos, wts = target.positions, target.weights
+    grid = np.zeros(inside.shape, dtype=np.complex128)
+    for a0 in range(0, pos.size, _ENERGY_BLOCK):
+        blk = slice(a0, a0 + _ENERGY_BLOCK)
+        ex = wts[blk, None] * np.exp(2j * np.pi * np.outer(pos.real[blk], coords))
+        ey = np.exp(2j * np.pi * np.outer(pos.imag[blk], coords))
+        grid += ex.T @ ey
+    return float(np.sum(np.abs(grid[inside]) ** 2)) * step * step

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import TRIVIAL_DELTA, bisect_sign_change, delta_bound, linear_fit
 from .errors import DomainError, RegimeError
-from .fourier import fourier_sum, ft_measure
+from .fourier import fourier_sum
 from .measures import (
     DEFAULT_ATOM_BUDGET,
     DiscreteMeasure,
@@ -70,24 +70,18 @@ def _disk_samples(radius: float, count: int) -> np.ndarray:
     return r * np.exp(1j * golden * k)
 
 
-def _derivative_extrema(f: AnalyticMap, ifs: IFSDescriptor, samples: int):
-    """Sampled (min |F''|, max |F''|, max |F'|) over the support disk."""
+def check_second_derivative(
+    f: AnalyticMap, ifs: IFSDescriptor, samples: int = _F2_SAMPLES
+) -> tuple[float, float, float]:
+    """Sampled (min |F''|, max |F''|, max |F'|) over the support disk.
+
+    Samples a deterministic spiral of ``samples`` points on the closed
+    disk of support radius.
+    """
     pts = _disk_samples(max(support_radius(ifs), 1e-30), samples)
     f1 = f.derivative()
     abs_f2 = np.abs(f1.derivative()(pts))
     return float(np.min(abs_f2)), float(np.max(abs_f2)), float(np.max(np.abs(f1(pts))))
-
-
-def check_second_derivative(
-    f: AnalyticMap, ifs: IFSDescriptor, samples: int = _F2_SAMPLES
-) -> tuple[float, float]:
-    """Sampled min |F''| and M = max |F'| over the support disk.
-
-    Samples a deterministic spiral on the closed disk of support radius;
-    the density is the caller-visible ``samples`` count.
-    """
-    min_f2, _, max_f1 = _derivative_extrema(f, ifs, samples)
-    return min_f2, max_f1
 
 
 def pushforward_measure(f: AnalyticMap, mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -102,8 +96,7 @@ class DecayProfile:
     ``predicted_exponent`` is the explicit min((s - delta)/3, eps/3)
     guarantee evaluated at the best eps; it is reported for comparison
     only, since the unknown prefactor makes it unverifiable at desk
-    scale.  ``inv_lipschitz`` is the 1/min|F''| estimate of the local
-    inverse-Lipschitz constant of F'; informational, feeds no assertion.
+    scale.
     """
 
     radii: tuple[float, ...]
@@ -118,7 +111,6 @@ class DecayProfile:
     approx_depth: int
     min_abs_f2: float
     max_abs_f1: float
-    inv_lipschitz: float
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -230,7 +222,7 @@ def annulus_maxima(
     if isinstance(mu, SplitPushforward):
         transform = mu.transform
     else:
-        transform = partial(ft_measure, mu)
+        transform = partial(fourier_sum, mu.positions, mu.weights)
     rng = np.random.default_rng(seed)
     out = np.empty(len(radii))
     for i, t_rad in enumerate(radii):
@@ -296,7 +288,7 @@ def decay_profile(
     # A zero of F'' inside the disk pulls the sampled minimum down to about
     # max|F''| * R / sqrt(samples) (nearest spiral sample), so certification
     # asks min/max to clear a 4/sqrt(samples) floor besides an absolute one.
-    min_f2, max_f2, max_f1 = _derivative_extrema(f, ifs, _F2_SAMPLES)
+    min_f2, max_f2, max_f1 = check_second_derivative(f, ifs)
     certified = min_f2 > 1e-12 and min_f2 > (4.0 / math.sqrt(_F2_SAMPLES)) * max_f2
     if f.degree >= 2 and not certified:
         raise DomainError(
@@ -335,7 +327,6 @@ def decay_profile(
         approx_depth=approx_depth,
         min_abs_f2=min_f2,
         max_abs_f1=max_f1,
-        inv_lipschitz=(1.0 / min_f2) if min_f2 > 0 else float("inf"),
     )
 
 

@@ -23,7 +23,6 @@ from ssfourier import (
     grid_scan,
     lq_moment,
     mu_hat,
-    mu_hat_many,
     truncation_index,
 )
 from ssfourier.cli import (
@@ -360,6 +359,60 @@ class TestDimCsv:
         assert "n_min" in json.loads(out)["error"]["message"]
 
 
+
+
+class TestDimEnergy:
+    @pytest.mark.parametrize("step", ["nan", "0", "-0.25", "0.75", "inf"])
+    def test_bad_step_refused(self, capsys, step):
+        code, out, _ = run_cli(capsys, *DIM, "--T-values", "2:8:3",
+                               "--step", step)
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
+
+
+class TestStrictJson:
+    # criterion 12's JSON invocations
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "0.3+0.1i,2,5.5-1i"],
+        ["bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5", "--epsilon", "0.01",
+         "--kappa", "0.5", "--covering-N", "8"],
+        ["ek", "cover", "--lambda", "0.5+0.5i", "--N", "8", "--epsilon", "0.05"],
+        ["dim", "--lambda", "0.5", "--digits", "0,1,i", "--depth", "7",
+         "--n-min", "1", "--n-max", "5"],
+        ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1", "--radii", "8,16,32",
+         "--directions", "16", "--depth", "8"],
+        ["bernoulli", "--lambda", "0.92+0.1i"],
+    ], ids=["eval", "bounds", "cover", "dim", "push", "bernoulli"])
+    def test_parses_strictly(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--seed", "7", *argv)
+        assert code == EXIT_OK
+        strict_json(out)
+
+    def test_non_finite_written_as_null(self, capsys):
+        # the covering bound is infinite where eps-tilde leaves (0, 1)
+        code, out, _ = run_cli(capsys, "ek", "cover", "--lambda", "0.5+1e-13i",
+                               "--epsilon", "0.05", "--N", "4")
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["bound_count"] is None
+        report = covering_report(IFSDescriptor(0.5 + 1e-13j, (-1.0, 1.0), (0.5, 0.5)),
+                                 0.05, 4).to_json()
+        assert report["bound_count"] == math.inf
+        assert same_repr(doc, dict(report, bound_count=None))
+
+    def test_affine_push_keys(self, capsys):
+        # an affine map has min |F''| = 0, which inv_lipschitz inverted
+        code, out, _ = run_cli(capsys, "push", "--lambda", "0.5+0.5i", "--coeffs",
+                               "0.4-0.3i,0.9+0.2i", "--radii", "8,16,32",
+                               "--directions", "16", "--depth", "8")
+        assert code == EXIT_OK
+        assert sorted(strict_json(out)) == [
+            "annulus_max", "approx_depth", "delta_used", "directions", "epsilon_used",
+            "frostman_s", "max_abs_f1", "min_abs_f2", "predicted_exponent", "radii",
+            "slope", "stderr",
+        ]
+
+
 BOUNDS = ["bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5"]
 SWEEP = BOUNDS + ["--sweep", "1e-4:1e-3:3"]
 EVAL = ["eval", "--lambda", "0.5+0.5i", "--xi", "1"]
@@ -687,7 +740,7 @@ class TestLibraryAgreement:
         path.write_text(json.dumps(self.IFS.to_json()))
         code, out, _ = run_cli(capsys, "eval", "--ifs", str(path), "--xi", "1.5-2i")
         assert code == EXIT_OK
-        value = complex(mu_hat_many(self.IFS, [1.5 - 2j], 1e-12)[0])
+        value = complex(mu_hat(self.IFS, [1.5 - 2j], 1e-12)[0])
         want = {"results": [{"xi": [1.5, -2.0], "mu_hat": [value.real, value.imag],
                              "abs": abs(value)}]}
         assert same_repr(strict_json(out), want)

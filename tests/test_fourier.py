@@ -18,10 +18,9 @@ from ssfourier import (
     IFSDescriptor,
     energy_integral,
     finite_approximation,
-    ft_measure,
+    fourier_sum,
     grid_scan,
     mu_hat,
-    mu_hat_many,
     phi,
     scale_rotate,
     scanfield_from_binary,
@@ -32,7 +31,7 @@ from ssfourier import (
 import ssfourier
 import ssfourier.fourier
 from ssfourier.errors import BudgetError
-from ssfourier.fourier import _ENERGY_BLOCK, _scan_cells, fourier_sum, scan_blocks
+from ssfourier.fourier import _ENERGY_BLOCK, _scan_cells, scan_blocks
 
 from conftest import random_two_digit_ifs
 
@@ -85,8 +84,9 @@ class TestMuHat:
             front = finite_approximation(ifs, 13)
             back = scale_rotate(finite_approximation(ifs, 12), ifs.lam**13)
             xi = 20 * (rng.random(20) + 1j * rng.random(20) - 0.5 - 0.5j)
-            oracle = ft_measure(front, xi) * ft_measure(back, xi)
-            got = mu_hat_many(ifs, xi, tol=1e-9)
+            oracle = (fourier_sum(front.positions, front.weights, xi)
+                      * fourier_sum(back.positions, back.weights, xi))
+            got = mu_hat(ifs, xi, tol=1e-9)
             w_max = max(abs(w) for w in ifs.digits)
             tail = (
                 2 * np.pi * w_max * np.abs(xi) * abs(ifs.lam) ** 25
@@ -100,15 +100,15 @@ class TestMuHat:
         for _ in range(5):
             ifs = random_two_digit_ifs(rng)
             xi = 5 * (rng.random(40) + 1j * rng.random(40) - 0.5 - 0.5j)
-            a = mu_hat_many(ifs, xi, 1e-10)
-            b = mu_hat_many(ifs, -xi, 1e-10)
+            a = mu_hat(ifs, xi, 1e-10)
+            b = mu_hat(ifs, -xi, 1e-10)
             assert np.max(np.abs(b - np.conj(a))) < 1e-12
 
     def test_modulus_in_unit_interval(self):
         rng = np.random.default_rng(77)
         ifs = random_two_digit_ifs(rng)
         xi = 30 * (rng.random(100) - 0.5) + 30j * (rng.random(100) - 0.5)
-        vals = np.abs(mu_hat_many(ifs, xi, 1e-10))
+        vals = np.abs(mu_hat(ifs, xi, 1e-10))
         assert np.all(vals <= 1.0 + 1e-9) and np.all(vals >= 0.0)
 
     def test_partial_products_monotone(self, complex_bernoulli):
@@ -129,7 +129,25 @@ class TestMuHat:
     def test_atomic_transform_is_one(self):
         ifs = IFSDescriptor(0.5, (0.0, 0.0), (0.5, 0.5))
         xi = np.array([0.0, 1.5 + 2j, -7j])
-        assert np.all(mu_hat_many(ifs, xi, 1e-12) == 1.0)
+        assert np.all(mu_hat(ifs, xi, 1e-12) == 1.0)
+
+
+
+class TestFourierSum:
+    @pytest.mark.parametrize("n_atoms", [27, 1000, 70000])
+    def test_lane_bits_independent_of_batch(self, n_atoms):
+        # frequencies go through in blocks of 256, so lane 256 of a
+        # 257-frequency call is a block of its own
+        rng = np.random.default_rng(n_atoms)
+        pos = rng.normal(size=n_atoms) + 1j * rng.normal(size=n_atoms)
+        wts = rng.uniform(0.5, 1.0, n_atoms)
+        xi = 8.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+        batch = fourier_sum(pos, wts, xi)
+        tail = fourier_sum(pos, wts, xi[:257])
+        assert np.array_equal(tail, batch[:257])
+        for lane in (0, 5, 255, 256, 299):
+            alone = fourier_sum(pos, wts, xi[lane])
+            assert alone.shape == (1,) and alone[0] == batch[lane]
 
 
 SCAN_SYSTEMS = {
@@ -151,10 +169,10 @@ def _random_scan_system(r, theta, flip, digits):
 
 
 def assert_scan_matches_oracle(ifs, T, k, tol):
-    """Every streamed scan value equals |mu_hat_many| at its xi."""
+    """Every streamed scan value equals |mu_hat| at its xi."""
     origin = []
     for _, _, xi, values in scan_blocks(ifs, T, k, tol):
-        want = np.abs(mu_hat_many(ifs, xi, tol))
+        want = np.abs(mu_hat(ifs, xi, tol))
         assert np.max(np.abs(values - want)) <= 1e-13
         origin.extend(values[xi == 0])
     assert origin == [1.0]
@@ -438,8 +456,42 @@ class TestEnergyIntegral:
             outs.append(done.stdout)
         assert outs[0].strip() and outs[0] == outs[1]
 
-    def test_ifs_target_uses_product_formula(self, complex_bernoulli):
-        t_rad, step = 3.3, 0.3
-        vals = mu_hat_many(complex_bernoulli, self._lattice(t_rad, step), 1e-9)
-        want = float(np.sum(np.abs(vals) ** 2)) * step * step
-        assert energy_integral(complex_bernoulli, t_rad, step) == want
+    @pytest.mark.parametrize("system, t_rad, step", [
+        ("complex_bernoulli", 3.3, 0.3),
+        # about 80,000 points: several row blocks, past 65,536 points
+        ("complex_bernoulli", 40.0, 0.25),
+        ("unit_square", 40.0, 0.25),
+    ])
+    def test_ifs_target_matches_mu_hat_sum(self, request, system, t_rad, step):
+        # the scan kernel agrees with mu_hat to 1e-13 per point
+        # (assert_scan_matches_oracle), so each square to 2e-13
+        ifs = request.getfixturevalue(system)
+        xi = self._lattice(t_rad, step)
+        want = float(np.sum(np.abs(mu_hat(ifs, xi, 1e-9)) ** 2)) * step * step
+        got = energy_integral(ifs, t_rad, step)
+        assert abs(got - want) <= 2e-13 * xi.size * step * step
+
+    def test_ifs_target_runs_on_scan_kernel(self, complex_bernoulli, monkeypatch):
+        blocks = []
+        kernel = ssfourier.fourier._scan_block
+
+        def recording(args):
+            blocks.append(args[2].size)
+            return kernel(args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("energy_integral called mu_hat")
+
+        monkeypatch.setattr(ssfourier.fourier, "_scan_block", recording)
+        monkeypatch.setattr(ssfourier.fourier, "mu_hat", refused)
+        assert energy_integral(complex_bernoulli, 20.0, 0.25) > 0.0
+        assert blocks == [64, 64, 32]
+
+    @pytest.mark.parametrize("t_rad, step", [
+        (0.0, 0.25), (-1.0, 0.25), (math.nan, 0.25), (math.inf, 0.25),
+        (4.0, math.nan), (4.0, 0.0), (4.0, -0.25), (4.0, math.inf),
+    ])
+    def test_bad_radius_or_step_refused(self, complex_bernoulli, t_rad, step):
+        for target in (complex_bernoulli, DiscreteMeasure.dirac(0.0)):
+            with pytest.raises(DomainError):
+                energy_integral(target, t_rad, step)

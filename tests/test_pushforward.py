@@ -15,8 +15,8 @@ from ssfourier import (
     convolve,
     decay_profile,
     finite_approximation,
+    fourier_sum,
     frostman_estimate,
-    ft_measure,
     merge_atoms,
     pushforward_measure,
     support_radius,
@@ -47,8 +47,9 @@ class TestAnalyticMap:
 
 class TestSecondDerivativeCheck:
     def test_z_squared_constant(self, complex_bernoulli):
-        min_f2, max_f1 = check_second_derivative(Z_SQUARED, complex_bernoulli)
+        min_f2, max_f2, max_f1 = check_second_derivative(Z_SQUARED, complex_bernoulli)
         assert min_f2 == pytest.approx(2.0, abs=1e-12)
+        assert max_f2 == pytest.approx(2.0, abs=1e-12)
         radius = support_radius(complex_bernoulli)
         assert max_f1 == pytest.approx(2 * radius, rel=0.01)
 
@@ -56,10 +57,10 @@ class TestSecondDerivativeCheck:
         # F'' = 6z has a zero at the origin, inside the support disk: the
         # sampled minimum sits at the innermost spiral point, ~R/sqrt(n)
         f = AnalyticMap((0, 0, 0, 1.0))
-        min_f2, _ = check_second_derivative(f, complex_bernoulli, samples=4096)
+        min_f2, _, _ = check_second_derivative(f, complex_bernoulli, samples=4096)
         radius = support_radius(complex_bernoulli)
         assert min_f2 <= 6 * radius * math.sqrt(1.0 / 4096)
-        fine, _ = check_second_derivative(f, complex_bernoulli, samples=65536)
+        fine, _, _ = check_second_derivative(f, complex_bernoulli, samples=65536)
         assert fine < min_f2  # refines toward the true zero
 
 
@@ -126,8 +127,8 @@ class TestDecayProfile:
         for t_rad, got in zip(radii, prof.annulus_max):
             ang = 2 * np.pi * np.arange(48) / 48
             ang = np.concatenate([ang, 2 * np.pi * (np.arange(48) + rng.random(48)) / 48])
-            xi = t_rad * np.exp(1j * ang)
-            want = float(np.max(np.abs(ft_measure(mu, np.conj(c1) * xi))))
+            xi = np.conj(c1) * t_rad * np.exp(1j * ang)
+            want = float(np.max(np.abs(fourier_sum(mu.positions, mu.weights, xi))))
             assert abs(got - want) < 1e-9
 
     def test_atom_profile_constant(self):
@@ -185,7 +186,8 @@ class TestSplitPushforward:
         assert np.max(np.abs(got - want)) < 1e-12
         rng = np.random.default_rng(11)
         xi = 256.0 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
-        assert np.max(np.abs(split.transform(xi) - ft_measure(pushed, xi))) < 1e-12
+        want = fourier_sum(pushed.positions, pushed.weights, xi)
+        assert np.max(np.abs(split.transform(xi) - want)) < 1e-12
         if lattice:
             assert tower.n_atoms < split.n_terms < ifs.m**depth
 
