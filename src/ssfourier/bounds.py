@@ -197,11 +197,12 @@ def transition_bound(lam_abs: float) -> float:
     return 0.5 * (1.0 + 3.0 / lam_abs**2)
 
 
-def _complex_parameters(lam_abs: float, p):
+def _complex_bound(lam_abs: float, p, epsilon: float) -> DecayBound:
+    """The complex-regime delta, which depends on lambda through |lambda| alone."""
     c = 2.0 * good_rho(lam_abs)
     eta = eta_two_digit(c, p[0], p[1])
     branching = math.ceil(transition_bound(lam_abs))
-    return c, eta, branching
+    return _assemble_bound("complex", lam_abs, 1.0, branching, c, eta, epsilon)
 
 
 def delta_complex(lam: complex, p, epsilon: float) -> DecayBound:
@@ -218,8 +219,7 @@ def delta_complex(lam: complex, p, epsilon: float) -> DecayBound:
         raise RegimeError("complex regime needs Im(lambda) != 0")
     if not 0.0 < abs(lam) < 1.0:
         raise DomainError("need 0 < |lambda| < 1")
-    c, eta, branching = _complex_parameters(abs(lam), p)
-    return _assemble_bound("complex", abs(lam), 1.0, branching, c, eta, epsilon)
+    return _complex_bound(abs(lam), p, epsilon)
 
 
 def delta_real_noncollinear(lam: float, p, epsilon: float) -> DecayBound:
@@ -434,19 +434,11 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor):
     N = _smallest_n_below(alam, 2.0**-0.5)
     sigma = sigma_factor(alam) / (N - 1)
     epsilon = sigma / 2.0
-    lam_n = lam**N
     note = ""
-    if is_real_lambda(lam_n):
-        note = (
-            "degenerate alignment: Im(lambda^N) = 0; delta evaluated "
-            "through |lambda^N| only"
-        )
-        c, eta, branching = _complex_parameters(
-            alam**N, (p_bias, 1.0 - p_bias)
-        )
-        bound = _assemble_bound("complex", alam**N, 1.0, branching, c, eta, epsilon)
-    else:
-        bound = delta_complex(lam_n, (p_bias, 1.0 - p_bias), epsilon)
+    if is_real_lambda(lam**N):
+        note = ("degenerate alignment: Im(lambda^N) = 0; delta evaluated "
+                "through |lambda^N| only")
+    bound = _complex_bound(abs(lam**N), (p_bias, 1.0 - p_bias), epsilon)
     if not bound.valid and not note:
         note = f"decay bound not valid at epsilon={epsilon:g}: {bound.reason}"
     kappa = min(bound.delta, TRIVIAL_DELTA) + sigma

@@ -41,6 +41,7 @@ from .measures import (
     DiscreteMeasure,
     IFSDescriptor,
     finite_approximation,
+    ifs_from_json_str,
     measure_from_csv,
 )
 from .pushforward import AnalyticMap, decay_profile, frostman_estimate
@@ -124,7 +125,7 @@ def _worker_count(text: str) -> int:
 def _ifs_from_args(args) -> IFSDescriptor:
     if getattr(args, "ifs", None):
         with open(args.ifs, "r", encoding="utf-8") as fh:
-            return IFSDescriptor.from_json(json.load(fh))
+            return ifs_from_json_str(fh.read())
     if args.lam is None:
         raise _UsageError("need --lambda (or --ifs FILE)")
     digits = _parse_complex_list(args.digits) if args.digits else [-1.0, 1.0]
@@ -496,7 +497,12 @@ def run(argv) -> int:
         if args.config:
             # config values take precedence over flags
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+                try:
+                    config = json.load(fh)
+                except ValueError as exc:
+                    raise _UsageError(f"config file is not JSON: {exc}") from exc
+            if not isinstance(config, dict):
+                raise _UsageError("config file must hold a JSON object")
             actions = _selected_actions(parser, args)
             for key, value in config.items():
                 if key not in vars(args) or key not in actions:

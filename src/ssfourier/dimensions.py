@@ -153,7 +153,7 @@ def alpha_estimate(
     Fits log of the energy integral against log T over geometrically
     spaced radii (at least 3), each by ``energy_integral`` at ``step``.
     Accepts a DiscreteMeasure or an IFSDescriptor (the latter through
-    the scan kernel's truncated product).
+    the product kernel that ``mu_hat`` uses).
     """
     T_values = [float(t) for t in T_values]
     if len(T_values) < 3:

@@ -5,7 +5,9 @@ which for a homogeneous self-similar measure factors into the infinite
 product prod_{n>=0} Phi(lam^n * conj(xi)) over the digit character
 Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).  Products are truncated with a
 certified tail bound, so the returned modulus is an upper bound on the true
-|mu_hat| and differs from it by at most 2*tol.
+|mu_hat| and differs from it by at most 2*tol.  One kernel, ``_product``,
+evaluates it for ``mu_hat``, the scan and the IFS energy; ``phi`` is the
+plain Phi, which no code here calls: the tests use it as an oracle.
 """
 
 from __future__ import annotations
@@ -74,18 +76,52 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
     |xi|, the smallest integer whose geometric tail bound falls below
     ``tol`` (tol <= 0 is a DomainError); the result is within 2*tol of
     the exact value for tol <= 1/2, and its modulus is an upper bound on
-    |mu_hat|.  Each value depends on its own frequency alone, so a batch
-    gives the same bits as one call per frequency.
+    |mu_hat|.  A lone frequency goes to ``_product`` as two copies of
+    itself, since numpy multiplies a one-element complex array on another
+    path, so a scalar call, a batch lane and the scan agree bit for bit.
     """
     xi_arr = np.asarray(xi, dtype=np.complex128)
-    flat = xi_arr.reshape(-1)
-    k = truncation_index(ifs, np.abs(flat), tol)
-    out = np.ones(flat.shape, dtype=np.complex128)
-    u = np.conj(flat)
-    for n in range(int(k.max(initial=0))):
-        out = np.where(k > n, out * phi(ifs, u), out)
-        u = u * ifs.lam
+    flat = xi_arr.ravel()
+    lanes = np.repeat(flat, 2) if flat.size == 1 else flat
+    out = _product(ifs, tol, lanes.real, lanes.imag, np.arange(lanes.size))[: flat.size]
     return complex(out[0]) if xi_arr.ndim == 0 else out.reshape(xi_arr.shape)
+
+
+def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
+    """The one product kernel: truncated mu_hat at xi = x + iy.
+
+    x and y broadcast to a grid (a column and a row make a tensor grid,
+    two flat arrays a list); the complex values of the grid points at
+    flat indices ``at`` come back in that order.  With c_j = w_j lam^l,
+    Phi(lam^l conj xi) = sum_j p_j e(Re(c_j) x) e(Im(c_j) y), so a level
+    costs 2m exponentials per value of x and of y and m complex
+    multiply-adds per point.  A point's value is read off after its own
+    truncation index K of factors: it depends on its frequency alone.
+    """
+    grid = x + 1j * y
+    k = truncation_index(ifs, np.abs(grid.ravel()[at]), tol)
+    order = np.argsort(k, kind="stable")
+    kmax = int(k.max(initial=0))
+    # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
+    edges = np.searchsorted(k[order], np.arange(kmax + 2))
+    values = np.ones(k.size, dtype=np.complex128)
+    out = np.ones(grid.shape, dtype=np.complex128)
+    phi, term = np.empty_like(out), np.empty_like(out)
+    digit = (slice(None),) + (None,) * out.ndim  # a leading axis over the digits
+    probs = np.asarray(ifs.probs, dtype=np.float64)[digit]
+    c = np.asarray(ifs.digits, dtype=np.complex128)
+    for level in range(kmax):
+        ex = probs * np.exp(2j * np.pi * (c.real[digit] * x))
+        ey = np.exp(2j * np.pi * (c.imag[digit] * y))
+        np.multiply(ex[0], ey[0], out=phi)
+        for j in range(1, c.size):
+            np.multiply(ex[j], ey[j], out=term)
+            phi += term
+        out *= phi
+        done = order[edges[level + 1] : edges[level + 2]]
+        values[done] = out.ravel()[at[done]]
+        c = c * ifs.lam
+    return values
 
 
 def fourier_sum(
@@ -159,42 +195,9 @@ def _scan_cells(T: float):
     return ii - n, jj - n
 
 
-def _scan_block(args):
-    """|Truncated product| at the points (xs[rows], ys[cols]) of one block.
-
-    With c_j = w_j * lam^l, Phi(lam^l conj xi) = sum_j p_j e(Re(c_j) x)
-    e(Im(c_j) y): each level costs 2m exponentials per axis value and m
-    complex multiply-adds per point of the tensor grid xs x ys.  A point's
-    value is read off after its own truncation index K of factors, so it
-    is the product ``mu_hat`` evaluates at that frequency, and it depends
-    on no other point of the block.
-    """
-    ifs, tol, xs, ys, rows, cols = args
-    k = truncation_index(ifs, np.abs(xs[rows] + 1j * ys[cols]).ravel(), tol)
-    order = np.argsort(k, kind="stable")
-    kmax = int(k.max(initial=0))
-    # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
-    edges = np.searchsorted(k[order], np.arange(kmax + 2))
-    at = (rows * ys.size + cols).ravel()[order]
-    values = np.ones(k.size)
-    out = np.ones((xs.size, ys.size), dtype=np.complex128)
-    flat = out.ravel()
-    phi = np.empty_like(out)
-    term = np.empty_like(out)
-    probs = np.asarray(ifs.probs, dtype=np.float64)[:, None]
-    c = np.asarray(ifs.digits, dtype=np.complex128)
-    for level in range(kmax):
-        ex = probs * np.exp(2j * np.pi * np.outer(c.real, xs))
-        ey = np.exp(2j * np.pi * np.outer(c.imag, ys))
-        np.multiply(ex[0][:, None], ey[0], out=phi)
-        for j in range(1, c.size):
-            np.multiply(ex[j][:, None], ey[j], out=term)
-            phi += term
-        out *= phi
-        done = slice(edges[level + 1], edges[level + 2])
-        values[order[done]] = np.abs(flat[at[done]])
-        c = c * ifs.lam
-    return values
+def _modulus(block) -> np.ndarray:
+    """|_product| of one scan block, so that a pool worker sends back floats."""
+    return np.abs(_product(*block))
 
 
 def scan_blocks(
@@ -213,15 +216,14 @@ def scan_blocks(
     (ci, cj, xi, values): cell indices, sample frequencies and truncated
     |mu_hat|, cell-major then subgrid-major, blocks in row order.  The
     points lie on the tensor grid axis x axis, axis = (i + a/k for
-    -n <= i < n, a < k), where the digit character separates
-    (``_scan_block``).  A block is max(1, _ROW_BLOCK // k) cell rows,
-    evaluated over the column span of its own cells with the per-point
-    truncation index K of ``mu_hat``, so every value agrees with
-    ``mu_hat`` at its frequency to rounding.  Values depend on
-    their frequency alone and blocks not on ``workers``, so the output
-    is bit-for-bit the same for any worker count.  With ``workers`` > 1
-    blocks are evaluated in a process pool; closing the iterator shuts
-    it down.
+    -n <= i < n, a < k), where the digit character separates.  A block
+    is max(1, _ROW_BLOCK // k) cell rows, passed to the product kernel
+    ``_product`` as a column and a row of ``axis`` over the span of its
+    own cells, so every value is ``np.abs(mu_hat)`` at its frequency,
+    bit for bit.  Values depend on their frequency alone and blocks not
+    on ``workers``, so the output is bit-for-bit the same for any worker
+    count.  With ``workers`` > 1 a process pool maps ``_modulus`` over
+    the blocks; closing the iterator shuts it down.
     """
     if not 1 <= T < math.inf:
         raise DomainError("scan radius T must be finite and >= 1")
@@ -248,14 +250,16 @@ def scan_blocks(
     for s0, s1 in spans:
         rows, cols = gx[s0:s1], gy[s0:s1]
         r0, r1, c0, c1 = rows.min(), rows.max() + 1, cols.min(), cols.max() + 1
-        blocks.append((ifs, tol, axis[r0:r1], axis[c0:c1], rows - r0, cols - c0))
+        # int32 halves the indices, which the pool holds for every block at once
+        at = ((rows - r0) * (c1 - c0) + cols - c0).ravel().astype(np.int32)
+        blocks.append((ifs, tol, axis[r0:r1, None], axis[None, c0:c1], at))
 
     def stream():
         size = min(workers, len(blocks))  # workers beyond the blocks would sit idle
         pool = ProcessPoolExecutor(size) if size > 1 else None
         try:
             run = map if pool is None else pool.map
-            for (s0, s1), values in zip(spans, run(_scan_block, blocks)):
+            for (s0, s1), values in zip(spans, run(_modulus, blocks)):
                 xi = (axis[gx[s0:s1]] + 1j * axis[gy[s0:s1]]).ravel()
                 yield ci[s0:s1], cj[s0:s1], xi, values
         finally:
@@ -337,11 +341,12 @@ def energy_integral(target, T: float, step: float) -> float:
     ``target`` is a DiscreteMeasure or an IFSDescriptor.  The lattice is
     the tensor grid c x c, c = (arange(-n, n) + 1/2) * step, cut to the
     midpoints strictly inside the disk; DomainError unless T is finite
-    and > 0 and 0 < step <= 1/2.
+    and > 0 and 0 < step <= 1/2; BudgetError, before any allocation, past
+    DEFAULT_CELL_BUDGET lattice points (the scan's cap).
 
     For an IFSDescriptor blocks of _ROW_BLOCK lattice rows go through
-    the scan kernel ``_scan_block`` (the truncated product at tol 1e-9),
-    and the squares add up block by block in row order.  For a
+    the product kernel ``_product`` (as ``mu_hat`` at tol 1e-9), and the
+    squares add up block by block in row order.  For a
     DiscreteMeasure the character separates:
     e(Re(z*conj(xi))) = e(x*xi_x) * e(y*xi_y).  So the transform on the
     whole grid is G = sum_k w_k e(x_k c) (x) e(y_k c), accumulated as
@@ -355,6 +360,8 @@ def energy_integral(target, T: float, step: float) -> float:
         raise DomainError("energy radius T must be finite and > 0")
     if not 0.0 < step <= 0.5:
         raise DomainError("step must lie in (0, 1/2]")
+    if T / step > math.isqrt(DEFAULT_CELL_BUDGET) // 2:
+        raise BudgetError(f"energy lattice over the {DEFAULT_CELL_BUDGET}-point budget")
     n = math.ceil(T / step)
     coords = (np.arange(-n, n) + 0.5) * step
     lattice = coords[:, None] + 1j * coords[None, :]
@@ -362,9 +369,9 @@ def energy_integral(target, T: float, step: float) -> float:
     if isinstance(target, IFSDescriptor):
         total = 0.0
         for r0 in range(0, coords.size, _ROW_BLOCK):
-            rows, cols = np.nonzero(inside[r0 : r0 + _ROW_BLOCK])
-            block = (target, 1e-9, coords[r0 : r0 + _ROW_BLOCK], coords, rows, cols)
-            values = _scan_block(block)
+            rows = slice(r0, r0 + _ROW_BLOCK)
+            at = np.flatnonzero(inside[rows])
+            values = np.abs(_product(target, 1e-9, coords[rows, None], coords[None, :], at))
             total += float(np.sum(values * values))
         return total * step * step
     if not isinstance(target, DiscreteMeasure):

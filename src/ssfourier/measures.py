@@ -164,9 +164,14 @@ class IFSDescriptor:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IFSDescriptor":
-        lam = complex(doc["lambda"][0], doc["lambda"][1])
-        digits = tuple(complex(a, b) for a, b in doc["digits"])
-        return cls(lam, digits, tuple(doc["probs"]))
+        """Inverse of ``to_json``; a document of another shape is a DomainError."""
+        try:
+            lam = complex(doc["lambda"][0], doc["lambda"][1])
+            digits = tuple(complex(a, b) for a, b in doc["digits"])
+            probs = tuple(float(p) for p in doc["probs"])
+        except (LookupError, TypeError, ValueError) as exc:
+            raise DomainError(f"IFS document needs lambda, digits and probs: {exc!r}") from exc
+        return cls(lam, digits, probs)
 
 
 @dataclass(frozen=True)
@@ -533,7 +538,10 @@ def measure_from_csv(text: str) -> DiscreteMeasure:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["re", "im", "weight"]:
         raise DomainError("expected CSV header re,im,weight")
-    data = [(float(a), float(b), float(w)) for a, b, w in rows[1:]]
+    try:
+        data = [(float(a), float(b), float(w)) for a, b, w in rows[1:]]
+    except ValueError as exc:
+        raise DomainError(f"each CSV row needs three numbers re,im,weight: {exc}") from exc
     pos = np.array([complex(a, b) for a, b, _ in data], dtype=np.complex128)
     wts = np.array([w for _, _, w in data])
     return DiscreteMeasure(pos, wts)
@@ -544,4 +552,8 @@ def ifs_to_json_str(ifs: IFSDescriptor) -> str:
 
 
 def ifs_from_json_str(text: str) -> IFSDescriptor:
-    return IFSDescriptor.from_json(json.loads(text))
+    """Inverse of ``ifs_to_json_str``; text that is not JSON is a DomainError."""
+    try:
+        return IFSDescriptor.from_json(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"IFS document is not JSON: {exc}") from exc

@@ -324,6 +324,15 @@ class TestBernoulliPipelines:
         assert "degenerate" in near.note and near.note == exact.note
         assert near.dim2_lower == exact.dim2_lower
 
+    def test_aligned_kappa_follows_the_modulus(self):
+        # delta depends on |lam^N| alone: an aligned lam (lam^4 real) and a
+        # turned one of the same modulus give the same kappa, to rounding
+        aligned = bernoulli_dim_lower(0.9j, 0.5)
+        turned = bernoulli_dim_lower(0.9 * cmath.exp(0.4j), 0.5)
+        assert aligned.N == turned.N == 4
+        assert "degenerate" in aligned.note and "degenerate" not in turned.note
+        assert aligned.kappa == pytest.approx(turned.kappa, rel=1e-13)
+
     def test_osc_base_value(self):
         # p = 1/2 and |lam|^N = 1/2 give exactly 1
         assert osc_correlation_dimension(0.5, 0.5) == pytest.approx(1.0, abs=1e-15)

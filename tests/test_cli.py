@@ -369,6 +369,40 @@ class TestDimEnergy:
         assert code == EXIT_DOMAIN
         assert strict_json(out)["error"]["kind"] == "DomainError"
 
+    def test_oversized_lattice_is_budget_error(self, capsys):
+        # a (2 * 4e5 / 0.5)^2 lattice: refused before it is allocated
+        code, out, _ = run_cli(capsys, *DIM, "--T-values", "1e5:4e5:3", "--step", "0.5")
+        assert code == EXIT_BUDGET
+        assert strict_json(out)["error"]["kind"] == "budget"
+
+
+class TestMalformedInputFiles:
+    """A malformed input file ends in an exit code and a message, not a traceback."""
+
+    @pytest.mark.parametrize("text", ["{epsilon: 0.02}", "[0.02]"], ids=["not_json", "list"])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "--config", str(cfg), *BOUNDS)
+        assert code == EXIT_USAGE and out == "" and "config file" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"lambda": [0.5, 0.5], "probs": [0.5, 0.5]}', "lambda = 0.5+0.5i",
+    ], ids=["no_digits", "not_json"])
+    def test_bad_ifs_file_is_domain_error(self, capsys, tmp_path, text):
+        path = tmp_path / "ifs.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "eval", "--ifs", str(path), "--xi", "1")
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
+
+    def test_short_csv_row_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "mu.csv"
+        path.write_text("re,im,weight\n0.0,0.0,0.5\n1.0,0.5\n")
+        code, out, _ = run_cli(capsys, "dim", "--measure-csv", str(path))
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
+
 
 class TestStrictJson:
     # criterion 12's JSON invocations

@@ -31,9 +31,25 @@ from ssfourier import (
 import ssfourier
 import ssfourier.fourier
 from ssfourier.errors import BudgetError
-from ssfourier.fourier import _ENERGY_BLOCK, _scan_cells, scan_blocks
+from ssfourier.fourier import _ENERGY_BLOCK, _ROW_BLOCK, _scan_cells, scan_blocks
 
 from conftest import random_two_digit_ifs
+
+
+def product_oracle(ifs, xi, tol):
+    """The truncated product built factor by factor from ``phi``.
+
+    Independent of the library's product kernel: it keeps the first
+    ``truncation_index`` factors at each frequency, as ``mu_hat`` does.
+    """
+    xi = np.asarray(xi, dtype=np.complex128)
+    k = truncation_index(ifs, np.abs(xi), tol)
+    out = np.ones(xi.shape, dtype=np.complex128)
+    u = np.conj(xi)
+    for n in range(int(k.max(initial=0))):
+        out = np.where(k > n, out * phi(ifs, u), out)
+        u = u * ifs.lam
+    return out
 
 
 def sinc_ft(xi: float) -> float:
@@ -169,10 +185,10 @@ def _random_scan_system(r, theta, flip, digits):
 
 
 def assert_scan_matches_oracle(ifs, T, k, tol):
-    """Every streamed scan value equals |mu_hat| at its xi."""
+    """Every streamed scan value is the phi-built product's modulus at its xi."""
     origin = []
     for _, _, xi, values in scan_blocks(ifs, T, k, tol):
-        want = np.abs(mu_hat(ifs, xi, tol))
+        want = np.abs(product_oracle(ifs, xi, tol))
         assert np.max(np.abs(values - want)) <= 1e-13
         origin.extend(values[xi == 0])
     assert origin == [1.0]
@@ -209,9 +225,9 @@ class TestGridScan:
         # T = 72 samples 264,384 points in more row blocks than workers,
         # so the pool spreads them over both processes
         blocks = []
-        block = ssfourier.fourier._scan_block
+        kernel = ssfourier.fourier._product
         monkeypatch.setattr(
-            ssfourier.fourier, "_scan_block", lambda args: blocks.append(1) or block(args)
+            ssfourier.fourier, "_product", lambda *args: blocks.append(1) or kernel(*args)
         )
         a = grid_scan(complex_bernoulli, 72.0, workers=1)
         monkeypatch.undo()
@@ -463,26 +479,26 @@ class TestEnergyIntegral:
         ("unit_square", 40.0, 0.25),
     ])
     def test_ifs_target_matches_mu_hat_sum(self, request, system, t_rad, step):
-        # the scan kernel agrees with mu_hat to 1e-13 per point
-        # (assert_scan_matches_oracle), so each square to 2e-13
+        # the product kernel agrees with the phi-built product to 1e-13
+        # per point (assert_scan_matches_oracle), so each square to 2e-13
         ifs = request.getfixturevalue(system)
         xi = self._lattice(t_rad, step)
-        want = float(np.sum(np.abs(mu_hat(ifs, xi, 1e-9)) ** 2)) * step * step
+        want = float(np.sum(np.abs(product_oracle(ifs, xi, 1e-9)) ** 2)) * step * step
         got = energy_integral(ifs, t_rad, step)
         assert abs(got - want) <= 2e-13 * xi.size * step * step
 
     def test_ifs_target_runs_on_scan_kernel(self, complex_bernoulli, monkeypatch):
         blocks = []
-        kernel = ssfourier.fourier._scan_block
+        kernel = ssfourier.fourier._product
 
-        def recording(args):
-            blocks.append(args[2].size)
-            return kernel(args)
+        def recording(ifs, tol, x, y, at):
+            blocks.append(x.size)
+            return kernel(ifs, tol, x, y, at)
 
         def refused(*args, **kwargs):
             raise AssertionError("energy_integral called mu_hat")
 
-        monkeypatch.setattr(ssfourier.fourier, "_scan_block", recording)
+        monkeypatch.setattr(ssfourier.fourier, "_product", recording)
         monkeypatch.setattr(ssfourier.fourier, "mu_hat", refused)
         assert energy_integral(complex_bernoulli, 20.0, 0.25) > 0.0
         assert blocks == [64, 64, 32]
@@ -495,3 +511,79 @@ class TestEnergyIntegral:
         for target in (complex_bernoulli, DiscreteMeasure.dirac(0.0)):
             with pytest.raises(DomainError):
                 energy_integral(target, t_rad, step)
+
+    @pytest.mark.parametrize("t_rad", [790.75, 1e5])
+    def test_oversized_lattice_refused_before_allocation(self, complex_bernoulli, t_rad):
+        # T/step = 1581.5 makes a 3164^2 lattice, just past the 10^7-point
+        # cap; nothing of either size may be allocated before the refusal
+        import tracemalloc
+
+        for target in (complex_bernoulli, DiscreteMeasure.dirac(0.0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError):
+                    energy_integral(target, t_rad, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+
+
+KERNEL_SYSTEMS = {
+    "two_digit_complex": IFSDescriptor(0.71 * cmath.exp(1.1j), (-1.0, 1.0), (0.3, 0.7)),
+    "two_digit_real": IFSDescriptor(0.6, (-1.0, 1.0), (0.5, 0.5)),
+    "three_digit_complex": SCAN_SYSTEMS["three_digit"],
+    "three_digit_real": IFSDescriptor(0.5, (0.0, 1.0, 1j), (0.2, 0.3, 0.5)),
+    "four_digit_complex": IFSDescriptor(
+        0.6 - 0.3j, (0.0, 1.0, 1j, -0.7 + 0.4j), (0.1, 0.2, 0.3, 0.4)
+    ),
+    "four_digit_real": IFSDescriptor(
+        0.55, (0.0, 1.0, 1j, 1 + 1j), (0.25, 0.25, 0.25, 0.25)
+    ),
+}
+
+
+class TestProductKernel:
+    """mu_hat, the scan and the IFS energy read one kernel's bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
+    def test_scan_values_are_mu_hat_bits(self, system, workers):
+        # T = 30.5 with k = 4 gives four row blocks, so two workers share them;
+        # np.abs, since Python's abs(complex) can differ in the last bit
+        ifs = KERNEL_SYSTEMS[system]
+        tol = 1e-9
+        blocks = list(scan_blocks(ifs, 30.5, 4, tol, workers=workers))
+        assert len(blocks) == 4
+        for _, _, xi, values in blocks:
+            assert np.array_equal(values, np.abs(mu_hat(ifs, xi, tol)))
+
+    @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
+    def test_energy_is_the_sum_of_mu_hat_squares(self, system):
+        # same blocks of lattice rows, same order of summation: same bits
+        ifs = KERNEL_SYSTEMS[system]
+        t_rad, step = 20.3, 0.3
+        n = math.ceil(t_rad / step)
+        coords = (np.arange(-n, n) + 0.5) * step
+        total = 0.0
+        for r0 in range(0, coords.size, _ROW_BLOCK):
+            xi = (coords[r0 : r0 + _ROW_BLOCK, None] + 1j * coords[None, :]).ravel()
+            values = np.abs(mu_hat(ifs, xi[np.abs(xi) < t_rad], 1e-9))
+            total += float(np.sum(values * values))
+        assert energy_integral(ifs, t_rad, step) == total * step * step
+
+    @pytest.mark.parametrize("system", [
+        "two_digit_complex", "three_digit_complex", "four_digit_complex",
+    ])
+    def test_lone_frequency_is_its_batch_lane(self, system):
+        # numpy multiplies a one-element complex array on another path;
+        # mu_hat evaluates a lone frequency as two copies of itself
+        ifs = KERNEL_SYSTEMS[system]
+        rng = np.random.default_rng(len(system))
+        xi = 40.0 * (rng.normal(size=257) + 1j * rng.normal(size=257))
+        for size in [*range(2, 18), 257]:
+            batch = mu_hat(ifs, xi[:size], 1e-12)
+            for lane in range(size) if size < 257 else (0, 1, 128, 255, 256):
+                alone = mu_hat(ifs, xi[lane], 1e-12)
+                assert alone == batch[lane], (size, lane)
+                assert mu_hat(ifs, xi[lane : lane + 1], 1e-12)[0] == alone

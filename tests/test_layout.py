@@ -39,11 +39,43 @@ def test_no_private_cross_module_imports():
 
 def test_guard_sees_private_imports():
     source = (
-        "from .fourier import _scan_block, grid_scan\n"
+        "from .fourier import _product, grid_scan\n"
         "from . import _x, __version__\n"
         "from ssfourier.sparse import _digit_expansion\n"
         "from numpy import _pytesttester\n"
     )
     assert private_imports(source) == [
-        "fourier._scan_block", "._x", "ssfourier.sparse._digit_expansion",
+        "fourier._product", "._x", "ssfourier.sparse._digit_expansion",
     ]
+
+
+def phi_calls(source: str) -> list[int]:
+    """Line numbers of the calls ``phi(...)`` and ``<anything>.phi(...)``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "phi" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_no_module_calls_phi():
+    # phi is the tests' independent oracle for the product kernel; a call
+    # in the package would be a second product loop growing back
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := phi_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_phi_calls():
+    source = (
+        "out = out * phi(ifs, u)\n"
+        "value = fourier.phi(ifs, 0.5)\n"
+        "phi = np.empty(3)\n"
+        "phi += term\n"
+        "phis(u)\n"
+    )
+    assert phi_calls(source) == [1, 2]

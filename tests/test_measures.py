@@ -85,6 +85,18 @@ class TestIFSDescriptor:
         back = ifs_from_json_str(ifs_to_json_str(ifs))
         assert back == ifs
 
+    @pytest.mark.parametrize("text", [
+        "lambda = 0.5",
+        "[0.5, 0.5]",
+        '{"lambda": [0.5, 0.5], "probs": [0.5, 0.5]}',
+        '{"lambda": [0.5], "digits": [[-1, 0], [1, 0]], "probs": [0.5, 0.5]}',
+        '{"lambda": [0.5, 0.5], "digits": [[-1, 0], [1]], "probs": [0.5, 0.5]}',
+        '{"lambda": [0.5, 0.5], "digits": [[-1, 0], [1, 0]], "probs": ["half", 0.5]}',
+    ])
+    def test_malformed_json_is_domain_error(self, text):
+        with pytest.raises(DomainError):
+            ifs_from_json_str(text)
+
 
 class TestSupportRadius:
     def test_bernoulli(self, bernoulli_half):
@@ -497,6 +509,11 @@ class TestSerialization:
     def test_csv_header_required(self):
         with pytest.raises(DomainError):
             measure_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("row", ["1.0,0.5", "1.0,0.5,0.5,0.1", "1.0,zero,0.5"])
+    def test_csv_row_needs_three_numbers(self, row):
+        with pytest.raises(DomainError):
+            measure_from_csv(f"re,im,weight\n0.0,0.0,0.5\n{row}\n")
 
 
 class TestDiscreteMeasureValidation:
