@@ -54,6 +54,7 @@ from .measures import (
     sample,
     scale_rotate,
     support_radius,
+    tower_levels,
 )
 from .pushforward import (
     AnalyticMap,

@@ -122,10 +122,18 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
+def _read_input(path: str) -> str:
+    """Text of an ``--ifs`` or ``--measure-csv`` file; other than UTF-8 is a DomainError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _ifs_from_args(args) -> IFSDescriptor:
     if getattr(args, "ifs", None):
-        with open(args.ifs, "r", encoding="utf-8") as fh:
-            return ifs_from_json_str(fh.read())
+        return ifs_from_json_str(_read_input(args.ifs))
     if args.lam is None:
         raise _UsageError("need --lambda (or --ifs FILE)")
     digits = _parse_complex_list(args.digits) if args.digits else [-1.0, 1.0]
@@ -268,8 +276,7 @@ def _cmd_ek(args):
 
 def _load_measure(args) -> DiscreteMeasure:
     if args.measure_csv:
-        with open(args.measure_csv, "r", encoding="utf-8") as fh:
-            return measure_from_csv(fh.read())
+        return measure_from_csv(_read_input(args.measure_csv))
     ifs = _ifs_from_args(args)
     return finite_approximation(ifs, args.depth, atom_budget=args.budget)
 

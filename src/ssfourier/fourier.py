@@ -175,7 +175,6 @@ class ScanField:
     T: float
     subgrid_k: int
     grid: np.ndarray
-    tol: float
 
     @cached_property
     def cells(self) -> MappingProxyType:
@@ -291,7 +290,7 @@ def grid_scan(
         for ci, cj, _, values in blocks:
             grid[ci + n, cj + n] = values.reshape(ci.size, -1).max(axis=1)
     grid.flags.writeable = False
-    return ScanField(T=float(T), subgrid_k=subgrid_k, grid=grid, tol=tol)
+    return ScanField(T=float(T), subgrid_k=subgrid_k, grid=grid)
 
 
 def scanfield_to_csv(fieldobj: ScanField) -> str:
@@ -328,7 +327,7 @@ def scanfield_from_binary(blob: bytes) -> ScanField:
     grid = np.frombuffer(blob, dtype="<f8", offset=32).reshape(side, side)
     if np.count_nonzero(grid >= 0.0) != count:
         raise DomainError("scan-field cell count mismatch")
-    return ScanField(T=T, subgrid_k=int(k), grid=grid, tol=float("nan"))
+    return ScanField(T=T, subgrid_k=int(k), grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -247,11 +247,6 @@ def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
     return best
 
 
-def _sorted_atoms(pos: np.ndarray, wts: np.ndarray):
-    order = np.lexsort((pos.imag, pos.real))
-    return pos[order], wts[order]
-
-
 def _close_pairs(x: np.ndarray, y: np.ndarray, tol: float):
     """Blocks ``(a, b, d2)`` of the atom pairs at distance <= ``tol``.
 
@@ -337,9 +332,10 @@ def _close_pairs(x: np.ndarray, y: np.ndarray, tol: float):
 def _merge_components(pts: np.ndarray, tol: float):
     """Components of the graph joining atoms at distance <= ``tol``.
 
-    Returns ``(label, count)``: ``label[i]`` numbers the component of atom
-    i, components numbered in the order of their smallest member; or None
-    when no two atoms are joined.  Pairs come from ``_close_pairs``;
+    Returns ``(label, roots)``: ``label[i]`` numbers the component of atom
+    i, components numbered in the order of their smallest member, and
+    ``roots[c]`` is that member of component c; or None when no two atoms
+    are joined.  Pairs come from ``_close_pairs``;
     components from hooking larger roots onto smaller ones with pointer
     jumping, which leaves each labelled by its smallest member.
     """
@@ -362,7 +358,7 @@ def _merge_components(pts: np.ndarray, tol: float):
             label = jumped
     root = label == np.arange(n)
     comp = np.cumsum(root) - 1
-    return comp[label], int(comp[-1]) + 1
+    return comp[label], np.flatnonzero(root)
 
 
 def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
@@ -378,29 +374,42 @@ def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     sorted lexicographically by (re, im), which makes merged measures
     canonical for comparison.
     """
+    return _merge_atoms(mu, tol)[0]
+
+
+def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.ndarray]:
+    """``merge_atoms`` and, for each merged atom, the index in ``mu`` of its
+    smallest member.
+
+    Each pass numbers the merged atoms in the order of their smallest
+    members, so the member indices stay increasing from pass to pass and
+    the smallest member of a merged group is that of its first atom.
+    """
     pos, wts = mu.positions, mu.weights
+    first = None  # while no atom has merged, each is its own smallest member
     if tol <= 0.0:
         uniq, inverse = np.unique(pos, return_inverse=True)
         if uniq.size != pos.size:
             wsum = np.bincount(inverse, weights=wts, minlength=uniq.size)
             pos, wts = uniq, wsum
-        pos, wts = _sorted_atoms(np.asarray(pos), np.asarray(wts))
-        return DiscreteMeasure(pos, wts)
-
-    pts = np.column_stack([pos.real, pos.imag])
-    for _ in range(8):
-        components = _merge_components(pts, tol)
-        if components is None:
-            break
-        inverse, k = components
-        wsum = np.bincount(inverse, weights=wts, minlength=k)
-        xsum = np.bincount(inverse, weights=wts * pts[:, 0], minlength=k)
-        ysum = np.bincount(inverse, weights=wts * pts[:, 1], minlength=k)
-        pts = np.column_stack([xsum / wsum, ysum / wsum])
-        wts = wsum
-    pos = pts[:, 0] + 1j * pts[:, 1]
-    pos, wts = _sorted_atoms(pos, wts)
-    return DiscreteMeasure(pos, wts)
+            first = np.unique(inverse, return_index=True)[1]
+    else:
+        pts = np.column_stack([pos.real, pos.imag])
+        for _ in range(8):
+            components = _merge_components(pts, tol)
+            if components is None:
+                break
+            inverse, roots = components
+            k = roots.size
+            wsum = np.bincount(inverse, weights=wts, minlength=k)
+            xsum = np.bincount(inverse, weights=wts * pts[:, 0], minlength=k)
+            ysum = np.bincount(inverse, weights=wts * pts[:, 1], minlength=k)
+            pts = np.column_stack([xsum / wsum, ysum / wsum])
+            wts = wsum
+            first = roots if first is None else first[roots]
+        pos = pts[:, 0] + 1j * pts[:, 1]
+    order = np.lexsort((pos.imag, pos.real))
+    return DiscreteMeasure(pos[order], wts[order]), order if first is None else first[order]
 
 
 def support_radius(ifs: IFSDescriptor) -> float:
@@ -422,7 +431,7 @@ def finite_approximation(
     This is the depth-fold convolution of the scaled digit laws
     sum_j p_j delta_{lam^n w_j}, n = 0..depth-1.  Atoms within
     1e-12 * max(support radius, 1) are coalesced after every convolution
-    level.
+    level.  The measure of ``tower_levels``, without its digit tree.
 
     Parameters
     ----------
@@ -431,6 +440,26 @@ def finite_approximation(
     atom_budget : int, optional
         Hard cap on the working atom count (default 1e7).  Exceeding it
         raises BudgetError instead of silently subsampling.
+    """
+    return tower_levels(ifs, depth, atom_budget)[0]
+
+
+def tower_levels(
+    ifs: IFSDescriptor,
+    depth: int,
+    atom_budget: int | None = None,
+) -> tuple[DiscreteMeasure, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The merged tower of ``finite_approximation`` and its digit tree.
+
+    Level n adds lam^n X_n: each merged atom of level n - 1 (the single
+    atom 0 before level 0) takes each digit, and the sums are merged.
+    ``levels[n] = (parent, digit)`` names one member of each merged atom of
+    level n, the smallest of its merge group: the sum of atom ``parent[i]``
+    of level n - 1 and ``lam**n * digits[digit[i]]``; both are arrays of
+    the smallest unsigned type that holds the level's pre-merge count.
+    Following the chain down from a final atom gives its tree point
+    sum_n lam^n digits[digit_n], a member of the atom's merge cluster and
+    exactly its position wherever no merge happened.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -442,6 +471,7 @@ def finite_approximation(
     pos = np.zeros(1, dtype=np.complex128)
     wts = np.ones(1, dtype=np.float64)
     scale = 1.0 + 0.0j
+    levels = []
     for _ in range(depth):
         if pos.size * ifs.m > budget:
             raise BudgetError(
@@ -450,10 +480,11 @@ def finite_approximation(
             )
         pos = (pos[:, None] + scale * digits[None, :]).ravel()
         wts = (wts[:, None] * np.asarray(ifs.probs)[None, :]).ravel()
-        merged = merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), merge_tol)
+        merged, first = _merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), merge_tol)
+        levels.append(np.divmod(first.astype(np.min_scalar_type(pos.size)), ifs.m))
         pos, wts = merged.positions, merged.weights
         scale *= ifs.lam
-    return DiscreteMeasure(pos, wts)
+    return DiscreteMeasure(pos, wts), tuple(levels)
 
 
 def sample(

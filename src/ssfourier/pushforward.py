@@ -25,9 +25,10 @@ from .measures import (
     finite_approximation,
     scale_rotate,
     support_radius,
+    tower_levels,
 )
 
-_SPLIT_CHUNK = 1 << 20  # complex entries per work array in one frequency batch
+_SPLIT_CHUNK = 1 << 17  # complex entries per work array in one frequency batch
 _FROSTMAN_CENTERS = 128  # ball centers sampled from the measure
 _FROSTMAN_OCTAVES = range(2, 9)  # ball radii R * 2**-k, R the support radius
 _F2_SAMPLES = 4096  # spiral samples of the second-derivative certification
@@ -117,6 +118,49 @@ class DecayProfile:
 
 
 @dataclass(frozen=True)
+class DigitTree:
+    """The digit tree of one tower block (``measures.tower_levels``).
+
+    Atom i of level j is atom ``parent[i]`` of level j - 1 (the root 0
+    before level 0) plus ``steps[j, digit[i]]``, where ``steps[j]`` is
+    lam**(start + j) times the digits; ``points`` are the final atoms' tree
+    points, in the block's atom order.
+    """
+
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    steps: np.ndarray
+    points: np.ndarray
+
+    def coupling(self, alpha: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """start * e(Re(alpha z w)) for each lane, tree point z and column w.
+
+        ``alpha`` has one entry per lane, ``start`` shape (lanes, 1, W).
+        Since z = sum_j steps[j, digit_j], the kernel is the product over
+        levels of e(Re(alpha steps[j, d] w)): one lanes x m x W table of
+        exponentials per level, gathered down the tree.
+        """
+        out = start
+        for (parent, digit), step in zip(self.levels, self.steps):
+            table = _e(((alpha[:, None] * step)[:, :, None] * cols).real)
+            out = out[:, parent, :]  # a copy: the product in place keeps one array fewer
+            out *= table[:, digit, :]
+        return out
+
+
+def _digit_tree(ifs: IFSDescriptor, levels, start: int) -> DigitTree:
+    """The ``DigitTree`` of a block of ``tower_levels`` scaled by lam**start."""
+    digits = np.array(ifs.digits, dtype=np.complex128)
+    steps, points, scale = [], np.zeros(1, dtype=np.complex128), 1.0 + 0.0j
+    for parent, digit in levels:
+        # the tower's own sums, so that points equal positions where no merge happened
+        points = points[parent] + (scale * digits)[digit]
+        steps.append(ifs.lam**start * scale * digits)
+        scale *= ifs.lam
+    steps = np.array(steps, dtype=np.complex128).reshape(len(levels), ifs.m)
+    return DigitTree(tuple(levels), steps, points * ifs.lam**start)
+
+
+@dataclass(frozen=True)
 class SplitPushforward:
     """F_# mu_D for a map F of degree <= 2, with the depth-D tower kept split.
 
@@ -124,23 +168,44 @@ class SplitPushforward:
     u (levels 0..k-1) and ``blocks[1]``, ``blocks[2]`` the two later
     blocks of levels v1, v2, each a merged finite approximation scaled by
     its first power of lam, so mu_D is their convolution.  For quadratic
-    F = c0 + c1 z + c2 z^2 the identity F(u + v) = F(u) + F'(u) v + c2 v^2
-    is exact and F'(u) v separates over v1 and v2, so at each frequency
+    F = c0 + c1 z + c2 z^2 the identity
 
-        FT(F_# mu_D)(xi) = sum_u a_u rowsum((E1 @ G) * E2)
+        F(u + v1 + v2) = F(u) + (c1 v1 + c2 v1^2) + (c1 v2 + c2 v2^2)
+                         + 2 c2 (u v1 + u v2 + v1 v2)
 
-    with a_u = w_u e(Re(F(u) conj xi)), E1[u, v1] = w_v1 e(Re(F'(u) v1
-    conj xi)), E2 likewise over v2, and G[v1, v2] = e(Re(c2 (v1 + v2)^2
-    conj xi)).  That is one matrix product per frequency and
-    O(U V1 + U V2 + V1 V2) exponentials instead of U V1 V2; the tower
-    itself is never built.  For affine F (c2 = 0) G is all ones and the
-    sum factors further: the transform is e(Re(c0 conj xi)) times the
-    product of the three block transforms at conj(c1) xi, each a direct
-    sum, so U + V1 + V2 exponentials per frequency.
+    is exact, so with e(x) = exp(2 pi i x), K(z, w) = e(Re(2 c2 z w
+    conj xi)) and a_u = w_u e(Re(F(u) conj xi)), at each frequency
+
+        FT(F_# mu_D)(xi) = sum_u a_u rowsum((E1 @ G) * E2),
+
+    E1[u, v1] = w_v1 e(Re((c1 v1 + c2 v1^2) conj xi)) K(u, v1), E2 likewise
+    over v2, and G[v1, v2] = K(v1, v2).  The coupling matrices come from
+    the digit trees (``trees``) of u and v1: z = sum_j lam^j d_j makes
+    K(z, w) a product over tree levels, so each level costs one m x W table
+    of exponentials and one gather-and-multiply (``DigitTree.coupling``).
+    Per frequency that is k m (V1 + V2) + a m V2 + U + V1 + V2
+    exponentials (k, a the levels of the u and v1 blocks), gathers of
+    N_u (V1 + V2) + N_v1 V2 entries (N the atoms of a tree summed over its
+    levels) and one U x V1 x V2 matrix product; the tower itself is never
+    built.  For affine F (c2 = 0) the sum
+    factors further: the transform is e(Re(c0 conj xi)) times the product
+    of the three block transforms at conj(c1) xi, each a direct sum, so
+    U + V1 + V2 exponentials per frequency.
+
+    Error: the quadratic branch takes u and v1 at their tree points, a
+    member of each merge cluster rather than its weight-averaged
+    position, so it sums exactly (up to rounding) over atoms u' + v1' + v2
+    each within ``displacement`` delta = max|u' - u| + max|v1' - v1| of an
+    atom of the merged blocks' convolution.  Its difference from the
+    direct sum over that convolution at |xi| = T is therefore at most
+    2 pi T L delta, L = max |F'| over the support disk widened by delta;
+    delta is 0 where the blocks did not merge.
     """
 
     f: AnalyticMap
     blocks: tuple[DiscreteMeasure, DiscreteMeasure, DiscreteMeasure]
+    trees: tuple[DigitTree, DigitTree]
+    displacement: float
 
     @property
     def n_terms(self) -> int:
@@ -156,20 +221,25 @@ class SplitPushforward:
             for b in self.blocks:
                 out = out * fourier_sum(b.positions, b.weights, xi_c1)
             return out
-        (u, wu), (v1, w1), (v2, w2) = ((b.positions, b.weights) for b in self.blocks)
-        c2 = self.f.coeffs[2]
-        fu, dfu = self.f(u), self.f.derivative()(u)
-        sq = c2 * (v1[:, None] + v2[None, :]) ** 2
+        tree_u, tree_v1 = self.trees
+        u, v1, v2 = tree_u.points, tree_v1.points, self.blocks[2].positions
+        wu, w1, w2 = (b.weights for b in self.blocks)
+        _, c1, c2 = self.f.coeffs
+        fu = self.f(u)
+        cols = np.concatenate([v1, v2])
+        own = (c1 + c2 * cols) * cols
+        wcols = np.concatenate([w1, w2])
         per_xi = u.size * (v1.size + 2 * v2.size) + v1.size * v2.size
         step = max(1, _SPLIT_CHUNK // per_xi)
         out = np.empty(xi.size, dtype=np.complex128)
         for s in range(0, xi.size, step):
-            xc = np.conj(xi[s : s + step])[:, None]
-            slope = (dfu[None, :] * xc)[:, :, None]
-            a = _e((fu[None, :] * xc).real) * wu
-            e1 = _e((slope * v1).real) * w1
-            e2 = _e((slope * v2).real) * w2
-            g = _e((sq[None, :, :] * xc[:, :, None]).real)
+            xc = np.conj(xi[s : s + step])
+            alpha = 2.0 * c2 * xc
+            a = _e((fu[None, :] * xc[:, None]).real) * wu
+            start = (_e((own[None, :] * xc[:, None]).real) * wcols)[:, None, :]
+            e = tree_u.coupling(alpha, cols, start)
+            g = tree_v1.coupling(alpha, v2, np.ones((xc.size, 1, v2.size), dtype=np.complex128))
+            e1, e2 = e[:, :, : v1.size], e[:, :, v1.size :]
             out[s : s + step] = np.sum(a * np.sum((e1 @ g) * e2, axis=2), axis=1)
         return out
 
@@ -188,19 +258,23 @@ def split_pushforward(
 
     The blocks hold ceil(depth/3) prefix levels and the rest in two
     halves (the first taking the odd level); each is merged like
-    ``finite_approximation`` under ``atom_budget``.  The prefix block is
-    the tower's own first levels, so it refuses exactly where the tower
-    would.
+    ``finite_approximation`` under ``atom_budget``, and the first two
+    keep their digit trees.  The prefix block is the tower's own first
+    levels, so it refuses exactly where the tower would.
     """
     if f.degree > 2:
         raise DomainError(f"split evaluation needs degree <= 2, got {f.degree}")
     k = -(-depth // 3)
     a = -(-(depth - k) // 2)
-    blocks = tuple(
-        scale_rotate(finite_approximation(ifs, n, atom_budget=atom_budget), ifs.lam**start)
-        for start, n in ((0, k), (k, a), (k + a, depth - k - a))
+    blocks, trees = [], []
+    for start, n in ((0, k), (k, a), (k + a, depth - k - a)):
+        mu, levels = tower_levels(ifs, n, atom_budget=atom_budget)
+        blocks.append(scale_rotate(mu, ifs.lam**start))
+        trees.append(_digit_tree(ifs, levels, start))
+    displacement = sum(
+        float(np.max(np.abs(t.points - b.positions))) for t, b in zip(trees, blocks[:2])
     )
-    return SplitPushforward(f, blocks)
+    return SplitPushforward(f, tuple(blocks), tuple(trees[:2]), displacement)
 
 
 def annulus_maxima(
@@ -273,10 +347,17 @@ def decay_profile(
     For degree <= 2 the transform of F_# mu_D (D = ``approx_depth``) is
     evaluated through the tower split (``split_pushforward``) whenever
     its U*V1*V2 atom combinations fit in ``atom_budget``; the depth-D
-    tower is then never built.  Blocks are merged separately, so at
-    radius T the result differs from the direct sum over the merged
-    tower by at most 2*pi*T*max|F'|*merge_tol, plus rounding.  Degree
-    >= 3 maps, and splits over the budget, build the merged tower under
+    tower is then never built.  A quadratic map costs about
+    k m (V1 + V2) + a m V2 + U + V1 + V2 exponentials per frequency
+    (k, a the levels of the first two blocks), gathers down the blocks'
+    digit trees and one U x V1 x V2 matrix product; an affine map
+    U + V1 + V2 exponentials.  Blocks are merged separately, each merge
+    moving atoms by about merge_tol per level, and the quadratic split
+    sums over tree points within its ``displacement`` delta of the merged
+    blocks' atoms, so at radius T the result differs from the direct sum
+    over the merged tower by at most
+    2*pi*T*max|F'|*(D*merge_tol + delta), plus rounding.  Degree >= 3
+    maps, and splits over the budget, build the merged tower under
     ``atom_budget`` (BudgetError past it) and sum it directly.  The
     Frostman exponent is estimated under the same ``atom_budget``.
     """

@@ -297,13 +297,20 @@ class TestPush:
     def test_budget_caps_every_tower(self, capsys, monkeypatch, argv):
         built = []
         tower = ssfourier.pushforward.finite_approximation
+        levels = ssfourier.pushforward.tower_levels
 
         def recording(*args, **kwargs):
             mu = tower(*args, **kwargs)
             built.append(mu.n_atoms)
             return mu
 
+        def recording_levels(*args, **kwargs):
+            mu, tree = levels(*args, **kwargs)
+            built.append(mu.n_atoms)
+            return mu, tree
+
         monkeypatch.setattr(ssfourier.pushforward, "finite_approximation", recording)
+        monkeypatch.setattr(ssfourier.pushforward, "tower_levels", recording_levels)
         code, _, _ = run_cli(capsys, "--budget", "1000", *argv)
         assert code == EXIT_OK
         assert built and max(built) <= 1000
@@ -402,6 +409,20 @@ class TestMalformedInputFiles:
         code, out, _ = run_cli(capsys, "dim", "--measure-csv", str(path))
         assert code == EXIT_DOMAIN
         assert strict_json(out)["error"]["kind"] == "DomainError"
+
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ifs", "{path}", "--xi", "1"],
+        ["dim", "--measure-csv", "{path}"],
+    ], ids=["eval_ifs", "dim_csv"])
+    def test_non_utf8_file_is_domain_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe" + "re,im,weight\n".encode("utf-16-le"))
+        argv = [str(path) if a == "{path}" else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        error = strict_json(out)["error"]
+        assert error["kind"] == "DomainError" and "UTF-8" in error["message"]
 
 
 class TestStrictJson:

@@ -79,3 +79,45 @@ def test_guard_sees_phi_calls():
         "phis(u)\n"
     )
     assert phi_calls(source) == [1, 2]
+
+
+def looped_merge_callers(source: str) -> list[str]:
+    """Functions that call ``merge_atoms`` or ``_merge_atoms`` inside a loop."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for loop in ast.walk(func):
+            if isinstance(loop, loops) and any(
+                isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in ("merge_atoms", "_merge_atoms")
+                for node in ast.walk(loop)
+            ):
+                found.append(func.name)
+                break
+    return found
+
+
+def test_one_tower_level_loop():
+    # the tower's digit tree comes from the one level loop; a second loop
+    # over merges would be a copy of finite_approximation growing back
+    source = (PACKAGE / "measures.py").read_text(encoding="utf-8")
+    assert looped_merge_callers(source) == ["tower_levels"]
+
+
+def test_guard_sees_looped_merges():
+    source = (
+        "def tower(mu):\n"
+        "    for _ in range(3):\n"
+        "        mu = merge_atoms(mu, 0.0)\n"
+        "def tree(mu):\n"
+        "    while True:\n"
+        "        mu, first = measures._merge_atoms(mu, 1e-12)\n"
+        "def convolve(mu, nu):\n"
+        "    return merge_atoms(mu, 0.0)\n"
+        "def many(mus):\n"
+        "    return [merge_atoms(mu, 0.0) for mu in mus]\n"
+    )
+    assert looped_merge_callers(source) == ["tower", "tree", "many"]

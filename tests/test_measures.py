@@ -24,7 +24,11 @@ from ssfourier import (
     sample,
     scale_rotate,
     support_radius,
+    tower_levels,
 )
+
+# digits -1, 0, 1 on the Gaussian lattice: tower atoms coincide and merge
+LATTICE = IFSDescriptor((1 + 1j) / 2, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
 
 
 class TestProbabilityVector:
@@ -148,6 +152,68 @@ class TestFiniteApproximation:
         assert combined.n_atoms == direct.n_atoms
         assert np.allclose(combined.positions, direct.positions, atol=1e-8)
         assert np.allclose(combined.weights, direct.weights, atol=1e-12)
+
+
+def reference_tower(ifs, depth):
+    """The level loop of finite_approximation written out over merge_atoms."""
+    tol = 1e-12 * max(support_radius(ifs), 1.0)
+    mu, scale = DiscreteMeasure.dirac(0.0), 1.0 + 0.0j
+    for _ in range(depth):
+        pos = (mu.positions[:, None] + scale * np.array(ifs.digits)[None, :]).ravel()
+        wts = (mu.weights[:, None] * np.asarray(ifs.probs)[None, :]).ravel()
+        mu = merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), tol)
+        scale *= ifs.lam
+    return mu
+
+
+class TestTowerLevels:
+    @pytest.mark.parametrize("system, depth, merges", [
+        ("lattice", 11, True), ("complex_bernoulli", 14, False),
+    ])
+    def test_tree_points_near_positions(self, request, system, depth, merges):
+        ifs = LATTICE if system == "lattice" else request.getfixturevalue(system)
+        mu, levels = tower_levels(ifs, depth)
+        assert_same_bits(mu, finite_approximation(ifs, depth))
+        assert len(levels) == depth and levels[0][0].tolist() == [0] * levels[0][0].size
+        z = np.zeros(1, dtype=np.complex128)
+        for n, (parent, digit) in enumerate(levels):
+            assert parent.shape == digit.shape and digit.max() < ifs.m
+            z = z[parent] + ifs.lam**n * np.array(ifs.digits)[digit]
+        assert z.size == mu.n_atoms
+        assert (mu.n_atoms < ifs.m**depth) == merges
+        tol = 1e-12 * max(support_radius(ifs), 1.0)
+        assert np.max(np.abs(z - mu.positions)) <= depth * tol
+
+    @pytest.mark.parametrize("system, depth", [
+        ("unit_square", 8), ("sierpinski", 9), ("lattice", 11),
+        ("complex_bernoulli", 14), ("rotated", 10),
+    ])
+    def test_measure_is_the_plain_level_loop(self, request, system, depth):
+        if system == "lattice":
+            ifs = LATTICE
+        elif system == "rotated":
+            ifs = IFSDescriptor(0.6 * np.exp(1.1j), (0.0, 1.0, 1j), (1 / 3,) * 3)
+        else:
+            ifs = request.getfixturevalue(system)
+        assert_same_bits(finite_approximation(ifs, depth), reference_tower(ifs, depth))
+
+    def test_smallest_member_through_passes(self):
+        # TestMergeOracle::test_second_pass: each site's three atoms merge
+        # over two passes, and the merged atom keeps member 3 * site
+        tol = 1e-6
+        motif = np.array([0.45j, -0.45j, 0.95]) * tol
+        sites = np.arange(50) * (1.0 + 0.5j)
+        pts = (sites[:, None] + motif[None, :]).ravel()
+        mu = weighted(pts, np.random.default_rng(7))
+        got, first = measures._merge_atoms(mu, tol)
+        site = np.argmin(np.abs(got.positions[:, None] - sites[None, :]), axis=1)
+        assert np.array_equal(first, 3 * site)
+
+    def test_smallest_member_exact(self):
+        mu = weighted([2.0, 1.0, 2.0, 1.0, 3.0, 1.0], np.random.default_rng(1))
+        got, first = measures._merge_atoms(mu, 0.0)
+        assert got.positions.tolist() == [1.0, 2.0, 3.0]
+        assert first.tolist() == [1, 0, 4]
 
 
 class TestSample:
@@ -400,7 +466,7 @@ class TestMergeOracle:
         assert abs(motif[2] - motif[0]) > tol
         first = measures._merge_components(
             np.column_stack([mu.positions.real, mu.positions.imag]), tol)
-        assert first[1] == 100
+        assert first[1].size == 100
         got = merge_atoms(mu, tol)
         assert got.n_atoms == 50
         assert_same_bits(got, reference_merge(mu, tol))

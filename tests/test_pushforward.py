@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from ssfourier import pushforward
@@ -190,6 +192,53 @@ class TestSplitPushforward:
         assert np.max(np.abs(split.transform(xi) - want)) < 1e-12
         if lattice:
             assert tower.n_atoms < split.n_terms < ifs.m**depth
+
+    @pytest.mark.parametrize("coeffs", [(0.3 - 0.1j, 0.8 + 0.5j, 1.2 - 0.4j),
+                                        (0.4 - 0.3j, 0.9 + 0.2j)], ids=["quadratic", "affine"])
+    @pytest.mark.parametrize("system, depth", [("lattice", 11), ("complex_bernoulli", 14)])
+    def test_lane_bits_independent_of_batch(self, request, coeffs, system, depth):
+        # 75 lanes span several frequency chunks of the quadratic branch
+        ifs = LATTICE if system == "lattice" else request.getfixturevalue(system)
+        split = split_pushforward(AnalyticMap(coeffs), ifs, depth)
+        rng = np.random.default_rng(5)
+        xi = 64.0 * np.sqrt(rng.random(75)) * np.exp(2j * np.pi * rng.random(75))
+        batch = split.transform(xi)
+        for i, x in enumerate(xi):
+            assert split.transform(x).tobytes() == batch[i].tobytes()
+            prefix = split.transform(np.r_[xi[:6], x])
+            assert prefix[6].tobytes() == batch[i].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        modulus=st.floats(0.4, 0.8),
+        angle=st.floats(0.0, 2 * math.pi),
+        digits=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=2, max_size=3),
+        coeffs=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3),
+        c2_modulus=st.floats(0.1, 1.0),
+        depth=st.integers(6, 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_direct_sum_property(self, modulus, angle, digits, coeffs,
+                                         c2_modulus, depth, seed):
+        # within the decay_profile docstring's bound
+        # 2 pi |xi| max|F'| (depth merge_tol + displacement), plus 1e-12
+        ifs = IFSDescriptor(modulus * np.exp(1j * angle), tuple(digits),
+                            (1 / len(digits),) * len(digits))
+        c0, c1, c2 = coeffs
+        c2 = c2_modulus * np.exp(1j * np.angle(c2))
+        f = AnalyticMap((c0, c1, c2))
+        split = split_pushforward(f, ifs, depth)
+        pushed = pushforward_measure(f, finite_approximation(ifs, depth))
+        rng = np.random.default_rng(seed)
+        xi = 64.0 * np.sqrt(rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
+        got = split.transform(xi)
+        want = fourier_sum(pushed.positions, pushed.weights, xi)
+        radius = support_radius(ifs)
+        lipschitz = abs(c1) + 2 * abs(c2) * (radius + split.displacement)
+        merge_tol = 1e-12 * max(radius, 1.0)
+        bound = 2 * math.pi * np.abs(xi) * lipschitz * (
+            depth * merge_tol + split.displacement)
+        assert np.all(np.abs(got - want) <= bound + 1e-12)
 
     def test_cubic_runs_through_direct_sum(self, complex_bernoulli):
         f = AnalyticMap((1000.0, 300.0, 30.0, 1.0))  # (z + 10)^3, F'' != 0 on the support
