@@ -4,7 +4,7 @@ Subcommands: eval, scan, bounds, ek (trace | verify | enumerate | cover),
 dim, push, bernoulli.  Results go to stdout or --out as JSON/CSV (scan
 fields also support a binary dump); a metadata line (tool version, config
 hash, seed, wall time) always goes to stderr so result files stay
-byte-reproducible.  Exit codes: 0 success, 1 domain/regime errors,
+byte-reproducible.  Exit codes: 0 success, 1 domain/regime and file errors,
 2 budget errors, 64 usage errors.
 """
 
@@ -524,17 +524,16 @@ def run(argv) -> int:
             writer = "bounds --sweep"
         if args.format not in _FORMATS[writer]:
             raise _UsageError(f"{writer} cannot write --format {args.format}")
-        result = _COMMANDS[args.command](args)
+        _emit(args, _COMMANDS[args.command](args))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except BudgetError as exc:
         sys.stdout.write(_error_doc("budget", str(exc)))
         return EXIT_BUDGET
-    except (DomainError, ConvergenceError, OverflowError, FileNotFoundError) as exc:
+    except (DomainError, ConvergenceError, OverflowError, OSError) as exc:
         sys.stdout.write(_error_doc(type(exc).__name__, str(exc)))
         return EXIT_DOMAIN
-    _emit(args, result)
     meta = {
         "tool": "ssfourier",
         "version": __version__,

@@ -61,12 +61,20 @@ def dyadic_histogram(mu: DiscreteMeasure, level: int) -> DyadicHistogram:
 
 
 def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
-    """Dyadic moment sum s_n(mu, q) = sum_Q mu(Q)^q at level n (q > 1)."""
-    if q <= 1.0:
-        raise DomainError("q must be > 1")
+    """Dyadic moment sum s_n(mu, q) = sum_Q mu(Q)^q at level n (finite q > 1)."""
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"q must be finite and > 1, got {q!r}")
     if n < 0:
         raise DomainError("n must be >= 0")
-    return float(np.sum(_dyadic_cells(mu, n)[1] ** q))
+    return _moment(_dyadic_cells(mu, n)[1], q)
+
+
+def _moment(masses: np.ndarray, q: float) -> float:
+    """sum masses**q; a sum that underflows to 0 has no logarithm and is refused."""
+    total = float(np.sum(masses**q))
+    if total == 0.0:
+        raise DomainError(f"the dyadic moment sum underflows to 0 at q = {q!r}")
+    return total
 
 
 def _resolution_level_cap(mu: DiscreteMeasure) -> int | None:
@@ -103,10 +111,11 @@ def dim_q_estimate(
     Returns (slope, stderr).  The slope is computed for the origin anchor
     and one fixed irrational shift; the smaller estimate is returned
     (conservative).  Estimates are clamped to [0, 2] with a warning.
+    q must be finite and > 1; a moment sum that underflows to 0 is refused.
     """
-    if q <= 1.0:
-        raise DomainError("q must be > 1")
-    fit = _conservative_fit(mu, n_min, n_max, q - 1.0, lambda m: np.sum(m**q))
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"q must be finite and > 1, got {q!r}")
+    fit = _conservative_fit(mu, n_min, n_max, q - 1.0, lambda m: _moment(m, q))
     return _clamped(fit, "dim_q")
 
 

@@ -53,17 +53,18 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
 
     Uses |Phi(u) - 1| <= 2*pi*max|w|*|u| per omitted factor, summed over
     the geometric tail.  Vectorized over |xi|; K is 0 everywhere when all
-    digits are 0.  Raises DomainError unless tol > 0.
+    digits are 0.  Raises DomainError unless tol is finite and > 0.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     abs_xi = np.asarray(abs_xi, dtype=np.float64)
     w_max = max(abs(w) for w in ifs.digits)
     if w_max == 0.0:
         return np.zeros(abs_xi.shape, dtype=np.int64)
     alam = abs(ifs.lam)
     tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
-    with np.errstate(divide="ignore"):
+    # a subnormal tail0 overflows tol / tail0; tail0 < tol then sets K = 0
+    with np.errstate(divide="ignore", over="ignore"):
         k = np.ceil(np.log(np.where(tail0 > 0, tol / tail0, 1.0)) / math.log(alam))
     return np.where(tail0 < tol, 0, np.maximum(k, 0)).astype(np.int64)
 
@@ -74,7 +75,7 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
 
     Each frequency keeps the first K factors, K = ``truncation_index`` at
     |xi|, the smallest integer whose geometric tail bound falls below
-    ``tol`` (tol <= 0 is a DomainError); the result is within 2*tol of
+    ``tol`` (finite and > 0); the result is within 2*tol of
     the exact value for tol <= 1/2, and its modulus is an upper bound on
     |mu_hat|.  A lone frequency goes to ``_product`` as two copies of
     itself, since numpy multiplies a one-element complex array on another

@@ -431,7 +431,7 @@ def finite_approximation(
     This is the depth-fold convolution of the scaled digit laws
     sum_j p_j delta_{lam^n w_j}, n = 0..depth-1.  Atoms within
     1e-12 * max(support radius, 1) are coalesced after every convolution
-    level.  The measure of ``tower_levels``, without its digit tree.
+    level.  The last measure of ``tower_levels``; nothing else is kept.
 
     Parameters
     ----------
@@ -441,50 +441,34 @@ def finite_approximation(
         Hard cap on the working atom count (default 1e7).  Exceeding it
         raises BudgetError instead of silently subsampling.
     """
-    return tower_levels(ifs, depth, atom_budget)[0]
+    mu = DiscreteMeasure.dirac(0.0)
+    for mu, _ in tower_levels(ifs, depth, atom_budget):
+        pass
+    return mu
 
 
-def tower_levels(
-    ifs: IFSDescriptor,
-    depth: int,
-    atom_budget: int | None = None,
-) -> tuple[DiscreteMeasure, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The merged tower of ``finite_approximation`` and its digit tree.
+def tower_levels(ifs: IFSDescriptor, depth: int, atom_budget: int | None = None):
+    """Stream ``(mu_n, first_n)`` for the levels n < depth of ``finite_approximation``.
 
-    Level n adds lam^n X_n: each merged atom of level n - 1 (the single
-    atom 0 before level 0) takes each digit, and the sums are merged.
-    ``levels[n] = (parent, digit)`` names one member of each merged atom of
-    level n, the smallest of its merge group: the sum of atom ``parent[i]``
-    of level n - 1 and ``lam**n * digits[digit[i]]``; both are arrays of
-    the smallest unsigned type that holds the level's pre-merge count.
-    Following the chain down from a final atom gives its tree point
-    sum_n lam^n digits[digit_n], a member of the atom's merge cluster and
-    exactly its position wherever no merge happened.
+    mu_n is the ``convolve`` step of mu_{n-1} (delta_0 before level 0) and
+    the digit law scaled by lam^n, so the budget holds level by level and
+    the state after n levels does not depend on ``depth``.  The level's
+    sums come in (atom of mu_{n-1}, digit) order and ``first_n[i]`` indexes
+    the smallest member of atom i's merge group: ``parent, digit =
+    divmod(first_n, m)``.  Following parents down from a final atom gives
+    its tree point sum_n lam^n digits[digit_n], a member of its merge
+    cluster and exactly its position wherever no merge happened.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    budget = DEFAULT_ATOM_BUDGET if atom_budget is None else int(atom_budget)
     merge_tol = 1e-12 * max(support_radius(ifs), 1.0)
-    # m^depth may exceed the budget yet merge down (lattice digit sets);
-    # the budget is enforced level by level on the working atom count
     digits = np.array(ifs.digits, dtype=np.complex128)
-    pos = np.zeros(1, dtype=np.complex128)
-    wts = np.ones(1, dtype=np.float64)
-    scale = 1.0 + 0.0j
-    levels = []
+    mu, scale = DiscreteMeasure.dirac(0.0), 1.0 + 0.0j
     for _ in range(depth):
-        if pos.size * ifs.m > budget:
-            raise BudgetError(
-                f"finite approximation exceeds atom budget {budget} "
-                f"({pos.size} x {ifs.m} atoms before merge)"
-            )
-        pos = (pos[:, None] + scale * digits[None, :]).ravel()
-        wts = (wts[:, None] * np.asarray(ifs.probs)[None, :]).ravel()
-        merged, first = _merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), merge_tol)
-        levels.append(np.divmod(first.astype(np.min_scalar_type(pos.size)), ifs.m))
-        pos, wts = merged.positions, merged.weights
+        step = DiscreteMeasure(scale * digits, ifs.probs)
+        mu, first = _convolve(mu, step, merge_tol, atom_budget)
+        yield mu, first
         scale *= ifs.lam
-    return DiscreteMeasure(pos, wts), tuple(levels)
 
 
 def sample(
@@ -535,15 +519,21 @@ def convolve(
     atom_budget: int | None = None,
 ) -> DiscreteMeasure:
     """Convolution of two discrete measures (all pairwise sums)."""
+    return _convolve(mu, nu, merge_tol, atom_budget)[0]
+
+
+def _convolve(mu, nu, merge_tol, atom_budget) -> tuple[DiscreteMeasure, np.ndarray]:
+    """``convolve``, refused past ``atom_budget`` sums (default 1e7), and each
+    merged atom's smallest member among the sums in (mu atom, nu atom) order."""
     budget = DEFAULT_ATOM_BUDGET if atom_budget is None else int(atom_budget)
     if mu.n_atoms * nu.n_atoms > budget:
         raise BudgetError(
-            f"convolution would create {mu.n_atoms * nu.n_atoms} atoms "
-            f"(budget {budget})"
+            f"convolution would create {mu.n_atoms} x {nu.n_atoms} atoms "
+            f"before merge (budget {budget})"
         )
     pos = (mu.positions[:, None] + nu.positions[None, :]).ravel()
     wts = (mu.weights[:, None] * nu.weights[None, :]).ravel()
-    return merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), merge_tol)
+    return _merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), merge_tol)
 
 
 def scale_rotate(mu: DiscreteMeasure, factor: complex) -> DiscreteMeasure:

@@ -119,7 +119,7 @@ class DecayProfile:
 
 @dataclass(frozen=True)
 class DigitTree:
-    """The digit tree of one tower block (``measures.tower_levels``).
+    """The digit tree of one tower block (``measures.tower_levels``' first levels).
 
     Atom i of level j is atom ``parent[i]`` of level j - 1 (the root 0
     before level 0) plus ``steps[j, digit[i]]``, where ``steps[j]`` is
@@ -145,19 +145,6 @@ class DigitTree:
             out = out[:, parent, :]  # a copy: the product in place keeps one array fewer
             out *= table[:, digit, :]
         return out
-
-
-def _digit_tree(ifs: IFSDescriptor, levels, start: int) -> DigitTree:
-    """The ``DigitTree`` of a block of ``tower_levels`` scaled by lam**start."""
-    digits = np.array(ifs.digits, dtype=np.complex128)
-    steps, points, scale = [], np.zeros(1, dtype=np.complex128), 1.0 + 0.0j
-    for parent, digit in levels:
-        # the tower's own sums, so that points equal positions where no merge happened
-        points = points[parent] + (scale * digits)[digit]
-        steps.append(ifs.lam**start * scale * digits)
-        scale *= ifs.lam
-    steps = np.array(steps, dtype=np.complex128).reshape(len(levels), ifs.m)
-    return DigitTree(tuple(levels), steps, points * ifs.lam**start)
 
 
 @dataclass(frozen=True)
@@ -256,25 +243,40 @@ def split_pushforward(
 ) -> SplitPushforward:
     """Split form of F_# mu_depth for a map of degree <= 2.
 
-    The blocks hold ceil(depth/3) prefix levels and the rest in two
-    halves (the first taking the odd level); each is merged like
-    ``finite_approximation`` under ``atom_budget``, and the first two
-    keep their digit trees.  The prefix block is the tower's own first
-    levels, so it refuses exactly where the tower would.
+    The blocks hold k = ceil(depth/3) prefix levels and the rest in two
+    halves of a and depth - k - a <= a <= k levels, so one walk of k
+    levels of ``tower_levels`` under ``atom_budget`` gives all three (its
+    levels k, a and depth - k - a, scaled by lam**0, lam**k, lam**(k + a))
+    and the digit trees of the first two.  The prefix block is the
+    tower's own first levels, so it refuses exactly where the tower would.
     """
     if f.degree > 2:
         raise DomainError(f"split evaluation needs degree <= 2, got {f.degree}")
     k = -(-depth // 3)
     a = -(-(depth - k) // 2)
-    blocks, trees = [], []
-    for start, n in ((0, k), (k, a), (k + a, depth - k - a)):
-        mu, levels = tower_levels(ifs, n, atom_budget=atom_budget)
-        blocks.append(scale_rotate(mu, ifs.lam**start))
-        trees.append(_digit_tree(ifs, levels, start))
+    digits = np.array(ifs.digits, dtype=np.complex128)
+    # after n levels: mus[n], its tree points points[n]; level n: levels[n], lam**n
+    mus, points = [DiscreteMeasure.dirac(0.0)], [np.zeros(1, dtype=np.complex128)]
+    levels, scales = [], [1.0 + 0.0j]
+    for mu, first in tower_levels(ifs, k, atom_budget):
+        levels.append(np.divmod(first, ifs.m))
+        parent, digit = levels[-1]
+        # the tower's own sums, so that points equal positions where no merge happened
+        points.append(points[-1][parent] + (scales[-1] * digits)[digit])
+        mus.append(mu)
+        scales.append(scales[-1] * ifs.lam)
+
+    def tree(n: int, start: int) -> DigitTree:
+        steps = np.array([ifs.lam**start * s * digits for s in scales[:n]], dtype=np.complex128)
+        return DigitTree(tuple(levels[:n]), steps.reshape(n, ifs.m), points[n] * ifs.lam**start)
+
+    blocks = tuple(scale_rotate(mus[n], ifs.lam**start)
+                   for start, n in ((0, k), (k, a), (k + a, depth - k - a)))
+    trees = (tree(k, 0), tree(a, k))
     displacement = sum(
-        float(np.max(np.abs(t.points - b.positions))) for t, b in zip(trees, blocks[:2])
+        float(np.max(np.abs(t.points - b.positions))) for t, b in zip(trees, blocks)
     )
-    return SplitPushforward(f, tuple(blocks), tuple(trees[:2]), displacement)
+    return SplitPushforward(f, blocks, trees, displacement)
 
 
 def annulus_maxima(
@@ -322,8 +324,6 @@ def _best_exponent(lam, probs, regime: str, s: float) -> tuple[float, float, flo
 
     hi = max(s, 1e-6)
     eps = hi if g(hi) > 0 else bisect_sign_change(g, 0.0, hi, xtol=0.0, max_steps=80)
-    if eps <= 0.0:
-        return 0.0, 0.0, delta_of(1e-9)
     d = delta_of(eps)
     return min((s - d) / 3.0, eps / 3.0), eps, d
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssfourier import (
     ConvergenceError,
@@ -20,7 +22,7 @@ from ssfourier import (
     osc_correlation_dimension,
     solve_flattening_epsilon,
 )
-from ssfourier.bounds import _assemble_bound, linear_fit
+from ssfourier.bounds import _assemble_bound, delta_bound, linear_fit
 
 LAM_C = (1 + 1j) / 2
 P3 = (1 / 3, 1 / 3, 1 / 3)
@@ -333,6 +335,12 @@ class TestBernoulliPipelines:
         assert "degenerate" in aligned.note and "degenerate" not in turned.note
         assert aligned.kappa == pytest.approx(turned.kappa, rel=1e-13)
 
+    def test_lambda_squared_stage_noted(self):
+        # the lambda stage is valid, the lambda^2 stage is not, and the note
+        # says which stage failed
+        bound = bernoulli_dim_lower(0.992 * cmath.exp(0.05j), 0.5)
+        assert bound.note.startswith("lambda^2 stage: decay bound not valid")
+
     def test_osc_base_value(self):
         # p = 1/2 and |lam|^N = 1/2 give exactly 1
         assert osc_correlation_dimension(0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
@@ -350,6 +358,32 @@ class TestAssembledInvariants:
             for v in (b.epsilon_tilde, b.rho, b.eta, b.entropy, b.delta):
                 assert math.isfinite(v)
             assert b.valid or b.reason
+
+
+class TestDeltaMonotoneProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        regime=st.sampled_from(["complex", "real_noncollinear", "higher_dim"]),
+        modulus=st.floats(0.05, 0.95),
+        angle=st.floats(0.05, math.pi - 0.05),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+        u=st.floats(1e-6, 1.0),
+        ratio=st.floats(1.001, 1e3),
+    )
+    def test_delta_increases_with_epsilon(self, regime, modulus, angle, weights, u, ratio):
+        # eps1 is drawn below the eps where eps_tilde reaches 1/2, past which
+        # no record is valid; eps2 = ratio * eps1
+        if regime == "complex":
+            lam, p = modulus * cmath.exp(1j * angle), weights[:2]
+        else:
+            lam, p = complex(modulus), weights
+        p = tuple(w / sum(p) for w in p)
+        eps_half = 0.5 / delta_bound(lam, p, 1.0, regime).epsilon_tilde
+        eps1 = u * eps_half
+        b1 = delta_bound(lam, p, eps1, regime)
+        b2 = delta_bound(lam, p, eps1 * ratio, regime)
+        if b1.valid and b2.valid:
+            assert b1.delta < b2.delta
 
 
 class TestLinearFit:
@@ -371,3 +405,34 @@ class TestLinearFit:
             linear_fit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
         with pytest.raises(DomainError):
             linear_fit([1.0], [0.0])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: eta_numeric("two_digit", (0.5, 0.5), 0.0), DomainError, "c must",
+                 id="eta-c-zero"),
+    pytest.param(lambda: eta_numeric("two_digit", (0.5, 0.5), 1.0), DomainError, "c must",
+                 id="eta-c-one"),
+    pytest.param(lambda: eta_numeric("lattice_3digit", (0.5, 0.5), 0.3), DomainError,
+                 "3 weights", id="lattice-two-weights"),
+    pytest.param(lambda: delta_complex(1.2 + 0.5j, (0.5, 0.5), 0.01), DomainError,
+                 "lambda", id="complex-modulus"),
+    pytest.param(lambda: delta_higherdim(1.5, P3, 0.01, 3), RegimeError, "lambda in",
+                 id="higher-dim-lambda"),
+    pytest.param(lambda: delta_higherdim(0.5, (0.5, 0.5), 0.01, 3), RegimeError,
+                 "3 digits", id="higher-dim-two-digits"),
+    pytest.param(lambda: covering_bound(LAM_C, (0.5, 0.5), 0.01, -1), DomainError, "N must",
+                 id="covering-negative-N"),
+    pytest.param(lambda: delta_bound(LAM_C, (0.5, 0.5), 0.01, "quaternion"), DomainError,
+                 "unknown regime", id="unknown-regime"),
+    pytest.param(lambda: bernoulli_dim_lower(0.9 + 0.1j, 0.0), DomainError, "p_bias",
+                 id="bias-zero"),
+    pytest.param(lambda: bernoulli_dim_lower(0.9 + 0.1j, 1.0), DomainError, "p_bias",
+                 id="bias-one"),
+    pytest.param(lambda: bernoulli_dim_lower(1.1j, 0.5), DomainError, "lambda",
+                 id="biased-modulus"),
+    pytest.param(lambda: bernoulli_unbiased_dim_lower(1.1j), DomainError, "lambda",
+                 id="unbiased-modulus"),
+])
+def test_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

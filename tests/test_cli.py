@@ -23,6 +23,7 @@ from ssfourier import (
     grid_scan,
     lq_moment,
     mu_hat,
+    scanfield_to_binary,
     truncation_index,
 )
 from ssfourier.cli import (
@@ -305,9 +306,9 @@ class TestPush:
             return mu
 
         def recording_levels(*args, **kwargs):
-            mu, tree = levels(*args, **kwargs)
-            built.append(mu.n_atoms)
-            return mu, tree
+            for mu, first in levels(*args, **kwargs):
+                built.append(mu.n_atoms)
+                yield mu, first
 
         monkeypatch.setattr(ssfourier.pushforward, "finite_approximation", recording)
         monkeypatch.setattr(ssfourier.pushforward, "tower_levels", recording_levels)
@@ -501,6 +502,11 @@ class TestFormats:
 
 
 class TestScan:
+    def test_binary_to_stdout(self, capsysbinary):
+        assert run(["--format", "bin", "scan", "--lambda", "0.5+0.5i", "--T", "3"]) == EXIT_OK
+        ifs = IFSDescriptor(0.5 + 0.5j, (-1.0, 1.0), (0.5, 0.5))
+        assert capsysbinary.readouterr().out == scanfield_to_binary(grid_scan(ifs, 3))
+
     def test_budget_refusal(self, capsys):
         code, out, _ = run_cli(
             capsys, "--budget", "10", "scan", "--lambda", "0.5+0.5i", "--T", "3",
@@ -549,6 +555,62 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "scan", "--lambda", "0.5+0.5i", "--T", "nan")
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"]["kind"] == "DomainError"
+
+    def test_bare_ek(self, capsys):
+        code, out, err = run_cli(capsys, "ek")
+        assert code == EXIT_USAGE and out == "" and "ek needs one of" in err
+
+
+SQUARE = ["dim", "--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8"]
+
+
+class TestParameterRefusals:
+    """A tol or q outside its domain ends in exit 1 and an error document.
+
+    NaN passes a ``tol <= 0`` test, and sum mu(Q)^q underflows to 0 at
+    q = 300 on the square's level-4 cells (256 cells of mass 2^-8).
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "5,7.25", "--tol", "nan"],
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "5", "--tol", "inf"],
+        ["scan", "--lambda", "0.5+0.5i", "--T", "4", "--tol", "nan"],
+        ["ek", "cover", "--lambda", "0.5+0.5i", "--N", "8", "--epsilon", "0.05",
+         "--tol", "nan"],
+        [*SQUARE, "--q", "nan"],
+        ["--format", "csv", *SQUARE, "--q", "nan"],
+        [*SQUARE, "--q", "300"],
+        ["--format", "csv", *SQUARE, "--q", "300"],
+        [*SQUARE, "--q", "inf"],
+        [*SQUARE, "--q", "1e400"],
+    ], ids=["eval-tol-nan", "eval-tol-inf", "scan-tol-nan", "cover-tol-nan",
+            "dim-q-nan", "dim-csv-q-nan", "dim-q-300", "dim-csv-q-300", "dim-q-inf",
+            "dim-q-1e400"])
+    def test_refused(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "DomainError"
+
+
+class TestFileErrors:
+    """A file that cannot be opened ends in exit 1 and an error document."""
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "--out", str(tmp_path / "missing" / "b.json"), *BOUNDS
+        )
+        assert code == EXIT_DOMAIN and err == ""
+        assert strict_json(out)["error"]["kind"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ifs", "{dir}", "--xi", "1"],
+        ["dim", "--measure-csv", "{dir}"],
+        ["--config", "{dir}", *BOUNDS],
+    ], ids=["ifs", "measure-csv", "config"])
+    def test_directory_as_input(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *[str(tmp_path) if a == "{dir}" else a for a in argv])
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"]["kind"] == "IsADirectoryError"
 
 
 class TestRadii:

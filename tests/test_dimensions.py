@@ -198,8 +198,38 @@ class TestFlatteningCheck:
         report = flattening_check(sierpinski, segment, (1, 6), 0.9, depth=6)
         assert report.bound.regime == "real_noncollinear"
         assert report.sigma > 0.0
+        doc = report.to_json()
+        assert doc["bound"]["regime"] == "real_noncollinear" and doc["sigma"] == report.sigma
 
     def test_too_regular_rejected(self, complex_bernoulli, unit_square):
         nu = finite_approximation(unit_square, 7)
         with pytest.raises(DomainError):
             flattening_check(complex_bernoulli, nu, (1, 6), 0.5, depth=8)
+
+
+SQUARE = IFSDescriptor(0.5, (0.0, 1.0, 1j, 1 + 1j), (0.25,) * 4)
+SQUARE_6 = finite_approximation(SQUARE, 6)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: dyadic_histogram(SQUARE_6, -1), "level", id="histogram-level"),
+    pytest.param(lambda: dim_q_estimate(SQUARE_6, 2.0, 4, 2), "n_min", id="dim-q-levels"),
+    pytest.param(lambda: dim_inf_estimate(SQUARE_6, 4, 2), "n_min", id="dim-inf-levels"),
+    *(pytest.param(lambda q=q: lq_moment(SQUARE_6, 2, q), "q must", id=f"moment-q-{q}")
+      for q in (1.0, 0.5, math.nan, math.inf)),
+    *(pytest.param(lambda q=q: dim_q_estimate(SQUARE_6, q, 1, 4), "q must", id=f"dim-q-{q}")
+      for q in (1.0, math.nan, math.inf)),
+    # 1024 level-5 cells of mass 2^-10: 2^-3000 underflows to 0; the depth-8
+    # square's resolution cap leaves levels 1..5 to the estimate
+    pytest.param(lambda: lq_moment(SQUARE_6, 5, 300.0), "underflows", id="moment-underflow"),
+    pytest.param(lambda: dim_q_estimate(finite_approximation(SQUARE, 8), 300.0, 1, 5),
+                 "underflows", id="dim-q-underflow"),
+    pytest.param(lambda: alpha_estimate(SQUARE_6, [8.0, 4.0, 2.0], 0.5), "increasing",
+                 id="alpha-decreasing"),
+    pytest.param(lambda: flattening_check(IFSDescriptor(0.5, (1.0, 1.0), (0.5, 0.5)),
+                                          SQUARE_6, (1, 4), 0.5, 4),
+                 "non-atomic", id="flattening-atomic"),
+])
+def test_refused(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -184,6 +184,39 @@ def _random_scan_system(r, theta, flip, digits):
     )
 
 
+RANDOM_SYSTEMS = st.builds(
+    _random_scan_system,
+    st.floats(0.05, 0.95),
+    st.floats(0.1, math.pi - 0.1),
+    st.booleans(),
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),
+             min_size=2, max_size=4),
+)
+
+
+class TestTruncationIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ifs=RANDOM_SYSTEMS,
+        tol=st.floats(1e-14, 0.1),
+        abs_xi=st.floats(0.0, 1e5),
+        boundary=st.none() | st.integers(0, 40),
+    )
+    def test_smallest_index_with_tail_below_tol(self, ifs, tol, abs_xi, boundary):
+        # tail(K) = 2 pi max|w| |xi| |lam|^K / (1 - |lam|) bounds the omitted
+        # factors; ``boundary`` places |xi| where tail(boundary) = tol
+        w_max, alam = max(abs(w) for w in ifs.digits), abs(ifs.lam)
+        if boundary is not None and w_max > 0:
+            abs_xi = tol * (1 - alam) / (2 * math.pi * w_max * alam**boundary)
+        k = int(truncation_index(ifs, abs_xi, tol))
+
+        def tail(n):
+            return 2 * math.pi * w_max * abs_xi * alam**n / (1 - alam)
+
+        assert tail(k) <= tol * (1 + 1e-12)
+        assert k == 0 or tail(k - 1) >= tol * (1 - 1e-12)
+
+
 def assert_scan_matches_oracle(ifs, T, k, tol):
     """Every streamed scan value is the phi-built product's modulus at its xi."""
     origin = []
@@ -587,3 +620,21 @@ class TestProductKernel:
                 alone = mu_hat(ifs, xi[lane], 1e-12)
                 assert alone == batch[lane], (size, lane)
                 assert mu_hat(ifs, xi[lane : lane + 1], 1e-12)[0] == alone
+
+
+THREE_DIGIT = SCAN_SYSTEMS["three_digit"]
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, 0.0), "tol", id="tol-zero"),
+    pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, -1e-3), "tol", id="tol-negative"),
+    pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, math.nan), "tol", id="tol-nan"),
+    pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, math.inf), "tol", id="tol-inf"),
+    pytest.param(lambda: scanfield_from_binary(b"NOTAFLD\0" + bytes(24)), "magic",
+                 id="bad-magic"),
+    pytest.param(lambda: energy_integral("not a measure", 4.0, 0.5), "target",
+                 id="target-type"),
+])
+def test_refused(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

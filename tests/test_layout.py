@@ -82,7 +82,11 @@ def test_guard_sees_phi_calls():
 
 
 def looped_merge_callers(source: str) -> list[str]:
-    """Functions that call ``merge_atoms`` or ``_merge_atoms`` inside a loop."""
+    """Functions that call a merge or a convolution step inside a loop.
+
+    The calls counted are ``merge_atoms``, ``_merge_atoms``, ``convolve``
+    and ``_convolve``.
+    """
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = []
     for func in ast.walk(ast.parse(source)):
@@ -92,7 +96,7 @@ def looped_merge_callers(source: str) -> list[str]:
             if isinstance(loop, loops) and any(
                 isinstance(node, ast.Call)
                 and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
-                in ("merge_atoms", "_merge_atoms")
+                in ("merge_atoms", "_merge_atoms", "convolve", "_convolve")
                 for node in ast.walk(loop)
             ):
                 found.append(func.name)
@@ -101,8 +105,8 @@ def looped_merge_callers(source: str) -> list[str]:
 
 
 def test_one_tower_level_loop():
-    # the tower's digit tree comes from the one level loop; a second loop
-    # over merges would be a copy of finite_approximation growing back
+    # every tower is a walk of the one level loop; a second loop over
+    # merges or convolution steps would be a copy of it growing back
     source = (PACKAGE / "measures.py").read_text(encoding="utf-8")
     assert looped_merge_callers(source) == ["tower_levels"]
 
@@ -119,5 +123,11 @@ def test_guard_sees_looped_merges():
         "    return merge_atoms(mu, 0.0)\n"
         "def many(mus):\n"
         "    return [merge_atoms(mu, 0.0) for mu in mus]\n"
+        "def walk(mu, steps):\n"
+        "    for nu in steps:\n"
+        "        mu, first = _convolve(mu, nu, 0.0, None)\n"
+        "def power(mu, n):\n"
+        "    while n:\n"
+        "        mu, n = measures.convolve(mu, mu), n - 1\n"
     )
-    assert looped_merge_callers(source) == ["tower", "tree", "many"]
+    assert looped_merge_callers(source) == ["tower", "tree", "many", "walk", "power"]

@@ -154,14 +154,14 @@ class TestFiniteApproximation:
         assert np.allclose(combined.weights, direct.weights, atol=1e-12)
 
 
-def reference_tower(ifs, depth):
-    """The level loop of finite_approximation written out over merge_atoms."""
+def reference_tower(ifs, depth, merge=merge_atoms):
+    """The level loop of finite_approximation written out over ``merge``."""
     tol = 1e-12 * max(support_radius(ifs), 1.0)
     mu, scale = DiscreteMeasure.dirac(0.0), 1.0 + 0.0j
     for _ in range(depth):
         pos = (mu.positions[:, None] + scale * np.array(ifs.digits)[None, :]).ravel()
         wts = (mu.weights[:, None] * np.asarray(ifs.probs)[None, :]).ravel()
-        mu = merge_atoms(DiscreteMeasure(pos, wts / wts.sum()), tol)
+        mu = merge(DiscreteMeasure(pos, wts / wts.sum()), tol)
         scale *= ifs.lam
     return mu
 
@@ -172,12 +172,14 @@ class TestTowerLevels:
     ])
     def test_tree_points_near_positions(self, request, system, depth, merges):
         ifs = LATTICE if system == "lattice" else request.getfixturevalue(system)
-        mu, levels = tower_levels(ifs, depth)
+        walk = list(tower_levels(ifs, depth))
+        mu = walk[-1][0]
         assert_same_bits(mu, finite_approximation(ifs, depth))
-        assert len(levels) == depth and levels[0][0].tolist() == [0] * levels[0][0].size
+        assert len(walk) == depth and walk[0][1].tolist() == list(range(ifs.m))
         z = np.zeros(1, dtype=np.complex128)
-        for n, (parent, digit) in enumerate(levels):
-            assert parent.shape == digit.shape and digit.max() < ifs.m
+        for n, (level, first) in enumerate(walk):
+            assert first.shape == (level.n_atoms,)
+            parent, digit = np.divmod(first, ifs.m)
             z = z[parent] + ifs.lam**n * np.array(ifs.digits)[digit]
         assert z.size == mu.n_atoms
         assert (mu.n_atoms < ifs.m**depth) == merges
@@ -376,10 +378,9 @@ class TestMergeOracle:
         ],
         ids=["push-lattice", "nine-digit"],
     )
-    def test_towers(self, ifs, depth, monkeypatch):
+    def test_towers(self, ifs, depth):
         got = finite_approximation(ifs, depth)
-        monkeypatch.setattr(measures, "merge_atoms", reference_merge)
-        want = finite_approximation(ifs, depth)
+        want = reference_tower(ifs, depth, merge=reference_merge)
         assert got.n_atoms < ifs.m**depth  # the tower really merges
         assert_same_bits(got, want)
 
@@ -605,13 +606,33 @@ class TestDiscreteMeasureValidation:
         assert got.n_atoms == 1 + 1 + 30 + 1
         assert_same_bits(got, reference_merge(mu, tol))
 
-    def test_convolved_tower_duplicates(self, monkeypatch):
+    def test_convolved_tower_duplicates(self):
         # mu * mu of the depth-5 push lattice tower: 19,881 sums onto 577
         # points, about 34 exactly coinciding atoms per point
         ifs = IFSDescriptor(0.5 + 0.5j, (-1.0, 0.0, 1.0), (1 / 3,) * 3)
         mu = finite_approximation(ifs, 5)
         got = convolve(mu, mu, merge_tol=1e-12)
-        monkeypatch.setattr(measures, "merge_atoms", reference_merge)
-        want = convolve(mu, mu, merge_tol=1e-12)
+        pos = (mu.positions[:, None] + mu.positions[None, :]).ravel()
+        wts = (mu.weights[:, None] * mu.weights[None, :]).ravel()
+        want = reference_merge(DiscreteMeasure(pos, wts / wts.sum()), 1e-12)
         assert got.n_atoms == 577
         assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: DiscreteMeasure([0j, 1j], [1.0]), "equal length",
+                 id="unequal-lengths"),
+    pytest.param(lambda: DiscreteMeasure([], []), "at least one atom", id="no-atoms"),
+    pytest.param(lambda: DiscreteMeasure([complex("nan")], [1.0]), "finite",
+                 id="nan-position"),
+    pytest.param(lambda: DiscreteMeasure([0j, complex(math.inf, 0.0)], [0.5, 0.5]),
+                 "finite", id="inf-position"),
+    pytest.param(lambda: finite_approximation(LATTICE, -1), "depth", id="negative-depth"),
+    pytest.param(lambda: sample(LATTICE, 0, 1e-9, seed=1), "count", id="no-samples"),
+    pytest.param(lambda: sample(LATTICE, 10, 0.0, seed=1), "tail_tol", id="tail-tol-zero"),
+    pytest.param(lambda: sample(LATTICE, 10, -1e-3, seed=1), "tail_tol",
+                 id="tail-tol-negative"),
+])
+def test_refused(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -250,6 +250,29 @@ class TestSplitPushforward:
         pushed = pushforward_measure(f, finite_approximation(complex_bernoulli, 8))
         assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, seed=2))
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 9, 13])
+    def test_one_tower_walk(self, monkeypatch, depth):
+        # every block and both digit trees come from one walk of
+        # k = ceil(depth / 3) levels, and each block is bit for bit the
+        # tower of its own depth
+        walks = []
+        levels = pushforward.tower_levels
+
+        def counting(ifs, n, atom_budget=None):
+            walks.append(n)
+            return levels(ifs, n, atom_budget)
+
+        monkeypatch.setattr(pushforward, "tower_levels", counting)
+        split = split_pushforward(Z_SQUARED, LATTICE, depth)
+        k = -(-depth // 3)
+        a = -(-(depth - k) // 2)
+        assert walks == [k]
+        for block, (start, n) in zip(split.blocks, ((0, k), (k, a), (k + a, depth - k - a))):
+            want = finite_approximation(LATTICE, n)
+            assert block.positions.tobytes() == (want.positions * LATTICE.lam**start).tobytes()
+            assert block.weights.tobytes() == want.weights.tobytes()
+        assert [t.points.size for t in split.trees] == [b.n_atoms for b in split.blocks[:2]]
+
     def test_split_over_budget_uses_merged_tower(self):
         # 25^3 split terms exceed the budget while the merged depth-9 tower
         # (about 3e3 atoms) fits it, so the profile is the direct sum's
@@ -313,3 +336,13 @@ class TestFrostman:
         atomic = IFSDescriptor(0.5, (1.0, 1.0), (0.5, 0.5))
         with pytest.raises(DomainError):
             frostman_estimate(atomic)
+
+
+@pytest.mark.parametrize("radii", [
+    pytest.param([4.0, 8.0], id="two-radii"),
+    pytest.param([4.0, 8.0, 8.0], id="repeated-radius"),
+    pytest.param([4.0, 16.0, 8.0], id="decreasing-radius"),
+])
+def test_decay_profile_refuses_radii(radii):
+    with pytest.raises(DomainError, match="radii"):
+        decay_profile(Z_SQUARED, LATTICE, radii, directions=8, approx_depth=4)

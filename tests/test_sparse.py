@@ -362,3 +362,18 @@ class TestCoveringReport:
         atomic = IFSDescriptor((1 + 1j) / 2, (1.0, 1.0), (0.5, 0.5))
         with pytest.raises(RegimeError):
             covering_report(atomic, 0.05, 8)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: ek_trace(1.2 + 0.5j, 0.3, 6), "lambda", id="trace-modulus"),
+    pytest.param(lambda: digit_transition_bound(1.2 + 0.5j), "lambda", id="transition-modulus"),
+    pytest.param(lambda: verify_digit_inequality(LAM, 10, 2, 0), "N >= 3", id="verify-N"),
+    pytest.param(lambda: unique_continuation_violations(LAM, 10, 2, 0), "N >= 3",
+                 id="continuation-N"),
+    pytest.param(lambda: enumerate_digit_sequences(LAM, 0.3, 0), "N >= 1", id="enumerate-N"),
+    pytest.param(lambda: covering_report(IFSDescriptor(LAM, (-1.0, 1.0), (0.5, 0.5)), 0.05, 1),
+                 "N >= 2", id="cover-N"),
+])
+def test_refused(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
