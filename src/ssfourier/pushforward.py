@@ -243,15 +243,16 @@ def split_pushforward(
 ) -> SplitPushforward:
     """Split form of F_# mu_depth for a map of degree <= 2.
 
-    The blocks hold k = ceil(depth/3) prefix levels and the rest in two
-    halves of a and depth - k - a <= a <= k levels, so one walk of k
-    levels of ``tower_levels`` under ``atom_budget`` gives all three (its
-    levels k, a and depth - k - a, scaled by lam**0, lam**k, lam**(k + a))
-    and the digit trees of the first two.  The prefix block is the
-    tower's own first levels, so it refuses exactly where the tower would.
+    The blocks hold k = ceil(depth/3) prefix levels and the rest in two halves
+    of a and depth - k - a <= a <= k levels: one walk of k levels of ``tower_levels``
+    under ``atom_budget`` gives all three (its levels k, a, depth - k - a, scaled by
+    1, lam**k, lam**(k + a)) and the trees of the first two, refusing where the tower
+    would.  Depth < 0 is checked here, as depths -1 and -2 walk no level.
     """
     if f.degree > 2:
         raise DomainError(f"split evaluation needs degree <= 2, got {f.degree}")
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
     k = -(-depth // 3)
     a = -(-(depth - k) // 2)
     digits = np.array(ifs.digits, dtype=np.complex128)
@@ -273,9 +274,8 @@ def split_pushforward(
     blocks = tuple(scale_rotate(mus[n], ifs.lam**start)
                    for start, n in ((0, k), (k, a), (k + a, depth - k - a)))
     trees = (tree(k, 0), tree(a, k))
-    displacement = sum(
-        float(np.max(np.abs(t.points - b.positions))) for t, b in zip(trees, blocks)
-    )
+    displacement = sum(float(np.max(np.abs(t.points - b.positions)))
+                       for t, b in zip(trees, blocks))
     return SplitPushforward(f, blocks, trees, displacement)
 
 

@@ -316,6 +316,15 @@ class TestPush:
         assert code == EXIT_OK
         assert built and max(built) <= 1000
 
+    @pytest.mark.parametrize("depth", ["-1", "-2"])
+    def test_negative_depth_refused(self, capsys, depth):
+        code, out, _ = run_cli(
+            capsys, "push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1",
+            "--radii", "8,16,32", "--directions", "8", "--depth", depth,
+        )
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["kind"] == "DomainError"
+
     def test_real_noncollinear_profile(self, capsys):
         code, out, _ = run_cli(
             capsys, "push", "--lambda", "0.5", "--digits", "0,1,i",

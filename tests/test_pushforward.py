@@ -273,6 +273,15 @@ class TestSplitPushforward:
             assert block.weights.tobytes() == want.weights.tobytes()
         assert [t.points.size for t in split.trees] == [b.n_atoms for b in split.blocks[:2]]
 
+    @pytest.mark.parametrize("depth", [-1, -2, -3])
+    def test_negative_depth_refused(self, depth):
+        # -1 and -2 walk k = 0 levels, so the refusal cannot come from the walk
+        with pytest.raises(DomainError, match="depth"):
+            split_pushforward(Z_SQUARED, LATTICE, depth)
+        with pytest.raises(DomainError, match="depth"):
+            decay_profile(Z_SQUARED, LATTICE, [4.0, 8.0, 16.0], directions=8,
+                          approx_depth=depth)
+
     def test_split_over_budget_uses_merged_tower(self):
         # 25^3 split terms exceed the budget while the merged depth-9 tower
         # (about 3e3 atoms) fits it, so the profile is the direct sum's
