@@ -14,19 +14,9 @@ from .bounds import (
     entropy_h,
     eta_numeric,
     eta_two_digit,
-    osc_correlation_dimension,
     solve_flattening_epsilon,
 )
-from .dimensions import (
-    DyadicHistogram,
-    FlatteningReport,
-    alpha_estimate,
-    dim_inf_estimate,
-    dim_q_estimate,
-    dyadic_histogram,
-    flattening_check,
-    lq_moment,
-)
+from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
 from .errors import BudgetError, ConvergenceError, DomainError, RegimeError
 from .fourier import (
     ScanField,
@@ -34,7 +24,6 @@ from .fourier import (
     fourier_sum,
     grid_scan,
     mu_hat,
-    phi,
     scanfield_from_binary,
     scanfield_to_binary,
     scanfield_to_csv,
@@ -44,14 +33,9 @@ from .measures import (
     DiscreteMeasure,
     IFSDescriptor,
     ProbabilityVector,
-    convolve,
     finite_approximation,
     ifs_from_json_str,
-    ifs_to_json_str,
     measure_from_csv,
-    measure_to_csv,
-    merge_atoms,
-    sample,
     scale_rotate,
     support_radius,
     tower_levels,
@@ -72,7 +56,5 @@ from .sparse import (
     digit_transition_bound,
     ek_trace,
     enumerate_digit_sequences,
-    in_sparse_set,
-    unique_continuation_violations,
     verify_digit_inequality,
 )

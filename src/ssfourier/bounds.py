@@ -487,8 +487,3 @@ def bernoulli_unbiased_dim_lower(lam: complex) -> DimensionBound:
     return _bernoulli_bounds(
         lam, 0.5, lambda alam: math.log(1.0 / alam) / math.log(2.0 / alam)
     )
-
-
-def osc_correlation_dimension(lam_abs: float, p_bias: float) -> float:
-    """Open-set-condition value log(p^2 + (1-p)^2) / log(lam_abs)."""
-    return math.log(p_bias**2 + (1.0 - p_bias) ** 2) / math.log(lam_abs)

@@ -13,31 +13,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import DecayBound, linear_fit, solve_flattening_epsilon
+from .bounds import linear_fit
 from .errors import DomainError
 from .fourier import energy_integral
-from .measures import DiscreteMeasure, IFSDescriptor, convolve, finite_approximation
+from .measures import DiscreteMeasure
 
 # fixed irrational anchor shift: ((sqrt(5)-1)/2, (sqrt(3)-1)/2)
 _SHIFT = complex(0.6180339887498949, 0.36602540378443865)
-
-
-@dataclass(frozen=True, eq=False)
-class DyadicHistogram:
-    """Masses of the occupied dyadic cells at one level (scale 2^-level).
-
-    ``cells`` holds the complex keys i + j*1j of the cells
-    [i, i+1) x [j, j+1) / 2^level in lexicographic (i, j) order and
-    ``masses`` their masses, as aligned arrays.
-    """
-
-    level: int
-    cells: np.ndarray
-    masses: np.ndarray
 
 
 def _dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
@@ -47,17 +32,11 @@ def _dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
     order, and their masses.  Floored coordinates are exact floats, so
     the keys are exact at every level.
     """
-    if level < 0:
-        raise DomainError("level must be >= 0")
     scale = 2.0**level
     pos = mu.positions + shift
     keys = np.floor(pos.real * scale) + 1j * np.floor(pos.imag * scale)
     cells, inverse = np.unique(keys, return_inverse=True)
     return cells, np.bincount(inverse, weights=mu.weights, minlength=cells.size)
-
-
-def dyadic_histogram(mu: DiscreteMeasure, level: int) -> DyadicHistogram:
-    return DyadicHistogram(level, *_dyadic_cells(mu, level))
 
 
 def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
@@ -176,61 +155,3 @@ def alpha_estimate(
     ys = [math.log(energy_integral(mu, t, step)) for t in T_values]
     alpha, _ = linear_fit(xs, ys)
     return alpha, 2.0 - alpha
-
-
-@dataclass(frozen=True)
-class FlatteningReport:
-    """Desk-scale check of the convolution dimension gain."""
-
-    kappa: float
-    epsilon: float
-    sigma: float
-    dim2_nu: float
-    stderr_nu: float
-    dim2_conv: float
-    stderr_conv: float
-    margin: float
-    bound: DecayBound
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def flattening_check(
-    ifs: IFSDescriptor,
-    nu: DiscreteMeasure,
-    n_range: tuple[int, int],
-    kappa_assumed: float,
-    depth: int,
-) -> FlatteningReport:
-    """Estimate the correlation-dimension gain of convolving with mu.
-
-    mu is the depth-``depth`` finite approximation of ``ifs``.
-    sigma = 2*eps comes from the flattening equation kappa - 2*eps =
-    delta(eps); the reported margin is dim2(mu * nu) - dim2(nu) - sigma,
-    which the theory makes nonnegative up to estimator error (the
-    standard errors are part of the report, not hidden).
-    """
-    if ifs.is_atomic:
-        raise DomainError("flattening needs a non-atomic self-similar measure")
-    n_min, n_max = n_range
-    dim2_nu, err_nu = dim_q_estimate(nu, 2.0, n_min, n_max)
-    if dim2_nu > 2.0 - kappa_assumed:
-        raise DomainError(
-            f"nu is too regular: dim2 estimate {dim2_nu:.3f} exceeds "
-            f"2 - kappa = {2.0 - kappa_assumed:.3f}"
-        )
-    eps, sigma, bound = solve_flattening_epsilon(ifs.lam, ifs.probs, kappa_assumed)
-    conv = convolve(finite_approximation(ifs, depth), nu)
-    dim2_conv, err_conv = dim_q_estimate(conv, 2.0, n_min, n_max)
-    return FlatteningReport(
-        kappa=kappa_assumed,
-        epsilon=eps,
-        sigma=sigma,
-        dim2_nu=dim2_nu,
-        stderr_nu=err_nu,
-        dim2_conv=dim2_conv,
-        stderr_conv=err_conv,
-        margin=dim2_conv - dim2_nu - sigma,
-        bound=bound,
-    )

@@ -6,8 +6,7 @@ product prod_{n>=0} Phi(lam^n * conj(xi)) over the digit character
 Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).  Products are truncated with a
 certified tail bound, so the returned modulus is an upper bound on the true
 |mu_hat| and differs from it by at most 2*tol.  One kernel, ``_product``,
-evaluates it for ``mu_hat``, the scan and the IFS energy; ``phi`` is the
-plain Phi, which no code here calls: the tests use it as an oracle.
+evaluates it for ``mu_hat``, the scan and the IFS energy.
 """
 
 from __future__ import annotations
@@ -33,19 +32,6 @@ _ROW_BLOCK = 64
 _ATOM_CHUNK = 1 << 16
 _ENERGY_BLOCK = 1 << 13
 _BIN_MAGIC = b"SSFGRID1"
-
-
-def phi(ifs: IFSDescriptor, u) -> complex | np.ndarray:
-    """Digit character Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).
-
-    Accepts a scalar or an array of complex arguments; |Phi| <= 1 always,
-    with equality at u = 0.
-    """
-    u_arr = np.asarray(u, dtype=np.complex128)
-    out = np.zeros(u_arr.shape, dtype=np.complex128)
-    for w, p in zip(ifs.digits, ifs.probs):
-        out += p * np.exp(2j * np.pi * (w.real * u_arr.real - w.imag * u_arr.imag))
-    return complex(out) if u_arr.ndim == 0 else out
 
 
 def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):

@@ -4,9 +4,8 @@ A homogeneous IFS is a family f_i(z) = lam*z + w_i sharing one complex
 contraction ratio lam, |lam| < 1.  The associated self-similar measure is
 the law of sum_{n>=0} lam^n X_n, where the X_n are i.i.d. draws from the
 digit set {w_i} with weights p_i.  This module holds the IFS descriptor,
-finite discrete approximations (depth-N convolution towers), Monte Carlo
-sampling, and the small measure algebra (convolution, complex scaling)
-everything else builds on.
+finite discrete approximations (depth-N convolution towers) and the small
+measure algebra (convolution, complex scaling) everything else builds on.
 
 All types are immutable after construction and all operations are pure,
 so they can be called concurrently without locking.
@@ -14,6 +13,7 @@ so they can be called concurrently without locking.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -32,13 +32,12 @@ WEIGHT_SUM_TOL = 1e-10
 REAL_LAMBDA_TOL = 1e-14
 COLLINEAR_TOL = 1e-12
 
-_SAMPLE_BLOCK = 1 << 16  # fixed so output never depends on worker count
 _PAIR_BLOCK = 1 << 18  # grid-hash candidate pairs per block; keeps memory O(n)
 
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Strictly positive weights of length >= 2 summing to 1."""
+    """Finite, strictly positive weights of length >= 2 summing to 1."""
 
     p: tuple[float, ...]
 
@@ -47,8 +46,8 @@ class ProbabilityVector:
         object.__setattr__(self, "p", p)
         if len(p) < 2:
             raise DomainError("probability vector needs at least 2 entries")
-        if any(x <= 0.0 for x in p):
-            raise DomainError("probability weights must be strictly positive")
+        if not all(0.0 < x < math.inf for x in p):
+            raise DomainError("probability weights must be finite and strictly positive")
         if abs(sum(p) - 1.0) > PROB_SUM_TOL:
             raise DomainError(
                 f"probability weights must sum to 1 within {PROB_SUM_TOL:g}"
@@ -85,7 +84,7 @@ class IFSDescriptor:
     lam : complex
         Common contraction ratio, 0 < |lam| < 1.
     digits : tuple of complex
-        Translation parts w_1..w_m (m >= 2).
+        Finite translation parts w_1..w_m (m >= 2).
     probs : tuple of float
         Selection probabilities, strictly positive, summing to 1.
     """
@@ -105,6 +104,8 @@ class IFSDescriptor:
             raise DomainError(f"need 0 < |lam| < 1, got |lam| = {abs(lam):g}")
         if len(digits) != len(probs):
             raise DomainError("digits and probs must have the same length")
+        if not all(cmath.isfinite(w) for w in digits):
+            raise DomainError("digits must be finite")
 
     @property
     def m(self) -> int:
@@ -361,7 +362,7 @@ def _merge_components(pts: np.ndarray, tol: float):
     return comp[label], np.flatnonzero(root)
 
 
-def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
+def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.ndarray]:
     """Coalesce atoms within distance ``tol`` of each other.
 
     Atoms join when dx*dx + dy*dy <= tol*tol, and joins chain: every
@@ -373,17 +374,12 @@ def merge_atoms(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     ``tol <= 0`` only exactly coinciding atoms merge.  The result is
     sorted lexicographically by (re, im), which makes merged measures
     canonical for comparison.
-    """
-    return _merge_atoms(mu, tol)[0]
 
-
-def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.ndarray]:
-    """``merge_atoms`` and, for each merged atom, the index in ``mu`` of its
-    smallest member.
-
-    Each pass numbers the merged atoms in the order of their smallest
-    members, so the member indices stay increasing from pass to pass and
-    the smallest member of a merged group is that of its first atom.
+    Also returns, for each merged atom, the index in ``mu`` of its
+    smallest member.  Each pass numbers the merged atoms in the order of
+    their smallest members, so the member indices stay increasing from
+    pass to pass and the smallest member of a merged group is that of its
+    first atom.
     """
     pos, wts = mu.positions, mu.weights
     first = None  # while no atom has merged, each is its own smallest member
@@ -450,7 +446,7 @@ def finite_approximation(
 def tower_levels(ifs: IFSDescriptor, depth: int, atom_budget: int | None = None):
     """Stream ``(mu_n, first_n)`` for the levels n < depth of ``finite_approximation``.
 
-    mu_n is the ``convolve`` step of mu_{n-1} (delta_0 before level 0) and
+    mu_n is the ``_convolve`` step of mu_{n-1} (delta_0 before level 0) and
     the digit law scaled by lam^n, so the budget holds level by level and
     the state after n levels does not depend on ``depth``.  The level's
     sums come in (atom of mu_{n-1}, digit) order and ``first_n[i]`` indexes
@@ -471,59 +467,9 @@ def tower_levels(ifs: IFSDescriptor, depth: int, atom_budget: int | None = None)
         scale *= ifs.lam
 
 
-def sample(
-    ifs: IFSDescriptor, count: int, tail_tol: float, seed: int
-) -> DiscreteMeasure:
-    """Monte Carlo draws from the self-similar measure.
-
-    Returns ``count`` equal-weight atoms, each an independent draw of the
-    truncated sum sum_{n=0}^{K-1} lam^n X_n, with K the smallest integer
-    such that support_radius * |lam|^K < tail_tol.  Deterministic for a
-    given seed: draws are produced in fixed 2^16-sample blocks with
-    per-block derived generators, so the result never depends on how the
-    work is distributed.
-    """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if not tail_tol > 0:
-        raise DomainError("tail_tol must be > 0")
-    radius = support_radius(ifs)
-    alam = abs(ifs.lam)
-    if radius < tail_tol:
-        depth = 0
-    else:
-        depth = max(math.ceil(math.log(tail_tol / radius) / math.log(alam)), 0)
-        while radius * alam**depth >= tail_tol:
-            depth += 1
-        while depth > 0 and radius * alam ** (depth - 1) < tail_tol:
-            depth -= 1
-    digits = np.array(ifs.digits, dtype=np.complex128)
-    powers = ifs.lam ** np.arange(depth)
-    probs = np.asarray(ifs.probs)
-    out = np.empty(count, dtype=np.complex128)
-    for block, start in enumerate(range(0, count, _SAMPLE_BLOCK)):
-        n = min(_SAMPLE_BLOCK, count - start)
-        rng = np.random.default_rng([seed, block])
-        acc = np.zeros(n, dtype=np.complex128)
-        for k in range(depth):
-            idx = rng.choice(ifs.m, size=n, p=probs)
-            acc += powers[k] * digits[idx]
-        out[start : start + n] = acc
-    return DiscreteMeasure(out, np.full(count, 1.0 / count))
-
-
-def convolve(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    merge_tol: float = 0.0,
-    atom_budget: int | None = None,
-) -> DiscreteMeasure:
-    """Convolution of two discrete measures (all pairwise sums)."""
-    return _convolve(mu, nu, merge_tol, atom_budget)[0]
-
-
 def _convolve(mu, nu, merge_tol, atom_budget) -> tuple[DiscreteMeasure, np.ndarray]:
-    """``convolve``, refused past ``atom_budget`` sums (default 1e7), and each
+    """Convolution of two discrete measures (all pairwise sums) merged at
+    ``merge_tol``, refused past ``atom_budget`` sums (default 1e7), and each
     merged atom's smallest member among the sums in (mu atom, nu atom) order."""
     budget = DEFAULT_ATOM_BUDGET if atom_budget is None else int(atom_budget)
     if mu.n_atoms * nu.n_atoms > budget:
@@ -545,17 +491,8 @@ def scale_rotate(mu: DiscreteMeasure, factor: complex) -> DiscreteMeasure:
 # serialization
 # ---------------------------------------------------------------------------
 
-def measure_to_csv(mu: DiscreteMeasure) -> str:
-    """CSV text with header ``re,im,weight``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["re", "im", "weight"])
-    for z, w in zip(mu.positions, mu.weights):
-        writer.writerow([repr(float(z.real)), repr(float(z.imag)), repr(float(w))])
-    return buf.getvalue()
-
-
 def measure_from_csv(text: str) -> DiscreteMeasure:
+    """Measure from CSV text with header ``re,im,weight``, one atom per row."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["re", "im", "weight"]:
         raise DomainError("expected CSV header re,im,weight")
@@ -568,12 +505,9 @@ def measure_from_csv(text: str) -> DiscreteMeasure:
     return DiscreteMeasure(pos, wts)
 
 
-def ifs_to_json_str(ifs: IFSDescriptor) -> str:
-    return json.dumps(ifs.to_json(), sort_keys=True)
-
-
 def ifs_from_json_str(text: str) -> IFSDescriptor:
-    """Inverse of ``ifs_to_json_str``; text that is not JSON is a DomainError."""
+    """The system of a JSON ``IFSDescriptor.to_json`` document; text that is not
+    JSON is a DomainError."""
     try:
         return IFSDescriptor.from_json(json.loads(text))
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ Pisot-parameter examples.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -36,12 +37,14 @@ _F2_SAMPLES = 4096  # spiral samples of the second-derivative certification
 
 @dataclass(frozen=True)
 class AnalyticMap:
-    """Polynomial map F(z) = sum_k coeffs[k] z^k."""
+    """Polynomial map F(z) = sum_k coeffs[k] z^k with finite coefficients."""
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coeffs)
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise DomainError("map coefficients must be finite")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)

@@ -54,8 +54,6 @@ class EKTrace:
     r: np.ndarray    # int64, length N
     eps: np.ndarray  # float64, length N
     rho: float
-    _cs: np.ndarray
-    _ds: np.ndarray
 
     @property
     def good(self) -> np.ndarray:
@@ -65,20 +63,12 @@ class EKTrace:
     def good_indices(self) -> frozenset:
         return frozenset(int(j) for j in np.flatnonzero(self.good))
 
-    def c(self, j: int) -> float:
-        """Re(lam^{-j} t)."""
-        return float(self._cs[j])
-
-    def d(self, j: int) -> float:
-        """Im(lam^{-j} t)."""
-        return float(self._ds[j])
-
 
 def _digit_expansion(lam: complex, t, N: int):
     """Re(t lam^{-j}) = r_j + eps_j for j < N along the last axis.
 
     t is a scalar or an array of frequencies with |t| < 1.  Returns
-    (t lam^{-j}, r_j as floats, eps_j in [-1/2, 1/2)).  Raises
+    (r_j as floats, eps_j in [-1/2, 1/2)).  Raises
     RegimeError for a lambda that ``is_real_lambda`` calls real, and
     OverflowError when |lam|^{-(N-1)} would push the digits past exact
     float integer range (2^52).
@@ -91,9 +81,9 @@ def _digit_expansion(lam: complex, t, N: int):
         raise OverflowError(
             f"|lambda|^-{N - 1} exceeds the safe digit magnitude 2^52"
         )
-    us = np.asarray(t)[..., None] * (1.0 / lam) ** np.arange(N)
-    r = np.floor(us.real + 0.5)
-    return us, r, us.real - r
+    c = (np.asarray(t)[..., None] * (1.0 / lam) ** np.arange(N)).real
+    r = np.floor(c + 0.5)
+    return r, c - r
 
 
 def _sparse_membership(eps: np.ndarray, rho: float, epsilon_tilde: float, slack: float):
@@ -115,14 +105,8 @@ def ek_trace(lam: complex, t: complex, N: int) -> EKTrace:
         raise DomainError("need |t| < 1")
     if N < 2:
         raise DomainError("need N >= 2")
-    us, r, eps = _digit_expansion(lam, t, N)
-    rho = good_rho(abs(lam))
-    return EKTrace(lam, t, N, r.astype(np.int64), eps, rho, us.real, us.imag)
-
-
-def in_sparse_set(trace: EKTrace, epsilon_tilde: float) -> bool:
-    """Membership t in S(N, et): |eps_j| < rho for >= (1 - et)N indices."""
-    return bool(_sparse_membership(trace.eps, trace.rho, epsilon_tilde, 0.0))
+    r, eps = _digit_expansion(lam, t, N)
+    return EKTrace(lam, t, N, r.astype(np.int64), eps, good_rho(abs(lam)))
 
 
 def digit_transition_bound(lam: complex) -> tuple[float, int]:
@@ -160,36 +144,10 @@ def verify_digit_inequality(
     bound, _ = digit_transition_bound(lam)
     if N < 3:
         raise DomainError("need N >= 3 to check a transition")
-    _, r, _ = _sampled_expansion(lam, sample_count, N, seed)
+    r, _ = _sampled_expansion(lam, sample_count, N, seed)
     a2 = abs(lam) ** 2
     lhs = np.abs(r[:, 2:] - (2.0 * lam.real * r[:, 1:-1] - r[:, :-2]) / a2)
     return int(np.sum(lhs > bound + FLOAT_SLACK))
-
-
-def unique_continuation_violations(
-    lam: complex, sample_count: int, N: int, seed: int
-) -> int:
-    """Check that three consecutive good indices force the next digit.
-
-    When j-1, j, j+1 are all good, the admissible interval around
-    (2*a*r_j - r_{j-1})/|lam|^2 has radius rho*(1 + (1 + 2|a|)/|lam|^2)
-    < 1/2, so it contains exactly one integer and that integer must be
-    the traced r_{j+1}.  Returns the number of (t, j) failures.
-    """
-    lam = complex(lam)
-    if N < 3:
-        raise DomainError("need N >= 3")
-    _, r, eps = _sampled_expansion(lam, sample_count, N, seed)
-    a2 = abs(lam) ** 2
-    rho = good_rho(abs(lam))
-    radius = rho * (1.0 + (1.0 + 2.0 * abs(lam.real)) / a2)
-    good = np.abs(eps) < rho
-    runs = good[:, :-2] & good[:, 1:-1] & good[:, 2:]
-    center = (2.0 * lam.real * r[:, 1:-1] - r[:, :-2]) / a2
-    lo = np.ceil(center - radius - FLOAT_SLACK)
-    hi = np.floor(center + radius + FLOAT_SLACK)
-    forced = (lo == hi) & (lo == r[:, 2:])
-    return int(np.sum(runs & ~forced))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +351,7 @@ def covering_report(
             empirical += int(np.sum(values.reshape(ci.size, -1).max(axis=1) >= threshold))
             ts = lam**N * np.conj(xi)
             certain = (values - 2.0 * tol >= threshold) & (np.abs(ts) < 1.0)
-            _, _, eps = _digit_expansion(lam, ts[certain], N)
+            _, eps = _digit_expansion(lam, ts[certain], N)
             member = _sparse_membership(eps, good_rho(abs(lam)), et, FLOAT_SLACK)
             violations += int(np.sum(~member))
             checked += member.size

@@ -38,3 +38,9 @@ def random_two_digit_ifs(rng: np.random.Generator) -> IFSDescriptor:
     digits = tuple(rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1) for _ in range(2))
     p1 = rng.uniform(0.25, 0.75)
     return IFSDescriptor(lam, digits, (p1, 1.0 - p1))
+
+
+def measure_to_csv(mu) -> str:
+    """The CSV text ``measure_from_csv`` reads, every float written by repr."""
+    rows = zip(mu.positions.tolist(), mu.weights.tolist())
+    return "re,im,weight\n" + "".join(f"{z.real!r},{z.imag!r},{w!r}\n" for z, w in rows)

@@ -19,7 +19,6 @@ from ssfourier import (
     entropy_h,
     eta_numeric,
     eta_two_digit,
-    osc_correlation_dimension,
     solve_flattening_epsilon,
 )
 from ssfourier.bounds import _assemble_bound, delta_bound, linear_fit
@@ -342,8 +341,12 @@ class TestBernoulliPipelines:
         assert bound.note.startswith("lambda^2 stage: decay bound not valid")
 
     def test_osc_base_value(self):
-        # p = 1/2 and |lam|^N = 1/2 give exactly 1
-        assert osc_correlation_dimension(0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
+        # the unbiased sigma is the open-set-condition base value
+        # log(1/|lam|) / log(2/|lam|), spread over the N - 1 later levels
+        bound = bernoulli_unbiased_dim_lower(self.lam(0.9))
+        assert bound.N == 4
+        want = math.log(1 / 0.9) / math.log(2 / 0.9) / 3
+        assert bound.sigma == pytest.approx(want, rel=1e-12)
 
 
 class TestAssembledInvariants:

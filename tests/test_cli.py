@@ -36,6 +36,8 @@ from ssfourier.cli import (
     run,
 )
 
+from conftest import measure_to_csv
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -405,7 +407,8 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize("text", [
         '{"lambda": [0.5, 0.5], "probs": [0.5, 0.5]}', "lambda = 0.5+0.5i",
-    ], ids=["no_digits", "not_json"])
+        '{"lambda": [0.5, 0.5], "digits": [[1e400, 0], [1, 0]], "probs": [0.5, 0.5]}',
+    ], ids=["no_digits", "not_json", "inf_digit"])
     def test_bad_ifs_file_is_domain_error(self, capsys, tmp_path, text):
         path = tmp_path / "ifs.json"
         path.write_text(text)
@@ -574,7 +577,8 @@ SQUARE = ["dim", "--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8"]
 
 
 class TestParameterRefusals:
-    """A tol or q outside its domain ends in exit 1 and an error document.
+    """A tol, q, weight or map coefficient outside its domain ends in exit 1
+    and an error document.
 
     NaN passes a ``tol <= 0`` test, and sum mu(Q)^q underflows to 0 at
     q = 300 on the square's level-4 cells (256 cells of mass 2^-8).
@@ -592,9 +596,13 @@ class TestParameterRefusals:
         ["--format", "csv", *SQUARE, "--q", "300"],
         [*SQUARE, "--q", "inf"],
         [*SQUARE, "--q", "1e400"],
+        ["eval", "--lambda", "0.5+0.5i", "--probs", "nan,0.5", "--xi", "1"],
+        ["bounds", "--lambda", "0.5+0.5i", "--p", "nan,0.5"],
+        ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,nan", "--radii", "1:4:3",
+         "--depth", "4", "--directions", "4"],
     ], ids=["eval-tol-nan", "eval-tol-inf", "scan-tol-nan", "cover-tol-nan",
             "dim-q-nan", "dim-csv-q-nan", "dim-q-300", "dim-csv-q-300", "dim-q-inf",
-            "dim-q-1e400"])
+            "dim-q-1e400", "eval-probs-nan", "bounds-p-nan", "push-coeffs-nan"])
     def test_refused(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_DOMAIN
@@ -757,8 +765,6 @@ class TestOutputsAndConfig:
         assert abs(doc["dim_q"]["estimate"] - 1.585) < 0.1
 
     def test_dim_from_measure_csv(self, capsys, tmp_path):
-        from ssfourier import IFSDescriptor, finite_approximation, measure_to_csv
-
         ifs = IFSDescriptor(0.5, (0.0, 1.0, 1j), (1 / 3, 1 / 3, 1 / 3))
         path = tmp_path / "mu.csv"
         path.write_text(measure_to_csv(finite_approximation(ifs, 8)))

@@ -21,7 +21,6 @@ from ssfourier import (
     fourier_sum,
     grid_scan,
     mu_hat,
-    phi,
     scale_rotate,
     scanfield_from_binary,
     scanfield_to_binary,
@@ -34,6 +33,17 @@ from ssfourier.errors import BudgetError
 from ssfourier.fourier import _ENERGY_BLOCK, _ROW_BLOCK, _scan_cells, scan_blocks
 
 from conftest import random_two_digit_ifs
+
+
+def phi(ifs, u):
+    """Digit character Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)), elementwise.
+
+    The plain sum over the digits, an oracle independent of the product
+    kernel; |Phi| <= 1 always, with equality at u = 0.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    out = sum(p * np.exp(2j * np.pi * (w * u).real) for w, p in zip(ifs.digits, ifs.probs))
+    return complex(out) if u.ndim == 0 else out
 
 
 def product_oracle(ifs, xi, tol):

@@ -1,4 +1,4 @@
-"""Module layout: no module of the package imports a private name of another."""
+"""Module layout: what the package exports, imports and loops over."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import ssfourier
 
 PACKAGE = Path(ssfourier.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def private_imports(source: str) -> list[str]:
@@ -60,8 +61,9 @@ def phi_calls(source: str) -> list[int]:
 
 
 def test_no_module_calls_phi():
-    # phi is the tests' independent oracle for the product kernel; a call
-    # in the package would be a second product loop growing back
+    # phi, the tests' independent oracle for the product kernel, lives in
+    # tests/test_fourier.py; a call in the package would be a second
+    # product loop growing back
     offenders = {
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
@@ -131,3 +133,91 @@ def test_guard_sees_looped_merges():
         "        mu, n = measures.convolve(mu, mu), n - 1\n"
     )
     assert looped_merge_callers(source) == ["tower", "tree", "many", "walk", "power"]
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(source: str) -> dict[str, list[frozenset]]:
+    """For each name of a Name or Attribute node, the enclosing definitions.
+
+    Maps the name to one set per node: the names of the functions and
+    classes the node lies in.  A Name that an enclosing function binds
+    itself (an argument or an assignment target) is a local, not the
+    module-level name, and is left out.
+    """
+    found = {}
+
+    def visit(node, defs, local):
+        if isinstance(node, _DEFS):
+            defs = defs | {node.name}
+            if not isinstance(node, ast.ClassDef):
+                local = local | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+                local |= {n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if isinstance(node, ast.Name) and node.id not in local:
+            found.setdefault(node.id, []).append(defs)
+        elif isinstance(node, ast.Attribute):
+            found.setdefault(node.attr, []).append(defs)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs, local)
+
+    visit(ast.parse(source), frozenset(), frozenset())
+    return found
+
+
+def unreached_exports(init_source: str, sources: list[str]) -> list[str]:
+    """Names ``__init__`` exports that none of ``sources`` reaches.
+
+    A name is reached when some source references it outside its own
+    definition and outside the definition of an unreached name, so a name
+    used only by other unreached code is unreached too.
+    """
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sites = {}
+    for source in sources:
+        for name, defs in references(source).items():
+            sites.setdefault(name, []).extend(defs)
+    unreached = set()
+    while True:
+        found = {name for name in exported
+                 if all(defs & (unreached | {name}) for defs in sites.get(name, []))}
+        if found == unreached:
+            return sorted(found)
+        unreached = found
+
+
+def test_every_export_is_reached():
+    # an export stays in src/ while code outside its own definition uses
+    # it: a src/ module, the benchmark or an acceptance criterion; test
+    # oracles and paper checks live in tests/
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unreached_exports(init, sources) == []
+
+
+def test_guard_sees_unreached_exports():
+    init = (
+        "from .a import Report, check, helper, used, kernel\n"
+        "from .b import caller\n"
+    )
+    a = (
+        "class Report:\n"
+        "    pass\n"
+        "def check(x):\n"
+        "    return Report(helper(x))\n"
+        "def helper(x):\n"
+        "    return helper(x - 1) if x else 0\n"
+        "def used(x):\n"
+        "    return x\n"
+        "def kernel(x):\n"
+        "    used = x * 2\n"
+        "    return used\n"
+    )
+    b = "def caller(ifs):\n    return a.kernel(ifs)\n"
+    bench = "print(b.caller(1))\n"
+    assert unreached_exports(init, [a, b, bench]) == ["Report", "check", "helper", "used"]

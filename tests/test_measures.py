@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,21 +15,26 @@ from ssfourier import (
     IFSDescriptor,
     ProbabilityVector,
     RegimeError,
-    convolve,
     finite_approximation,
     ifs_from_json_str,
-    ifs_to_json_str,
     measure_from_csv,
-    measure_to_csv,
-    merge_atoms,
-    sample,
     scale_rotate,
     support_radius,
     tower_levels,
 )
 
+from conftest import measure_to_csv
+
 # digits -1, 0, 1 on the Gaussian lattice: tower atoms coincide and merge
 LATTICE = IFSDescriptor((1 + 1j) / 2, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
+
+
+def merge_atoms(mu, tol):
+    return measures._merge_atoms(mu, tol)[0]
+
+
+def convolve(mu, nu, merge_tol=0.0, atom_budget=None):
+    return measures._convolve(mu, nu, merge_tol, atom_budget)[0]
 
 
 class TestProbabilityVector:
@@ -86,7 +92,7 @@ class TestIFSDescriptor:
 
     def test_json_roundtrip(self):
         ifs = IFSDescriptor((1 + 1j) / 2, (-1, 0.5j), (0.3, 0.7))
-        back = ifs_from_json_str(ifs_to_json_str(ifs))
+        back = ifs_from_json_str(json.dumps(ifs.to_json()))
         assert back == ifs
 
     @pytest.mark.parametrize("text", [
@@ -216,30 +222,6 @@ class TestTowerLevels:
         got, first = measures._merge_atoms(mu, 0.0)
         assert got.positions.tolist() == [1.0, 2.0, 3.0]
         assert first.tolist() == [1, 0, 4]
-
-
-class TestSample:
-    def test_atomic_all_zero(self):
-        ifs = IFSDescriptor(0.5, (0.0, 0.0), (0.5, 0.5))
-        mu = sample(ifs, 50, 1e-9, seed=1)
-        assert np.all(mu.positions == 0.0)
-
-    def test_support_bound(self, bernoulli_half):
-        mu = sample(bernoulli_half, 2000, 1e-9, seed=2)
-        assert np.max(np.abs(mu.positions)) <= 2.0 + 1e-9
-
-    def test_mean(self):
-        # E sum lam^n X_n = 1 for lambda=1/2, digits {0,1}, fair weights
-        ifs = IFSDescriptor(0.5, (0.0, 1.0), (0.5, 0.5))
-        mu = sample(ifs, 10**6, 1e-8, seed=3)
-        assert abs(np.mean(mu.positions.real) - 1.0) < 0.01
-
-    def test_reproducible(self, complex_bernoulli):
-        a = sample(complex_bernoulli, 200_000, 1e-8, seed=9)
-        b = sample(complex_bernoulli, 200_000, 1e-8, seed=9)
-        assert np.array_equal(a.positions, b.positions)
-        c = sample(complex_bernoulli, 200_000, 1e-8, seed=10)
-        assert not np.array_equal(a.positions, c.positions)
 
 
 class TestConvolve:
@@ -628,10 +610,9 @@ class TestDiscreteMeasureValidation:
     pytest.param(lambda: DiscreteMeasure([0j, complex(math.inf, 0.0)], [0.5, 0.5]),
                  "finite", id="inf-position"),
     pytest.param(lambda: finite_approximation(LATTICE, -1), "depth", id="negative-depth"),
-    pytest.param(lambda: sample(LATTICE, 0, 1e-9, seed=1), "count", id="no-samples"),
-    pytest.param(lambda: sample(LATTICE, 10, 0.0, seed=1), "tail_tol", id="tail-tol-zero"),
-    pytest.param(lambda: sample(LATTICE, 10, -1e-3, seed=1), "tail_tol",
-                 id="tail-tol-negative"),
+    pytest.param(lambda: ProbabilityVector((math.nan, 0.5)), "finite", id="nan-weight"),
+    pytest.param(lambda: IFSDescriptor(0.5 + 0.5j, (complex(math.inf, 0.0), 0.0), (0.5, 0.5)),
+                 "finite", id="inf-digit"),
 ])
 def test_refused(call, match):
     with pytest.raises(DomainError, match=match):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from ssfourier import pushforward
+from ssfourier import measures, pushforward
 from ssfourier import (
     AnalyticMap,
     DiscreteMeasure,
@@ -14,12 +14,10 @@ from ssfourier import (
     IFSDescriptor,
     annulus_maxima,
     check_second_derivative,
-    convolve,
     decay_profile,
     finite_approximation,
     fourier_sum,
     frostman_estimate,
-    merge_atoms,
     pushforward_measure,
     support_radius,
 )
@@ -45,6 +43,12 @@ class TestAnalyticMap:
         f1 = f.derivative()
         assert f1.coeffs == (1.0, 4.0, 3.0)
         assert f1.derivative().coeffs == (4.0, 6.0)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, math.nan), (complex(0.0, math.inf), 1.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_coefficient_refused(self, coeffs):
+        with pytest.raises(DomainError, match="finite"):
+            AnalyticMap(coeffs)
 
 
 class TestSecondDerivativeCheck:
@@ -74,7 +78,7 @@ class TestPushforwardMeasure:
 
     def test_squares_collapse(self):
         mu = DiscreteMeasure(np.array([-1.0 + 0j, 1.0 + 0j]), np.array([0.5, 0.5]))
-        out = merge_atoms(pushforward_measure(Z_SQUARED, mu), 0.0)
+        out, _ = measures._merge_atoms(pushforward_measure(Z_SQUARED, mu), 0.0)
         assert out.n_atoms == 1 and out.positions[0] == 1.0 and out.weights[0] == 1.0
 
     def test_mass_preserved(self):

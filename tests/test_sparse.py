@@ -16,8 +16,6 @@ from ssfourier import (
     digit_transition_bound,
     ek_trace,
     enumerate_digit_sequences,
-    in_sparse_set,
-    unique_continuation_violations,
     verify_digit_inequality,
 )
 
@@ -108,10 +106,15 @@ def reference_box_count(lam, et, N):
 
 def sampled_admissible(lam, et, N, samples, seed):
     """Digit tuples of t drawn in the disk that have enough good indices."""
-    _, r, eps = sparse._sampled_expansion(lam, samples, N, seed)
+    r, eps = sparse._sampled_expansion(lam, samples, N, seed)
     good = np.sum(np.abs(eps) < sparse.good_rho(abs(lam)), axis=1)
     keep = r[good >= sparse.good_index_requirement(et, N)].astype(np.int64)
     return {tuple(row) for row in np.unique(keep, axis=0).tolist()}
+
+
+def in_sparse_set(trace, epsilon_tilde):
+    """t in S(N, et) by the covering audit's membership test, without slack."""
+    return bool(sparse._sparse_membership(trace.eps, trace.rho, epsilon_tilde, 0.0))
 
 
 class TestEKTrace:
@@ -148,17 +151,18 @@ class TestEKTrace:
             assert np.all(trace.eps >= -0.5) and np.all(trace.eps < 0.5)
 
     def test_reconstruction_recurrence(self):
-        # c_{j+1} = (a/|lam|^2)(r_j + eps_j) + (b/|lam|^2) d_j
+        # c_{j+1} = (a/|lam|^2)(r_j + eps_j) + (b/|lam|^2) d_j, c_j + i d_j = lam^{-j} t
         rng = np.random.default_rng(21)
         a, b = LAM.real, LAM.imag
         a2 = abs(LAM) ** 2
         for _ in range(20):
             t = 0.95 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
             trace = ek_trace(LAM, t, 10)
+            u = t * LAM ** -np.arange(10)
             for j in range(9):
-                rebuilt = (a / a2) * (trace.r[j] + trace.eps[j]) + (b / a2) * trace.d(j)
+                rebuilt = (a / a2) * (trace.r[j] + trace.eps[j]) + (b / a2) * u[j].imag
                 scale = max(abs(LAM) ** (-(j + 1)), 1.0)
-                assert abs(rebuilt - trace.c(j + 1)) < 1e-9 * scale
+                assert abs(rebuilt - u[j + 1].real) < 1e-9 * scale
 
     def test_rho_value(self):
         assert ek_trace(LAM, 0.1, 4).rho == pytest.approx(1 / 14, abs=1e-15)
@@ -190,6 +194,26 @@ class TestEKTrace:
             in_sparse_set(trace, et)
 
 
+def continuation_failures(lam, r, eps):
+    """(t, j) where three consecutive good indices fail to force the next digit.
+
+    When j-1, j, j+1 are all good, the admissible interval around
+    (2*a*r_j - r_{j-1})/|lam|^2 has radius rho*(1 + (1 + 2|a|)/|lam|^2)
+    < 1/2, so it contains exactly one integer, and that integer must be
+    the traced r_{j+1}.
+    """
+    a2 = abs(lam) ** 2
+    rho = sparse.good_rho(abs(lam))
+    radius = rho * (1.0 + (1.0 + 2.0 * abs(lam.real)) / a2)
+    good = np.abs(eps) < rho
+    runs = good[:, :-2] & good[:, 1:-1] & good[:, 2:]
+    center = (2.0 * lam.real * r[:, 1:-1] - r[:, :-2]) / a2
+    lo = np.ceil(center - radius - sparse.FLOAT_SLACK)
+    hi = np.floor(center + radius + sparse.FLOAT_SLACK)
+    forced = (lo == hi) & (lo == r[:, 2:])
+    return int(np.sum(runs & ~forced))
+
+
 class TestDigitTransition:
     def test_half_modulus(self):
         bound, branching = digit_transition_bound(LAM)
@@ -209,9 +233,16 @@ class TestDigitTransition:
         for lam in (0.3 + 0.6j, -0.5 + 0.25j, 0.1 + 0.85j):
             assert verify_digit_inequality(lam, 500, 10, seed=1) == 0
 
-    def test_unique_continuation(self):
-        assert unique_continuation_violations(LAM, 400, 12, seed=2) == 0
-        assert unique_continuation_violations(0.4 + 0.5j, 200, 10, seed=3) == 0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modulus=st.floats(0.4, 0.95),
+        angle=st.floats(0.1, math.pi - 0.1),
+        N=st.integers(3, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unique_continuation(self, modulus, angle, N, seed):
+        lam = cmath.rect(modulus, angle)
+        assert continuation_failures(lam, *sparse._sampled_expansion(lam, 200, N, seed)) == 0
 
 
 class TestEnumeration:
@@ -368,8 +399,6 @@ class TestCoveringReport:
     pytest.param(lambda: ek_trace(1.2 + 0.5j, 0.3, 6), "lambda", id="trace-modulus"),
     pytest.param(lambda: digit_transition_bound(1.2 + 0.5j), "lambda", id="transition-modulus"),
     pytest.param(lambda: verify_digit_inequality(LAM, 10, 2, 0), "N >= 3", id="verify-N"),
-    pytest.param(lambda: unique_continuation_violations(LAM, 10, 2, 0), "N >= 3",
-                 id="continuation-N"),
     pytest.param(lambda: enumerate_digit_sequences(LAM, 0.3, 0), "N >= 1", id="enumerate-N"),
     pytest.param(lambda: covering_report(IFSDescriptor(LAM, (-1.0, 1.0), (0.5, 0.5)), 0.05, 1),
                  "N >= 2", id="cover-N"),
