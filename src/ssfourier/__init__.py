@@ -11,6 +11,7 @@ from .bounds import (
     delta_complex,
     delta_higherdim,
     delta_real_noncollinear,
+    digit_transition_bound,
     entropy_h,
     eta_numeric,
     eta_two_digit,
@@ -32,7 +33,6 @@ from .fourier import (
 from .measures import (
     DiscreteMeasure,
     IFSDescriptor,
-    ProbabilityVector,
     finite_approximation,
     ifs_from_json_str,
     measure_from_csv,
@@ -53,7 +53,6 @@ from .sparse import (
     CoveringReport,
     EKTrace,
     covering_report,
-    digit_transition_bound,
     ek_trace,
     enumerate_digit_sequences,
     verify_digit_inequality,

@@ -197,6 +197,22 @@ def transition_bound(lam_abs: float) -> float:
     return 0.5 * (1.0 + 3.0 / lam_abs**2)
 
 
+def digit_transition_bound(lam: complex) -> tuple[float, int]:
+    """The transition bound (1 + 3/|lam|^2)/2 and its ceiling, the branching.
+
+    The one check of the covering argument's hypothesis, a non-real
+    contraction: a lambda that ``is_real_lambda`` calls real is a
+    RegimeError, and |lambda| outside (0, 1) a DomainError.
+    """
+    lam = complex(lam)
+    if is_real_lambda(lam):
+        raise RegimeError("complex regime needs Im(lambda) != 0")
+    if not 0.0 < abs(lam) < 1.0:
+        raise DomainError("need 0 < |lambda| < 1")
+    b = transition_bound(abs(lam))
+    return b, math.ceil(b)
+
+
 def _complex_bound(lam_abs: float, p, epsilon: float) -> DecayBound:
     """The complex-regime delta, which depends on lambda through |lambda| alone."""
     c = 2.0 * good_rho(lam_abs)
@@ -210,16 +226,12 @@ def delta_complex(lam: complex, p, epsilon: float) -> DecayBound:
 
     rho = |lam|^2 / (2(|lam|^2+3)), eta = eta_two_digit(2*rho, p1, p2),
     branching = ceil((1 + 3/|lam|^2)/2), and
-    delta = (log(branching)*et + h(et)) / log(1/|lam|).  A lambda that
-    ``is_real_lambda`` calls real is refused.
+    delta = (log(branching)*et + h(et)) / log(1/|lam|).  lambda is
+    refused as ``digit_transition_bound`` refuses it.
     """
     p = as_weights(p)
-    lam = complex(lam)
-    if is_real_lambda(lam):
-        raise RegimeError("complex regime needs Im(lambda) != 0")
-    if not 0.0 < abs(lam) < 1.0:
-        raise DomainError("need 0 < |lambda| < 1")
-    return _complex_bound(abs(lam), p, epsilon)
+    digit_transition_bound(lam)
+    return _complex_bound(abs(complex(lam)), p, epsilon)
 
 
 def delta_real_noncollinear(lam: float, p, epsilon: float) -> DecayBound:

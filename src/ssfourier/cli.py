@@ -25,6 +25,7 @@ from .bounds import (
     bernoulli_unbiased_dim_lower,
     covering_bound,
     delta_bound,
+    digit_transition_bound,
     solve_flattening_epsilon,
 )
 from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
@@ -47,7 +48,6 @@ from .measures import (
 from .pushforward import AnalyticMap, decay_profile, frostman_estimate
 from .sparse import (
     covering_report,
-    digit_transition_bound,
     ek_trace,
     enumerate_digit_sequences,
     verify_digit_inequality,

@@ -39,11 +39,14 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
 
     Uses |Phi(u) - 1| <= 2*pi*max|w|*|u| per omitted factor, summed over
     the geometric tail.  Vectorized over |xi|; K is 0 everywhere when all
-    digits are 0.  Raises DomainError unless tol is finite and > 0.
+    digits are 0.  Raises DomainError unless tol and every |xi| are finite
+    and tol > 0.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     abs_xi = np.asarray(abs_xi, dtype=np.float64)
+    if not np.isfinite(abs_xi).all():
+        raise DomainError("frequencies must be finite")
     w_max = max(abs(w) for w in ifs.digits)
     if w_max == 0.0:
         return np.zeros(abs_xi.shape, dtype=np.int64)

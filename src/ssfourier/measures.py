@@ -35,44 +35,23 @@ COLLINEAR_TOL = 1e-12
 _PAIR_BLOCK = 1 << 18  # grid-hash candidate pairs per block; keeps memory O(n)
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Finite, strictly positive weights of length >= 2 summing to 1."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.p)
-        object.__setattr__(self, "p", p)
-        if len(p) < 2:
-            raise DomainError("probability vector needs at least 2 entries")
-        if not all(0.0 < x < math.inf for x in p):
-            raise DomainError("probability weights must be finite and strictly positive")
-        if abs(sum(p) - 1.0) > PROB_SUM_TOL:
-            raise DomainError(
-                f"probability weights must sum to 1 within {PROB_SUM_TOL:g}"
-            )
-
-    def __len__(self):
-        return len(self.p)
-
-    def __iter__(self):
-        return iter(self.p)
-
-    def __getitem__(self, i):
-        return self.p[i]
-
-
 def is_real_lambda(lam) -> bool:
     """The one real-contraction rule: |Im lam| <= REAL_LAMBDA_TOL."""
     return abs(complex(lam).imag) <= REAL_LAMBDA_TOL
 
 
 def as_weights(p) -> tuple[float, ...]:
-    """Coerce a ProbabilityVector or plain sequence to a validated tuple."""
-    if isinstance(p, ProbabilityVector):
-        return p.p
-    return ProbabilityVector(tuple(p)).p
+    """Validate probability weights: finite, > 0, at least 2, summing to 1."""
+    p = tuple(float(x) for x in p)
+    if len(p) < 2:
+        raise DomainError("probability vector needs at least 2 entries")
+    if not all(0.0 < x < math.inf for x in p):
+        raise DomainError("probability weights must be finite and strictly positive")
+    if abs(sum(p) - 1.0) > PROB_SUM_TOL:
+        raise DomainError(
+            f"probability weights must sum to 1 within {PROB_SUM_TOL:g}"
+        )
+    return p
 
 
 @dataclass(frozen=True)

@@ -367,8 +367,8 @@ def decay_profile(
     radii = tuple(float(t) for t in radii)
     if len(radii) < 3:
         raise DomainError("need at least 3 radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise DomainError("radii must be increasing")
+    if not all(a < b for a, b in zip((0.0, *radii), (*radii, math.inf))):
+        raise DomainError("radii must be finite, positive and increasing")
     # A zero of F'' inside the disk pulls the sampled minimum down to about
     # max|F''| * R / sqrt(samples) (nearest spiral sample), so certification
     # asks min/max to clear a 4/sqrt(samples) floor besides an absolute one.

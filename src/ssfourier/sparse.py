@@ -25,14 +25,14 @@ import numpy as np
 from .bounds import (
     covering_bound,
     delta_complex,
+    digit_transition_bound,
     good_index_requirement,
     good_rho,
     sequence_count,
-    transition_bound,
 )
 from .errors import BudgetError, DomainError, RegimeError
 from .fourier import DEFAULT_SUBGRID_K, DEFAULT_TOL, scan_blocks
-from .measures import IFSDescriptor, is_real_lambda
+from .measures import IFSDescriptor
 
 FLOAT_SLACK = 1e-9
 ENUM_MAX_N = 14
@@ -67,16 +67,11 @@ class EKTrace:
 def _digit_expansion(lam: complex, t, N: int):
     """Re(t lam^{-j}) = r_j + eps_j for j < N along the last axis.
 
-    t is a scalar or an array of frequencies with |t| < 1.  Returns
-    (r_j as floats, eps_j in [-1/2, 1/2)).  Raises
-    RegimeError for a lambda that ``is_real_lambda`` calls real, and
-    OverflowError when |lam|^{-(N-1)} would push the digits past exact
-    float integer range (2^52).
+    t is a scalar or an array of frequencies with |t| < 1, and lam passes
+    ``digit_transition_bound``.  Returns (r_j as floats, eps_j in
+    [-1/2, 1/2)).  Raises OverflowError when |lam|^{-(N-1)} would push
+    the digits past exact float integer range (2^52).
     """
-    if is_real_lambda(lam):
-        raise RegimeError("digit expansion needs Im(lambda) != 0")
-    if not 0.0 < abs(lam) < 1.0:
-        raise DomainError("need 0 < |lambda| < 1")
     if abs(lam) ** (-(N - 1)) > _SAFE_MAGNITUDE:
         raise OverflowError(
             f"|lambda|^-{N - 1} exceeds the safe digit magnitude 2^52"
@@ -96,28 +91,20 @@ def ek_trace(lam: complex, t: complex, N: int) -> EKTrace:
     """Trace the digit expansion of Re(lam^{-j} t) for j = 0..N-1.
 
     Digits are nearest integers with half-integer ties resolved so that
-    eps_j lands in [-1/2, 1/2).  Raises OverflowError when |lam|^{-N}
-    would push the digits past exact float integer range (2^52).
+    eps_j lands in [-1/2, 1/2).  lambda is refused as
+    ``digit_transition_bound`` refuses it, and OverflowError is raised
+    when |lam|^{-N} would push the digits past exact float integer range
+    (2^52).
     """
     lam = complex(lam)
     t = complex(t)
-    if abs(t) >= 1.0:
+    if not abs(t) < 1.0:
         raise DomainError("need |t| < 1")
     if N < 2:
         raise DomainError("need N >= 2")
+    digit_transition_bound(lam)
     r, eps = _digit_expansion(lam, t, N)
     return EKTrace(lam, t, N, r.astype(np.int64), eps, good_rho(abs(lam)))
-
-
-def digit_transition_bound(lam: complex) -> tuple[float, int]:
-    """The transition bound (1 + 3/|lam|^2)/2 and its ceiling, the branching."""
-    lam = complex(lam)
-    if is_real_lambda(lam):
-        raise RegimeError("digit transition bound needs Im(lambda) != 0")
-    if not 0.0 < abs(lam) < 1.0:
-        raise DomainError("need 0 < |lambda| < 1")
-    b = transition_bound(abs(lam))
-    return b, math.ceil(b)
 
 
 def _sampled_expansion(lam: complex, sample_count: int, N: int, seed: int):
@@ -273,12 +260,10 @@ def enumerate_digit_sequences(
         raise DomainError("need N >= 1")
     if N > ENUM_MAX_N:
         raise BudgetError(f"enumeration is exhaustive only up to N = {ENUM_MAX_N}")
-    if is_real_lambda(lam):
-        raise RegimeError("enumeration needs Im(lambda) != 0")
+    _, branching = digit_transition_bound(lam)
     if not math.isfinite(epsilon_tilde):
         raise DomainError("epsilon_tilde must be finite")
     et = min(max(float(epsilon_tilde), 0.0), 1.0)
-    _, branching = digit_transition_bound(lam)
     return len(_admissible_sequences(lam, et, N)), sequence_count(branching, et, N)
 
 

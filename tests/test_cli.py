@@ -577,8 +577,8 @@ SQUARE = ["dim", "--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8"]
 
 
 class TestParameterRefusals:
-    """A tol, q, weight or map coefficient outside its domain ends in exit 1
-    and an error document.
+    """A tol, q, weight, map coefficient, frequency or trace point outside
+    its domain ends in exit 1 and an error document.
 
     NaN passes a ``tol <= 0`` test, and sum mu(Q)^q underflows to 0 at
     q = 300 on the square's level-4 cells (256 cells of mass 2^-8).
@@ -600,9 +600,13 @@ class TestParameterRefusals:
         ["bounds", "--lambda", "0.5+0.5i", "--p", "nan,0.5"],
         ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,nan", "--radii", "1:4:3",
          "--depth", "4", "--directions", "4"],
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "nan"],
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "2,1e400"],
+        ["ek", "trace", "--lambda", "0.5+0.5i", "--t", "nan", "--N", "5"],
     ], ids=["eval-tol-nan", "eval-tol-inf", "scan-tol-nan", "cover-tol-nan",
             "dim-q-nan", "dim-csv-q-nan", "dim-q-300", "dim-csv-q-300", "dim-q-inf",
-            "dim-q-1e400", "eval-probs-nan", "bounds-p-nan", "push-coeffs-nan"])
+            "dim-q-1e400", "eval-probs-nan", "bounds-p-nan", "push-coeffs-nan",
+            "eval-xi-nan", "eval-xi-1e400", "trace-t-nan"])
     def test_refused(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_DOMAIN

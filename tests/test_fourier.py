@@ -640,6 +640,9 @@ THREE_DIGIT = SCAN_SYSTEMS["three_digit"]
     pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, -1e-3), "tol", id="tol-negative"),
     pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, math.nan), "tol", id="tol-nan"),
     pytest.param(lambda: truncation_index(THREE_DIGIT, 1.0, math.inf), "tol", id="tol-inf"),
+    pytest.param(lambda: truncation_index(THREE_DIGIT, [1.0, math.nan], 1e-12), "finite",
+                 id="xi-nan"),
+    pytest.param(lambda: mu_hat(THREE_DIGIT, complex(math.inf, 0.0)), "finite", id="xi-inf"),
     pytest.param(lambda: scanfield_from_binary(b"NOTAFLD\0" + bytes(24)), "magic",
                  id="bad-magic"),
     pytest.param(lambda: energy_integral("not a measure", 4.0, 0.5), "target",

@@ -355,6 +355,10 @@ class TestFrostman:
     pytest.param([4.0, 8.0], id="two-radii"),
     pytest.param([4.0, 8.0, 8.0], id="repeated-radius"),
     pytest.param([4.0, 16.0, 8.0], id="decreasing-radius"),
+    pytest.param([2.0, math.nan, 8.0], id="nan-radius"),
+    pytest.param([0.0, 4.0, 8.0], id="zero-radius"),
+    pytest.param([-1.0, 4.0, 8.0], id="negative-radius"),
+    pytest.param([4.0, 8.0, math.inf], id="inf-radius"),
 ])
 def test_decay_profile_refuses_radii(radii):
     with pytest.raises(DomainError, match="radii"):

@@ -12,7 +12,9 @@ from ssfourier import (
     DomainError,
     IFSDescriptor,
     RegimeError,
+    covering_bound,
     covering_report,
+    delta_complex,
     digit_transition_bound,
     ek_trace,
     enumerate_digit_sequences,
@@ -406,3 +408,25 @@ class TestCoveringReport:
 def test_refused(call, match):
     with pytest.raises(DomainError, match=match):
         call()
+
+
+@pytest.mark.parametrize("lam, error", [
+    pytest.param(0.5, RegimeError, id="real"),
+    pytest.param(1.3j, DomainError, id="modulus-1.3"),
+])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda lam: delta_complex(lam, (0.5, 0.5), 0.05), id="delta_complex"),
+    pytest.param(digit_transition_bound, id="digit_transition_bound"),
+    pytest.param(lambda lam: covering_bound(lam, (0.5, 0.5), 0.05, 8), id="covering_bound"),
+    pytest.param(lambda lam: ek_trace(lam, 0.3, 6), id="ek_trace"),
+    pytest.param(lambda lam: verify_digit_inequality(lam, 10, 6, 0), id="verify"),
+    pytest.param(lambda lam: enumerate_digit_sequences(lam, 0.1, 5), id="enumerate"),
+    # the constructor refuses |lambda| >= 1, bound_regime a real lambda
+    pytest.param(lambda lam: covering_report(IFSDescriptor(lam, (-1.0, 1.0), (0.5, 0.5)),
+                                             0.05, 8), id="covering_report"),
+])
+def test_complex_regime_refused(call, lam, error):
+    """Each complex-regime entry refuses a real lambda and |lambda| >= 1."""
+    with pytest.raises(DomainError) as info:
+        call(lam)
+    assert type(info.value) is error
