@@ -63,7 +63,9 @@ def eta_numeric(phi_kind: str, params: tuple, c: float) -> float:
 
     Coarse search on a ``_ETA_GRID``-point grid per axis, followed by
     local window refinement until two successive estimates differ by less
-    than ``_ETA_REFINE_TOL``.
+    than ``_ETA_REFINE_TOL``.  The lattice character separates in x and
+    y, so each grid takes its exponentials on the two axes and broadcasts
+    their sum.
     """
     if not 0.0 < c < 1.0:
         raise DomainError(f"c must lie in (0, 1), got {c!r}")
@@ -81,35 +83,36 @@ def eta_numeric(phi_kind: str, params: tuple, c: float) -> float:
         if len(p) < 3:
             raise DomainError("lattice_3digit needs at least 3 weights")
 
-        # |p1 + p2 e^{2 pi i x} + p3 e^{-2 pi i y}| + remaining mass
+        # |p1 + p2 e^{2 pi i x} + p3 e^{-2 pi i y}| + remaining mass on the grid x by y
         def gap(x, y):
-            val = p[0] + p[1] * np.exp(2j * np.pi * x) + p[2] * np.exp(-2j * np.pi * y)
-            f = 1.0 - (np.abs(val) + (1.0 - p[0] - p[1] - p[2]))
-            return np.where(x * x + y * y >= (c / 2.0) ** 2, f, np.inf)
+            val = ((p[0] + p[1] * np.exp(2j * np.pi * x))[:, None]
+                   + (p[2] * np.exp(-2j * np.pi * y))[None, :])
+            f = np.abs(val)
+            del val
+            f += 1.0 - p[0] - p[1] - p[2]
+            np.subtract(1.0, f, out=f)
+            f[(x * x)[:, None] + (y * y)[None, :] < (c / 2.0) ** 2] = np.inf
+            return f
 
         box = [(-0.5, 0.5)] * 2
         axes = [np.linspace(-0.5, 0.5, _ETA_GRID, endpoint=False)] * 2
         width, fine = 1.5 / _ETA_GRID, 33
     else:
         raise DomainError(f"unknown phi_kind {phi_kind!r}")
-    pts = np.meshgrid(*axes, indexing="ij")
-    f = gap(*pts).ravel()
-    i = int(np.argmin(f))
-    best, at = float(f[i]), [float(x.ravel()[i]) for x in pts]
+    f = gap(*axes)
+    i = np.unravel_index(np.argmin(f), f.shape)
+    best, at = float(f[i]), [float(a[k]) for a, k in zip(axes, i)]
     prev = math.inf
     for _ in range(200):
         if abs(prev - best) < _ETA_REFINE_TOL:
             return best
         prev = best
-        pts = np.meshgrid(
-            *(np.linspace(max(lo, x - width), min(hi, x + width), fine)
-              for x, (lo, hi) in zip(at, box)),
-            indexing="ij",
-        )
-        f = gap(*pts).ravel()
-        i = int(np.argmin(f))
+        axes = [np.linspace(max(lo, x - width), min(hi, x + width), fine)
+                for x, (lo, hi) in zip(at, box)]
+        f = gap(*axes)
+        i = np.unravel_index(np.argmin(f), f.shape)
         if f[i] < best:
-            best, at = float(f[i]), [float(x.ravel()[i]) for x in pts]
+            best, at = float(f[i]), [float(a[k]) for a, k in zip(axes, i)]
         width *= 0.5
     raise ConvergenceError(f"eta refinement stalled ({phi_kind})")
 
@@ -439,10 +442,10 @@ def _dim2_pipeline(lam: complex, p_bias: float, sigma_factor):
     alam = abs(lam)
     if not 0.0 < p_bias < 1.0:
         raise DomainError("p_bias must lie in (0, 1)")
+    if not alam < 1.0:
+        raise DomainError("need 0 < |lambda| < 1")
     if not alam > 2.0**-0.5:
         raise RegimeError("pipeline needs |lambda| > 1/sqrt(2) (so N >= 2)")
-    if not alam < 1.0:
-        raise DomainError("need |lambda| < 1")
     N = _smallest_n_below(alam, 2.0**-0.5)
     sigma = sigma_factor(alam) / (N - 1)
     epsilon = sigma / 2.0

@@ -142,101 +142,147 @@ def verify_digit_inequality(
 # ---------------------------------------------------------------------------
 
 _STRIP_TOL = 1e-12
+_FRONTIER_CHUNK = 1 << 10  # frontier nodes expanded per numpy pass
 
 
-def _clip_strip(poly, vs, lo, hi):
-    """Vertices of a convex polygon where lo <= v <= hi, in boundary order.
+def _next_vertex(a, n):
+    """Each vertex's edge end: the value at vertex (i + 1) mod n.
 
-    ``poly`` lists the (x, y) vertices and ``vs`` the linear form v at
-    each of them.  One Sutherland-Hodgman pass clips both sides: a vertex
-    inside the strip is kept, and an edge that crosses a strip line adds
-    the crossing point, two crossings ordered by the edge's direction.
+    Polygons are the columns of ``a``, zero-padded below their ``n``
+    vertices; the padding rows of the result hold finite filler.
     """
-    out = []
-    n = len(poly)
-    for i in range(n):
-        v0, v1 = vs[i], vs[i + 1 - n]
-        if lo <= v0 <= hi:
-            out.append(poly[i])
-        for c in ((lo, hi) if v0 < v1 else (hi, lo)):
-            if v0 < c < v1 or v1 < c < v0:
-                s = (c - v0) / (v1 - v0)
-                (x0, y0), (x1, y1) = poly[i], poly[i + 1 - n]
-                out.append((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    out = np.concatenate([a[1:], a[:1]])
+    out[n - 1, np.arange(a.shape[1])] = a[:1]
     return out
 
 
-def _meets_disk(poly):
-    """Whether a convex polygon meets |t|^2 <= 1 + 1e-12.
+def _clip_strips(x, y, v, n, lo, hi):
+    """Clip each convex polygon to its strip lo <= v <= hi, in boundary order.
 
-    True when a vertex lies in the disk, when the point of some edge
-    nearest the origin does, or when the origin lies inside the polygon.
-    Polygons with one or two vertices (slivers) are handled alike.
+    Column k is a zero-padded convex polygon of ``n[k]`` vertices (x, y)
+    and the linear form v at each of them.  One Sutherland-Hodgman pass
+    clips both sides: per edge, a vertex inside the strip is kept, then
+    each strip line the edge crosses adds the crossing point, two
+    crossings ordered by the edge's direction.  Returns the clipped
+    polygons as zero-padded (x, y) columns and their vertex counts (0
+    where the strip misses the polygon).
+    """
+    x1, y1, v1 = (_next_vertex(a, n) for a in (x, y, v))
+    up = v < v1
+    lines = np.stack([np.where(up, lo, hi), np.where(up, hi, lo)], axis=1)
+    emit = np.empty((len(x), 3, x.shape[1]), dtype=bool)
+    emit[:, 0] = (lo <= v) & (v <= hi)
+    emit[:, 1:] = ((np.minimum(v, v1)[:, None] < lines)
+                   & (lines < np.maximum(v, v1)[:, None]))
+    emit &= (np.arange(len(x))[:, None] < n)[:, None]
+    # a crossing edge has v != v1; the others divide by 1 and are dropped
+    dv = v1 - v
+    s = (lines - v[:, None]) / np.where(dv != 0.0, dv, 1.0)[:, None]
+    emit = emit.reshape(-1, x.shape[1]).T
+    count = emit.sum(axis=1)
+    slots = np.arange(int(count.max(initial=0))) < count[:, None]
+    out = []
+    for a, a1 in ((x, x1), (y, y1)):
+        points = np.empty((len(x), 3, x.shape[1]))
+        points[:, 0] = a
+        points[:, 1:] = a[:, None] + s * (a1 - a)[:, None]
+        clipped = np.zeros(slots.shape)
+        clipped[slots] = points.reshape(-1, x.shape[1]).T[emit]
+        out.append(np.ascontiguousarray(clipped.T))
+    return out[0], out[1], count
+
+
+def _meets_disk(x, y, n):
+    """Whether each convex polygon meets |t|^2 <= 1 + 1e-12.
+
+    Columns are zero-padded polygons of ``n`` >= 1 vertices.  True when
+    a vertex lies in the disk, when the point of some edge nearest the
+    origin does, or when the origin lies inside the polygon (every edge's
+    cross product has one strict sign).  Polygons with one or two
+    vertices (slivers) are handled alike.
     """
     limit = 1.0 + _STRIP_TOL
-    if any(x * x + y * y <= limit for x, y in poly):
-        return True
-    n = len(poly)
-    crosses = []
-    for i in range(n):
-        (x0, y0), (x1, y1) = poly[i], poly[i + 1 - n]
-        dx, dy = x1 - x0, y1 - y0
-        dd = dx * dx + dy * dy
-        if dd > 0.0:
-            s = -(x0 * dx + y0 * dy) / dd
-            if 0.0 < s < 1.0:
-                px, py = x0 + s * dx, y0 + s * dy
-                if px * px + py * py <= limit:
-                    return True
-        crosses.append(x0 * y1 - y0 * x1)
-    return all(c > 0.0 for c in crosses) or all(c < 0.0 for c in crosses)
+    real = np.arange(len(x))[:, None] < n
+    x1, y1 = _next_vertex(x, n), _next_vertex(y, n)
+    dx, dy = x1 - x, y1 - y
+    dd = dx * dx + dy * dy
+    # a degenerate edge divides by 1 and is dropped
+    s = -(x * dx + y * dy) / np.where(dd > 0.0, dd, 1.0)
+    px, py = x + s * dx, y + s * dy
+    near = (dd > 0.0) & (0.0 < s) & (s < 1.0) & (px * px + py * py <= limit)
+    cross = x * y1 - y * x1
+    return (np.any(real & ((x * x + y * y <= limit) | near), axis=0)
+            | np.all(~real | (cross > 0.0), axis=0)
+            | np.all(~real | (cross < 0.0), axis=0))
 
 
 def _admissible_sequences(lam: complex, et: float, N: int) -> set[tuple[int, ...]]:
     """Digit tuples (r_0..r_{N-1}) realizable in the disk with enough good indices.
 
-    Depth-first search over (r_j, good-required) choices.  Each node
-    carries the convex polygon of t = x + iy consistent with its prefix:
-    the square [-1, 1]^2 clipped by the strips
+    A search over (r_j, good-required) choices.  Each node carries the
+    convex polygon of t = x + iy consistent with its prefix: the square
+    [-1, 1]^2 clipped by the strips
     r_j - half - 1e-12 <= Re(lam^{-j} t) <= r_j + half + 1e-12,
-    half = rho for a required-good index and 1/2 otherwise.
+    half = rho for a required-good index and 1/2 otherwise.  The frontier
+    is a stack of chunks of at most ``_FRONTIER_CHUNK`` nodes of one
+    level: zero-padded vertex columns with each node's vertex count,
+    good-index count and digit prefix.  The deepest chunk is expanded
+    first, all its children in one numpy pass, so the stack holds a few
+    chunks per level: O(N * chunk * vertices) memory for a bounded digit
+    fan-out, however many sequences there are.
     """
     rho = good_rho(abs(lam))
     n_good = good_index_requirement(et, N)
     inv_pows = [(1.0 / lam) ** j for j in range(N)]
-    alphas = [z.real for z in inv_pows]
-    betas = [z.imag for z in inv_pows]
     found: set[tuple[int, ...]] = set()
-    digits: list[int] = []
-
-    def rec(j, poly, tights):
-        if j == N:
-            if tights >= n_good:
-                found.add(tuple(digits))
-            return
-        al, be = alphas[j], betas[j]
-        vs = [al * x - be * y for x, y in poly]
-        vmin, vmax = min(vs), max(vs)
-        rmin = math.ceil(vmin - 0.5 - FLOAT_SLACK)
-        rmax = math.floor(vmax + 0.5 + FLOAT_SLACK)
-        remaining_after = N - j - 1
-        for r in range(rmin, rmax + 1):
-            digits.append(r)
-            for tight in (True, False):
-                if not tight and tights + remaining_after < n_good:
-                    continue
-                half = rho if tight else 0.5
-                lo, hi = r - half - _STRIP_TOL, r + half + _STRIP_TOL
-                if lo <= vmin and vmax <= hi:
-                    child = poly
-                else:
-                    child = _clip_strip(poly, vs, lo, hi)
-                    if not child or not _meets_disk(child):
-                        continue
-                rec(j + 1, child, tights + (1 if tight else 0))
-            digits.pop()
-
-    rec(0, [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)], 0)
+    square = (np.array([[-1.0], [1.0], [1.0], [-1.0]]),
+              np.array([[-1.0], [-1.0], [1.0], [1.0]]),
+              np.array([4]), np.array([0]), np.zeros((1, N), dtype=np.int64))
+    stack = [(0, square)]
+    while stack:
+        j, (x, y, n, tights, digits) = stack.pop()
+        v = inv_pows[j].real * x - inv_pows[j].imag * y
+        real = np.arange(len(x))[:, None] < n
+        vmin = np.where(real, v, np.inf).min(axis=0)
+        vmax = np.where(real, v, -np.inf).max(axis=0)
+        rmin = np.ceil(vmin - 0.5 - FLOAT_SLACK)
+        choices = 2 * (np.floor(vmax + 0.5 + FLOAT_SLACK) - rmin + 1).astype(np.int64)
+        # children in (r, tight-first) order per node, after the good-index prune
+        parent = np.repeat(np.arange(n.size), choices)
+        k = np.arange(parent.size) - np.repeat(np.cumsum(choices) - choices, choices)
+        tight = k % 2 == 0
+        keep = tight | (tights[parent] + (N - j - 1) >= n_good)
+        parent, tight = parent[keep], tight[keep]
+        r = rmin[parent] + k[keep] // 2
+        half = np.where(tight, rho, 0.5)
+        lo, hi = r - half - _STRIP_TOL, r + half + _STRIP_TOL
+        # a strip holding the whole polygon passes it on unclipped
+        whole = (lo <= vmin[parent]) & (vmax[parent] <= hi)
+        cut = np.flatnonzero(~whole)
+        cx, cy, cn = _clip_strips(x[:, parent[cut]], y[:, parent[cut]], v[:, parent[cut]],
+                                  n[parent[cut]], lo[cut], hi[cut])
+        hit = np.flatnonzero(cn)
+        hit = hit[_meets_disk(cx[:, hit], cy[:, hit], cn[hit])]
+        alive = whole.copy()
+        alive[cut[hit]] = True
+        live = np.flatnonzero(alive)
+        child_tights = tights[parent[live]] + tight[live]
+        child_digits = digits[parent[live]]
+        child_digits[:, j] = r[live]
+        if j + 1 == N:
+            found.update(zip(*child_digits[child_tights >= n_good].T.tolist()))
+            continue
+        n_child = n[parent]
+        n_child[cut] = cn
+        child_x, child_y = np.zeros((2, max(len(x), len(cx)), parent.size))
+        child_x[:len(x), whole], child_y[:len(x), whole] = x[:, parent[whole]], y[:, parent[whole]]
+        child_x[:len(cx), cut[hit]], child_y[:len(cx), cut[hit]] = cx[:, hit], cy[:, hit]
+        width = int(n_child[live].max(initial=0))
+        for start in reversed(range(0, live.size, _FRONTIER_CHUNK)):
+            rows = live[start:start + _FRONTIER_CHUNK]
+            at = slice(start, start + _FRONTIER_CHUNK)
+            stack.append((j + 1, (child_x[:width, rows], child_y[:width, rows],
+                                  n_child[rows], child_tights[at], child_digits[at])))
     return found
 
 
@@ -251,9 +297,12 @@ def enumerate_digit_sequences(
     polygon, and the search clips it exactly, strip by strip; each strip
     is widened by 1e-12 on both sides and the disk to |t|^2 <= 1 + 1e-12,
     so the count is exact up to that widening and never misses a
-    realizable sequence.  Returns (count, M_N * e^{h(et) N}); a finite
-    et is clamped to [0, 1], so et -> 1 enumerates with no good-index
-    requirement at all.
+    realizable sequence.  The search expands a frontier of prefixes level
+    by level in numpy passes over chunks of at most ``_FRONTIER_CHUNK``
+    nodes, so its working memory is a few chunks per level, not a
+    multiple of the count.
+    Returns (count, M_N * e^{h(et) N}); a finite et is clamped to
+    [0, 1], so et -> 1 enumerates with no good-index requirement at all.
     """
     lam = complex(lam)
     if N < 1:

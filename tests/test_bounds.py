@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,38 @@ class TestEtaTwoDigit:
             eta_two_digit(0.5, 0.0, 0.5)
 
 
+def lattice_eta_meshgrid(p, c):
+    """The lattice gap search on full meshgrids, as before it separated.
+
+    |p1 + p2 e(x) + p3 e(-y)| is evaluated at every grid point, coarse
+    grid and refinement windows alike, with the same grid, windows and
+    stopping rule as ``eta_numeric("lattice_3digit", p, c)``.
+    """
+    from ssfourier.bounds import _ETA_GRID, _ETA_REFINE_TOL
+
+    def gap(x, y):
+        val = p[0] + p[1] * np.exp(2j * np.pi * x) + p[2] * np.exp(-2j * np.pi * y)
+        f = 1.0 - (np.abs(val) + (1.0 - p[0] - p[1] - p[2]))
+        return np.where(x * x + y * y >= (c / 2.0) ** 2, f, np.inf)
+
+    axis = np.linspace(-0.5, 0.5, _ETA_GRID, endpoint=False)
+    pts = np.meshgrid(axis, axis, indexing="ij")
+    f = gap(*pts).ravel()
+    i = int(np.argmin(f))
+    best, at = float(f[i]), [float(a.ravel()[i]) for a in pts]
+    prev, width = math.inf, 1.5 / _ETA_GRID
+    while abs(prev - best) >= _ETA_REFINE_TOL:
+        prev = best
+        pts = np.meshgrid(*(np.linspace(max(-0.5, a - width), min(0.5, a + width), 33)
+                            for a in at), indexing="ij")
+        f = gap(*pts).ravel()
+        i = int(np.argmin(f))
+        if f[i] < best:
+            best, at = float(f[i]), [float(a.ravel()[i]) for a in pts]
+        width *= 0.5
+    return best
+
+
 class TestEtaNumeric:
     @pytest.mark.parametrize("c", [0.2, 0.5, 0.8])
     def test_two_digit_cross_check(self, c):
@@ -82,6 +115,23 @@ class TestEtaNumeric:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             eta_numeric("bogus", (0.5, 0.5), 0.3)
+
+    @pytest.mark.parametrize(
+        "p", [(0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.1, 0.8), (0.25,) * 4])
+    def test_lattice_equals_the_meshgrid_search(self, p):
+        for lam in np.linspace(0.3, 0.95, 25):
+            c = float(lam / (2.0 * (lam + 1.0)))
+            assert eta_numeric("lattice_3digit", p, c) == lattice_eta_meshgrid(p, c)
+
+    def test_lattice_peak_memory(self):
+        # the separable grid never holds a full complex meshgrid
+        tracemalloc.start()
+        try:
+            eta_numeric.__wrapped__("lattice_3digit", P3, 0.2345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestDeltaComplex:

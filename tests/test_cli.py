@@ -912,3 +912,10 @@ class TestLibraryAgreement:
         doc = strict_json(out)
         assert "Frostman stage unavailable" in doc["note"]
         assert same_repr(doc, bernoulli_dim_lower(0.75j, 0.5).to_json())
+
+    @pytest.mark.parametrize("lam", ["nan+0.1i", "0.9+nani"])
+    def test_bernoulli_nan_lambda_is_a_domain_error(self, capsys, lam):
+        code, out, _ = run_cli(capsys, "bernoulli", "--lambda", lam)
+        assert code == EXIT_DOMAIN
+        assert strict_json(out)["error"] == {
+            "kind": "DomainError", "message": "need 0 < |lambda| < 1"}

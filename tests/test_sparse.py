@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,101 @@ def reference_box_count(lam, et, N):
 
     rec(0, [], (-1.0, 1.0, -1.0, 1.0), 0)
     return len(found)
+
+
+def clip_strip(poly, vs, lo, hi):
+    """Vertices of a convex polygon where lo <= v <= hi, in boundary order.
+
+    The scalar form of ``sparse._clip_strips``: ``poly`` lists the (x, y)
+    vertices and ``vs`` the linear form v at each of them.  A vertex
+    inside the strip is kept, and an edge that crosses a strip line adds
+    the crossing point, two crossings ordered by the edge's direction.
+    """
+    out = []
+    n = len(poly)
+    for i in range(n):
+        v0, v1 = vs[i], vs[i + 1 - n]
+        if lo <= v0 <= hi:
+            out.append(poly[i])
+        for c in ((lo, hi) if v0 < v1 else (hi, lo)):
+            if v0 < c < v1 or v1 < c < v0:
+                s = (c - v0) / (v1 - v0)
+                (x0, y0), (x1, y1) = poly[i], poly[i + 1 - n]
+                out.append((x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    return out
+
+
+def meets_disk(poly):
+    """The scalar form of ``sparse._meets_disk`` for one polygon."""
+    limit = 1.0 + 1e-12
+    if any(x * x + y * y <= limit for x, y in poly):
+        return True
+    n = len(poly)
+    crosses = []
+    for i in range(n):
+        (x0, y0), (x1, y1) = poly[i], poly[i + 1 - n]
+        dx, dy = x1 - x0, y1 - y0
+        dd = dx * dx + dy * dy
+        if dd > 0.0:
+            s = -(x0 * dx + y0 * dy) / dd
+            if 0.0 < s < 1.0:
+                px, py = x0 + s * dx, y0 + s * dy
+                if px * px + py * py <= limit:
+                    return True
+        crosses.append(x0 * y1 - y0 * x1)
+    return all(c > 0.0 for c in crosses) or all(c < 0.0 for c in crosses)
+
+
+def dfs_admissible(lam, et, N):
+    """The recursive polygon search the batched frontier replaced.
+
+    Same (r_j, good-required) branching, prune, strips and disk test, one
+    node at a time with Python floats, so its set must equal
+    ``sparse._admissible_sequences`` exactly.
+    """
+    rho = sparse.good_rho(abs(lam))
+    n_good = sparse.good_index_requirement(et, N)
+    inv_pows = [(1.0 / lam) ** j for j in range(N)]
+    found = set()
+    digits = []
+
+    def rec(j, poly, tights):
+        if j == N:
+            if tights >= n_good:
+                found.add(tuple(digits))
+            return
+        al, be = inv_pows[j].real, inv_pows[j].imag
+        vs = [al * x - be * y for x, y in poly]
+        vmin, vmax = min(vs), max(vs)
+        rmin = math.ceil(vmin - 0.5 - sparse.FLOAT_SLACK)
+        rmax = math.floor(vmax + 0.5 + sparse.FLOAT_SLACK)
+        for r in range(rmin, rmax + 1):
+            digits.append(r)
+            for tight in (True, False):
+                if not tight and tights + N - j - 1 < n_good:
+                    continue
+                half = rho if tight else 0.5
+                lo, hi = r - half - 1e-12, r + half + 1e-12
+                if lo <= vmin and vmax <= hi:
+                    child = poly
+                else:
+                    child = clip_strip(poly, vs, lo, hi)
+                    if not child or not meets_disk(child):
+                        continue
+                rec(j + 1, child, tights + (1 if tight else 0))
+            digits.pop()
+
+    rec(0, [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)], 0)
+    return found
+
+
+def padded(polys):
+    """Polygons as the frontier holds them: zero-padded vertex columns."""
+    n = np.array([len(p) for p in polys])
+    x, y = np.zeros((2, n.max(), len(polys)))
+    for k, poly in enumerate(polys):
+        x[:len(poly), k], y[:len(poly), k] = np.array(poly).T
+    return x, y, n
 
 
 def sampled_admissible(lam, et, N, samples, seed):
@@ -316,21 +412,62 @@ class TestEnumerationOracle:
         assert (1.0 / lam) == -1j * c
         found = sparse._admissible_sequences(lam, 1.0, 2)
         assert {(0, 2), (0, -2)} <= found
+        assert found == dfs_admissible(lam, 1.0, 2)
         assert len(found) == reference_box_count(lam, 1.0, 2)
+        x, y, n = padded([[(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]])
+        v = c * y
+        lo, hi = np.array([2.0 - 0.5 - 1e-12]), np.array([2.0 + 0.5 + 1e-12])
+        cx, cy, cn = sparse._clip_strips(x, y, v, n, lo, hi)
+        assert cn.tolist() == [2] and sorted(zip(cx[:, 0], cy[:, 0])) == [(-1.0, 1.0), (1.0, 1.0)]
+        assert sparse._meets_disk(cx, cy, cn).tolist() == [True]
 
-    @pytest.mark.parametrize(
-        "poly, meets",
-        [
-            ([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)], True),  # holds the disk
-            ([(1.1, -2.0), (2.0, -2.0), (2.0, 2.0), (1.1, 2.0)], False),
-            ([(0.9, -1.0), (0.9, 1.0)], True),  # a segment through the disk
-            ([(0.8, 0.8), (1.0, 1.0)], False),  # on a line through the origin
-            ([(0.8, 0.8)], False),
-            ([(0.6, 0.8)], True),  # on the circle
-        ],
-    )
+    DISK_CASES = [
+        ([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)], True),  # holds the disk
+        ([(1.1, -2.0), (2.0, -2.0), (2.0, 2.0), (1.1, 2.0)], False),
+        ([(0.9, -1.0), (0.9, 1.0)], True),  # a segment through the disk
+        ([(0.8, 0.8), (1.0, 1.0)], False),  # on a line through the origin
+        ([(0.8, 0.8)], False),
+        ([(0.6, 0.8)], True),  # on the circle
+    ]
+
+    @pytest.mark.parametrize("poly, meets", DISK_CASES)
     def test_disk_test(self, poly, meets):
-        assert sparse._meets_disk(poly) is meets
+        assert sparse._meets_disk(*padded([poly])).tolist() == [meets]
+        assert meets_disk(poly) is meets
+
+    def test_disk_test_on_one_padded_batch(self):
+        # 1 to 4 vertices per column, so the padding is exercised
+        polys = [poly for poly, _ in self.DISK_CASES]
+        got = sparse._meets_disk(*padded(polys)).tolist()
+        assert got == [meets for _, meets in self.DISK_CASES]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.2, 3.0),
+    )
+    def test_clip_and_disk_match_the_scalar_forms(self, sizes, seed, scale):
+        # convex polygons with vertices on circles about random centres,
+        # clipped by strips of the form a*x - b*y that cut some of them
+        rng = np.random.default_rng(seed)
+        polys = []
+        for m in sizes:
+            theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+            centre = rng.uniform(-1.0, 1.0, 2)
+            polys.append([(float(centre[0] + scale * math.cos(t)),
+                           float(centre[1] + scale * math.sin(t))) for t in theta])
+        a, b = rng.normal(size=2)
+        mid = rng.uniform(-2.0, 2.0, len(polys))
+        half = rng.uniform(0.0, 1.5, len(polys))
+        x, y, n = padded(polys)
+        cx, cy, cn = sparse._clip_strips(x, y, a * x - b * y, n, mid - half, mid + half)
+        for k, poly in enumerate(polys):
+            vs = [a * px - b * py for px, py in poly]
+            want = clip_strip(poly, vs, mid[k] - half[k], mid[k] + half[k])
+            assert list(zip(cx[:cn[k], k].tolist(), cy[:cn[k], k].tolist())) == want
+            assert not cx[cn[k]:, k].any() and not cy[cn[k]:, k].any()
+        assert sparse._meets_disk(x, y, n).tolist() == [meets_disk(p) for p in polys]
 
     @pytest.mark.parametrize(
         "lam, et, n",
@@ -357,6 +494,44 @@ class TestEnumerationOracle:
         found = sparse._admissible_sequences(lam, et, n)
         assert sampled_admissible(lam, et, n, 5_000, seed) <= found
         assert len(found) <= reference_box_count(lam, et, n)
+
+
+class TestFrontier:
+    """The batched frontier against the recursive search it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modulus=st.floats(0.3, 0.95),
+        angle=st.floats(0.05, math.pi - 0.05),
+        lower=st.booleans(),
+        et=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+        n=st.integers(1, 9),
+    )
+    def test_equals_the_recursive_search(self, modulus, angle, lower, et, n):
+        lam = cmath.rect(modulus, -angle if lower else angle)
+        # keep the oracle's tree small: about |lam|^{-2(n-1)} cells survive
+        n = min(n, 1 + int(math.log(400.0) / (-2.0 * math.log(modulus))))
+        assert sparse._admissible_sequences(lam, et, n) == dfs_admissible(lam, et, n)
+
+    @pytest.mark.parametrize("lam, et, n", [(LAM, 0.3, 13), (LAM, 1.0, 6), (LAM, 0.6, 8)])
+    def test_equals_the_recursive_search_on_the_pinned_cases(self, lam, et, n):
+        assert sparse._admissible_sequences(lam, et, n) == dfs_admissible(lam, et, n)
+
+    def test_many_chunks_in_flight(self, monkeypatch):
+        want = sparse._admissible_sequences(LAM, 0.3, 13)
+        monkeypatch.setattr(sparse, "_FRONTIER_CHUNK", 8)
+        found = sparse._admissible_sequences(LAM, 0.3, 13)
+        assert len(found) == 101 and found == want
+
+    def test_peak_memory(self):
+        # the chunked frontier keeps the N = 13 search within a few MiB
+        tracemalloc.start()
+        try:
+            sparse._admissible_sequences(LAM, 0.3, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestCoveringReport:
