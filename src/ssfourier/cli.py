@@ -115,11 +115,20 @@ def _parse_radii(text: str) -> list[float]:
     return radii
 
 
+def _integer_at_least(text: str, least: int, what: str) -> int:
+    if not text.strip().isdecimal() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+    return int(text)
+
+
 def _worker_count(text: str) -> int:
     """A positive integer worker count."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+    return _integer_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    """A non-negative integer seed, as numpy's generators take."""
+    return _integer_at_least(text, 0, "non-negative")
 
 
 def _read_input(path: str) -> str:
@@ -344,7 +353,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=["json", "csv", "bin"], default="json")
     parser.add_argument("--out", help="write results to this path")
     parser.add_argument("--workers", type=_worker_count, default=1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--budget", type=int, default=None)
     sub = parser.add_subparsers(dest="command")
 
@@ -385,7 +394,7 @@ def build_parser() -> _Parser:
             q.add_argument("--lambda", dest="lam", required=True)
             q.add_argument("--samples", type=int, default=10000)
             # absent unless given here, so a global --seed is not reset
-            q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+            q.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
         elif name == "enumerate":
             q.add_argument("--lambda", dest="lam", required=True)
             q.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)

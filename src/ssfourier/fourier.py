@@ -40,7 +40,7 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     Uses |Phi(u) - 1| <= 2*pi*max|w|*|u| per omitted factor, summed over
     the geometric tail.  Vectorized over |xi|; K is 0 everywhere when all
     digits are 0.  Raises DomainError unless tol and every |xi| are finite
-    and tol > 0.
+    and tol > 0, and when the tail bound at some |xi| overflows.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -51,7 +51,10 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     if w_max == 0.0:
         return np.zeros(abs_xi.shape, dtype=np.int64)
     alam = abs(ifs.lam)
-    tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
+    with np.errstate(over="ignore"):
+        tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
+    if not np.isfinite(tail0).all():
+        raise DomainError("frequency too large: the truncation tail bound overflows")
     # a subnormal tail0 overflows tol / tail0; tail0 < tol then sets K = 0
     with np.errstate(divide="ignore", over="ignore"):
         k = np.ceil(np.log(np.where(tail0 > 0, tol / tail0, 1.0)) / math.log(alam))

@@ -142,7 +142,7 @@ def verify_digit_inequality(
 # ---------------------------------------------------------------------------
 
 _STRIP_TOL = 1e-12
-_FRONTIER_CHUNK = 1 << 10  # frontier nodes expanded per numpy pass
+_FRONTIER_CHUNK = 1 << 10  # frontier nodes per numpy pass, cut back to a group start
 
 
 def _next_vertex(a, n):
@@ -178,7 +178,7 @@ def _clip_strips(x, y, v, n, lo, hi):
     # a crossing edge has v != v1; the others divide by 1 and are dropped
     dv = v1 - v
     s = (lines - v[:, None]) / np.where(dv != 0.0, dv, 1.0)[:, None]
-    emit = emit.reshape(-1, x.shape[1]).T
+    emit = emit.reshape(3 * len(x), -1).T
     count = emit.sum(axis=1)
     slots = np.arange(int(count.max(initial=0))) < count[:, None]
     out = []
@@ -187,7 +187,7 @@ def _clip_strips(x, y, v, n, lo, hi):
         points[:, 0] = a
         points[:, 1:] = a[:, None] + s * (a1 - a)[:, None]
         clipped = np.zeros(slots.shape)
-        clipped[slots] = points.reshape(-1, x.shape[1]).T[emit]
+        clipped[slots] = points.reshape(3 * len(x), -1).T[emit]
         out.append(np.ascontiguousarray(clipped.T))
     return out[0], out[1], count
 
@@ -216,37 +216,39 @@ def _meets_disk(x, y, n):
             | np.all(~real | (cross < 0.0), axis=0))
 
 
-def _admissible_sequences(lam: complex, et: float, N: int) -> set[tuple[int, ...]]:
-    """Digit tuples (r_0..r_{N-1}) realizable in the disk with enough good indices.
+def _admissible_count(lam: complex, et: float, N: int) -> int:
+    """Number of digit tuples (r_0..r_{N-1}) realizable in the disk with enough good indices.
 
     A search over (r_j, good-required) choices.  Each node carries the
-    convex polygon of t = x + iy consistent with its prefix: the square
+    convex polygon of t = x + iy consistent with its choices: the square
     [-1, 1]^2 clipped by the strips
     r_j - half - 1e-12 <= Re(lam^{-j} t) <= r_j + half + 1e-12,
-    half = rho for a required-good index and 1/2 otherwise.  The frontier
-    is a stack of chunks of at most ``_FRONTIER_CHUNK`` nodes of one
-    level: zero-padded vertex columns with each node's vertex count,
-    good-index count and digit prefix.  The deepest chunk is expanded
-    first, all its children in one numpy pass, so the stack holds a few
-    chunks per level: O(N * chunk * vertices) memory for a bounded digit
-    fan-out, however many sequences there are.
+    half = rho for a required-good index and 1/2 otherwise.  Nodes with
+    one digit prefix form a group.  The frontier is a stack of chunks of
+    nodes of one level: zero-padded vertex columns with each node's
+    vertex count, good-index count and group id, sorted by group.  The
+    deepest chunk is expanded first, all its children in one numpy pass;
+    a leaf pass adds the number of groups with a node that has enough
+    good indices.  Chunks are cut only at group starts, at the start of
+    the group holding every ``_FRONTIER_CHUNK``-th node, so no group is
+    split between two passes and the stack holds a few chunks per level:
+    memory is bounded by the chunks, however many sequences there are.
     """
     rho = good_rho(abs(lam))
     n_good = good_index_requirement(et, N)
     inv_pows = [(1.0 / lam) ** j for j in range(N)]
-    found: set[tuple[int, ...]] = set()
+    count = 0
     square = (np.array([[-1.0], [1.0], [1.0], [-1.0]]),
               np.array([[-1.0], [-1.0], [1.0], [1.0]]),
-              np.array([4]), np.array([0]), np.zeros((1, N), dtype=np.int64))
+              np.array([4]), np.array([0]), np.array([0]))
     stack = [(0, square)]
     while stack:
-        j, (x, y, n, tights, digits) = stack.pop()
+        j, (x, y, n, tights, group) = stack.pop()
         v = inv_pows[j].real * x - inv_pows[j].imag * y
         real = np.arange(len(x))[:, None] < n
-        vmin = np.where(real, v, np.inf).min(axis=0)
-        vmax = np.where(real, v, -np.inf).max(axis=0)
-        rmin = np.ceil(vmin - 0.5 - FLOAT_SLACK)
-        choices = 2 * (np.floor(vmax + 0.5 + FLOAT_SLACK) - rmin + 1).astype(np.int64)
+        rmin = np.ceil(np.where(real, v, np.inf).min(axis=0) - 0.5 - FLOAT_SLACK)
+        rmax = np.floor(np.where(real, v, -np.inf).max(axis=0) + 0.5 + FLOAT_SLACK)
+        choices = 2 * (rmax - rmin + 1).astype(np.int64)
         # children in (r, tight-first) order per node, after the good-index prune
         parent = np.repeat(np.arange(n.size), choices)
         k = np.arange(parent.size) - np.repeat(np.cumsum(choices) - choices, choices)
@@ -255,35 +257,30 @@ def _admissible_sequences(lam: complex, et: float, N: int) -> set[tuple[int, ...
         parent, tight = parent[keep], tight[keep]
         r = rmin[parent] + k[keep] // 2
         half = np.where(tight, rho, 0.5)
-        lo, hi = r - half - _STRIP_TOL, r + half + _STRIP_TOL
-        # a strip holding the whole polygon passes it on unclipped
-        whole = (lo <= vmin[parent]) & (vmax[parent] <= hi)
-        cut = np.flatnonzero(~whole)
-        cx, cy, cn = _clip_strips(x[:, parent[cut]], y[:, parent[cut]], v[:, parent[cut]],
-                                  n[parent[cut]], lo[cut], hi[cut])
+        cx, cy, cn = _clip_strips(x[:, parent], y[:, parent], v[:, parent], n[parent],
+                                  r - half - _STRIP_TOL, r + half + _STRIP_TOL)
         hit = np.flatnonzero(cn)
-        hit = hit[_meets_disk(cx[:, hit], cy[:, hit], cn[hit])]
-        alive = whole.copy()
-        alive[cut[hit]] = True
-        live = np.flatnonzero(alive)
-        child_tights = tights[parent[live]] + tight[live]
-        child_digits = digits[parent[live]]
-        child_digits[:, j] = r[live]
+        live = hit[_meets_disk(cx[:, hit], cy[:, hit], cn[hit])]
+        # live children by digit prefix; a group starts where the prefix changes
+        order = live[np.lexsort((r[live], group[parent[live]]))]
+        prefix_group, digit = group[parent[order]], r[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (prefix_group[1:] != prefix_group[:-1]) | (digit[1:] != digit[:-1])
+        starts = np.flatnonzero(new)
+        child_tights = tights[parent[order]] + tight[order]
         if j + 1 == N:
-            found.update(zip(*child_digits[child_tights >= n_good].T.tolist()))
+            qualifies = np.logical_or.reduceat(child_tights >= n_good, starts)
+            count += int(np.count_nonzero(qualifies))
             continue
-        n_child = n[parent]
-        n_child[cut] = cn
-        child_x, child_y = np.zeros((2, max(len(x), len(cx)), parent.size))
-        child_x[:len(x), whole], child_y[:len(x), whole] = x[:, parent[whole]], y[:, parent[whole]]
-        child_x[:len(cx), cut[hit]], child_y[:len(cx), cut[hit]] = cx[:, hit], cy[:, hit]
-        width = int(n_child[live].max(initial=0))
-        for start in reversed(range(0, live.size, _FRONTIER_CHUNK)):
-            rows = live[start:start + _FRONTIER_CHUNK]
-            at = slice(start, start + _FRONTIER_CHUNK)
-            stack.append((j + 1, (child_x[:width, rows], child_y[:width, rows],
-                                  n_child[rows], child_tights[at], child_digits[at])))
-    return found
+        child_group = np.cumsum(new)
+        heads = np.searchsorted(starts, np.arange(0, order.size, _FRONTIER_CHUNK), side="right")
+        bounds = sorted({*starts[heads - 1].tolist(), order.size})
+        width = int(cn[order].max(initial=0))
+        for a, b in zip(bounds, bounds[1:]):
+            rows = order[a:b]
+            stack.append((j + 1, (cx[:width, rows], cy[:width, rows], cn[rows],
+                                  child_tights[a:b], child_group[a:b])))
+    return count
 
 
 def enumerate_digit_sequences(
@@ -298,9 +295,10 @@ def enumerate_digit_sequences(
     is widened by 1e-12 on both sides and the disk to |t|^2 <= 1 + 1e-12,
     so the count is exact up to that widening and never misses a
     realizable sequence.  The search expands a frontier of prefixes level
-    by level in numpy passes over chunks of at most ``_FRONTIER_CHUNK``
-    nodes, so its working memory is a few chunks per level, not a
-    multiple of the count.
+    by level in numpy passes over chunks of about ``_FRONTIER_CHUNK``
+    nodes, never splitting a group of nodes that share a digit prefix,
+    and counts the groups that reach level N; its working memory is a few
+    chunks per level, not a multiple of the count.
     Returns (count, M_N * e^{h(et) N}); a finite et is clamped to
     [0, 1], so et -> 1 enumerates with no good-index requirement at all.
     """
@@ -313,7 +311,7 @@ def enumerate_digit_sequences(
     if not math.isfinite(epsilon_tilde):
         raise DomainError("epsilon_tilde must be finite")
     et = min(max(float(epsilon_tilde), 0.0), 1.0)
-    return len(_admissible_sequences(lam, et, N)), sequence_count(branching, et, N)
+    return _admissible_count(lam, et, N), sequence_count(branching, et, N)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,18 @@ class TestEK:
         assert doc["count"] == 101
         assert doc["bound"] == 95578025051374.4
 
+    @pytest.mark.parametrize("lam, et, n, want", [
+        ("-0.48063539316653736-0.5433077874891128i", "0.6", "13", 1203),
+        ("0.7629538037833957+0.49594059030094007i", "1.0", "14", 801),
+    ])
+    def test_enumerate_pass_with_no_clipped_child(self, capsys, lam, et, n, want):
+        # some frontier pass has every child lying whole in its strip
+        code, out, _ = run_cli(
+            capsys, "ek", "enumerate", f"--lambda={lam}", "--eps-tilde", et, "--N", n,
+        )
+        assert code == EXIT_OK
+        assert strict_json(out)["count"] == want
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_enumerate_non_finite_eps_tilde_refused(self, capsys, value):
         code, out, _ = run_cli(
@@ -602,11 +614,12 @@ class TestParameterRefusals:
          "--depth", "4", "--directions", "4"],
         ["eval", "--lambda", "0.5+0.5i", "--xi", "nan"],
         ["eval", "--lambda", "0.5+0.5i", "--xi", "2,1e400"],
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "1e308"],
         ["ek", "trace", "--lambda", "0.5+0.5i", "--t", "nan", "--N", "5"],
     ], ids=["eval-tol-nan", "eval-tol-inf", "scan-tol-nan", "cover-tol-nan",
             "dim-q-nan", "dim-csv-q-nan", "dim-q-300", "dim-csv-q-300", "dim-q-inf",
             "dim-q-1e400", "eval-probs-nan", "bounds-p-nan", "push-coeffs-nan",
-            "eval-xi-nan", "eval-xi-1e400", "trace-t-nan"])
+            "eval-xi-nan", "eval-xi-1e400", "eval-xi-1e308", "trace-t-nan"])
     def test_refused(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_DOMAIN
@@ -801,6 +814,39 @@ class TestWorkerDeterminism:
         )
         assert code == EXIT_USAGE and out == ""
         assert "positive integer" in err
+
+
+class TestSeed:
+    """A seed is a non-negative integer, on the command line and in --config."""
+
+    PUSH = ["push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1", "--radii", "1:4:3",
+            "--depth", "4", "--directions", "4"]
+    FROSTMAN = ["bernoulli", "--lambda", "0.8+0.3i", "--frostman"]
+    VERIFY = ["ek", "verify", "--lambda", "0.5+0.5i", "--samples", "10", "--N", "6"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1", *PUSH],
+        ["--seed", "-1", *FROSTMAN],
+        ["--seed", "-1", *VERIFY],
+        [*VERIFY, "--seed", "-1"],
+        [*VERIFY, "--seed", "2.5"],
+    ], ids=["push", "frostman", "verify-global", "verify-local", "verify-fraction"])
+    def test_bad_seed_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "non-negative integer" in err
+
+    @pytest.mark.parametrize("argv", [PUSH, FROSTMAN, VERIFY],
+                             ids=["push", "frostman", "verify"])
+    def test_negative_config_seed_refused(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "seed" in err
+
+    def test_zero_seed_accepted(self, capsys):
+        assert run_cli(capsys, "--seed", "0", *self.VERIFY)[0] == EXIT_OK
 
 
 class TestRealLambdaRule:

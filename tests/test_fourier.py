@@ -643,6 +643,10 @@ THREE_DIGIT = SCAN_SYSTEMS["three_digit"]
     pytest.param(lambda: truncation_index(THREE_DIGIT, [1.0, math.nan], 1e-12), "finite",
                  id="xi-nan"),
     pytest.param(lambda: mu_hat(THREE_DIGIT, complex(math.inf, 0.0)), "finite", id="xi-inf"),
+    # finite, but 2*pi*max|w|*|xi|/(1 - |lambda|) overflows to inf
+    pytest.param(lambda: truncation_index(THREE_DIGIT, [1.0, 1e308], 1e-12), "overflows",
+                 id="xi-1e308"),
+    pytest.param(lambda: mu_hat(THREE_DIGIT, 1e308), "overflows", id="mu-hat-xi-1e308"),
     pytest.param(lambda: scanfield_from_binary(b"NOTAFLD\0" + bytes(24)), "magic",
                  id="bad-magic"),
     pytest.param(lambda: energy_integral("not a measure", 4.0, 0.5), "target",

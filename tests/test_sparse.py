@@ -154,8 +154,8 @@ def dfs_admissible(lam, et, N):
     """The recursive polygon search the batched frontier replaced.
 
     Same (r_j, good-required) branching, prune, strips and disk test, one
-    node at a time with Python floats, so its set must equal
-    ``sparse._admissible_sequences`` exactly.
+    node at a time with Python floats, so its set's size must equal
+    ``sparse._admissible_count`` exactly.
     """
     rho = sparse.good_rho(abs(lam))
     n_good = sparse.good_index_requirement(et, N)
@@ -410,9 +410,9 @@ class TestEnumerationOracle:
         c = 2.0 - 0.5 - 1e-12
         lam = 1j / c
         assert (1.0 / lam) == -1j * c
-        found = sparse._admissible_sequences(lam, 1.0, 2)
+        found = dfs_admissible(lam, 1.0, 2)
         assert {(0, 2), (0, -2)} <= found
-        assert found == dfs_admissible(lam, 1.0, 2)
+        assert sparse._admissible_count(lam, 1.0, 2) == len(found)
         assert len(found) == reference_box_count(lam, 1.0, 2)
         x, y, n = padded([[(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]])
         v = c * y
@@ -475,10 +475,11 @@ class TestEnumerationOracle:
          (OTHER_LAMS[2], 0.5, 9), (0.8j, 0.6, 10)],
     )
     def test_every_sampled_sequence_found(self, lam, et, n):
-        found = sparse._admissible_sequences(complex(lam), et, n)
+        found = dfs_admissible(complex(lam), et, n)
         sampled = sampled_admissible(complex(lam), et, n, 100_000, seed=17)
         assert len(sampled) >= 20
         assert sampled <= found
+        assert sparse._admissible_count(complex(lam), et, n) == len(found)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -491,8 +492,9 @@ class TestEnumerationOracle:
     )
     def test_random_lambda(self, modulus, angle, lower, et, n, seed):
         lam = cmath.rect(modulus, -angle if lower else angle)
-        found = sparse._admissible_sequences(lam, et, n)
+        found = dfs_admissible(lam, et, n)
         assert sampled_admissible(lam, et, n, 5_000, seed) <= found
+        assert sparse._admissible_count(lam, et, n) == len(found)
         assert len(found) <= reference_box_count(lam, et, n)
 
 
@@ -511,27 +513,49 @@ class TestFrontier:
         lam = cmath.rect(modulus, -angle if lower else angle)
         # keep the oracle's tree small: about |lam|^{-2(n-1)} cells survive
         n = min(n, 1 + int(math.log(400.0) / (-2.0 * math.log(modulus))))
-        assert sparse._admissible_sequences(lam, et, n) == dfs_admissible(lam, et, n)
+        assert sparse._admissible_count(lam, et, n) == len(dfs_admissible(lam, et, n))
 
-    @pytest.mark.parametrize("lam, et, n", [(LAM, 0.3, 13), (LAM, 1.0, 6), (LAM, 0.6, 8)])
-    def test_equals_the_recursive_search_on_the_pinned_cases(self, lam, et, n):
-        assert sparse._admissible_sequences(lam, et, n) == dfs_admissible(lam, et, n)
+    @pytest.mark.parametrize("lam, et, n, want", [
+        (LAM, 0.3, 13, 101), (LAM, 1.0, 6, 341), (LAM, 0.6, 8, 301),
+        # a pass where every child lies whole in its strip
+        (-0.48063539316653736 - 0.5433077874891128j, 0.6, 13, 1203),
+        (0.7629538037833957 + 0.49594059030094007j, 1.0, 14, 801),
+    ])
+    def test_equals_the_recursive_search_on_the_pinned_cases(self, lam, et, n, want):
+        count = sparse._admissible_count(lam, et, n)
+        assert type(count) is int
+        assert count == len(dfs_admissible(lam, et, n)) == want
 
     def test_many_chunks_in_flight(self, monkeypatch):
-        want = sparse._admissible_sequences(LAM, 0.3, 13)
-        monkeypatch.setattr(sparse, "_FRONTIER_CHUNK", 8)
-        found = sparse._admissible_sequences(LAM, 0.3, 13)
-        assert len(found) == 101 and found == want
+        # chunks are cut at group starts, so a group never spans two of them
+        for chunk in (1, 8):
+            monkeypatch.setattr(sparse, "_FRONTIER_CHUNK", chunk)
+            assert sparse._admissible_count(LAM, 0.3, 13) == 101, chunk
 
-    def test_peak_memory(self):
-        # the chunked frontier keeps the N = 13 search within a few MiB
+    @staticmethod
+    def peak_bytes(lam, et, n):
         tracemalloc.start()
         try:
-            sparse._admissible_sequences(LAM, 0.3, 13)
+            count = sparse._admissible_count(lam, et, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        return count, peak
+
+    def test_peak_memory(self):
+        # the chunked frontier keeps the N = 13 search within a few MiB
+        assert self.peak_bytes(LAM, 0.3, 13)[1] <= 4 * 2**20
+
+    def test_peak_memory_is_bounded_by_chunks_not_by_the_count(self):
+        # 105,477 sequences, counted without holding them
+        count, peak = self.peak_bytes(cmath.rect(0.4, 2.5), 1.0, 7)
+        assert count == 105_477
+        assert peak <= 20 * 2**20
+
+    def test_clip_of_no_polygons(self):
+        x, y = np.zeros((2, 4, 0))
+        cx, cy, cn = sparse._clip_strips(x, y, x, np.zeros(0, int), np.zeros(0), np.zeros(0))
+        assert cx.shape[1] == cy.shape[1] == cn.size == 0
 
 
 class TestCoveringReport:
