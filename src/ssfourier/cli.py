@@ -121,8 +121,8 @@ def _integer_at_least(text: str, least: int, what: str) -> int:
     return int(text)
 
 
-def _worker_count(text: str) -> int:
-    """A positive integer worker count."""
+def _positive(text: str) -> int:
+    """A positive integer: a worker count or a work budget."""
     return _integer_at_least(text, 1, "positive")
 
 
@@ -277,7 +277,7 @@ def _cmd_ek(args):
             }
         )
     # enumerate: run refuses a bare ek, so no other subcommand is left
-    count, bound = enumerate_digit_sequences(lam, args.eps_tilde, args.N)
+    count, bound = enumerate_digit_sequences(lam, args.eps_tilde, args.N, args.budget)
     return _json_dump(
         {"count": count, "bound": bound, "epsilon_tilde": args.eps_tilde, "N": args.N}
     )
@@ -352,9 +352,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON file whose values override flags")
     parser.add_argument("--format", choices=["json", "csv", "bin"], default="json")
     parser.add_argument("--out", help="write results to this path")
-    parser.add_argument("--workers", type=_worker_count, default=1)
+    parser.add_argument("--workers", type=_positive, default=1)
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=_positive, default=None)
     sub = parser.add_subparsers(dest="command")
 
     p_eval = sub.add_parser("eval", help="evaluate mu_hat at frequencies")

@@ -7,6 +7,13 @@ that are excluded automatically.  Dyadic grids are anchored at the origin
 and, to blunt translation sensitivity, every estimate is also computed
 under one fixed irrational shift with the smaller (conservative) slope
 reported.
+
+One routine, ``_dyadic_masses``, bins a measure at all of its levels
+for one anchor.  The levels nest, floor(x 2^n) = floor(floor(x 2^top)
+2^(n - top)) exactly in floats, so the atoms are floored and sorted into
+cells once, at the finest level, and each coarser level only floor-scales
+and sorts those cells.  Masses add up in atom order on the lexicographic
+cell order, the same bits as binning every level from scratch.
 """
 
 from __future__ import annotations
@@ -23,20 +30,53 @@ from .measures import DiscreteMeasure
 
 # fixed irrational anchor shift: ((sqrt(5)-1)/2, (sqrt(3)-1)/2)
 _SHIFT = complex(0.6180339887498949, 0.36602540378443865)
+_MAX_LEVEL = 1023  # 2.0**1024 overflows a float
 
 
-def _dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
-    """Occupied cells [i, i+1) x [j, j+1) / 2^level of mu + shift.
+def _cells(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's cell label, and the first point of each cell.
 
-    Returns the cells as complex keys i + j*1j in lexicographic (i, j)
-    order, and their masses.  Floored coordinates are exact floats, so
-    the keys are exact at every level.
+    Labels number the distinct (x, y) in lexicographic order.
     """
-    scale = 2.0**level
+    order = np.lexsort((y, x))
+    sx, sy = x[order], y[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    labels = np.empty(order.size, dtype=np.intp)
+    labels[order] = np.cumsum(new) - 1
+    return labels, order[new]
+
+
+def _dyadic_masses(mu: DiscreteMeasure, levels, shift: complex = 0.0) -> list[np.ndarray]:
+    """Masses of the occupied cells [i, i+1) x [j, j+1) / 2^n of mu + shift.
+
+    One array per level n of ``levels``, the cells in lexicographic (i, j)
+    order.  The shifted positions are floored once, at the top level, and
+    sorted into cells once; a coarser level floor-scales the top cells,
+    floor(floor(x 2^top) 2^(n - top)) = floor(x 2^n) exactly, and sorts
+    only them.  Masses add up in atom order with ``np.bincount``.  A
+    level above _MAX_LEVEL, or an atom whose top-level cell index
+    overflows a float, is a DomainError.
+    """
+    top = max(levels)
+    if top > _MAX_LEVEL:
+        raise DomainError(f"dyadic level {top} is above {_MAX_LEVEL}: 2^{top} overflows a float")
     pos = mu.positions + shift
-    keys = np.floor(pos.real * scale) + 1j * np.floor(pos.imag * scale)
-    cells, inverse = np.unique(keys, return_inverse=True)
-    return cells, np.bincount(inverse, weights=mu.weights, minlength=cells.size)
+    scale = 2.0**top
+    with np.errstate(over="ignore"):
+        fx, fy = np.floor(pos.real * scale), np.floor(pos.imag * scale)
+    if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
+        raise DomainError(f"an atom's level-{top} cell index overflows a float")
+    atom_cell, first = _cells(fx, fy)
+    cx, cy = fx[first], fy[first]
+    out = []
+    for n in levels:
+        labels = atom_cell
+        if n != top:
+            scale = 2.0 ** (n - top)
+            labels = _cells(np.floor(cx * scale), np.floor(cy * scale))[0][atom_cell]
+        out.append(np.bincount(labels, weights=mu.weights))
+    return out
 
 
 def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
@@ -45,7 +85,7 @@ def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
         raise DomainError(f"q must be finite and > 1, got {q!r}")
     if n < 0:
         raise DomainError("n must be >= 0")
-    return _moment(_dyadic_cells(mu, n)[1], q)
+    return _moment(_dyadic_masses(mu, [n])[0], q)
 
 
 def _moment(masses: np.ndarray, q: float) -> float:
@@ -105,11 +145,11 @@ def _conservative_fit(mu, n_min, n_max, x_factor: float, statistic):
     the usable levels; the fit with the smaller slope is returned.
     """
     levels = _levels(mu, n_min, n_max)
+    xs = [x_factor * (-n * math.log(2.0)) for n in levels]
     best = None
     for shift in (0.0, _SHIFT):
-        xs = [x_factor * (-n * math.log(2.0)) for n in levels]
-        ys = [math.log(float(statistic(_dyadic_cells(mu, n, shift)[1])))
-              for n in levels]
+        ys = [math.log(float(statistic(masses)))
+              for masses in _dyadic_masses(mu, levels, shift)]
         fit = linear_fit(xs, ys)
         if best is None or fit[0] < best[0]:
             best = fit

@@ -343,10 +343,13 @@ def energy_integral(target, T: float, step: float) -> float:
     e(Re(z*conj(xi))) = e(x*xi_x) * e(y*xi_y).  So the transform on the
     whole grid is G = sum_k w_k e(x_k c) (x) e(y_k c), accumulated as
     G += (w * E_x)^T @ E_y over atom blocks of fixed size in a fixed
-    order: 2 * n_atoms * side exponentials and one complex matrix
-    product instead of n_atoms * side^2 exponentials.  The result does
-    not depend on the BLAS thread count, and memory beyond G is two
-    block x side arrays.
+    order.  The coordinates are symmetric, c[-k - 1] = -c[k] exactly, so
+    e(x c[-k - 1]) is the conjugate of e(x c[k]): only the side / 2
+    positive coordinates are exponentiated, n_atoms * side in all
+    instead of n_atoms * side^2, and the negative half is written
+    mirrored and conjugated beside them, bit for bit the unmirrored
+    values.  The result does not depend on the BLAS thread count, and
+    memory beyond G is two preallocated block x side arrays.
     """
     if not 0.0 < T < math.inf:
         raise DomainError("energy radius T must be finite and > 0")
@@ -370,9 +373,16 @@ def energy_integral(target, T: float, step: float) -> float:
         raise DomainError("target must be a DiscreteMeasure or IFSDescriptor")
     pos, wts = target.positions, target.weights
     grid = np.zeros(inside.shape, dtype=np.complex128)
+    rows = min(_ENERGY_BLOCK, pos.size)
+    ex_block = np.empty((rows, 2 * n), dtype=np.complex128)
+    ey_block = np.empty_like(ex_block)
     for a0 in range(0, pos.size, _ENERGY_BLOCK):
         blk = slice(a0, a0 + _ENERGY_BLOCK)
-        ex = wts[blk, None] * np.exp(2j * np.pi * np.outer(pos.real[blk], coords))
-        ey = np.exp(2j * np.pi * np.outer(pos.imag[blk], coords))
+        ex, ey = ex_block[: pos.size - a0], ey_block[: pos.size - a0]
+        # coords[-k - 1] = -coords[k]: the negative half is the mirrored conjugate
+        for e, p in ((ex, pos.real[blk]), (ey, pos.imag[blk])):
+            np.exp(2j * np.pi * np.outer(p, coords[n:]), out=e[:, n:])
+            np.conjugate(e[:, n:][:, ::-1], out=e[:, :n])
+        ex *= wts[blk, None]
         grid += ex.T @ ey
     return float(np.sum(np.abs(grid[inside]) ** 2)) * step * step

@@ -199,7 +199,8 @@ class DiscreteMeasure:
         closest pair is then among the grid-hash pairs within that bound,
         widened by a hair because sqrt(d2)**2 can round below d2.  Taking
         both orders keeps the bound near the gap on lattices whose spacing
-        differs between the axes.
+        differs between the axes.  Atoms so far apart that a squared
+        distance overflows a float are a DomainError.
         """
         x, y = self.positions.real, self.positions.imag
         bound = _consecutive_d2(x, y)
@@ -218,11 +219,17 @@ class DiscreteMeasure:
 
 
 def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest positive d2 between consecutive atoms in (x, y) or (y, x) order."""
+    """Smallest positive d2 between consecutive atoms in (x, y) or (y, x) order.
+
+    A d2 that overflows a float is a DomainError.
+    """
     best = math.inf
     for order in (np.lexsort((y, x)), np.lexsort((x, y))):
         dx, dy = np.diff(x[order]), np.diff(y[order])
-        d2 = dx * dx + dy * dy
+        with np.errstate(over="ignore"):
+            d2 = dx * dx + dy * dy
+        if not np.isfinite(d2).all():
+            raise DomainError("atoms too far apart: a squared atom distance overflows a float")
         best = min(best, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
     return best
 

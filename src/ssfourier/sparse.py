@@ -36,6 +36,7 @@ from .measures import IFSDescriptor
 
 FLOAT_SLACK = 1e-9
 ENUM_MAX_N = 14
+DEFAULT_NODE_BUDGET = 10**7
 _SAFE_MAGNITUDE = 2.0**52
 
 
@@ -216,7 +217,7 @@ def _meets_disk(x, y, n):
             | np.all(~real | (cross < 0.0), axis=0))
 
 
-def _admissible_count(lam: complex, et: float, N: int) -> int:
+def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None = None) -> int:
     """Number of digit tuples (r_0..r_{N-1}) realizable in the disk with enough good indices.
 
     A search over (r_j, good-required) choices.  Each node carries the
@@ -233,11 +234,14 @@ def _admissible_count(lam: complex, et: float, N: int) -> int:
     the group holding every ``_FRONTIER_CHUNK``-th node, so no group is
     split between two passes and the stack holds a few chunks per level:
     memory is bounded by the chunks, however many sequences there are.
+    Past ``node_budget`` frontier nodes (default DEFAULT_NODE_BUDGET),
+    live children and leaves alike, the search stops with a BudgetError.
     """
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     rho = good_rho(abs(lam))
     n_good = good_index_requirement(et, N)
     inv_pows = [(1.0 / lam) ** j for j in range(N)]
-    count = 0
+    count = nodes = 0
     square = (np.array([[-1.0], [1.0], [1.0], [-1.0]]),
               np.array([[-1.0], [-1.0], [1.0], [1.0]]),
               np.array([4]), np.array([0]), np.array([0]))
@@ -261,6 +265,9 @@ def _admissible_count(lam: complex, et: float, N: int) -> int:
                                   r - half - _STRIP_TOL, r + half + _STRIP_TOL)
         hit = np.flatnonzero(cn)
         live = hit[_meets_disk(cx[:, hit], cy[:, hit], cn[hit])]
+        nodes += live.size
+        if nodes > budget:
+            raise BudgetError(f"enumeration reached {nodes} frontier nodes (budget {budget})")
         # live children by digit prefix; a group starts where the prefix changes
         order = live[np.lexsort((r[live], group[parent[live]]))]
         prefix_group, digit = group[parent[order]], r[order]
@@ -284,7 +291,7 @@ def _admissible_count(lam: complex, et: float, N: int) -> int:
 
 
 def enumerate_digit_sequences(
-    lam: complex, epsilon_tilde: float, N: int
+    lam: complex, epsilon_tilde: float, N: int, node_budget: int | None = None
 ) -> tuple[int, float]:
     """Exhaustively count digit sequences realizable with enough good indices.
 
@@ -301,6 +308,8 @@ def enumerate_digit_sequences(
     chunks per level, not a multiple of the count.
     Returns (count, M_N * e^{h(et) N}); a finite et is clamped to
     [0, 1], so et -> 1 enumerates with no good-index requirement at all.
+    A search past ``node_budget`` frontier nodes (default 1e7) raises
+    BudgetError.
     """
     lam = complex(lam)
     if N < 1:
@@ -311,7 +320,7 @@ def enumerate_digit_sequences(
     if not math.isfinite(epsilon_tilde):
         raise DomainError("epsilon_tilde must be finite")
     et = min(max(float(epsilon_tilde), 0.0), 1.0)
-    return _admissible_count(lam, et, N), sequence_count(branching, et, N)
+    return _admissible_count(lam, et, N, node_budget), sequence_count(branching, et, N)
 
 
 # ---------------------------------------------------------------------------

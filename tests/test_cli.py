@@ -242,6 +242,13 @@ class TestEK:
         assert code == EXIT_OK
         assert strict_json(out)["count"] == want
 
+    def test_enumerate_node_budget(self, capsys):
+        argv = ["ek", "enumerate", "--lambda", "0.5+0.5i", "--eps-tilde", "0.3", "--N", "13"]
+        code, out, _ = run_cli(capsys, "--budget", "1", *argv)
+        assert code == EXIT_BUDGET
+        assert "frontier nodes" in strict_json(out)["error"]["message"]
+        assert run_cli(capsys, "--budget", "13949", *argv)[0] == EXIT_OK
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_enumerate_non_finite_eps_tilde_refused(self, capsys, value):
         code, out, _ = run_cli(
@@ -390,6 +397,57 @@ class TestDimCsv:
         assert "n_min" in json.loads(out)["error"]["message"]
 
 
+
+
+class TestDimPinned:
+    """dim output bytes, pinned before the nested binning and the mirrored
+    energy exponentials; both keep every bit."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8",
+          "--n-min", "2", "--n-max", "8"],
+         '{"dim_inf":{"estimate":2.0,"stderr":4.214684851089404e-08},'
+         '"dim_q":{"estimate":1.9212806653765022,"q":2.0,"stderr":0.04339126382849784}}\n'),
+        (["--lambda", "0.5", "--digits", "0,1,i", "--depth", "9",
+          "--n-min", "1", "--n-max", "8", "--T-values", "2:8:3"],
+         '{"alpha":{"dim2_via_alpha":1.5866018882752884,"estimate":0.41339811172471164},'
+         '"dim_inf":{"estimate":1.5849625007211656,"stderr":0.0},'
+         '"dim_q":{"estimate":1.5849625007211743,"q":2.0,"stderr":0.0}}\n'),
+        (["--lambda=0.6+0.5i", "--digits=-1,1", "--depth", "14", "--n-max", "12",
+          "--T-values", "2:16:4", "--step", "0.25"],
+         '{"alpha":{"dim2_via_alpha":1.7317421238113166,"estimate":0.26825787618868335},'
+         '"dim_inf":{"estimate":1.5605540606497343,"stderr":0.11773364159907602},'
+         '"dim_q":{"estimate":1.8028257911401733,"q":2.0,"stderr":0.07572250017412277}}\n'),
+    ], ids=["square", "gasket", "complex-bernoulli"])
+    def test_bytes(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, "dim", *argv)
+        assert code == EXIT_OK
+        assert out == want
+
+
+class TestDimOverflow:
+    """An atom or a level whose numbers overflow a float is a DomainError that names it."""
+
+    @pytest.mark.parametrize("rows, cause", [
+        ("0,0,0.25\n0.001,0,0.25\n0,0.002,0.25\n1e308,0,0.25\n", "squared atom distance"),
+        ("0,1e307,1\n", "cell index"),
+    ], ids=["far-atom", "far-dirac"])
+    def test_far_atoms(self, capsys, tmp_path, rows, cause):
+        path = tmp_path / "far.csv"
+        path.write_text("re,im,weight\n" + rows)
+        code, out, _ = run_cli(capsys, "dim", "--measure-csv", str(path), "--n-min", "0",
+                               "--n-max", "9")
+        assert code == EXIT_DOMAIN
+        error = strict_json(out)["error"]
+        assert error["kind"] == "DomainError" and f"{cause} overflows" in error["message"]
+
+    def test_level_past_1023(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "csv", "dim", "--lambda", "0.5",
+                               "--digits", "0,1", "--depth", "4", "--n-min", "0",
+                               "--n-max", "1100")
+        assert code == EXIT_DOMAIN
+        error = strict_json(out)["error"]
+        assert error["kind"] == "DomainError" and "above 1023" in error["message"]
 
 
 class TestDimEnergy:
@@ -847,6 +905,32 @@ class TestSeed:
 
     def test_zero_seed_accepted(self, capsys):
         assert run_cli(capsys, "--seed", "0", *self.VERIFY)[0] == EXIT_OK
+
+
+class TestBudget:
+    """A budget is a positive integer, on the command line and in --config."""
+
+    SCAN = ["scan", "--lambda", "0.5+0.5i", "--T", "4"]
+    DIM = ["dim", "--lambda", "0.5", "--digits", "0,1", "--depth", "4"]
+
+    @pytest.mark.parametrize("value", ["-1", "0", "2.5"])
+    @pytest.mark.parametrize("argv", [SCAN, DIM], ids=["scan", "dim"])
+    def test_refused(self, capsys, value, argv):
+        code, out, err = run_cli(capsys, "--budget", value, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "positive integer" in err
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_config_refused(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": value}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), *self.DIM)
+        assert code == EXIT_USAGE and out == ""
+        assert "budget" in err
+
+    def test_one_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "--budget", "1", *self.SCAN)
+        assert code == EXIT_BUDGET and strict_json(out)["error"]["kind"] == "budget"
 
 
 class TestRealLambdaRule:

@@ -3,6 +3,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssfourier import dimensions, measures
 from ssfourier import (
@@ -19,6 +21,21 @@ from ssfourier import (
 )
 
 LOG3_LOG2 = math.log(3) / math.log(2)
+
+
+def dyadic_cells(mu: DiscreteMeasure, level: int, shift: complex = 0.0):
+    """Oracle binning: the occupied cells [i, i+1) x [j, j+1) / 2^level of
+    mu + shift, one level from scratch.
+
+    Returns the cells as complex keys i + j*1j in lexicographic (i, j)
+    order, and their masses, added up in atom order.  Floored coordinates
+    are exact floats, so the keys are exact at every level.
+    """
+    scale = 2.0**level
+    pos = mu.positions + shift
+    keys = np.floor(pos.real * scale) + 1j * np.floor(pos.imag * scale)
+    cells, inverse = np.unique(keys, return_inverse=True)
+    return cells, np.bincount(inverse, weights=mu.weights, minlength=cells.size)
 
 
 def segment_measure(n=4096):
@@ -58,9 +75,9 @@ class TestLqMoment:
 
     def test_histogram_mass(self):
         mu = segment_measure(256)
-        cells, masses = dimensions._dyadic_cells(mu, 3)
+        (masses,) = dimensions._dyadic_masses(mu, [3])
         assert abs(masses.sum() - 1.0) < 1e-10
-        assert cells.size <= 4**3 + 4 * 2**3  # cells meeting the segment
+        assert masses.size <= 4**3 + 4 * 2**3  # cells meeting the segment
 
     def test_preconditions(self):
         mu = segment_measure(16)
@@ -68,6 +85,62 @@ class TestLqMoment:
             lq_moment(mu, 2, 1.0)
         with pytest.raises(DomainError):
             lq_moment(mu, -1, 2.0)
+
+
+# coordinates: a float in a wide or a narrow range, or a dyadic rational
+# on a cell edge of some level; a spread of 2^13 at level 60 spans 2^73
+# cells, and narrow clouds share coarse cells between many fine ones
+COORDS = st.one_of(
+    st.floats(-4096.0, 4096.0),
+    st.floats(-2.0, 2.0),
+    st.builds(lambda k, e: k * 2.0**-e, st.integers(-2**12, 2**12), st.integers(0, 60)),
+)
+
+
+@st.composite
+def atom_clouds(draw):
+    """Measures whose atoms repeat, sit on cell edges and have negative coordinates."""
+    distinct = draw(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=12))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    wts = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(picks),
+                                 max_size=len(picks))))
+    pos = np.array([complex(x, y) for x, y in picks])
+    return DiscreteMeasure(pos, wts / wts.sum())
+
+
+class TestDyadicMasses:
+    """The one binning routine against the oracle that bins each level from scratch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=atom_clouds(),
+           levels=st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True))
+    def test_bit_equal_to_binning_each_level(self, mu, levels):
+        levels = sorted(levels)
+        for shift in (0.0, dimensions._SHIFT):
+            got = dimensions._dyadic_masses(mu, levels, shift)
+            assert len(got) == len(levels)
+            for n, masses in zip(levels, got):
+                want = dyadic_cells(mu, n, shift)[1]
+                assert masses.tobytes() == want.tobytes(), (n, shift)
+
+    def test_levels_down_from_the_largest(self):
+        # 2^1023 scales the shifted atoms (|x| < 2) to near the float
+        # maximum, and level 0 floor-scales the top cells by 2^-1023, a
+        # subnormal
+        rng = np.random.default_rng(7)
+        pos = rng.uniform(-1.9, 1.3, 300) + 1j * rng.uniform(-1.9, 1.3, 300)
+        mu = DiscreteMeasure(pos, np.full(300, 1 / 300))
+        levels = [0, 1, 52, 53, 54, 500, 1022, 1023]
+        for shift in (0.0, dimensions._SHIFT):
+            for n, masses in zip(levels, dimensions._dyadic_masses(mu, levels, shift)):
+                assert masses.tobytes() == dyadic_cells(mu, n, shift)[1].tobytes()
+
+    def test_overflow_refused(self):
+        mu = DiscreteMeasure.dirac(0.3 - 0.2j)
+        with pytest.raises(DomainError, match="above 1023"):
+            dimensions._dyadic_masses(mu, [2, 1024])
+        with pytest.raises(DomainError, match="cell index overflows"):
+            dimensions._dyadic_masses(DiscreteMeasure.dirac(-1e307j), [8])
 
 
 class TestDimEstimates:
@@ -248,6 +321,11 @@ SQUARE_6 = finite_approximation(SQUARE, 6)
     pytest.param(lambda: lq_moment(SQUARE_6, 5, 300.0), "underflows", id="moment-underflow"),
     pytest.param(lambda: dim_q_estimate(finite_approximation(SQUARE, 8), 300.0, 1, 5),
                  "underflows", id="dim-q-underflow"),
+    pytest.param(lambda: lq_moment(SQUARE_6, 1024, 2.0), "above 1023", id="moment-level-1024"),
+    pytest.param(lambda: dim_q_estimate(DiscreteMeasure.dirac(0.5), 2.0, 1, 1100),
+                 "above 1023", id="dim-q-level-1100"),
+    pytest.param(lambda: dim_inf_estimate(DiscreteMeasure.dirac(1e307), 1, 8),
+                 "overflows", id="dim-inf-cell-overflow"),
     pytest.param(lambda: alpha_estimate(SQUARE_6, [8.0, 4.0, 2.0], 0.5), "increasing",
                  id="alpha-decreasing"),
     pytest.param(lambda: flattening_check(IFSDescriptor(0.5, (1.0, 1.0), (0.5, 0.5)),

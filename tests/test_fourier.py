@@ -444,7 +444,73 @@ class TestScanFieldIO:
             scanfield_from_binary(bytes(blob))
 
 
+def energy_unmirrored(mu, t_rad, step, block=_ENERGY_BLOCK):
+    """Oracle: the discrete-measure energy with every exponential computed.
+
+    The lattice, atom blocks and matrix products of ``energy_integral``,
+    but e(x c) evaluated at the negative coordinates c too, with no
+    mirroring and no preallocated blocks.
+    """
+    n = math.ceil(t_rad / step)
+    coords = (np.arange(-n, n) + 0.5) * step
+    inside = np.abs(coords[:, None] + 1j * coords[None, :]) < t_rad
+    pos, wts = mu.positions, mu.weights
+    grid = np.zeros(inside.shape, dtype=np.complex128)
+    for a0 in range(0, pos.size, block):
+        blk = slice(a0, a0 + block)
+        ex = wts[blk, None] * np.exp(2j * np.pi * np.outer(pos.real[blk], coords))
+        ey = np.exp(2j * np.pi * np.outer(pos.imag[blk], coords))
+        grid += ex.T @ ey
+    return float(np.sum(np.abs(grid[inside]) ** 2)) * step * step
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while ``call()`` runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# atom coordinates with exact zeros: there the mirrored exponential is
+# 1 - 0i where the direct one is 1 + 0i, a difference the sum must not see
+ATOM_COORD = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+
+
 class TestEnergyIntegral:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(ATOM_COORD, ATOM_COORD, st.floats(0.01, 1.0)),
+                       min_size=1, max_size=40),
+        t_rad=st.floats(0.05, 12.0),
+        step=st.floats(0.05, 0.5),
+        block=st.sampled_from([1, 3, 16, _ENERGY_BLOCK]),
+    )
+    def test_mirrored_equals_unmirrored(self, atoms, t_rad, step, block):
+        pos = np.array([complex(x, y) for x, y, _ in atoms])
+        wts = np.array([w for _, _, w in atoms])
+        mu = DiscreteMeasure(pos, wts / wts.sum())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ssfourier.fourier, "_ENERGY_BLOCK", block)
+            got = energy_integral(mu, t_rad, step)
+        assert got == energy_unmirrored(mu, t_rad, step, block)
+
+    def test_mirrored_equals_unmirrored_over_blocks(self, sierpinski):
+        # the dim benchmark's gasket: 19,683 atoms, two full blocks and a part
+        mu = finite_approximation(sierpinski, 9)
+        for t_rad in (2.0, 4.0, 8.0):
+            assert energy_integral(mu, t_rad, 0.5) == energy_unmirrored(mu, t_rad, 0.5)
+
+    def test_peak_memory_not_above_the_unmirrored(self, sierpinski):
+        mu = finite_approximation(sierpinski, 9)
+        for t_rad, step in ((8.0, 0.5), (16.0, 0.25)):
+            got = traced_peak(lambda: energy_integral(mu, t_rad, step))
+            assert got <= traced_peak(lambda: energy_unmirrored(mu, t_rad, step))
+
     def test_dirac_gives_disk_area(self):
         t_rad, step = 4.0, 0.25
         val = energy_integral(DiscreteMeasure.dirac(0.0), t_rad, step)

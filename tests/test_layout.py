@@ -221,3 +221,49 @@ def test_guard_sees_unreached_exports():
     b = "def caller(ifs):\n    return a.kernel(ifs)\n"
     bench = "print(b.caller(1))\n"
     assert unreached_exports(init, [a, b, bench]) == ["Report", "check", "helper", "used"]
+
+
+_BINNING_CALLS = ("bincount", "unique", "histogram", "histogram2d", "histogramdd")
+
+
+def binning_functions(source: str) -> list[str]:
+    """Functions that add masses into cells or take distinct cell keys.
+
+    Counted are the calls ``bincount``, ``unique`` and the ``histogram``
+    family, bare or as an attribute.
+    """
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef) and any(
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            in _BINNING_CALLS
+            for node in ast.walk(func)
+        ):
+            found.append(func.name)
+    return found
+
+
+def test_one_binning_routine():
+    # every dyadic level of every anchor is binned by _dyadic_masses; a
+    # per-level binning such as the complex-key _dyadic_cells growing back
+    # would be a second routine
+    source = (PACKAGE / "dimensions.py").read_text(encoding="utf-8")
+    assert binning_functions(source) == ["_dyadic_masses"]
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_dyadic_cells" not in defined
+
+
+def test_guard_sees_binning():
+    source = (
+        "def cells(mu, n):\n"
+        "    return np.unique(keys, return_inverse=True)\n"
+        "def masses(labels, w):\n"
+        "    return np.bincount(labels, weights=w)\n"
+        "def grid(x, y):\n"
+        "    return histogram2d(x, y)\n"
+        "def fit(xs, ys):\n"
+        "    return linear_fit(xs, ys)\n"
+    )
+    assert binning_functions(source) == ["cells", "masses", "grid"]

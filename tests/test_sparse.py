@@ -373,6 +373,12 @@ class TestEnumeration:
         with pytest.raises(RegimeError):
             enumerate_digit_sequences(0.5, 0.1, 5)
 
+    def test_node_budget(self):
+        # the N = 13 search visits 13,949 frontier nodes, leaves included
+        assert enumerate_digit_sequences(LAM, 0.3, 13, node_budget=13_949)[0] == 101
+        with pytest.raises(BudgetError, match="budget 13948"):
+            enumerate_digit_sequences(LAM, 0.3, 13, node_budget=13_948)
+
 
 class TestEnumerationOracle:
     """The polygon search against the box search and against sampling."""
