@@ -283,11 +283,18 @@ def _cmd_ek(args):
     )
 
 
-def _load_measure(args) -> DiscreteMeasure:
+def _load_measure(args) -> tuple[DiscreteMeasure, DiscreteMeasure | IFSDescriptor]:
+    """The atoms the dyadic moments bin, and the measure whose energy gives alpha.
+
+    From --measure-csv both are the given atoms.  From an IFS the atoms are
+    the --depth tower and the energy is that of the self-similar
+    measure itself, through the product kernel.
+    """
     if args.measure_csv:
-        return measure_from_csv(_read_input(args.measure_csv))
+        mu = measure_from_csv(_read_input(args.measure_csv))
+        return mu, mu
     ifs = _ifs_from_args(args)
-    return finite_approximation(ifs, args.depth, atom_budget=args.budget)
+    return finite_approximation(ifs, args.depth, atom_budget=args.budget), ifs
 
 
 def _cmd_dim(args):
@@ -297,21 +304,21 @@ def _cmd_dim(args):
             raise _UsageError("--T-values has no column in dim's CSV output")
         if args.n_min < 0 or args.n_max < args.n_min:
             raise DomainError("need 0 <= n_min <= n_max")
-        mu = _load_measure(args)
+        mu, _ = _load_measure(args)
         lines = ["n,s_n,log_s_n"]
         for n in range(args.n_min, args.n_max + 1):
             s_n = lq_moment(mu, n, args.q)
             lines.append(f"{n},{s_n!r},{math.log(s_n)!r}")
         return "\n".join(lines) + "\n"
     radii = None if args.T_values is None else _parse_radii(args.T_values)
-    mu = _load_measure(args)
+    mu, energy_target = _load_measure(args)
     doc = {}
     d2, e2 = dim_q_estimate(mu, args.q, args.n_min, args.n_max)
     doc["dim_q"] = {"q": args.q, "estimate": d2, "stderr": e2}
     dinf, einf = dim_inf_estimate(mu, args.n_min, args.n_max)
     doc["dim_inf"] = {"estimate": dinf, "stderr": einf}
     if radii is not None:
-        alpha, via = alpha_estimate(mu, radii, args.step)
+        alpha, via = alpha_estimate(energy_target, radii, args.step)
         doc["alpha"] = {"estimate": alpha, "dim2_via_alpha": via}
     return _json_dump(doc)
 

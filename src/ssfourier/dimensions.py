@@ -3,10 +3,11 @@
 The estimators regress dyadic moment sums over a range of levels.  A
 finite atom cloud has an intrinsic resolution (its minimum atom gap), and
 below roughly 4x that scale every moment sum collapses; levels finer than
-that are excluded automatically.  Dyadic grids are anchored at the origin
-and, to blunt translation sensitivity, every estimate is also computed
-under one fixed irrational shift with the smaller (conservative) slope
-reported.
+that are excluded automatically.  Threshold queries on the atoms decide
+where, without computing the gap itself.  Dyadic grids are anchored at
+the origin and, to blunt translation sensitivity, every estimate is also
+computed under one fixed irrational shift with the smaller
+(conservative) slope reported.
 
 One routine, ``_dyadic_masses``, bins a measure at all of its levels
 for one anchor.  The levels nest, floor(x 2^n) = floor(floor(x 2^top)
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .measures import DiscreteMeasure
 # fixed irrational anchor shift: ((sqrt(5)-1)/2, (sqrt(3)-1)/2)
 _SHIFT = complex(0.6180339887498949, 0.36602540378443865)
 _MAX_LEVEL = 1023  # 2.0**1024 overflows a float
+_WINDOW = 8  # next positions each one meets in a group (see _close_d2)
+_kept_cap = None  # (weak reference to the measure, n_max, cap) of the last cap decided
 
 
 def _cells(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,24 +100,115 @@ def _moment(masses: np.ndarray, q: float) -> float:
     return total
 
 
-def _resolution_level_cap(mu: DiscreteMeasure) -> int | None:
-    """Largest usable level: cell side must exceed 4x the min atom gap.
+def _resolution_level_cap(mu: DiscreteMeasure, n_max: int) -> int:
+    """min(n_max, cap): cap is the finest level whose cells exceed 4x the
+    smallest positive atom gap, floor(-log2(4 gap) - 1e-9).
 
-    Exactly coinciding atoms act as one; the smallest positive gap sets
-    the resolution.
+    Exactly coinciding atoms act as one, and one position sets no cap.
+    The gap itself is not computed: the cap is decided by threshold
+    queries up to n_max.  Consecutive positions in (x, y) and (y, x)
+    order are pairs, so the smallest of their distances bounds the cap
+    from below; from there the level rises while ``_close_d2`` finds a
+    pair close enough for the next level, each pair found setting the
+    level its own distance gives.  The last cap decided is kept, so the
+    estimates of one measure at one n_max decide it once.
     """
-    gap = mu.min_atom_gap
-    if gap is None:
-        return None
-    return math.floor(-math.log2(4.0 * gap) - 1e-9)
+    global _kept_cap
+    kept = _kept_cap
+    if kept is None or kept[0]() is not mu or kept[1] != n_max:
+        cap = _level_cap(mu.positions.real, mu.positions.imag, n_max)
+        kept = _kept_cap = (weakref.ref(mu), n_max, cap)
+    return kept[2]
+
+
+def _gap_level(d2: float) -> int:
+    """The cap that a pair at squared distance d2 > 0 gives."""
+    return math.floor(-math.log2(4.0 * math.sqrt(d2)) - 1e-9)
+
+
+def _distinct_positions(x: np.ndarray, y: np.ndarray):
+    """The distinct positions (x, y) in (x, y) order, and their (y, x) order."""
+    first = _cells(x, y)[1]
+    x, y = x[first], y[first]
+    return x, y, np.lexsort((x, y))
+
+
+def _level_cap(x: np.ndarray, y: np.ndarray, n_max: int) -> int:
+    x, y, by_y = _distinct_positions(x, y)
+    d2 = min(_consecutive_d2(x, y), _consecutive_d2(x[by_y], y[by_y]))
+    if d2 == math.inf:
+        return n_max
+    level = _gap_level(d2)
+    while level < n_max:
+        d2 = _close_d2(x, y, by_y, level + 1)
+        if d2 == math.inf or _gap_level(d2) <= level:
+            break
+        level = _gap_level(d2)
+    return min(level, n_max)
+
+
+def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
+    """Smallest positive d2 between consecutive positions; an overflow is a DomainError."""
+    with np.errstate(over="ignore"):
+        dx, dy = np.diff(x), np.diff(y)
+        d2 = dx * dx + dy * dy
+    if not np.isfinite(d2).all():
+        raise DomainError("atoms too far apart: a squared atom distance overflows a float")
+    return float(np.min(d2, initial=math.inf, where=d2 > 0.0))
+
+
+def _close_d2(x: np.ndarray, y: np.ndarray, by_y: np.ndarray, level: int) -> float:
+    """The threshold query at ``level``: the smallest positive d2 over a
+    set of pairs of the distinct positions (x, y), in (x, y) order, that
+    holds a pair whose distance gives a cap of at least ``level``
+    whenever one exists; inf for no pair.
+
+    ``by_y`` is the (y, x) order.  Such a pair is closer than t, a hair
+    under w = 2^-(level + 2).  Strips of width w are exact,
+    floor(x 2^(level + 2)), and a pair closer than w lies in one strip or
+    two neighbours, so in a group (2k, 2k + 1) or (2k - 1, 2k) of
+    strips.  In each group the positions go in (y, x) order, and each
+    meets the next ones while the y gap stays under w, at most _WINDOW.
+    Nine positions of a group within w in y lie in a 2w x w box, which
+    eight squares of side w/2 cover, each of diameter w/sqrt(2) < t; so
+    two of them are closer than t, and they are met.  So the cost is
+    linear past one stable sort per group pairing, also where atoms
+    crowd.  Where x 2^(level + 2) overflows a float, x is so large that
+    distinct x lie at least one ulp, far more than 2w, apart, so each
+    distinct x there is a group of its own and no atom is refused.
+    """
+    scale = level + 2
+    with np.errstate(over="ignore"):
+        strip = np.floor(np.ldexp(x, scale))
+    apart = ~np.isfinite(strip[1:]) & (x[1:] != x[:-1])
+    w = math.ldexp(1.0, -scale)
+    best = math.inf
+    xb, yb = x[by_y], y[by_y]
+    for shift in (0.0, 1.0):
+        group = np.floor((strip + shift) * 0.5)
+        rank = np.zeros(x.size, dtype=np.int64)
+        rank[1:] = (group[1:] != group[:-1]) | apart
+        rank = np.cumsum(rank)
+        # stable, so (y, x) order within a group; ranks under 2^16 sort by
+        # radix.  Sorted, the ranks are those of the (x, y) order again.
+        within = np.argsort(rank[by_y].astype(np.min_scalar_type(rank[-1])), kind="stable")
+        xs, ys = xb[within], yb[within]
+        for k in range(1, _WINDOW + 1):
+            with np.errstate(over="ignore"):
+                dy = ys[k:] - ys[:-k]
+                near = (rank[k:] == rank[:-k]) & (dy < w)
+                if not near.any():
+                    break
+                dx = xs[k:] - xs[:-k]
+                d2 = dx * dx + dy * dy
+            best = min(best, float(np.min(d2, initial=math.inf, where=near & (d2 > 0.0))))
+    return best
 
 
 def _levels(mu: DiscreteMeasure, n_min: int, n_max: int) -> list[int]:
     if n_min < 0 or n_max < n_min:
         raise DomainError("need 0 <= n_min <= n_max")
-    cap = _resolution_level_cap(mu)
-    top = n_max if cap is None else min(n_max, cap)
-    levels = list(range(n_min, top + 1))
+    levels = list(range(n_min, _resolution_level_cap(mu, n_max) + 1))
     if len(levels) < 3:
         raise DomainError(
             f"degenerate level range: only {len(levels)} usable dyadic levels "
@@ -180,8 +275,11 @@ def alpha_estimate(
 
     Fits log of the energy integral against log T over geometrically
     spaced radii (at least 3), each by ``energy_integral`` at ``step``.
-    Accepts a DiscreteMeasure or an IFSDescriptor (the latter through
-    the product kernel that ``mu_hat`` uses).
+    For an IFSDescriptor the fit is on the self-similar measure itself,
+    through the product kernel that ``mu_hat`` uses, so no tower depth
+    enters it (the CLI's ``dim`` does this for IFS input); for a
+    DiscreteMeasure it is on the given atoms.  A radius whose lattice
+    holds no midpoint, T <= step / sqrt(2), is a DomainError.
     """
     T_values = [float(t) for t in T_values]
     if len(T_values) < 3:

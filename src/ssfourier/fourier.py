@@ -333,12 +333,15 @@ def energy_integral(target, T: float, step: float) -> float:
     ``target`` is a DiscreteMeasure or an IFSDescriptor.  The lattice is
     the tensor grid c x c, c = (arange(-n, n) + 1/2) * step, cut to the
     midpoints strictly inside the disk; DomainError unless T is finite
-    and > 0 and 0 < step <= 1/2; BudgetError, before any allocation, past
-    DEFAULT_CELL_BUDGET lattice points (the scan's cap).
+    and > 0 and 0 < step <= 1/2, and when no midpoint lies inside the
+    disk (step / sqrt(2) >= T), since the sum would be an empty 0;
+    BudgetError, before any allocation, past DEFAULT_CELL_BUDGET lattice
+    points (the scan's cap).
 
-    For an IFSDescriptor blocks of _ROW_BLOCK lattice rows go through
-    the product kernel ``_product`` (as ``mu_hat`` at tol 1e-9), and the
-    squares add up block by block in row order.  For a
+    For an IFSDescriptor the energy is that of the self-similar measure
+    itself: blocks of _ROW_BLOCK lattice rows go through the product
+    kernel ``_product`` (as ``mu_hat`` at tol 1e-9), and the squares add
+    up block by block in row order.  For a
     DiscreteMeasure the character separates:
     e(Re(z*conj(xi))) = e(x*xi_x) * e(y*xi_y).  So the transform on the
     whole grid is G = sum_k w_k e(x_k c) (x) e(y_k c), accumulated as
@@ -361,6 +364,8 @@ def energy_integral(target, T: float, step: float) -> float:
     coords = (np.arange(-n, n) + 0.5) * step
     lattice = coords[:, None] + 1j * coords[None, :]
     inside = np.abs(lattice) < T
+    if not inside.any():
+        raise DomainError(f"no lattice midpoint lies inside |xi| < T = {T!r} at step {step!r}")
     if isinstance(target, IFSDescriptor):
         total = 0.0
         for r0 in range(0, coords.size, _ROW_BLOCK):

@@ -19,7 +19,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -188,50 +187,9 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return int(self.positions.size)
 
-    @cached_property
-    def min_atom_gap(self) -> float | None:
-        """Smallest positive distance between two atoms.
-
-        Exactly coinciding atoms act as one.  None for a single atom or when
-        all atoms coincide.  Computed once per measure.  The smallest
-        positive distance between consecutive atoms in (re, im) or (im, re)
-        order is a pair distance, so it bounds the gap from above; the
-        closest pair is then among the grid-hash pairs within that bound,
-        widened by a hair because sqrt(d2)**2 can round below d2.  Taking
-        both orders keeps the bound near the gap on lattices whose spacing
-        differs between the axes.  Atoms so far apart that a squared
-        distance overflows a float are a DomainError.
-        """
-        x, y = self.positions.real, self.positions.imag
-        bound = _consecutive_d2(x, y)
-        if bound == math.inf:
-            return None
-        tol = math.sqrt(bound) * (1.0 + 2.0**-20)
-        best = min(
-            float(np.min(d2, initial=math.inf, where=d2 > 0.0))
-            for _, _, d2 in _close_pairs(x, y, tol)
-        )
-        return math.sqrt(best)
-
     @classmethod
     def dirac(cls, z: complex) -> "DiscreteMeasure":
         return cls(np.array([z], dtype=np.complex128), np.array([1.0]))
-
-
-def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest positive d2 between consecutive atoms in (x, y) or (y, x) order.
-
-    A d2 that overflows a float is a DomainError.
-    """
-    best = math.inf
-    for order in (np.lexsort((y, x)), np.lexsort((x, y))):
-        dx, dy = np.diff(x[order]), np.diff(y[order])
-        with np.errstate(over="ignore"):
-            d2 = dx * dx + dy * dy
-        if not np.isfinite(d2).all():
-            raise DomainError("atoms too far apart: a squared atom distance overflows a float")
-        best = min(best, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
-    return best
 
 
 def _close_pairs(x: np.ndarray, y: np.ndarray, tol: float):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from ssfourier import IFSDescriptor
 
@@ -44,3 +45,18 @@ def measure_to_csv(mu) -> str:
     """The CSV text ``measure_from_csv`` reads, every float written by repr."""
     rows = zip(mu.positions.tolist(), mu.weights.tolist())
     return "re,im,weight\n" + "".join(f"{z.real!r},{z.imag!r},{w!r}\n" for z, w in rows)
+
+
+def reference_min_gap(mu):
+    """The cKDTree nearest-atom gap: the smallest positive atom distance.
+
+    Exactly coinciding atoms act as one, so duplicates are dropped first;
+    None for a single position.
+    """
+    pos = np.unique(mu.positions)
+    if pos.size < 2:
+        return None
+    pts = np.column_stack([pos.real, pos.imag])
+    dists, _ = cKDTree(pts).query(pts, k=2)
+    positive = dists[:, 1][dists[:, 1] > 0.0]
+    return float(positive.min()) if positive.size else None

@@ -401,7 +401,8 @@ class TestDimCsv:
 
 class TestDimPinned:
     """dim output bytes, pinned before the nested binning and the mirrored
-    energy exponentials; both keep every bit."""
+    energy exponentials; both keep every bit.  The alpha keys are those
+    of the self-similar measure's energy through the product kernel."""
 
     @pytest.mark.parametrize("argv, want", [
         (["--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8",
@@ -410,12 +411,12 @@ class TestDimPinned:
          '"dim_q":{"estimate":1.9212806653765022,"q":2.0,"stderr":0.04339126382849784}}\n'),
         (["--lambda", "0.5", "--digits", "0,1,i", "--depth", "9",
           "--n-min", "1", "--n-max", "8", "--T-values", "2:8:3"],
-         '{"alpha":{"dim2_via_alpha":1.5866018882752884,"estimate":0.41339811172471164},'
+         '{"alpha":{"dim2_via_alpha":1.5869015925739443,"estimate":0.41309840742605575},'
          '"dim_inf":{"estimate":1.5849625007211656,"stderr":0.0},'
          '"dim_q":{"estimate":1.5849625007211743,"q":2.0,"stderr":0.0}}\n'),
         (["--lambda=0.6+0.5i", "--digits=-1,1", "--depth", "14", "--n-max", "12",
           "--T-values", "2:16:4", "--step", "0.25"],
-         '{"alpha":{"dim2_via_alpha":1.7317421238113166,"estimate":0.26825787618868335},'
+         '{"alpha":{"dim2_via_alpha":1.9954749213126544,"estimate":0.004525078687345745},'
          '"dim_inf":{"estimate":1.5605540606497343,"stderr":0.11773364159907602},'
          '"dim_q":{"estimate":1.8028257911401733,"q":2.0,"stderr":0.07572250017412277}}\n'),
     ], ids=["square", "gasket", "complex-bernoulli"])
@@ -451,6 +452,43 @@ class TestDimOverflow:
 
 
 class TestDimEnergy:
+    def test_alpha_of_ifs_input_does_not_depend_on_depth(self, capsys):
+        # --depth sets the tower of dim_q and dim_inf alone
+        alphas = []
+        for depth in ("7", "9"):
+            code, out, _ = run_cli(capsys, "dim", "--lambda", "0.5", "--digits", "0,1,i",
+                                   "--depth", depth, "--n-min", "1", "--n-max", "5",
+                                   "--T-values", "2:8:3")
+            assert code == EXIT_OK
+            alphas.append(json.dumps(strict_json(out)["alpha"], sort_keys=True))
+        assert alphas[0] == alphas[1]
+
+    def test_alpha_of_measure_csv_is_the_atoms(self, capsys, tmp_path, sierpinski):
+        mu = finite_approximation(sierpinski, 8)
+        path = tmp_path / "mu.csv"
+        path.write_text(measure_to_csv(mu))
+        code, out, _ = run_cli(capsys, "dim", "--measure-csv", str(path), "--n-min", "1",
+                               "--n-max", "4", "--T-values", "2:8:3")
+        assert code == EXIT_OK
+        alpha, via = alpha_estimate(mu, [2.0, 4.0, 8.0], 0.5)
+        assert same_repr(strict_json(out)["alpha"], {"estimate": alpha, "dim2_via_alpha": via})
+
+    @pytest.mark.parametrize("source", ["ifs", "csv"])
+    def test_radius_without_a_midpoint_refused(self, capsys, tmp_path, sierpinski, source):
+        # no midpoint of the step-0.5 lattice lies inside |xi| < 0.3, so the
+        # energy would be an empty 0; once a math domain error traceback
+        if source == "ifs":
+            argv = ["--lambda", "0.5", "--digits", "0,1,i", "--depth", "9"]
+        else:
+            path = tmp_path / "mu.csv"
+            path.write_text(measure_to_csv(finite_approximation(sierpinski, 8)))
+            argv = ["--measure-csv", str(path)]
+        code, out, _ = run_cli(capsys, "dim", *argv, "--n-min", "1", "--n-max", "5",
+                               "--T-values", "0.3:1.2:3")
+        assert code == EXIT_DOMAIN
+        error = strict_json(out)["error"]
+        assert error["kind"] == "DomainError" and "T = 0.3 at step 0.5" in error["message"]
+
     @pytest.mark.parametrize("step", ["nan", "0", "-0.25", "0.75", "inf"])
     def test_bad_step_refused(self, capsys, step):
         code, out, _ = run_cli(capsys, *DIM, "--T-values", "2:8:3",
@@ -996,8 +1034,8 @@ class TestLibraryAgreement:
     def test_dim_energy_radii(self, capsys):
         code, out, _ = run_cli(capsys, *DIM, "--T-values", "2:8:3")
         assert code == EXIT_OK
-        mu = finite_approximation(IFSDescriptor(0.5, (0, 1, 1j), (1 / 3,) * 3), 7)
-        alpha, via = alpha_estimate(mu, [2.0, 4.0, 8.0], 0.5)
+        ifs = IFSDescriptor(0.5, (0, 1, 1j), (1 / 3,) * 3)
+        alpha, via = alpha_estimate(ifs, [2.0, 4.0, 8.0], 0.5)
         assert same_repr(strict_json(out)["alpha"],
                          {"estimate": alpha, "dim2_via_alpha": via})
 

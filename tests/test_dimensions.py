@@ -15,10 +15,13 @@ from ssfourier import (
     alpha_estimate,
     dim_inf_estimate,
     dim_q_estimate,
+    energy_integral,
     finite_approximation,
     lq_moment,
     solve_flattening_epsilon,
 )
+
+from conftest import reference_min_gap
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 
@@ -197,19 +200,193 @@ class TestDimEstimates:
             dim_q_estimate(mu, 2.0, 5, 6)   # too few levels outright
 
 
+def oracle_cap(mu, n_max):
+    """min(n_max, floor(-log2(4 gap) - 1e-9)) with the cKDTree gap; n_max for one position."""
+    gap = reference_min_gap(mu)
+    if gap is None:
+        return n_max
+    return min(n_max, math.floor(-math.log2(4.0 * gap) - 1e-9))
+
+
+def fresh(mu):
+    """The same atoms in a new measure, so no cap is kept from an earlier call."""
+    return DiscreteMeasure(mu.positions, mu.weights)
+
+
+def query_levels(monkeypatch) -> list[int]:
+    """The levels the threshold query ``_close_d2`` is asked, in call order."""
+    asked = []
+    query = dimensions._close_d2
+    monkeypatch.setattr(dimensions, "_close_d2",
+                        lambda x, y, by_y, level: asked.append(level) or query(x, y, by_y, level))
+    return asked
+
+
+def equal_weights(pts):
+    pts = np.asarray(pts, dtype=complex)
+    return DiscreteMeasure(pts, np.full(pts.size, 1.0 / pts.size))
+
+
 class TestResolutionCap:
     def test_gap_computed_once_per_measure(self, sierpinski, monkeypatch):
         mu = finite_approximation(sierpinski, 8)
-        searched = []
-        pairs = measures._close_pairs
-        monkeypatch.setattr(measures, "_close_pairs",
-                            lambda x, y, tol: searched.append(x.size) or pairs(x, y, tol))
+        asked = query_levels(monkeypatch)
         dim_q_estimate(mu, 2.0, 1, 8)
         dim_inf_estimate(mu, 1, 8)
-        assert searched == [mu.n_atoms]
+        # consecutive atoms are 2^-7 apart, which gives level 4; one query
+        # finds no pair close enough for level 5
+        assert asked == [5]
         # atoms 2^-7 apart: levels above 4, where cells are < 4x the gap, are cut
         with pytest.raises(DomainError):
             dim_q_estimate(mu, 2.0, 3, 8)
+        assert asked == [5]
+
+    def test_no_query_past_n_max(self, monkeypatch):
+        # the consecutive bound alone gives level 41 >= n_max
+        asked = query_levels(monkeypatch)
+        mu = equal_weights([0.0, 1e-13, 1.0])
+        assert dimensions._resolution_level_cap(mu, 8) == 8 == oracle_cap(mu, 8)
+        assert asked == []
+
+    def test_crowded_cloud(self, monkeypatch):
+        # 6,000 atoms in a 1e-12 square beside one at 1.0: the merge's grid
+        # hash puts them all in one cell; the queries stay linear
+        rng = np.random.default_rng(9)
+        pts = np.r_[1e-12 * (rng.random(6000) + 1j * rng.random(6000)), 1.0]
+        mu = equal_weights(pts)
+        asked = query_levels(monkeypatch)
+        assert dimensions._resolution_level_cap(mu, 64) == oracle_cap(mu, 64)
+        assert 1 <= len(asked) <= 3
+
+    @pytest.mark.parametrize("factor, level", [
+        (1.0, 4), (1.0 - 2.0**-40, 4), (1.0 - 1e-8, 5), (1.0 + 2.0**-40, 4), (0.5, 5),
+    ])
+    def test_level_boundary(self, factor, level):
+        # a lattice gap at or a hair off 2^-7, where the cap steps from 4 to 5
+        # at 2^-7 * 2^(-1e-9)
+        i, j = np.meshgrid(np.arange(40), np.arange(40))
+        mu = equal_weights(((i + 1j * j) * 2.0**-7 * factor).ravel())
+        assert dimensions._resolution_level_cap(mu, 60) == level == oracle_cap(mu, 60)
+
+    @pytest.mark.parametrize("power", [0, 10, -20])
+    def test_pair_between_blockers(self, power):
+        # a, b = 0.1, 0.2 + 0.9i are 0.906 apart, the only pair under 1.  At
+        # w = 1 (level -2) c1 = 1.5 + 0.45i and c2 = -0.9 + 0.45i lie
+        # between them in y in the strip groups (0, 1) and (-1, 0), and
+        # q = 0.15 + 5i between them in x: no order puts a next to b
+        pts = np.array([0.1, 0.2 + 0.9j, 1.5 + 0.45j, -0.9 + 0.45j, 0.15 + 5j])
+        mu = equal_weights(pts * 2.0**-power)
+        assert dimensions._resolution_level_cap(mu, 40) == power - 2 == oracle_cap(mu, 40)
+
+    def test_one_position(self):
+        mu = equal_weights([0.3 + 0.1j] * 5)
+        assert dimensions._resolution_level_cap(mu, 12) == 12
+
+    def test_atoms_far_out(self):
+        # atoms 1e300 out and 2^-28 apart: the cap is 25, and the level-26
+        # query scales x by 2^28, past the float range; it refuses nothing,
+        # and the estimates bin at level 25 as before
+        mu = equal_weights([1e300, 1e300 + 2.0**-28 * 1j, 1e300 + 1j])
+        assert dimensions._resolution_level_cap(fresh(mu), 40) == 25 == oracle_cap(mu, 40)
+        assert dim_q_estimate(mu, 2.0, 0, 40)[0] == dim_q_estimate(mu, 2.0, 0, 25)[0]
+        assert dim_inf_estimate(mu, 0, 40)[0] == dim_inf_estimate(mu, 0, 25)[0]
+        # 1e-150 apart the cap is 496, where binning itself overflows
+        mu = equal_weights([1e300, 1e300 + 1e-150j, 1e300 + 1j])
+        assert dimensions._resolution_level_cap(mu, 1000) == 496 == oracle_cap(mu, 1000)
+        with pytest.raises(DomainError, match="cell index overflows"):
+            dim_q_estimate(mu, 2.0, 0, 1000)
+
+    def test_query_keeps_overflowing_x_apart(self):
+        # past the float range distinct x are ulps apart, far more than the
+        # strip width: each is a group of its own.  One group of them all
+        # would put the 20 atoms at y = 2^-41 between the pair at x = 1e300,
+        # which the level-37 query, x by 2^39, must find
+        x = np.r_[1e300, 1e300, 1e300 + np.spacing(1e300) * np.arange(1, 21)]
+        y = np.r_[0.0, 2.0**-40, np.full(20, 2.0**-41)]
+        x, y, by_y = dimensions._distinct_positions(x, y)
+        assert dimensions._close_d2(x, y, by_y, 37) == 2.0**-80
+
+
+@st.composite
+def gap_clouds(draw):
+    """Atom clouds whose nearest pairs are hard to find.
+
+    A random or integer-lattice cloud with exact copies of some atoms and
+    atoms one or two units in the last place away from others; a rotated
+    or anisotropic lattice, where many pairs tie at the gap, or a jittered
+    one, dense around its nearest pair; or clusters of side 10^-k beside
+    atoms far away, which crowd one cell of the merge's grid hash.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "lattice", "rotated", "jittered", "anisotropic",
+                                 "crowded"]))
+    count = draw(st.integers(2, 300))
+    scale = draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+    offset = draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                     allow_infinity=False))
+    if kind == "random":
+        pts = rng.normal(size=count) + 1j * rng.normal(size=count)
+    elif kind == "lattice":
+        pts = rng.integers(0, 20, count) + 1j * rng.integers(0, 20, count)
+    elif kind in ("rotated", "jittered"):
+        side = math.isqrt(count) + 1
+        i, j = np.meshgrid(np.arange(side), np.arange(side))
+        pts = ((i + 1j * j) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))).ravel()
+        if kind == "jittered":
+            # one nearest pair, with other atoms in its strips between its y values
+            pts = pts + 0.35 * (rng.random(pts.size) + 1j * rng.random(pts.size))
+    elif kind == "anisotropic":
+        side = math.isqrt(count) + 1
+        i, j = np.meshgrid(np.arange(side), np.arange(side))
+        pts = (i * draw(st.sampled_from([1e-3, 0.3, 1.0])) + 1j * j).ravel()
+    else:
+        spread = 10.0 ** -draw(st.integers(6, 13))
+        pts = np.r_[spread * (rng.random(count) + 1j * rng.random(count)),
+                    rng.normal(size=draw(st.integers(1, 5))) * 10.0]
+    pts = pts * scale + offset
+    ties = draw(st.integers(0, 40))
+    near = pts[rng.integers(0, pts.size, ties)]
+    near = near + np.spacing(np.abs(near.real) + scale) * rng.integers(1, 3, ties)
+    pts = np.concatenate([pts, pts[rng.integers(0, pts.size, draw(st.integers(0, 40)))],
+                          near])
+    return equal_weights(rng.permutation(pts))
+
+
+class TestCapOracle:
+    """The cap by threshold queries against the cKDTree gap's cap."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=gap_clouds(), n_max=st.integers(0, 64))
+    def test_equals_oracle(self, mu, n_max):
+        assert dimensions._resolution_level_cap(mu, n_max) == oracle_cap(mu, n_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=gap_clouds(), offset=st.integers(-2, 1))
+    def test_query_finds_a_pair_whenever_one_exists(self, mu, offset):
+        # the threshold query alone, at and around the cap: its smallest d2
+        # gives a level >= L exactly when some pair's distance does, with
+        # no help from the consecutive bound
+        x, y, by_y = dimensions._distinct_positions(mu.positions.real, mu.positions.imag)
+        if x.size < 2:
+            return
+        d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+        cap = dimensions._gap_level(float(d2[d2 > 0.0].min()))
+        level = cap + offset
+        got = dimensions._close_d2(x, y, by_y, level)
+        assert (got < math.inf and dimensions._gap_level(got) >= level) == (offset <= 0)
+
+    @pytest.mark.parametrize("ifs, depth", [
+        (IFSDescriptor(0.5, (0.0, 1.0, 1j, 1 + 1j), (0.25,) * 4), 8),
+        (IFSDescriptor(0.5, (0.0, 1.0, 1j), (1 / 3,) * 3), 9),
+        (IFSDescriptor(0.5 + 0.5j, (-1.0, 0.0, 1.0), (1 / 3,) * 3), 13),
+        (IFSDescriptor(0.5 + 0.5j, (-1.0, 1.0), (0.5, 0.5)), 16),
+        (IFSDescriptor(0.6 * np.exp(1.1j), (0.0, 1.0, 1j), (1 / 3,) * 3), 10),
+    ], ids=["square-8", "gasket-9", "push-lattice-13", "complex-bernoulli-16",
+            "rotated-three-digit-10"])
+    def test_towers(self, ifs, depth):
+        mu = finite_approximation(ifs, depth)
+        for n_max in (0, 4, 8, 20, 60):
+            assert dimensions._resolution_level_cap(fresh(mu), n_max) == oracle_cap(mu, n_max)
 
 
 class TestAlphaEstimate:
@@ -236,6 +413,27 @@ class TestAlphaEstimate:
             alpha_estimate(mu, [2, 4], 0.5)
         with pytest.raises(DomainError):
             alpha_estimate(mu, [2, 4, 9], 0.5)
+
+    def test_ifs_energy_is_the_towers_limit(self, sierpinski):
+        # alpha of an IFS is fitted on mu itself; the depth-D towers' energies
+        # come closer to it as D grows
+        want = energy_integral(sierpinski, 8.0, 0.5)
+        diffs = [abs(energy_integral(finite_approximation(sierpinski, depth), 8.0, 0.5)
+                     - want) / want for depth in (7, 9, 11)]
+        assert diffs[0] > diffs[1] > diffs[2]
+        assert diffs[1] < 5e-4
+
+    def test_ifs_alpha_reads_dim2(self, sierpinski):
+        _, via = alpha_estimate(sierpinski, [2, 4, 8, 16], 0.5)
+        assert abs(via - LOG3_LOG2) <= 0.2
+
+    @pytest.mark.parametrize("system", ["sierpinski", "tower"])
+    def test_radius_without_a_midpoint_refused(self, sierpinski, system):
+        # the nearest midpoints of the step-0.5 lattice are 0.354 out, so
+        # |xi| < 0.3 holds none and the energy would be an empty 0
+        target = sierpinski if system == "sierpinski" else finite_approximation(sierpinski, 5)
+        with pytest.raises(DomainError, match=r"T = 0\.3 at step 0\.5"):
+            alpha_estimate(target, [0.3, 0.6, 1.2], 0.5)
 
 
 class Flattening(NamedTuple):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -464,6 +465,13 @@ def energy_unmirrored(mu, t_rad, step, block=_ENERGY_BLOCK):
     return float(np.sum(np.abs(grid[inside]) ** 2)) * step * step
 
 
+def has_midpoint(t_rad, step):
+    """Whether a midpoint of the step lattice lies inside |xi| < t_rad."""
+    n = math.ceil(t_rad / step)
+    coords = (np.arange(-n, n) + 0.5) * step
+    return bool((np.abs(coords[:, None] + 1j * coords[None, :]) < t_rad).any())
+
+
 def traced_peak(call) -> int:
     """Peak bytes tracemalloc sees while ``call()`` runs."""
     import tracemalloc
@@ -494,16 +502,35 @@ class TestEnergyIntegral:
         pos = np.array([complex(x, y) for x, y, _ in atoms])
         wts = np.array([w for _, _, w in atoms])
         mu = DiscreteMeasure(pos, wts / wts.sum())
+        want = energy_unmirrored(mu, t_rad, step, block)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ssfourier.fourier, "_ENERGY_BLOCK", block)
+            if not has_midpoint(t_rad, step):
+                # an empty lattice sums to 0, which has no logarithm: refused
+                assert want == 0.0
+                with pytest.raises(DomainError, match="no lattice midpoint"):
+                    energy_integral(mu, t_rad, step)
+                return
             got = energy_integral(mu, t_rad, step)
-        assert got == energy_unmirrored(mu, t_rad, step, block)
+        assert got == want
 
     def test_mirrored_equals_unmirrored_over_blocks(self, sierpinski):
         # the dim benchmark's gasket: 19,683 atoms, two full blocks and a part
         mu = finite_approximation(sierpinski, 9)
         for t_rad in (2.0, 4.0, 8.0):
             assert energy_integral(mu, t_rad, 0.5) == energy_unmirrored(mu, t_rad, 0.5)
+
+    @pytest.mark.parametrize("t_rad, step", [
+        (0.3, 0.5), (abs(complex(0.25, 0.25)), 0.5), (0.008, 0.0125),
+    ])
+    def test_radius_without_a_midpoint_refused(self, complex_bernoulli, t_rad, step):
+        # the midpoints nearest 0 are (+-step/2, +-step/2), step/sqrt(2) out
+        for target in (complex_bernoulli, DiscreteMeasure.dirac(0.0)):
+            with pytest.raises(DomainError, match=re.escape(f"T = {t_rad!r} at step {step!r}")):
+                energy_integral(target, t_rad, step)
+            nearest = float(np.abs(np.array([complex(step / 2, step / 2)]))[0])
+            above = math.nextafter(nearest, math.inf)
+            assert energy_integral(target, max(t_rad, above), step) > 0.0
 
     def test_peak_memory_not_above_the_unmirrored(self, sierpinski):
         mu = finite_approximation(sierpinski, 9)

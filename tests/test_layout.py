@@ -267,3 +267,43 @@ def test_guard_sees_binning():
         "    return linear_fit(xs, ys)\n"
     )
     assert binning_functions(source) == ["cells", "masses", "grid"]
+
+
+_PAIR_SEARCH = ("_close_pairs", "min_atom_gap")
+
+
+def pair_search_names(source: str) -> list[str]:
+    """The merge's pair search and the gap property, where ``source`` names them.
+
+    Counted are ``_close_pairs`` and ``min_atom_gap`` as a name, an
+    attribute, an imported name or a definition.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            names.add(node.name)
+    return sorted(names & set(_PAIR_SEARCH))
+
+
+def test_cap_has_no_pair_search():
+    # the resolution cap is decided by threshold queries; a full pair
+    # search for the minimum gap growing back into it would be quadratic
+    # where atoms crowd
+    source = (PACKAGE / "dimensions.py").read_text(encoding="utf-8")
+    assert pair_search_names(source) == []
+
+
+def test_guard_sees_pair_search():
+    for source in (
+        "gap = mu.min_atom_gap\n",
+        "from .measures import _close_pairs\n",
+        "pairs = list(measures._close_pairs(x, y, tol))\n",
+        "def min_atom_gap(mu):\n    return 0.0\n",
+    ):
+        assert pair_search_names(source) != [], source
+    source = "close_pairs = _close_d2(x, y, by_y, 5)\nmin_gap = mu.gap\n"
+    assert pair_search_names(source) == []

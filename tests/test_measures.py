@@ -22,7 +22,7 @@ from ssfourier import (
     tower_levels,
 )
 
-from conftest import measure_to_csv
+from conftest import measure_to_csv, reference_min_gap
 
 # digits -1, 0, 1 on the Gaussian lattice: tower atoms coincide and merge
 LATTICE = IFSDescriptor((1 + 1j) / 2, (-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
@@ -461,18 +461,30 @@ class TestMergeOracle:
         assert_same_bits(got, reference_merge(mu, tol))
 
 
-def reference_min_gap(mu):
-    """The cKDTree nearest-atom gap that the grid-hash gap replaced.
+def min_atom_gap(mu):
+    """The grid-hash gap, the smallest positive atom distance, through
+    the merge's pair search ``measures._close_pairs``.
 
-    Exactly coinciding atoms act as one, so duplicates are dropped first.
+    The smallest positive d2 between consecutive atoms in (re, im) or
+    (im, re) order is a pair's, so it bounds the gap from above; the
+    closest pair is then among the grid-hash pairs within that bound,
+    widened by a hair because sqrt(d2)**2 can round below d2.  None for
+    a single position.
     """
-    pos = np.unique(mu.positions)
-    if pos.size < 2:
+    x, y = mu.positions.real, mu.positions.imag
+    bound = math.inf
+    for order in (np.lexsort((y, x)), np.lexsort((x, y))):
+        dx, dy = np.diff(x[order]), np.diff(y[order])
+        d2 = dx * dx + dy * dy
+        bound = min(bound, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
+    if bound == math.inf:
         return None
-    pts = np.column_stack([pos.real, pos.imag])
-    dists, _ = cKDTree(pts).query(pts, k=2)
-    positive = dists[:, 1][dists[:, 1] > 0.0]
-    return float(positive.min()) if positive.size else None
+    tol = math.sqrt(bound) * (1.0 + 2.0**-20)
+    best = min(
+        float(np.min(d2, initial=math.inf, where=d2 > 0.0))
+        for _, _, d2 in measures._close_pairs(x, y, tol)
+    )
+    return math.sqrt(best)
 
 
 def lattice_measure(n, angle, spacing=1e-3):
@@ -482,7 +494,8 @@ def lattice_measure(n, angle, spacing=1e-3):
 
 
 class TestMinGapOracle:
-    """The grid-hash nearest-atom gap against cKDTree, bit for bit."""
+    """The merge's grid-hash pair search finds the nearest-atom gap of
+    cKDTree, bit for bit."""
 
     @pytest.mark.parametrize(
         "ifs, depth",
@@ -498,14 +511,14 @@ class TestMinGapOracle:
     )
     def test_towers(self, ifs, depth):
         mu = finite_approximation(ifs, depth)
-        gap = mu.min_atom_gap
+        gap = min_atom_gap(mu)
         assert gap is not None and gap == reference_min_gap(mu)
 
     @pytest.mark.parametrize("angle", [0.3, 1.0, 2.1])
     def test_rotated_lattices(self, angle):
         # every atom has four neighbours at nearly the same distance
         mu = lattice_measure(300, angle)
-        assert mu.min_atom_gap == reference_min_gap(mu)
+        assert min_atom_gap(mu) == reference_min_gap(mu)
 
     @pytest.mark.parametrize("scale", [(1e-3, 1.0), (1.0, 1e-3)])
     def test_anisotropic_lattice(self, scale):
@@ -514,18 +527,18 @@ class TestMinGapOracle:
         i, j = np.meshgrid(np.arange(200), np.arange(200))
         pos = (scale[0] * i + 1j * scale[1] * j).ravel()
         mu = DiscreteMeasure(pos, np.full(pos.size, 1.0 / pos.size))
-        assert mu.min_atom_gap == reference_min_gap(mu)
+        assert min_atom_gap(mu) == reference_min_gap(mu)
 
     def test_coinciding_atoms_act_as_one(self):
         # every atom has an exact copy: the nearest other atom of each is at
         # distance 0, yet the gap is the distance between the two sites
         mu = weighted([0.0, 0.0, 0.3 + 0.4j, 0.3 + 0.4j], np.random.default_rng(1))
-        assert mu.min_atom_gap == 0.5 == reference_min_gap(mu)
+        assert min_atom_gap(mu) == 0.5 == reference_min_gap(mu)
 
     def test_none(self):
-        assert DiscreteMeasure.dirac(1 + 1j).min_atom_gap is None
+        assert min_atom_gap(DiscreteMeasure.dirac(1 + 1j)) is None
         mu = weighted([2j, 2j, 2j], np.random.default_rng(2))
-        assert mu.min_atom_gap is None
+        assert min_atom_gap(mu) is None
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -551,7 +564,7 @@ class TestMinGapOracle:
         near = near + np.spacing(np.abs(near.real) + scale) * rng.integers(1, 3, ties)
         pts = np.concatenate([pts, pts[rng.integers(0, count, copies)], near])
         mu = weighted(rng.permutation(pts), rng)
-        assert mu.min_atom_gap == reference_min_gap(mu)
+        assert min_atom_gap(mu) == reference_min_gap(mu)
 
 
 class TestSerialization:
