@@ -17,7 +17,13 @@ from .bounds import (
     eta_two_digit,
     solve_flattening_epsilon,
 )
-from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
+from .dimensions import (
+    alpha_estimate,
+    dim_inf_estimate,
+    dim_q_estimate,
+    frostman_estimate,
+    lq_moment,
+)
 from .errors import BudgetError, ConvergenceError, DomainError, RegimeError
 from .fourier import (
     ScanField,
@@ -46,7 +52,6 @@ from .pushforward import (
     annulus_maxima,
     check_second_derivative,
     decay_profile,
-    frostman_estimate,
     pushforward_measure,
 )
 from .sparse import (

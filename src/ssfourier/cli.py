@@ -28,7 +28,13 @@ from .bounds import (
     digit_transition_bound,
     solve_flattening_epsilon,
 )
-from .dimensions import alpha_estimate, dim_inf_estimate, dim_q_estimate, lq_moment
+from .dimensions import (
+    alpha_estimate,
+    dim_inf_estimate,
+    dim_q_estimate,
+    frostman_estimate,
+    lq_moment,
+)
 from .errors import BudgetError, ConvergenceError, DomainError
 from .fourier import (
     DEFAULT_SUBGRID_K,
@@ -45,7 +51,7 @@ from .measures import (
     ifs_from_json_str,
     measure_from_csv,
 )
-from .pushforward import AnalyticMap, decay_profile, frostman_estimate
+from .pushforward import AnalyticMap, decay_profile
 from .sparse import (
     covering_report,
     ek_trace,
@@ -348,9 +354,7 @@ def _cmd_bernoulli(args):
     doc = bound.to_json()
     if args.frostman:
         ifs = IFSDescriptor(lam, (-1.0, 1.0), (args.p_bias, 1.0 - args.p_bias))
-        doc["frostman_estimate"] = frostman_estimate(
-            ifs, seed=args.seed, atom_budget=args.budget
-        )
+        doc["frostman_estimate"] = frostman_estimate(ifs, atom_budget=args.budget)
     return _json_dump(doc)
 
 

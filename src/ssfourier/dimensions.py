@@ -7,14 +7,16 @@ that are excluded automatically.  Threshold queries on the atoms decide
 where, without computing the gap itself.  Dyadic grids are anchored at
 the origin and, to blunt translation sensitivity, every estimate is also
 computed under one fixed irrational shift with the smaller
-(conservative) slope reported.
+(conservative) slope reported.  ``frostman_estimate`` fits the max cell
+mass of an IFS's tower, on fixed levels of its support radius.
 
 One routine, ``_dyadic_masses``, bins a measure at all of its levels
 for one anchor.  The levels nest, floor(x 2^n) = floor(floor(x 2^top)
 2^(n - top)) exactly in floats, so the atoms are floored and sorted into
 cells once, at the finest level, and each coarser level only floor-scales
-and sorts those cells.  Masses add up in atom order on the lexicographic
-cell order, the same bits as binning every level from scratch.
+and sorts the cells of the next finer one.  Masses add up in atom order on
+the lexicographic cell order, the same bits as binning every level from
+scratch.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ import numpy as np
 from .bounds import linear_fit
 from .errors import DomainError
 from .fourier import energy_integral
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, IFSDescriptor, finite_approximation, support_radius
 
 # fixed irrational anchor shift: ((sqrt(5)-1)/2, (sqrt(3)-1)/2)
 _SHIFT = complex(0.6180339887498949, 0.36602540378443865)
 _MAX_LEVEL = 1023  # 2.0**1024 overflows a float
 _WINDOW = 8  # next positions each one meets in a group (see _close_d2)
+_FROSTMAN_LEVELS = range(2, 9)  # cells of side R * 2**-k, R the support radius
 _kept_cap = None  # (weak reference to the measure, n_max, cap) of the last cap decided
 
 
@@ -56,11 +59,11 @@ def _dyadic_masses(mu: DiscreteMeasure, levels, shift: complex = 0.0) -> list[np
 
     One array per level n of ``levels``, the cells in lexicographic (i, j)
     order.  The shifted positions are floored once, at the top level, and
-    sorted into cells once; a coarser level floor-scales the top cells,
-    floor(floor(x 2^top) 2^(n - top)) = floor(x 2^n) exactly, and sorts
-    only them.  Masses add up in atom order with ``np.bincount``.  A
-    level above _MAX_LEVEL, or an atom whose top-level cell index
-    overflows a float, is a DomainError.
+    sorted into cells once; going down, each level floor-scales the cells
+    of the level above, floor(floor(x 2^k) 2^(n - k)) = floor(x 2^n)
+    exactly, and sorts only them.  Masses add up in atom order with
+    ``np.bincount``.  A level above _MAX_LEVEL, or an atom whose top-level
+    cell index overflows a float, is a DomainError.
     """
     top = max(levels)
     if top > _MAX_LEVEL:
@@ -71,16 +74,17 @@ def _dyadic_masses(mu: DiscreteMeasure, levels, shift: complex = 0.0) -> list[np
         fx, fy = np.floor(pos.real * scale), np.floor(pos.imag * scale)
     if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
         raise DomainError(f"an atom's level-{top} cell index overflows a float")
-    atom_cell, first = _cells(fx, fy)
-    cx, cy = fx[first], fy[first]
-    out = []
-    for n in levels:
-        labels = atom_cell
-        if n != top:
-            scale = 2.0 ** (n - top)
-            labels = _cells(np.floor(cx * scale), np.floor(cy * scale))[0][atom_cell]
-        out.append(np.bincount(labels, weights=mu.weights))
-    return out
+    labels, first = _cells(fx, fy)
+    cx, cy, k = fx[first], fy[first], top
+    masses = {}
+    for n in sorted(levels, reverse=True):
+        if n != k:
+            scale, k = 2.0 ** (n - k), n
+            cx, cy = np.floor(cx * scale), np.floor(cy * scale)
+            cell, first = _cells(cx, cy)
+            labels, cx, cy = cell[labels], cx[first], cy[first]
+        masses[n] = np.bincount(labels, weights=mu.weights)
+    return [masses[n] for n in levels]
 
 
 def lq_moment(mu: DiscreteMeasure, n: int, q: float) -> float:
@@ -229,17 +233,16 @@ def dim_q_estimate(
     """
     if not 1.0 < q < math.inf:
         raise DomainError(f"q must be finite and > 1, got {q!r}")
-    fit = _conservative_fit(mu, n_min, n_max, q - 1.0, lambda m: _moment(m, q))
+    fit = _conservative_fit(mu, _levels(mu, n_min, n_max), q - 1.0, lambda m: _moment(m, q))
     return _clamped(fit, "dim_q")
 
 
-def _conservative_fit(mu, n_min, n_max, x_factor: float, statistic):
+def _conservative_fit(mu, levels, x_factor: float, statistic):
     """Fit log statistic(cell masses) on x_factor * log(2^-n) per anchor.
 
     Both anchors (origin and the fixed irrational shift) are fitted over
-    the usable levels; the fit with the smaller slope is returned.
+    ``levels``; the fit with the smaller slope is returned.
     """
-    levels = _levels(mu, n_min, n_max)
     xs = [x_factor * (-n * math.log(2.0)) for n in levels]
     best = None
     for shift in (0.0, _SHIFT):
@@ -265,7 +268,29 @@ def dim_inf_estimate(
     mu: DiscreteMeasure, n_min: int, n_max: int
 ) -> tuple[float, float]:
     """Regression of log max cell mass against log(2^-n); conservative anchor."""
-    return _clamped(_conservative_fit(mu, n_min, n_max, 1.0, np.max), "dim_inf")
+    return _clamped(_conservative_fit(mu, _levels(mu, n_min, n_max), 1.0, np.max), "dim_inf")
+
+
+def frostman_estimate(ifs: IFSDescriptor, atom_budget: int | None = None) -> float:
+    """Frostman exponent s with mu(Q) <= C side(Q)^s, from the largest cell mass.
+
+    Builds the discrete approximation of depth max(3, floor(log(budget)
+    / log(m))) under ``atom_budget`` (default 2e6; BudgetError when even
+    depth 3 does not fit) and scales it by 1/R, R the support radius, so
+    that dyadic level k holds the cells of side R * 2**-k.  Over k = 2..8
+    it regresses log max cell mass on log(2^-k), as ``dim_inf_estimate``
+    does: both anchors, the smaller slope, clamped to [0, 2].  The levels
+    are fixed, not capped at the tower's resolution.  Nothing is sampled,
+    so the estimate is a function of the system and the budget alone.
+    """
+    if ifs.is_atomic:
+        raise DomainError("Frostman estimation refuses atomic systems")
+    budget = 2 * 10**6 if atom_budget is None else int(atom_budget)
+    depth = max(3, int(math.log(budget) / math.log(ifs.m)))
+    mu = finite_approximation(ifs, depth, atom_budget=budget)
+    mu = DiscreteMeasure(mu.positions / max(support_radius(ifs), 1e-12), mu.weights)
+    fit = _conservative_fit(mu, _FROSTMAN_LEVELS, 1.0, np.max)
+    return _clamped(fit, "frostman")[0]
 
 
 def alpha_estimate(

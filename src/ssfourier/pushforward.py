@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .bounds import TRIVIAL_DELTA, bisect_sign_change, delta_bound, linear_fit
+from .dimensions import frostman_estimate
 from .errors import DomainError, RegimeError
 from .fourier import fourier_sum
 from .measures import (
@@ -30,9 +31,7 @@ from .measures import (
 )
 
 _SPLIT_CHUNK = 1 << 17  # complex entries per work array in one frequency batch
-_FROSTMAN_CENTERS = 128  # ball centers sampled from the measure
-_FROSTMAN_OCTAVES = range(2, 9)  # ball radii R * 2**-k, R the support radius
-_F2_SAMPLES = 4096  # spiral samples of the second-derivative certification
+_ROOT_MARGIN = 1e-6  # relative error allowed on each root np.roots returns
 
 
 @dataclass(frozen=True)
@@ -66,26 +65,36 @@ class AnalyticMap:
         return AnalyticMap(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
 
-def _disk_samples(radius: float, count: int) -> np.ndarray:
-    """Deterministic sunflower-spiral covering of the closed disk."""
-    k = np.arange(count, dtype=np.float64)
-    r = radius * np.sqrt((k + 0.5) / count)
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    return r * np.exp(1j * golden * k)
+def _majorant(f: AnalyticMap, r: float) -> float:
+    """sum_k |c_k| r^k, which bounds |F| on the disk |z| <= r (inf past a float)."""
+    out = 0.0
+    for c in reversed(f.coeffs):
+        out = out * r + abs(c)
+    return out
 
 
-def check_second_derivative(
-    f: AnalyticMap, ifs: IFSDescriptor, samples: int = _F2_SAMPLES
-) -> tuple[float, float, float]:
-    """Sampled (min |F''|, max |F''|, max |F'|) over the support disk.
+def check_second_derivative(f: AnalyticMap, ifs: IFSDescriptor) -> tuple[float, float]:
+    """(lower bound on min |F''|, upper bound on max |F'|) over |z| <= R.
 
-    Samples a deterministic spiral of ``samples`` points on the closed
-    disk of support radius.
+    R is the support radius.  max |F'| <= sum_k k |c_k| R^(k-1), with
+    equality for degree <= 2.  With F'' = a prod(z - r_i) and the roots
+    from ``np.roots``, each |r_i| is first shrunk by the rounding margin
+    1e-6 |r_i| (the error of a double root's eigenvalue is about
+    sqrt(machine epsilon) = 1.5e-8 relative, well inside it).  If every
+    shrunk modulus rho_i exceeds R, then |z - r_i| >= rho_i - R on the
+    disk and min |F''| >= |a| prod(rho_i - R); otherwise the bound is 0.
+    Coefficients whose ratios overflow a float leave the roots unknown
+    and are a DomainError.
     """
-    pts = _disk_samples(max(support_radius(ifs), 1e-30), samples)
-    f1 = f.derivative()
-    abs_f2 = np.abs(f1.derivative()(pts))
-    return float(np.min(abs_f2)), float(np.max(abs_f2)), float(np.max(np.abs(f1(pts))))
+    radius = support_radius(ifs)
+    f2 = f.derivative().derivative()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = np.abs(np.roots(f2.coeffs[::-1])) * (1.0 - _ROOT_MARGIN)
+    except np.linalg.LinAlgError:
+        raise DomainError("the roots of F'' overflow a float") from None
+    low = math.prod(np.maximum(rho - radius, 0.0), start=abs(f2.coeffs[-1]))
+    return float(low), _majorant(f.derivative(), radius)
 
 
 def pushforward_measure(f: AnalyticMap, mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -100,7 +109,8 @@ class DecayProfile:
     ``predicted_exponent`` is the explicit min((s - delta)/3, eps/3)
     guarantee evaluated at the best eps; it is reported for comparison
     only, since the unknown prefactor makes it unverifiable at desk
-    scale.
+    scale.  ``min_abs_f2`` and ``max_abs_f1`` are the bounds of
+    ``check_second_derivative``, not sampled values.
     """
 
     radii: tuple[float, ...]
@@ -342,10 +352,17 @@ def decay_profile(
 ) -> DecayProfile:
     """Measure |FT(F mu)| decay over geometric annuli.
 
-    Degree >= 2 maps must pass the second-derivative certification
-    (min sampled |F''| > 0); affine maps are allowed as controls, since
-    their push-forward transform is a rotated and modulated copy of
-    mu_hat itself.
+    Degree >= 2 maps must pass the second-derivative certification (the
+    lower bound of ``check_second_derivative`` on min |F''| over the
+    support disk above 1e-12); a refusal names the root of F'' inside the
+    disk.  Affine maps are allowed as controls, since their push-forward
+    transform is a rotated and modulated copy of mu_hat itself.
+
+    Every float a transform's phases pass through, 2 pi Re(F(z) conj xi)
+    as two products of real parts or the quadratic split's coupling
+    2 pi Re(2 c2 z w conj xi), is at most 4 pi T sum_k |c_k| max(R, 1)^k
+    at |xi| = T, R the support radius.  A radius where that bound is not
+    a finite float is refused before any transform is evaluated.
 
     For degree <= 2 the transform of F_# mu_D (D = ``approx_depth``) is
     evaluated through the tower split (``split_pushforward``) whenever
@@ -369,15 +386,14 @@ def decay_profile(
         raise DomainError("need at least 3 radii")
     if not all(a < b for a, b in zip((0.0, *radii), (*radii, math.inf))):
         raise DomainError("radii must be finite, positive and increasing")
-    # A zero of F'' inside the disk pulls the sampled minimum down to about
-    # max|F''| * R / sqrt(samples) (nearest spiral sample), so certification
-    # asks min/max to clear a 4/sqrt(samples) floor besides an absolute one.
-    min_f2, max_f2, max_f1 = check_second_derivative(f, ifs)
-    certified = min_f2 > 1e-12 and min_f2 > (4.0 / math.sqrt(_F2_SAMPLES)) * max_f2
-    if f.degree >= 2 and not certified:
-        raise DomainError(
-            f"second-derivative certification failed: sampled min |F''| = {min_f2:g}"
-        )
+    if not math.isfinite(radii[-1] * 4.0 * math.pi * _majorant(f, max(support_radius(ifs), 1.0))):
+        raise DomainError(f"radius {radii[-1]!r} is too large: the phases at it overflow a float")
+    min_f2, max_f1 = check_second_derivative(f, ifs)
+    if f.degree >= 2 and not min_f2 > 1e-12:
+        roots = np.roots(f.derivative().derivative().coeffs[::-1])
+        near = f", F'' has a root at {min(roots, key=abs):.6g}" if roots.size else ""
+        raise DomainError(f"second-derivative certification failed: min |F''| >= {min_f2:g} on "
+                          f"the support disk |z| <= {support_radius(ifs):g}{near}")
     budget = DEFAULT_ATOM_BUDGET if atom_budget is None else int(atom_budget)
     target = None
     if f.degree <= 2:
@@ -390,7 +406,7 @@ def decay_profile(
     slope, stderr = linear_fit(
         [math.log(t) for t in radii], [math.log(v) for v in maxima]
     )
-    s = frostman_estimate(ifs, seed=seed, atom_budget=atom_budget)
+    s = frostman_estimate(ifs, atom_budget=atom_budget)
     try:
         regime = ifs.bound_regime()
         predicted, eps_used, delta_used = _best_exponent(ifs.lam, ifs.probs, regime, s)
@@ -412,54 +428,3 @@ def decay_profile(
         min_abs_f2=min_f2,
         max_abs_f1=max_f1,
     )
-
-
-def _ball_masses(positions, weights, centers, radii) -> np.ndarray:
-    """Weight within distance r of c, for each center c and increasing radius r.
-
-    Returns shape (len(centers), len(radii)).  An atom lies in a ball
-    exactly when dx*dx + dy*dy <= r*r.  Atoms are sorted by x once, so a
-    center's candidates are the one slice |x - cx| <= max radius; each
-    atom is binned to the smallest ball it lies in and the bins add up
-    outwards.
-    """
-    r2 = np.array([r * r for r in radii])
-    order = np.argsort(positions.real, kind="stable")
-    x, y, w = positions.real[order], positions.imag[order], weights[order]
-    reach = radii[-1] * (1.0 + 2.0**-20)
-    out = np.empty((len(centers), r2.size))
-    for i, c in enumerate(centers):
-        lo, hi = np.searchsorted(x, [c.real - reach, c.real + reach], side="right")
-        dx, dy = x[lo:hi] - c.real, y[lo:hi] - c.imag
-        ring = np.searchsorted(r2, dx * dx + dy * dy)
-        out[i] = np.cumsum(np.bincount(ring, weights=w[lo:hi], minlength=r2.size + 1)[:-1])
-    return out
-
-
-def frostman_estimate(
-    ifs: IFSDescriptor,
-    seed: int = 0,
-    atom_budget: int | None = None,
-) -> float:
-    """Frostman exponent s with mu(B(x, r)) <= C r^s, by ball counting.
-
-    Builds the discrete approximation of depth max(3, floor(log(budget)
-    / log(m))) under ``atom_budget`` (default 2e6; BudgetError when even
-    depth 3 does not fit), samples up to 128 ball centers from the measure
-    itself, and regresses log max ball mass on log r over the radii
-    R * 2**-k, k = 2..8, R the support radius.  Agrees with the Frostman
-    (dim_inf) estimator up to grid-versus-ball geometry.
-    """
-    if ifs.is_atomic:
-        raise DomainError("Frostman estimation refuses atomic systems")
-    budget = 2 * 10**6 if atom_budget is None else int(atom_budget)
-    depth = max(3, int(math.log(budget) / math.log(ifs.m)))
-    mu = finite_approximation(ifs, depth, atom_budget=budget)
-    radius = max(support_radius(ifs), 1e-12)
-    radii = sorted(radius * 2.0**-k for k in _FROSTMAN_OCTAVES)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(mu.n_atoms, size=min(_FROSTMAN_CENTERS, mu.n_atoms), replace=False)
-    best = _ball_masses(mu.positions, mu.weights, mu.positions[idx], radii).max(axis=0)
-    xs = [math.log(r) for r in radii]
-    ys = [math.log(float(m)) for m in best]
-    return max(linear_fit(xs, ys)[0], 0.0)

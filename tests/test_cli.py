@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ssfourier
+import ssfourier.dimensions
 import ssfourier.pushforward
 import ssfourier.sparse
 from ssfourier import (
@@ -171,7 +172,7 @@ class TestEval:
 class TestImportPath:
     def test_cli_import_loads_no_scipy(self, tmp_path):
         # importing the CLI, and running the commands that find atom gaps and
-        # count Frostman balls, loads no scipy module
+        # bin Frostman cells, loads no scipy module
         src = str(Path(ssfourier.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         commands = [
@@ -331,8 +332,10 @@ class TestPush:
                 built.append(mu.n_atoms)
                 yield mu, first
 
+        # the split's levels and the direct sum's tower, and the Frostman tower
         monkeypatch.setattr(ssfourier.pushforward, "finite_approximation", recording)
         monkeypatch.setattr(ssfourier.pushforward, "tower_levels", recording_levels)
+        monkeypatch.setattr(ssfourier.dimensions, "finite_approximation", recording)
         code, _, _ = run_cli(capsys, "--budget", "1000", *argv)
         assert code == EXIT_OK
         assert built and max(built) <= 1000
@@ -345,6 +348,42 @@ class TestPush:
         )
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"]["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("coeffs, radii", [
+        ("0,0,1", "1,2,1e308"), ("0.4-0.3i,0.9+0.2i", "1,2,1e308"), ("0,0,1,0.01", "1,2,1e307"),
+    ], ids=["z-squared", "affine", "cubic"])
+    def test_overflowing_radius_refused(self, capsys, coeffs, radii):
+        # these once warned of invalid values, wrote null and exited 0
+        code, out, err = run_cli(
+            capsys, "--budget", "4096", "push", "--lambda", "0.5+0.5i", "--coeffs", coeffs,
+            "--radii", radii, "--directions", "8", "--depth", "6",
+        )
+        assert code == EXIT_DOMAIN
+        error = json.loads(out)["error"]
+        assert error["kind"] == "DomainError"
+        assert f"radius {float(radii.split(',')[-1])!r} is too large" in error["message"]
+        assert "Warning" not in err
+
+    def test_huge_finite_radius_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--budget", "4096", "push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1",
+            "--radii", "1,2,1e300", "--directions", "8", "--depth", "6",
+        )
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert None not in doc["annulus_max"] and doc["slope"] is not None
+
+    def test_frostman_independent_of_seed(self, capsys):
+        # the largest dyadic cell mass samples nothing
+        outs = []
+        for seed in ("1", "2", "3"):
+            code, out, _ = run_cli(
+                capsys, "--seed", seed, "--budget", "4096", "push", "--lambda", "0.5+0.5i",
+                "--coeffs", "0,0,1", "--radii", "1,2,4", "--directions", "8", "--depth", "6",
+            )
+            assert code == EXIT_OK
+            outs.append(repr(strict_json(out)["frostman_s"]))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_real_noncollinear_profile(self, capsys):
         code, out, _ = run_cli(

@@ -246,10 +246,11 @@ def binning_functions(source: str) -> list[str]:
 
 def test_one_binning_routine():
     # every dyadic level of every anchor is binned by _dyadic_masses; a
-    # per-level binning such as the complex-key _dyadic_cells growing back
-    # would be a second routine
+    # per-level binning such as the complex-key _dyadic_cells, or a ball
+    # or cell counter in pushforward, growing back would be a second routine
     source = (PACKAGE / "dimensions.py").read_text(encoding="utf-8")
     assert binning_functions(source) == ["_dyadic_masses"]
+    assert binning_functions((PACKAGE / "pushforward.py").read_text(encoding="utf-8")) == []
     defined = {node.name for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.FunctionDef)}
     assert "_dyadic_cells" not in defined

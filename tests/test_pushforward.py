@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ssfourier import (
     pushforward_measure,
     support_radius,
 )
-from ssfourier.pushforward import _ball_masses, split_pushforward
+from ssfourier.pushforward import split_pushforward
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 Z_SQUARED = AnalyticMap((0.0, 0.0, 1.0))
@@ -51,23 +52,78 @@ class TestAnalyticMap:
             AnalyticMap(coeffs)
 
 
+def root_at(r: float) -> AnalyticMap:
+    """z^2 + c3 z^3 with the root of F'' = 2 + 6 c3 z at r."""
+    return AnalyticMap((0.0, 0.0, 1.0, -1.0 / (3.0 * r)))
+
+
 class TestSecondDerivativeCheck:
     def test_z_squared_constant(self, complex_bernoulli):
-        min_f2, max_f2, max_f1 = check_second_derivative(Z_SQUARED, complex_bernoulli)
-        assert min_f2 == pytest.approx(2.0, abs=1e-12)
-        assert max_f2 == pytest.approx(2.0, abs=1e-12)
-        radius = support_radius(complex_bernoulli)
-        assert max_f1 == pytest.approx(2 * radius, rel=0.01)
+        # both bounds are exact for degree <= 2: F'' = 2, max |F'| = |2z| = 2R
+        min_f2, max_f1 = check_second_derivative(Z_SQUARED, complex_bernoulli)
+        assert min_f2 == 2.0
+        assert max_f1 == 2 * support_radius(complex_bernoulli)
+        assert max_f1 == pytest.approx(6.828427124746190)
 
     def test_z_cubed_vanishes_inside(self, complex_bernoulli):
-        # F'' = 6z has a zero at the origin, inside the support disk: the
-        # sampled minimum sits at the innermost spiral point, ~R/sqrt(n)
+        # F'' = 6z has its root at the origin, inside the support disk
         f = AnalyticMap((0, 0, 0, 1.0))
-        min_f2, _, _ = check_second_derivative(f, complex_bernoulli, samples=4096)
         radius = support_radius(complex_bernoulli)
-        assert min_f2 <= 6 * radius * math.sqrt(1.0 / 4096)
-        fine, _, _ = check_second_derivative(f, complex_bernoulli, samples=65536)
-        assert fine < min_f2  # refines toward the true zero
+        assert check_second_derivative(f, complex_bernoulli) == (0.0, 3 * radius**2)
+        with pytest.raises(DomainError, match="root at 0$"):
+            decay_profile(f, complex_bernoulli, [8.0, 16.0, 32.0], directions=8,
+                          approx_depth=6)
+
+    def test_criterion_11_maps_certified(self, complex_bernoulli):
+        assert check_second_derivative(Z_SQUARED, complex_bernoulli)[0] > 1e-12
+        control = AnalyticMap((0.4 - 0.3j, 0.9 + 0.2j))
+        assert check_second_derivative(control, complex_bernoulli)[0] == 0.0
+        decay_profile(control, complex_bernoulli, [16.0, 64.0, 256.0], directions=8,
+                      approx_depth=6, atom_budget=4096)
+
+    def test_root_just_inside_refused(self, complex_bernoulli):
+        radius = support_radius(complex_bernoulli)
+        f = root_at(0.99 * radius)
+        assert check_second_derivative(f, complex_bernoulli)[0] == 0.0
+        with pytest.raises(DomainError, match="root at 3.38"):
+            decay_profile(f, complex_bernoulli, [4.0, 8.0, 16.0], directions=8,
+                          approx_depth=6, atom_budget=4096)
+
+    def test_root_just_outside_certified(self, complex_bernoulli):
+        radius = support_radius(complex_bernoulli)
+        f = root_at(1.01 * radius)
+        a = abs(f.derivative().derivative().coeffs[-1])
+        low = check_second_derivative(f, complex_bernoulli)[0]
+        assert low == pytest.approx(a * 0.01 * radius, rel=1e-3)
+        # a sampled min |F''| had to clear 4/sqrt(4096) of the max |F''|
+        # = a (1.01 R + R); the true min a 0.01 R does not
+        assert low < (4.0 / 64.0) * a * 2.01 * radius
+        prof = decay_profile(f, complex_bernoulli, [4.0, 8.0, 16.0], directions=8,
+                             approx_depth=6, atom_budget=4096)
+        assert prof.min_abs_f2 == low
+
+    def test_overflowing_root_refused(self, complex_bernoulli):
+        # 2 / 6e-320 overflows np.roots' companion matrix
+        with pytest.raises(DomainError, match="roots of F'' overflow"):
+            check_second_derivative(AnalyticMap((0.0, 0.0, 1.0, 1e-320)), complex_bernoulli)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3, max_size=6),
+        scale=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bounds_hold_at_disk_points(self, coeffs, scale, seed):
+        ifs = IFSDescriptor((1 + 1j) / 2, (-scale, scale), (0.5, 0.5))
+        radius = support_radius(ifs)
+        f = AnalyticMap(tuple(coeffs))
+        low, high = check_second_derivative(f, ifs)
+        rng = np.random.default_rng(seed)
+        u = np.r_[rng.random(256), 1.0, 1.0]
+        z = radius * np.sqrt(u) * np.exp(2j * np.pi * rng.random(u.size))
+        f1 = f.derivative()
+        assert np.all(low <= np.abs(f1.derivative()(z)) * (1 + 1e-9))
+        assert np.all(np.abs(f1(z)) <= high * (1 + 1e-12))
 
 
 class TestPushforwardMeasure:
@@ -298,50 +354,60 @@ class TestSplitPushforward:
         assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, seed=2))
 
 
-def reference_ball_masses(positions, weights, centers, radii):
-    """The cKDTree ball masses that the x-sorted ball count replaced."""
-    tree = cKDTree(np.column_stack([positions.real, positions.imag]))
-    return np.array([
-        [weights[tree.query_ball_point([c.real, c.imag], r)].sum() for r in radii]
-        for c in centers
-    ])
+def sampled_frostman(ifs, seed=0, atom_budget=None):
+    """The former ball-counting Frostman estimator, kept as an oracle.
+
+    Regresses log max ball mass over up to 128 centres sampled from the
+    tower on log r, r = R 2^-k for k = 2..8, on the tower that
+    ``frostman_estimate`` builds.
+    """
+    budget = 2 * 10**6 if atom_budget is None else atom_budget
+    mu = finite_approximation(ifs, max(3, int(math.log(budget) / math.log(ifs.m))), budget)
+    radii = sorted(support_radius(ifs) * 2.0**-k for k in range(2, 9))
+    rng = np.random.default_rng(seed)
+    centers = mu.positions[rng.choice(mu.n_atoms, size=min(128, mu.n_atoms), replace=False)]
+    tree = cKDTree(np.column_stack([mu.positions.real, mu.positions.imag]))
+    best = [max(mu.weights[tree.query_ball_point([c.real, c.imag], r)].sum() for c in centers)
+            for r in radii]
+    slope = np.polyfit(np.log(radii), np.log(best), 1)[0]
+    return max(float(slope), 0.0)
 
 
-class TestBallMassOracle:
-    def test_square_counts(self, unit_square):
-        # lattice atoms: many lie on a circle of radius r up to rounding
-        mu = finite_approximation(unit_square, 8)
-        radii = sorted(support_radius(unit_square) * 2.0**-k for k in range(2, 9))
-        rng = np.random.default_rng(4)
-        centers = mu.positions[rng.choice(mu.n_atoms, 128, replace=False)]
-        ones = np.ones(mu.n_atoms)
-        got = _ball_masses(mu.positions, ones, centers, radii)
-        want = reference_ball_masses(mu.positions, ones, centers, radii)
-        assert np.array_equal(got, want)
-        diff = mu.positions[None, :] - centers[:16, None]
-        d2 = diff.real * diff.real + diff.imag * diff.imag
-        ties = sum(np.isclose(d2, r * r, rtol=1e-12, atol=0.0).sum() for r in radii)
-        assert ties > 50
+# ROADMAP item 5's table: twin dragon and lambda = 0.5+0.3i, biased and unbiased
+TABLE = [((1 + 1j) / 2, (0.9, 0.1)), ((1 + 1j) / 2, (0.5, 0.5)),
+         (0.5 + 0.3j, (0.8, 0.2)), (0.5 + 0.3j, (0.5, 0.5))]
+TABLE_IDS = ["twin-dragon-biased", "twin-dragon", "lambda-0.5+0.3i-biased", "lambda-0.5+0.3i"]
 
-    @pytest.mark.parametrize(
-        "system, budget", [("unit_square", 4**7), ("complex_bernoulli", 2**14)]
-    )
-    def test_estimate_matches_oracle(self, request, system, budget, monkeypatch):
-        # dyadic weights: every ball mass is exact, whatever the order
-        ifs = request.getfixturevalue(system)
-        got = frostman_estimate(ifs, seed=3, atom_budget=budget)
-        monkeypatch.setattr(pushforward, "_ball_masses", reference_ball_masses)
-        assert got == frostman_estimate(ifs, seed=3, atom_budget=budget)
+
+def frostman_ceiling(lam, probs) -> float:
+    """min(2, log p_max / log|lam|).
+
+    The cylinder of n heaviest digits has mass p_max^n and diameter
+    2R|lam|^n, so a few cells of side about |lam|^n share that mass.
+    """
+    return min(2.0, math.log(max(probs)) / math.log(abs(lam)))
 
 
 class TestFrostman:
     def test_square(self, unit_square):
-        s = frostman_estimate(unit_square, seed=4)
+        s = frostman_estimate(unit_square)
         assert abs(s - 2.0) <= 0.15
 
     def test_sierpinski(self, sierpinski):
-        s = frostman_estimate(sierpinski, seed=4)
+        s = frostman_estimate(sierpinski)
         assert abs(s - LOG3_LOG2) <= 0.15
+
+    @pytest.mark.parametrize("lam, probs", TABLE, ids=TABLE_IDS)
+    def test_within_hard_bound(self, lam, probs):
+        ifs = IFSDescriptor(lam, (-1.0, 1.0), probs)
+        assert frostman_estimate(ifs) <= frostman_ceiling(lam, probs)
+
+    @pytest.mark.parametrize("lam, probs", [TABLE[0], TABLE[2]], ids=[TABLE_IDS[0], TABLE_IDS[2]])
+    def test_sampled_oracle_breaks_hard_bound(self, lam, probs):
+        # 128 random centres rarely meet the heavy cells of a biased
+        # measure, so the sampled fit reads far above the ceiling
+        ifs = IFSDescriptor(lam, (-1.0, 1.0), probs)
+        assert sampled_frostman(ifs, atom_budget=2**16) > frostman_ceiling(lam, probs)
 
     def test_nonnegative_and_atomic_rejected(self):
         from ssfourier import IFSDescriptor
@@ -363,3 +429,22 @@ class TestFrostman:
 def test_decay_profile_refuses_radii(radii):
     with pytest.raises(DomainError, match="radii"):
         decay_profile(Z_SQUARED, LATTICE, radii, directions=8, approx_depth=4)
+
+
+@pytest.mark.parametrize("coeffs, radius", [
+    pytest.param((0.0, 0.0, 1.0), 1e308, id="z-squared"),
+    pytest.param((0.4 - 0.3j, 0.9 + 0.2j), 1e308, id="affine"),
+    pytest.param((0.0, 0.0, 1.0, 0.01), 1e307, id="cubic"),
+])
+def test_decay_profile_refuses_overflowing_radius(complex_bernoulli, coeffs, radius):
+    # these phases overflowed into NaN in the coupling tables, the affine
+    # branch's exponentials and the direct sum, before the bound refused them
+    with pytest.raises(DomainError, match=re.escape(f"radius {radius!r} is too large")):
+        decay_profile(AnalyticMap(coeffs), complex_bernoulli, [1.0, 2.0, radius],
+                      directions=8, approx_depth=6, atom_budget=4096)
+
+
+def test_decay_profile_runs_at_huge_finite_phase(complex_bernoulli):
+    prof = decay_profile(Z_SQUARED, complex_bernoulli, [1.0, 2.0, 1e300],
+                         directions=8, approx_depth=6, atom_budget=4096)
+    assert all(math.isfinite(v) for v in (*prof.annulus_max, prof.slope))
