@@ -30,28 +30,21 @@ import numpy as np
 from .bounds import linear_fit
 from .errors import DomainError
 from .fourier import energy_integral
-from .measures import DiscreteMeasure, IFSDescriptor, finite_approximation, support_radius
+from .measures import (
+    DiscreteMeasure,
+    IFSDescriptor,
+    distinct_positions,
+    finite_approximation,
+    strip_pairs,
+    support_radius,
+)
 
 # fixed irrational anchor shift: ((sqrt(5)-1)/2, (sqrt(3)-1)/2)
 _SHIFT = complex(0.6180339887498949, 0.36602540378443865)
 _MAX_LEVEL = 1023  # 2.0**1024 overflows a float
-_WINDOW = 8  # next positions each one meets in a group (see _close_d2)
+_WINDOW = 8  # next positions each one meets in a strip group (see _close_d2)
 _FROSTMAN_LEVELS = range(2, 9)  # cells of side R * 2**-k, R the support radius
 _kept_cap = None  # (weak reference to the measure, n_max, cap) of the last cap decided
-
-
-def _cells(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's cell label, and the first point of each cell.
-
-    Labels number the distinct (x, y) in lexicographic order.
-    """
-    order = np.lexsort((y, x))
-    sx, sy = x[order], y[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    labels = np.empty(order.size, dtype=np.intp)
-    labels[order] = np.cumsum(new) - 1
-    return labels, order[new]
 
 
 def _dyadic_masses(mu: DiscreteMeasure, levels, shift: complex = 0.0) -> list[np.ndarray]:
@@ -74,14 +67,14 @@ def _dyadic_masses(mu: DiscreteMeasure, levels, shift: complex = 0.0) -> list[np
         fx, fy = np.floor(pos.real * scale), np.floor(pos.imag * scale)
     if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
         raise DomainError(f"an atom's level-{top} cell index overflows a float")
-    labels, first = _cells(fx, fy)
+    labels, first = distinct_positions(fx, fy)
     cx, cy, k = fx[first], fy[first], top
     masses = {}
     for n in sorted(levels, reverse=True):
         if n != k:
             scale, k = 2.0 ** (n - k), n
             cx, cy = np.floor(cx * scale), np.floor(cy * scale)
-            cell, first = _cells(cx, cy)
+            cell, first = distinct_positions(cx, cy)
             labels, cx, cy = cell[labels], cx[first], cy[first]
         masses[n] = np.bincount(labels, weights=mu.weights)
     return [masses[n] for n in levels]
@@ -130,21 +123,16 @@ def _gap_level(d2: float) -> int:
     return math.floor(-math.log2(4.0 * math.sqrt(d2)) - 1e-9)
 
 
-def _distinct_positions(x: np.ndarray, y: np.ndarray):
-    """The distinct positions (x, y) in (x, y) order, and their (y, x) order."""
-    first = _cells(x, y)[1]
-    x, y = x[first], y[first]
-    return x, y, np.lexsort((x, y))
-
-
 def _level_cap(x: np.ndarray, y: np.ndarray, n_max: int) -> int:
-    x, y, by_y = _distinct_positions(x, y)
+    first = distinct_positions(x, y)[1]
+    x, y = x[first], y[first]
+    by_y = distinct_positions(y, x)[1]
     d2 = min(_consecutive_d2(x, y), _consecutive_d2(x[by_y], y[by_y]))
     if d2 == math.inf:
         return n_max
     level = _gap_level(d2)
     while level < n_max:
-        d2 = _close_d2(x, y, by_y, level + 1)
+        d2 = _close_d2(x, y, level + 1)
         if d2 == math.inf or _gap_level(d2) <= level:
             break
         level = _gap_level(d2)
@@ -161,51 +149,22 @@ def _consecutive_d2(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.min(d2, initial=math.inf, where=d2 > 0.0))
 
 
-def _close_d2(x: np.ndarray, y: np.ndarray, by_y: np.ndarray, level: int) -> float:
+def _close_d2(x: np.ndarray, y: np.ndarray, level: int) -> float:
     """The threshold query at ``level``: the smallest positive d2 over a
     set of pairs of the distinct positions (x, y), in (x, y) order, that
     holds a pair whose distance gives a cap of at least ``level``
     whenever one exists; inf for no pair.
 
-    ``by_y`` is the (y, x) order.  Such a pair is closer than t, a hair
-    under w = 2^-(level + 2).  Strips of width w are exact,
-    floor(x 2^(level + 2)), and a pair closer than w lies in one strip or
-    two neighbours, so in a group (2k, 2k + 1) or (2k - 1, 2k) of
-    strips.  In each group the positions go in (y, x) order, and each
-    meets the next ones while the y gap stays under w, at most _WINDOW.
-    Nine positions of a group within w in y lie in a 2w x w box, which
-    eight squares of side w/2 cover, each of diameter w/sqrt(2) < t; so
-    two of them are closer than t, and they are met.  So the cost is
-    linear past one stable sort per group pairing, also where atoms
-    crowd.  Where x 2^(level + 2) overflows a float, x is so large that
-    distinct x lie at least one ulp, far more than 2w, apart, so each
-    distinct x there is a group of its own and no atom is refused.
+    Such a pair is closer than t, a hair under w = 2^-(level + 2), so it
+    shares a strip group of ``strip_pairs`` at that w, where each position
+    meets at most _WINDOW next ones in (y, x) order.  Nine positions of a
+    group within w in y lie in a 2w x w box, which eight squares of side
+    w/2 cover, each of diameter w/sqrt(2) < t; so two of them are closer
+    than t, and they are met.  The cost stays linear where atoms crowd.
     """
-    scale = level + 2
-    with np.errstate(over="ignore"):
-        strip = np.floor(np.ldexp(x, scale))
-    apart = ~np.isfinite(strip[1:]) & (x[1:] != x[:-1])
-    w = math.ldexp(1.0, -scale)
     best = math.inf
-    xb, yb = x[by_y], y[by_y]
-    for shift in (0.0, 1.0):
-        group = np.floor((strip + shift) * 0.5)
-        rank = np.zeros(x.size, dtype=np.int64)
-        rank[1:] = (group[1:] != group[:-1]) | apart
-        rank = np.cumsum(rank)
-        # stable, so (y, x) order within a group; ranks under 2^16 sort by
-        # radix.  Sorted, the ranks are those of the (x, y) order again.
-        within = np.argsort(rank[by_y].astype(np.min_scalar_type(rank[-1])), kind="stable")
-        xs, ys = xb[within], yb[within]
-        for k in range(1, _WINDOW + 1):
-            with np.errstate(over="ignore"):
-                dy = ys[k:] - ys[:-k]
-                near = (rank[k:] == rank[:-k]) & (dy < w)
-                if not near.any():
-                    break
-                dx = xs[k:] - xs[:-k]
-                d2 = dx * dx + dy * dy
-            best = min(best, float(np.min(d2, initial=math.inf, where=near & (d2 > 0.0))))
+    for _, _, d2 in strip_pairs(x, y, level + 2, _WINDOW):
+        best = min(best, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
     return best
 
 
@@ -275,8 +234,9 @@ def frostman_estimate(ifs: IFSDescriptor, atom_budget: int | None = None) -> flo
     """Frostman exponent s with mu(Q) <= C side(Q)^s, from the largest cell mass.
 
     Builds the discrete approximation of depth max(3, floor(log(budget)
-    / log(m))) under ``atom_budget`` (default 2e6; BudgetError when even
-    depth 3 does not fit) and scales it by 1/R, R the support radius, so
+    / log(m))) under budget = min(``atom_budget``, 2e6), which a budget
+    only lowers (BudgetError when depth 3 does not fit), and scales it by
+    1/R, R the support radius, so
     that dyadic level k holds the cells of side R * 2**-k.  Over k = 2..8
     it regresses log max cell mass on log(2^-k), as ``dim_inf_estimate``
     does: both anchors, the smaller slope, clamped to [0, 2].  The levels
@@ -285,7 +245,7 @@ def frostman_estimate(ifs: IFSDescriptor, atom_budget: int | None = None) -> flo
     """
     if ifs.is_atomic:
         raise DomainError("Frostman estimation refuses atomic systems")
-    budget = 2 * 10**6 if atom_budget is None else int(atom_budget)
+    budget = 2 * 10**6 if atom_budget is None else min(int(atom_budget), 2 * 10**6)
     depth = max(3, int(math.log(budget) / math.log(ifs.m)))
     mu = finite_approximation(ifs, depth, atom_budget=budget)
     mu = DiscreteMeasure(mu.positions / max(support_radius(ifs), 1e-12), mu.weights)

@@ -4,8 +4,8 @@ A homogeneous IFS is a family f_i(z) = lam*z + w_i sharing one complex
 contraction ratio lam, |lam| < 1.  The associated self-similar measure is
 the law of sum_{n>=0} lam^n X_n, where the X_n are i.i.d. draws from the
 digit set {w_i} with weights p_i.  This module holds the IFS descriptor,
-finite discrete approximations (depth-N convolution towers) and the small
-measure algebra (convolution, complex scaling) everything else builds on.
+finite depth-N convolution towers, the measure algebra (convolution,
+complex scaling) and the one position sort and close-pair search.
 
 All types are immutable after construction and all operations are pure,
 so they can be called concurrently without locking.
@@ -30,8 +30,6 @@ PROB_SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
 REAL_LAMBDA_TOL = 1e-14
 COLLINEAR_TOL = 1e-12
-
-_PAIR_BLOCK = 1 << 18  # grid-hash candidate pairs per block; keeps memory O(n)
 
 
 def is_real_lambda(lam) -> bool:
@@ -192,100 +190,92 @@ class DiscreteMeasure:
         return cls(np.array([z], dtype=np.complex128), np.array([1.0]))
 
 
-def _close_pairs(x: np.ndarray, y: np.ndarray, tol: float):
-    """Blocks ``(a, b, d2)`` of the atom pairs at distance <= ``tol``.
+def distinct_positions(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's label among the distinct (x, y), numbered in
+    lexicographic order, and the first (smallest) point of each.
 
-    ``d2 = dx*dx + dy*dy``, and a pair is within ``tol`` exactly when
-    d2 <= tol*tol (cKDTree's query_pairs rule).  Every such pair is in
-    some block, with one exception: an atom equal to the atom before it
-    in the hash order comes only once, paired at d2 = 0 with the first
-    atom of its run, which has the same position and takes its other
-    pairs.  Blocks hold at most about ``_PAIR_BLOCK`` candidate pairs each, so
-    memory stays O(n) however many pairs there are.
-
-    Candidate pairs come from a grid hash.  Cells have side h, a hair
-    over max(tol, span / 2**30) so that a close pair never lands two
-    cells apart after rounding, and keys (ix << 32) | iy, stable-sorted.
-    An atom meets the later atoms of its own cell, and the atoms of its
-    four forward neighbour cells when it lies within about tol of the
-    shared edge.  Leaving runs of equal atoms out of the hash makes g
-    coinciding atoms alone in a cell cost g - 1 pairs, not g(g - 1)/2.
+    One stable argsort of the complex key x + iy, which numpy orders by
+    (re, im): ``np.lexsort((y, x))``'s order, ties and -0.0 == 0.0 included.
     """
-    n = x.size
-    x0, y0 = x.min(), y.min()
-    span = max(x.max() - x0, y.max() - y0)
-    h = max(tol, span / 2**30) * (1.0 + 2.0**-16)
-    u, v = (x - x0) / h, (y - y0) / h
-    # u, v >= 0, so truncation is floor; +1 keeps iy - 1 >= 0 for the
-    # (ix + 1, iy - 1) neighbour
-    key = ((u.astype(np.int64) + 1) << 32) | (v.astype(np.int64) + 1)
-    order = np.argsort(key, kind="stable")
-    copy = np.r_[False, (np.diff(x[order]) == 0.0) & (np.diff(y[order]) == 0.0)]
-    firsts = order[np.maximum.accumulate(np.where(copy, 0, np.arange(n)))][copy]
-    yield order[copy], firsts, np.zeros(firsts.size)
-    order = order[~copy]
-    key = key[order]
-    m = order.size
-    # cell coordinates are off by under 2**-22 each, so both atoms of a
-    # close pair in neighbouring cells lie within tol / h + 2**-21 of the edge
-    edge = min(1.0, 2.0 * tol / h + 2.0**-18)
-    u, v = np.modf(u[order])[0], np.modf(v[order])[0]
-    right, top, bottom = u >= 1.0 - edge, v >= 1.0 - edge, v <= edge
-    brk = np.flatnonzero(key[1:] != key[:-1]) + 1
-    run_end = np.append(brk, m)
-    run_of = np.zeros(m, dtype=np.int64)
-    run_of[brk] = 1
-    run_of = np.cumsum(run_of)
-    # one cell direction at a time: the atom at sorted position src[g]
-    # meets those at positions lo[g]..hi[g]-1
-    for off, mask in (
-        (0, None),
-        (1, top),
-        ((1 << 32) - 1, right & bottom),
-        (1 << 32, right),
-        ((1 << 32) + 1, right & top),
-    ):
-        if mask is None:
-            src, lo = np.arange(m), np.arange(1, m + 1)
-            hi = run_end[run_of]
-        else:
-            src = np.flatnonzero(mask)
-            target = key[src] + off
-            lo = np.searchsorted(key, target)
-            hit = key[np.minimum(lo, m - 1)] == target
-            src, lo = src[hit], lo[hit]
-            hi = run_end[run_of[lo]]
-        met = hi > lo
-        src, lo, count = src[met], lo[met], (hi - lo)[met]
-        ends = np.cumsum(count)
-        # pair ends[g] - count[g] + k of the direction is (src[g], lo[g] + k)
-        lo = lo - (ends - count)
-        s = 0
-        while s < src.size:
-            base = int(ends[s - 1]) if s else 0
-            t = max(s + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, "right")))
-            group = np.repeat(np.arange(s, t), count[s:t])
-            a = order[src[group]]
-            b = order[lo[group] + base + np.arange(group.size)]
-            dx, dy = x[a] - x[b], y[a] - y[b]
-            d2 = dx * dx + dy * dy
-            keep = d2 <= tol * tol
-            yield a[keep], b[keep], d2[keep]
-            s = t
+    order = np.argsort(x + 1j * y, kind="stable")
+    sx, sy = x[order], y[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    labels = np.empty(order.size, dtype=np.intp)
+    labels[order] = np.cumsum(new) - 1
+    return labels, order[new]
 
 
-def _merge_components(pts: np.ndarray, tol: float):
+def strip_pairs(x: np.ndarray, y: np.ndarray, scale: int, window: int | None = None):
+    """Blocks ``(a, b, d2)`` of index pairs of the distinct positions (x, y),
+    in (x, y) order, that share a strip group and lie within w = 2^-scale in
+    y, with d2 = dx*dx + dy*dy.
+
+    Exact strips floor(x 2^scale) put a pair closer than w in x in a group
+    (2k, 2k + 1) or (2k - 1, 2k); the second grouping is walked only where
+    a group holds two strips.  A group's positions go in (y, x) order, by
+    one stable sort (linear where a group holds one x, as on a lattice),
+    and each meets the next ones while the y gap stays under w, at most
+    ``window`` of them (every one for None), so past the sort the cost is
+    linear in the pairs met.  Where x 2^scale overflows, distinct x lie an
+    ulp, far more than 2w, apart, and each is a group of its own.
+    """
+    with np.errstate(over="ignore"):
+        strip = np.floor(np.ldexp(x, scale))
+    apart = ~np.isfinite(strip[1:]) & (x[1:] != x[:-1])
+    two_strips = strip[1:] != strip[:-1]
+    w = math.ldexp(1.0, -scale)
+    for shift in (0.0, 1.0):
+        group = np.floor((strip + shift) * 0.5)
+        joined = (group[1:] == group[:-1]) & ~apart  # position i + 1 joins i's group
+        rank = np.cumsum(np.r_[True, ~joined])
+        walked = np.zeros(rank[-1] + 1, dtype=bool)
+        walked[rank[1:][joined & two_strips if shift else joined]] = True
+        walk = np.flatnonzero(walked[rank])
+        # a tower merge's peak memory is here: drop what the walk does not
+        # read, and (below) the walk's arrays before the next grouping
+        del group, joined, walked
+        # stable, so positions tied in (group, y) stay in x order
+        walk = walk[np.argsort(rank[walk] + 1j * y[walk], kind="stable")]
+        rank, ys = rank[walk], y[walk]
+        with np.errstate(over="ignore"):
+            i = np.flatnonzero((rank[1:] == rank[:-1]) & (ys[1:] - ys[:-1] < w))
+        k = 1
+        while i.size and (window is None or k <= window):
+            a, b = walk[i], walk[i + k]
+            with np.errstate(over="ignore"):
+                dx, dy = x[b] - x[a], ys[i + k] - ys[i]
+                d2 = dx * dx + dy * dy
+            yield a, b, d2
+            k += 1
+            i = i[i + k < walk.size]
+            with np.errstate(over="ignore"):
+                i = i[(rank[i + k] == rank[i]) & (ys[i + k] - ys[i] < w)]
+        del walk, rank, ys
+
+
+def _merge_components(x, y, labels, runs, tol: float):
     """Components of the graph joining atoms at distance <= ``tol``.
 
-    Returns ``(label, roots)``: ``label[i]`` numbers the component of atom
-    i, components numbered in the order of their smallest member, and
-    ``roots[c]`` is that member of component c; or None when no two atoms
-    are joined.  Pairs come from ``_close_pairs``;
-    components from hooking larger roots onto smaller ones with pointer
-    jumping, which leaves each labelled by its smallest member.
+    ``labels, runs`` is ``distinct_positions(x, y)``.  Returns ``(label,
+    roots)``, components numbered in the order of their smallest members
+    and ``roots[c]`` the smallest member of component c, or None when no
+    two atoms join.  Exact copies join the first of their run; distinct
+    positions join when dx*dx + dy*dy <= tol*tol (cKDTree's rule), met by
+    ``strip_pairs`` at a width w in [2 tol, 4 tol): w = tol misses a pair
+    whose dx rounds down to a power-of-two tol.  Pointer jumping hooks
+    larger roots onto smaller ones.
     """
-    n = pts.shape[0]
-    a, b, _ = map(np.concatenate, zip(*_close_pairs(pts[:, 0], pts[:, 1], tol)))
+    n = x.size
+    copies = np.flatnonzero(runs[labels] != np.arange(n))
+    a, b = [copies], [runs[labels[copies]]]
+    if tol > 0.0:
+        x, y = x[runs], y[runs]
+        for i, j, d2 in strip_pairs(x, y, math.floor(-math.log2(tol)) - 1):
+            keep = d2 <= tol * tol
+            a.append(runs[i[keep]])
+            b.append(runs[j[keep]])
+    a, b = np.concatenate(a), np.concatenate(b)
     if a.size == 0:
         return None
     label = np.arange(n)
@@ -312,12 +302,13 @@ def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.n
     Atoms join when dx*dx + dy*dy <= tol*tol, and joins chain: every
     connected group becomes one atom.  Weights are added and positions
     are weight-averaged in atom order, so mass and the barycenter are
-    preserved.  Merged atoms are tested again, up to 8 passes.  Pairs are
-    found through a grid hash of cell side about max(tol, span / 2**30),
-    with no tree and no Python loop over atoms or pairs.  With
-    ``tol <= 0`` only exactly coinciding atoms merge.  The result is
-    sorted lexicographically by (re, im), which makes merged measures
-    canonical for comparison.
+    preserved.  Merged atoms are tested again, up to 8 passes.  Each pass
+    sorts the atoms once with ``distinct_positions``, which joins exact
+    copies, and finds the other pairs with ``strip_pairs`` on exact strips
+    of width about 2 tol, with no tree and no Python loop over atoms or
+    pairs; with ``tol <= 0`` only exact copies join.  The result is sorted
+    lexicographically by (re, im), the order of the last pass's sort,
+    which makes merged measures canonical for comparison.
 
     Also returns, for each merged atom, the index in ``mu`` of its
     smallest member.  Each pass numbers the merged atoms in the order of
@@ -325,31 +316,26 @@ def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.n
     pass to pass and the smallest member of a merged group is that of its
     first atom.
     """
-    pos, wts = mu.positions, mu.weights
-    first = None  # while no atom has merged, each is its own smallest member
-    if tol <= 0.0:
-        uniq, inverse = np.unique(pos, return_inverse=True)
-        if uniq.size != pos.size:
-            wsum = np.bincount(inverse, weights=wts, minlength=uniq.size)
-            pos, wts = uniq, wsum
-            first = np.unique(inverse, return_index=True)[1]
+    x, y, wts = mu.positions.real, mu.positions.imag, mu.weights
+    smallest = np.arange(x.size)
+    for _ in range(8):
+        labels, runs = distinct_positions(x, y)
+        components = _merge_components(x, y, labels, runs, tol)
+        if components is None:
+            break
+        inverse, roots = components
+        k = roots.size
+        wsum = np.bincount(inverse, weights=wts, minlength=k)
+        x = np.bincount(inverse, weights=wts * x, minlength=k) / wsum
+        y = np.bincount(inverse, weights=wts * y, minlength=k) / wsum
+        wts = wsum
+        smallest = smallest[roots]
     else:
-        pts = np.column_stack([pos.real, pos.imag])
-        for _ in range(8):
-            components = _merge_components(pts, tol)
-            if components is None:
-                break
-            inverse, roots = components
-            k = roots.size
-            wsum = np.bincount(inverse, weights=wts, minlength=k)
-            xsum = np.bincount(inverse, weights=wts * pts[:, 0], minlength=k)
-            ysum = np.bincount(inverse, weights=wts * pts[:, 1], minlength=k)
-            pts = np.column_stack([xsum / wsum, ysum / wsum])
-            wts = wsum
-            first = roots if first is None else first[roots]
-        pos = pts[:, 0] + 1j * pts[:, 1]
-    order = np.lexsort((pos.imag, pos.real))
-    return DiscreteMeasure(pos[order], wts[order]), order if first is None else first[order]
+        labels, runs = distinct_positions(x, y)
+    # runs is the (x, y) order unless the last pass left exact copies
+    order = runs if runs.size == x.size else np.argsort(labels, kind="stable")
+    pos = x + 1j * y
+    return DiscreteMeasure(pos[order], wts[order]), smallest[order]
 
 
 def support_radius(ifs: IFSDescriptor) -> float:

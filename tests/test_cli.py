@@ -340,6 +340,22 @@ class TestPush:
         assert code == EXIT_OK
         assert built and max(built) <= 1000
 
+    @pytest.mark.parametrize("argv", [
+        ["push", "--lambda", "0.5i", "--digits=-1-1i,-1,-1+1i,-1i,0,1i,1-1i,1,1+1i",
+         "--coeffs", "0,0,1", "--radii", "1:8:4", "--directions", "16", "--depth", "6"],
+        ["bernoulli", "--lambda", "0.8+0.3i", "--frostman"],
+    ], ids=["push", "bernoulli"])
+    def test_default_budget_changes_nothing(self, capsys, argv):
+        # the Frostman depth comes from min(budget, 2e6): an explicit budget
+        # of 1e7, the default, once raised it (frostman_s 1.3010 to 1.5485 on
+        # this nine-digit lattice)
+        outs = []
+        for head in ([], ["--budget", "10000000"]):
+            code, out, _ = run_cli(capsys, *head, *argv)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("depth", ["-1", "-2"])
     def test_negative_depth_refused(self, capsys, depth):
         code, out, _ = run_cli(

@@ -218,8 +218,14 @@ def query_levels(monkeypatch) -> list[int]:
     asked = []
     query = dimensions._close_d2
     monkeypatch.setattr(dimensions, "_close_d2",
-                        lambda x, y, by_y, level: asked.append(level) or query(x, y, by_y, level))
+                        lambda x, y, level: asked.append(level) or query(x, y, level))
     return asked
+
+
+def distinct(x, y):
+    """The distinct positions (x, y), in (x, y) order."""
+    first = measures.distinct_positions(x, y)[1]
+    return x[first], y[first]
 
 
 def equal_weights(pts):
@@ -249,8 +255,8 @@ class TestResolutionCap:
         assert asked == []
 
     def test_crowded_cloud(self, monkeypatch):
-        # 6,000 atoms in a 1e-12 square beside one at 1.0: the merge's grid
-        # hash puts them all in one cell; the queries stay linear
+        # 6,000 atoms in a 1e-12 square beside one at 1.0: a grid of cell
+        # side span / 2^30 puts them all in one cell; the queries stay linear
         rng = np.random.default_rng(9)
         pts = np.r_[1e-12 * (rng.random(6000) + 1j * rng.random(6000)), 1.0]
         mu = equal_weights(pts)
@@ -303,8 +309,8 @@ class TestResolutionCap:
         # which the level-37 query, x by 2^39, must find
         x = np.r_[1e300, 1e300, 1e300 + np.spacing(1e300) * np.arange(1, 21)]
         y = np.r_[0.0, 2.0**-40, np.full(20, 2.0**-41)]
-        x, y, by_y = dimensions._distinct_positions(x, y)
-        assert dimensions._close_d2(x, y, by_y, 37) == 2.0**-80
+        x, y = distinct(x, y)
+        assert dimensions._close_d2(x, y, 37) == 2.0**-80
 
 
 @st.composite
@@ -315,7 +321,7 @@ def gap_clouds(draw):
     atoms one or two units in the last place away from others; a rotated
     or anisotropic lattice, where many pairs tie at the gap, or a jittered
     one, dense around its nearest pair; or clusters of side 10^-k beside
-    atoms far away, which crowd one cell of the merge's grid hash.
+    atoms far away, which crowd one cell of a grid sized by the span.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "lattice", "rotated", "jittered", "anisotropic",
@@ -366,13 +372,13 @@ class TestCapOracle:
         # the threshold query alone, at and around the cap: its smallest d2
         # gives a level >= L exactly when some pair's distance does, with
         # no help from the consecutive bound
-        x, y, by_y = dimensions._distinct_positions(mu.positions.real, mu.positions.imag)
+        x, y = distinct(mu.positions.real, mu.positions.imag)
         if x.size < 2:
             return
         d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
         cap = dimensions._gap_level(float(d2[d2 > 0.0].min()))
         level = cap + offset
-        got = dimensions._close_d2(x, y, by_y, level)
+        got = dimensions._close_d2(x, y, level)
         assert (got < math.inf and dimensions._gap_level(got) >= level) == (offset <= 0)
 
     @pytest.mark.parametrize("ifs, depth", [

@@ -270,41 +270,70 @@ def test_guard_sees_binning():
     assert binning_functions(source) == ["cells", "masses", "grid"]
 
 
-_PAIR_SEARCH = ("_close_pairs", "min_atom_gap")
+_RETIRED_PAIR_SEARCH = ("_close_pairs", "min_atom_gap")
 
 
-def pair_search_names(source: str) -> list[str]:
-    """The merge's pair search and the gap property, where ``source`` names them.
+def pair_search_sites(source: str) -> list[str]:
+    """What ``source`` does with close-pair searches, one entry per site, sorted.
 
-    Counted are ``_close_pairs`` and ``min_atom_gap`` as a name, an
-    attribute, an imported name or a definition.
+    - ``names X`` where it names the retired grid hash ``_close_pairs`` or
+      the gap property ``min_atom_gap``: as a name, an attribute, an
+      imported name or a definition
+    - ``defines strip_pairs``
+    - ``windowed call`` for a call of ``strip_pairs``, bare or as an
+      attribute, whose window (the fourth positional argument or
+      ``window=``) is ``_WINDOW``, and ``unbounded call`` for any other
     """
-    names = set()
+    found = []
     for node in ast.walk(ast.parse(source)):
+        name = None
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif isinstance(node, (ast.alias, ast.FunctionDef)):
-            names.add(node.name)
-    return sorted(names & set(_PAIR_SEARCH))
+            name = node.name
+            if isinstance(node, ast.FunctionDef) and name == "strip_pairs":
+                found.append("defines strip_pairs")
+        if name in _RETIRED_PAIR_SEARCH:
+            found.append(f"names {name}")
+        if isinstance(node, ast.Call) and "strip_pairs" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            window = node.args[3] if len(node.args) > 3 else next(
+                (k.value for k in node.keywords if k.arg == "window"), None)
+            windowed = isinstance(window, ast.Name) and window.id == "_WINDOW"
+            found.append("windowed call" if windowed else "unbounded call")
+    return sorted(found)
 
 
-def test_cap_has_no_pair_search():
-    # the resolution cap is decided by threshold queries; a full pair
-    # search for the minimum gap growing back into it would be quadratic
-    # where atoms crowd
-    source = (PACKAGE / "dimensions.py").read_text(encoding="utf-8")
-    assert pair_search_names(source) == []
+def test_one_pair_search():
+    # one close-pair search in src/: measures.strip_pairs, which the tower
+    # merge walks for every pair and the resolution cap for at most _WINDOW
+    # next positions each.  The grid hash or the gap property growing back
+    # would be a second search, and a cap query without the window an
+    # unbounded one, quadratic where atoms crowd
+    sites = {path.name: pair_search_sites(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in sites.items() if found} == {
+        "dimensions.py": ["windowed call"],
+        "measures.py": ["defines strip_pairs", "unbounded call"],
+    }
 
 
 def test_guard_sees_pair_search():
-    for source in (
-        "gap = mu.min_atom_gap\n",
-        "from .measures import _close_pairs\n",
-        "pairs = list(measures._close_pairs(x, y, tol))\n",
-        "def min_atom_gap(mu):\n    return 0.0\n",
+    for source, want in (
+        ("gap = mu.min_atom_gap\n", ["names min_atom_gap"]),
+        ("from .measures import _close_pairs\n", ["names _close_pairs"]),
+        ("pairs = list(measures._close_pairs(x, y, tol))\n", ["names _close_pairs"]),
+        ("def min_atom_gap(mu):\n    return 0.0\n", ["names min_atom_gap"]),
+        ("def strip_pairs(x, y, scale, window=None):\n    pass\n", ["defines strip_pairs"]),
+        ("pairs = strip_pairs(x, y, 5, _WINDOW)\n", ["windowed call"]),
+        ("pairs = measures.strip_pairs(x, y, 5, window=_WINDOW)\n", ["windowed call"]),
+        ("pairs = strip_pairs(x, y, 5)\n", ["unbounded call"]),
+        ("pairs = strip_pairs(x, y, 5, window=None)\n", ["unbounded call"]),
+        ("pairs = measures.strip_pairs(x, y, 5, 8)\n", ["unbounded call"]),
     ):
-        assert pair_search_names(source) != [], source
-    source = "close_pairs = _close_d2(x, y, by_y, 5)\nmin_gap = mu.gap\n"
-    assert pair_search_names(source) == []
+        assert pair_search_sites(source) == want, source
+    source = "close_pairs = _close_d2(x, y, 5)\nmin_gap = mu.gap\nwindow = _WINDOW\n"
+    assert pair_search_sites(source) == []

@@ -1,5 +1,6 @@
 import json
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -306,12 +307,25 @@ class TestMergeAtoms:
         assert abs(bary - np.sum(mu.positions * mu.weights)) < 1e-15
 
 
+def reference_pairs(pts, tol):
+    """The index pairs within ``tol``: cKDTree's, or every pair with
+    dx*dx + dy*dy <= tol*tol where coordinates pass 1e150, whose squares
+    overflow in the tree."""
+    if np.abs(pts).max() <= 1e150:
+        return cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    a, b = np.triu_indices(len(pts), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = pts[a, 0] - pts[b, 0], pts[a, 1] - pts[b, 1]
+        near = dx * dx + dy * dy <= tol * tol
+    return np.column_stack([a[near], b[near]])
+
+
 def reference_merge(mu, tol):
-    """The cKDTree + union-find merge that grid-hash merging replaced."""
+    """The union-find merge over ``reference_pairs``, every pair within tol."""
     pos, wts = mu.positions, mu.weights
     pts = np.column_stack([pos.real, pos.imag])
     for _ in range(8):
-        pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+        pairs = reference_pairs(pts, tol)
         if pairs.size == 0:
             break
         parent = np.arange(len(pts))
@@ -349,7 +363,7 @@ def weighted(points, rng):
 
 
 class TestMergeOracle:
-    """Grid-hash merging against the reference merge, bit for bit."""
+    """Strip-search merging against the reference merge, bit for bit."""
 
     @pytest.mark.parametrize(
         "ifs, depth",
@@ -370,6 +384,10 @@ class TestMergeOracle:
     # a coordinate's ulp at 512 is 0.11 tol: a copy planted 0.97 tol from
     # its base is stored 1.0026 tol from it and stays apart
     @example(seed=0, sites=57, planted=185, tol=1e-12, offset=512 + 0j, reach=0.96875)
+    # x about +-1e300: x 2^scale overflows and every x rounds to the
+    # offset, so atoms join by y alone, and merged x differ by ulps
+    @example(seed=4, sites=300, planted=120, tol=1e-9, offset=1e300 + 0j, reach=0.9)
+    @example(seed=5, sites=300, planted=120, tol=1e-12, offset=-1e300 + 2j, reach=0.5)
     @given(
         seed=st.integers(0, 2**32 - 1),
         sites=st.integers(1, 300),
@@ -444,6 +462,16 @@ class TestMergeOracle:
         assert got.n_atoms == 1
         assert_same_bits(got, reference_merge(mu, tol))
 
+    def test_crowded_cluster(self):
+        # 6,000 atoms in a 1e-12 square beside one at 1.0: a grid of cell
+        # side span / 2^30 puts the cluster in one cell and meets all 18M
+        # pairs; strips of width about 2 tol meet a handful
+        rng = np.random.default_rng(9)
+        pts = np.r_[1e-12 * (rng.random(6000) + 1j * rng.random(6000)), 1.0]
+        mu = weighted(pts, rng)
+        assert_same_bits(merge_atoms(mu, 1e-16), reference_merge(mu, 1e-16))
+        assert min(timeit.repeat(lambda: merge_atoms(mu, 1e-16), number=1, repeat=3)) < 0.05
+
     def test_second_pass(self):
         # a1, a2 are 0.9 tol apart and b is 1.05 tol from both, so only
         # a1, a2 join at first; their midpoint lies 0.95 tol from b
@@ -453,8 +481,8 @@ class TestMergeOracle:
         pts = (sites[:, None] + motif[None, :]).ravel()
         mu = weighted(pts, np.random.default_rng(7))
         assert abs(motif[2] - motif[0]) > tol
-        first = measures._merge_components(
-            np.column_stack([mu.positions.real, mu.positions.imag]), tol)
+        x, y = mu.positions.real, mu.positions.imag
+        first = measures._merge_components(x, y, *measures.distinct_positions(x, y), tol)
         assert first[1].size == 100
         got = merge_atoms(mu, tol)
         assert got.n_atoms == 50
@@ -462,29 +490,57 @@ class TestMergeOracle:
 
 
 def min_atom_gap(mu):
-    """The grid-hash gap, the smallest positive atom distance, through
-    the merge's pair search ``measures._close_pairs``.
+    """The strip-search gap, the smallest positive atom distance, through
+    the shared pair search ``measures.strip_pairs`` with every pair.
 
-    The smallest positive d2 between consecutive atoms in (re, im) or
-    (im, re) order is a pair's, so it bounds the gap from above; the
-    closest pair is then among the grid-hash pairs within that bound,
-    widened by a hair because sqrt(d2)**2 can round below d2.  None for
-    a single position.
+    The smallest positive d2 between consecutive distinct positions in
+    (re, im) or (im, re) order is a pair's, so it bounds the gap g from
+    above; the closest pair is then among the strip pairs at a width w in
+    [2g, 4g), which meets every pair within g however its differences
+    round.  None for a single position.
     """
     x, y = mu.positions.real, mu.positions.imag
+    first = measures.distinct_positions(x, y)[1]
+    x, y = x[first], y[first]
     bound = math.inf
-    for order in (np.lexsort((y, x)), np.lexsort((x, y))):
+    for order in (np.arange(x.size), measures.distinct_positions(y, x)[1]):
         dx, dy = np.diff(x[order]), np.diff(y[order])
         d2 = dx * dx + dy * dy
         bound = min(bound, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
     if bound == math.inf:
         return None
-    tol = math.sqrt(bound) * (1.0 + 2.0**-20)
-    best = min(
-        float(np.min(d2, initial=math.inf, where=d2 > 0.0))
-        for _, _, d2 in measures._close_pairs(x, y, tol)
-    )
+    scale = math.floor(-math.log2(math.sqrt(bound))) - 1
+    best = math.inf
+    for _, _, d2 in measures.strip_pairs(x, y, scale):
+        best = min(best, float(np.min(d2, initial=math.inf, where=d2 > 0.0)))
     return math.sqrt(best)
+
+
+# floats whose order is easy to get wrong: signed zeros, subnormals, huge
+# values, and few enough of them that positions tie
+_AWKWARD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_AWKWARD, _AWKWARD), min_size=1, max_size=40),
+       repeats=st.lists(st.integers(0, 39), max_size=20))
+def test_distinct_positions_is_the_lexsort_order(points, repeats):
+    # the complex-key sort against np.lexsort((y, x)), ties in index order
+    points = points + [points[r % len(points)] for r in repeats]
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    order = np.lexsort((y, x))
+    sx, sy = x[order], y[order]
+    new = np.r_[True, (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])]
+    want = np.empty(x.size, dtype=np.intp)
+    want[order] = np.cumsum(new) - 1
+    labels, first = measures.distinct_positions(x, y)
+    assert labels.tolist() == want.tolist()
+    assert first.tolist() == order[new].tolist()
 
 
 def lattice_measure(n, angle, spacing=1e-3):
@@ -494,7 +550,7 @@ def lattice_measure(n, angle, spacing=1e-3):
 
 
 class TestMinGapOracle:
-    """The merge's grid-hash pair search finds the nearest-atom gap of
+    """The shared strip search, every pair, finds the nearest-atom gap of
     cKDTree, bit for bit."""
 
     @pytest.mark.parametrize(
