@@ -428,6 +428,15 @@ class TestMergeOracle:
         assert got.n_atoms == 6  # the two pairs at tol join, the two just over do not
         assert_same_bits(got, reference_merge(mu, tol))
 
+    def test_power_of_two_tol(self):
+        # dx = 0.5 + 1e-30 rounds to tol = 0.5, so the d2 rule joins the
+        # pair, yet strips of width tol put its atoms two strips apart
+        tol = 0.5
+        mu = weighted([-1e-30, 0.5, 3.0], np.random.default_rng(4))
+        got = merge_atoms(mu, tol)
+        assert got.n_atoms == 2
+        assert_same_bits(got, reference_merge(mu, tol))
+
     def test_pair_rounded_two_cells_apart(self):
         # with cells of side exactly tol, rounding puts these two atoms,
         # joined at distance <= tol, into cells 1002 and 1004
