@@ -258,10 +258,11 @@ def _merge_components(x, y, labels, runs, tol: float):
     """Components of the graph joining atoms at distance <= ``tol``.
 
     ``labels, runs`` is ``distinct_positions(x, y)``.  Returns ``(label,
-    roots)``, components numbered in the order of their smallest members
-    and ``roots[c]`` the smallest member of component c, or None when no
-    two atoms join.  Exact copies join the first of their run; distinct
-    positions join when dx*dx + dy*dy <= tol*tol (cKDTree's rule), met by
+    roots, near)``, components numbered in the order of their smallest
+    members, ``roots[c]`` the smallest member of component c and ``near``
+    whether any two distinct positions join, or None when no two atoms
+    join.  Exact copies join the first of their run; distinct positions
+    join when dx*dx + dy*dy <= tol*tol (cKDTree's rule), met by
     ``strip_pairs`` at a width w in [2 tol, 4 tol): w = tol misses a pair
     whose dx rounds down to a power-of-two tol.  Pointer jumping hooks
     larger roots onto smaller ones.
@@ -278,6 +279,7 @@ def _merge_components(x, y, labels, runs, tol: float):
     a, b = np.concatenate(a), np.concatenate(b)
     if a.size == 0:
         return None
+    near = a.size > copies.size
     label = np.arange(n)
     while True:
         la, lb = label[a], label[b]
@@ -293,22 +295,27 @@ def _merge_components(x, y, labels, runs, tol: float):
             label = jumped
     root = label == np.arange(n)
     comp = np.cumsum(root) - 1
-    return comp[label], np.flatnonzero(root)
+    return comp[label], np.flatnonzero(root), near
 
 
 def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.ndarray]:
     """Coalesce atoms within distance ``tol`` of each other.
 
     Atoms join when dx*dx + dy*dy <= tol*tol, and joins chain: every
-    connected group becomes one atom.  Weights are added and positions
-    are weight-averaged in atom order, so mass and the barycenter are
-    preserved.  Merged atoms are tested again, up to 8 passes.  Each pass
-    sorts the atoms once with ``distinct_positions``, which joins exact
-    copies, and finds the other pairs with ``strip_pairs`` on exact strips
-    of width about 2 tol, with no tree and no Python loop over atoms or
-    pairs; with ``tol <= 0`` only exact copies join.  The result is sorted
-    lexicographically by (re, im), the order of the last pass's sort,
-    which makes merged measures canonical for comparison.
+    connected group becomes one atom whose weight is the group's sum.
+    Each pass sorts the atoms once with ``distinct_positions``, which joins
+    exact copies, and finds the other pairs with ``strip_pairs`` on exact
+    strips of width about 2 tol, with no tree and no Python loop over atoms
+    or pairs; with ``tol <= 0`` only exact copies join.  A pass that joins
+    a distinct pair weight-averages each group's positions in atom order,
+    so mass and the barycenter are preserved, and merged atoms are tested
+    again.  A pass that joins only exact copies keeps each group's common
+    position, bit for bit, from its smallest member: it met no distinct
+    pair within tol and moved no atom, so it is the last pass, and copies
+    on a lattice stay on it.  Every joining pass removes an atom, so the
+    passes end.  The result is sorted lexicographically by (re, im), the
+    order of the last pass's sort, which makes merged measures canonical
+    for comparison.
 
     Also returns, for each merged atom, the index in ``mu`` of its
     smallest member.  Each pass numbers the merged atoms in the order of
@@ -318,22 +325,23 @@ def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.n
     """
     x, y, wts = mu.positions.real, mu.positions.imag, mu.weights
     smallest = np.arange(x.size)
-    for _ in range(8):
+    while True:
         labels, runs = distinct_positions(x, y)
         components = _merge_components(x, y, labels, runs, tol)
         if components is None:
+            order = runs
             break
-        inverse, roots = components
+        inverse, roots, near = components
         k = roots.size
         wsum = np.bincount(inverse, weights=wts, minlength=k)
+        smallest = smallest[roots]
+        if not near:
+            x, y, wts = x[roots], y[roots], wsum
+            order = inverse[runs]
+            break
         x = np.bincount(inverse, weights=wts * x, minlength=k) / wsum
         y = np.bincount(inverse, weights=wts * y, minlength=k) / wsum
         wts = wsum
-        smallest = smallest[roots]
-    else:
-        labels, runs = distinct_positions(x, y)
-    # runs is the (x, y) order unless the last pass left exact copies
-    order = runs if runs.size == x.size else np.argsort(labels, kind="stable")
     pos = x + 1j * y
     return DiscreteMeasure(pos[order], wts[order]), smallest[order]
 
@@ -357,7 +365,10 @@ def finite_approximation(
     This is the depth-fold convolution of the scaled digit laws
     sum_j p_j delta_{lam^n w_j}, n = 0..depth-1.  Atoms within
     1e-12 * max(support radius, 1) are coalesced after every convolution
-    level.  The last measure of ``tower_levels``; nothing else is kept.
+    level by ``_merge_atoms``: sums that coincide exactly keep their common
+    position, so a tower whose sums meet exactly (digits on a lattice)
+    stays on its lattice and merges in one pass per level.  The last
+    measure of ``tower_levels``; nothing else is kept.
 
     Parameters
     ----------

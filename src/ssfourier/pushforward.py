@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -73,11 +74,35 @@ def _majorant(f: AnalyticMap, r: float) -> float:
     return out
 
 
+def _derivative_majorant(f: AnalyticMap, r: float) -> float:
+    """A float no smaller than sum_k k |c_k| r^(k-1), which bounds |F'| on
+    the disk |z| <= r (inf past a float).
+
+    The sum is exact in fractions over moduli |c_k| rounded up to floats,
+    and is rounded up once, so the float rounding of the modulus, of k c_k
+    and of Horner's rule cannot take the bound under the true maximum.
+    """
+    total = Fraction(0)
+    for k, c in enumerate(f.coeffs[1:], start=1):
+        modulus = abs(c)
+        if modulus == math.inf:
+            return math.inf
+        while Fraction(modulus) ** 2 < Fraction(c.real) ** 2 + Fraction(c.imag) ** 2:
+            modulus = math.nextafter(modulus, math.inf)
+        total += k * Fraction(modulus) * Fraction(r) ** (k - 1)
+    try:
+        bound = float(total)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(bound, math.inf) if Fraction(bound) < total else bound
+
+
 def check_second_derivative(f: AnalyticMap, ifs: IFSDescriptor) -> tuple[float, float]:
     """(lower bound on min |F''|, upper bound on max |F'|) over |z| <= R.
 
     R is the support radius.  max |F'| <= sum_k k |c_k| R^(k-1), with
-    equality for degree <= 2.  With F'' = a prod(z - r_i) and the roots
+    equality for degree <= 2, is returned rounded up to a float
+    (``_derivative_majorant``).  With F'' = a prod(z - r_i) and the roots
     from ``np.roots``, each |r_i| is first shrunk by the rounding margin
     1e-6 |r_i| (the error of a double root's eigenvalue is about
     sqrt(machine epsilon) = 1.5e-8 relative, well inside it).  If every
@@ -94,7 +119,7 @@ def check_second_derivative(f: AnalyticMap, ifs: IFSDescriptor) -> tuple[float, 
     except np.linalg.LinAlgError:
         raise DomainError("the roots of F'' overflow a float") from None
     low = math.prod(np.maximum(rho - radius, 0.0), start=abs(f2.coeffs[-1]))
-    return float(low), _majorant(f.derivative(), radius)
+    return float(low), _derivative_majorant(f, radius)
 
 
 def pushforward_measure(f: AnalyticMap, mu: DiscreteMeasure) -> DiscreteMeasure:

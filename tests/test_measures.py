@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import timeit
@@ -160,6 +161,36 @@ class TestFiniteApproximation:
         assert np.allclose(combined.positions, direct.positions, atol=1e-8)
         assert np.allclose(combined.weights, direct.weights, atol=1e-12)
 
+    def test_lattice_tower_stays_on_the_lattice(self):
+        # every sum of the depth-10 tower is a multiple of 2^-9 in each
+        # coordinate, and merged copies keep that position bit for bit
+        mu = finite_approximation(LATTICE, 10)
+        scaled = np.ldexp(mu.positions.view(np.float64), 9)
+        assert mu.n_atoms < 3**10
+        assert np.array_equal(scaled, np.round(scaled))
+
+    # digests of positions and weights under the merge that averaged exact
+    # copies too: a pass joining only exact copies is rare here (twice in
+    # the golden tower, once in the 1/3 one, never in the other three),
+    # and the average of those copies was their position
+    @pytest.mark.parametrize("ifs, depth, atoms, digest", [
+        (IFSDescriptor((math.sqrt(5) - 1) / 2, (0.0, 1.0), (0.5, 0.5)), 16, 4180,
+         "f46bab136f2e598f511c93059a300953"),
+        (IFSDescriptor(1 / 3, (0.0, 1.0, 2.0, 3.0), (0.25,) * 4), 12, 797161,
+         "944553d38a358dfbedd92105a2043c7f"),
+        (IFSDescriptor(0.5 + 0.3j, (-1.0, 1.0), (0.5, 0.5)), 14, 16384,
+         "e5796adf4a071af30ecb604f71931f2b"),
+        (IFSDescriptor((1 + 1j) / 2, (-1.0, 1.0), (0.5, 0.5)), 18, 262144,
+         "3a2f6759083c540d9e7e6dbe29740f02"),
+        (IFSDescriptor(0.5, (0.0, 1.0, 1j, 1 + 1j), (0.25,) * 4), 9, 262144,
+         "9943d0ba6fabdf00730e720d1862cfe3"),
+    ], ids=["golden", "third-four-digit", "0.5+0.3i", "twin-dragon", "square"])
+    def test_pinned_towers(self, ifs, depth, atoms, digest):
+        mu = finite_approximation(ifs, depth)
+        got = hashlib.sha256(mu.positions.tobytes() + mu.weights.tobytes())
+        assert mu.n_atoms == atoms
+        assert got.hexdigest()[:32] == digest
+
 
 def reference_tower(ifs, depth, merge=merge_atoms):
     """The level loop of finite_approximation written out over ``merge``."""
@@ -306,6 +337,17 @@ class TestMergeAtoms:
         bary = np.sum(merged.positions * merged.weights)
         assert abs(bary - np.sum(mu.positions * mu.weights)) < 1e-15
 
+    def test_exact_copies_take_one_pass(self, monkeypatch):
+        # a pass that joins only exact copies moves no atom and is the last
+        calls = []
+        search = measures._merge_components
+        monkeypatch.setattr(measures, "_merge_components",
+                            lambda *args: calls.append(1) or search(*args))
+        mu = weighted([2.0, 1j, 2.0, 1j, 2.0, 5.0], np.random.default_rng(2))
+        got = merge_atoms(mu, 1e-6)
+        assert len(calls) == 1
+        assert got.positions.tolist() == [1j, 2.0, 5.0]
+
 
 def reference_pairs(pts, tol):
     """The index pairs within ``tol``: cKDTree's, or every pair with
@@ -321,10 +363,13 @@ def reference_pairs(pts, tol):
 
 
 def reference_merge(mu, tol):
-    """The union-find merge over ``reference_pairs``, every pair within tol."""
+    """The union-find merge over ``reference_pairs``, every pair within tol,
+    pass after pass until a pass finds no pair.  A pass whose pairs all join
+    exact copies keeps each group's first member's position and is the last;
+    any other pass weight-averages each group in atom order."""
     pos, wts = mu.positions, mu.weights
     pts = np.column_stack([pos.real, pos.imag])
-    for _ in range(8):
+    while True:
         pairs = reference_pairs(pts, tol)
         if pairs.size == 0:
             break
@@ -341,9 +386,12 @@ def reference_merge(mu, tol):
             if ra != rb:
                 parent[rb] = ra
         roots = np.array([find(i) for i in range(len(pts))])
-        _, inverse = np.unique(roots, return_inverse=True)
-        k = inverse.max() + 1
+        _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+        k = first.size
         wsum = np.bincount(inverse, weights=wts, minlength=k)
+        if np.array_equal(pts[pairs[:, 0]], pts[pairs[:, 1]]):
+            pts, wts = pts[first], wsum
+            break
         xsum = np.bincount(inverse, weights=wts * pts[:, 0], minlength=k)
         ysum = np.bincount(inverse, weights=wts * pts[:, 1], minlength=k)
         pts = np.column_stack([xsum / wsum, ysum / wsum])
@@ -360,6 +408,26 @@ def assert_same_bits(got, want):
 def weighted(points, rng):
     w = rng.uniform(0.5, 1.5, len(points))
     return DiscreteMeasure(np.asarray(points, dtype=np.complex128), w / w.sum())
+
+
+def cascade(count, tol):
+    """Atoms that join one per merge pass: each weighs 100 times all the
+    earlier ones together and sits 0.9999999 tol from their merged centre,
+    more than 1.000000001 tol from every earlier atom and earlier centre
+    (a greedy search over 720 points of the circle about the centre)."""
+    raw = np.r_[1.0, 100.0 * 101.0 ** np.arange(count - 1)]
+    wts = raw / raw.sum()
+    ring = (1 - 1e-7) * tol * np.exp(2j * np.pi * np.arange(720) / 720)
+    pts, earlier, centre, mass = [0j], [], 0j, wts[0]
+    for w in wts[1:]:
+        others = np.array([q for q in pts + earlier if q != centre] or [np.inf])
+        gap = np.abs(centre + ring[:, None] - others[None, :]).min(axis=1)
+        best = int(np.argmax(gap))
+        assert gap[best] > (1 + 1e-9) * tol
+        pts.append(centre + ring[best])
+        earlier.append(centre)
+        centre, mass = (mass * centre + w * pts[-1]) / (mass + w), mass + w
+    return DiscreteMeasure(np.array(pts), wts)
 
 
 class TestMergeOracle:
@@ -496,6 +564,14 @@ class TestMergeOracle:
         got = merge_atoms(mu, tol)
         assert got.n_atoms == 50
         assert_same_bits(got, reference_merge(mu, tol))
+
+    def test_cascade_runs_every_pass(self):
+        # 14 atoms join over 13 passes; a cap of 8 passes left 6 atoms,
+        # two of them 0.9999999 tol apart
+        mu = cascade(14, 1.0)
+        got = merge_atoms(mu, 1.0)
+        assert got.n_atoms == 1
+        assert_same_bits(got, reference_merge(mu, 1.0))
 
 
 def min_atom_gap(mu):
