@@ -103,11 +103,13 @@ def _resolution_level_cap(mu: DiscreteMeasure, n_max: int) -> int:
 
     Exactly coinciding atoms act as one, and one position sets no cap.
     The gap itself is not computed: the cap is decided by threshold
-    queries up to n_max.  Consecutive positions in (x, y) and (y, x)
-    order are pairs, so the smallest of their distances bounds the cap
-    from below; from there the level rises while ``_close_d2`` finds a
-    pair close enough for the next level, each pair found setting the
-    level its own distance gives.  The last cap decided is kept, so the
+    queries up to n_max.  Consecutive positions in (x, y) order are
+    pairs, so the smallest of their distances bounds the cap from below;
+    from there the level rises while ``_close_d2`` finds a pair close
+    enough for the next level, each pair found setting the level its own
+    distance gives.  No pair sets a level past the cap and a pair at the
+    cap is found from any lower level, so the ladder ends at the cap
+    from any start.  The last cap decided is kept, so the
     estimates of one measure at one n_max decide it once.
     """
     global _kept_cap
@@ -126,8 +128,7 @@ def _gap_level(d2: float) -> int:
 def _level_cap(x: np.ndarray, y: np.ndarray, n_max: int) -> int:
     first = distinct_positions(x, y)[1]
     x, y = x[first], y[first]
-    by_y = distinct_positions(y, x)[1]
-    d2 = min(_consecutive_d2(x, y), _consecutive_d2(x[by_y], y[by_y]))
+    d2 = _consecutive_d2(x, y)
     if d2 == math.inf:
         return n_max
     level = _gap_level(d2)

@@ -156,8 +156,8 @@ class ScanField:
 
     Cells are the unit squares [i, i+1) x [j, j+1) anchored at integer
     coordinates; each stored value is the maximum of |mu_hat| over a
-    subgrid_k x subgrid_k lattice of points (i + a/k, j + b/k), which
-    includes the anchor corner, so the origin cell always samples
+    subgrid_k x subgrid_k lattice of points ((ik + a)/k, (jk + b)/k),
+    which includes the anchor corner, so the origin cell always samples
     mu_hat(0) = 1.
 
     ``grid`` is a read-only float64 array of shape (2n, 2n), n = ceil(T),
@@ -204,18 +204,30 @@ def scan_blocks(
 
     Checks the arguments and the point budget at once (first the lower
     bound pi T^2 k^2, as the cells cover the disk, so no O(T^2) work is
-    done past the budget), then returns an iterator over row blocks of
-    (ci, cj, xi, values): cell indices, sample frequencies and truncated
-    |mu_hat|, cell-major then subgrid-major, blocks in row order.  The
-    points lie on the tensor grid axis x axis, axis = (i + a/k for
-    -n <= i < n, a < k), where the digit character separates.  A block
-    is max(1, _ROW_BLOCK // k) cell rows, passed to the product kernel
-    ``_product`` as a column and a row of ``axis`` over the span of its
-    own cells, so every value is ``np.abs(mu_hat)`` at its frequency,
-    bit for bit.  Values depend on their frequency alone and blocks not
-    on ``workers``, so the output is bit-for-bit the same for any worker
-    count.  With ``workers`` > 1 a process pool maps ``_modulus`` over
-    the blocks; closing the iterator shuts it down.
+    done past the budget; a T so large that the bound overflows is over
+    it), then returns an iterator over blocks of (ci, cj, xi, values):
+    cell indices, sample frequencies and truncated |mu_hat|, cell-major
+    then subgrid-major.  The blocks come in mirrored pairs, the cell
+    rows [-i1, -i0) and then [i0, i1), for i0 = 0, s, 2s, ... with
+    s = max(1, _ROW_BLOCK // k).
+
+    The points lie on the tensor grid axis x axis, axis = arange(-nk,
+    nk + 1) / k with n = ceil(T), where the digit character separates;
+    cell i samples axis[(i + n) k + a] = (ik + a) / k for a < k (i + a/k
+    bit for bit when k is a power of two).  The axis is exact under
+    negation, -axis[u] = axis[2nk - u], and the disk's cells map onto
+    themselves under (i, j) -> (-i - 1, -j - 1), so negation sends the
+    points of the block [-i1, -i0) into the rectangle of the points of
+    [i0, i1) grown by one point row and one column.  mu_hat(-xi) is the
+    conjugate of mu_hat(xi) for a probability measure, and the kernel
+    keeps this bit for bit (|xi|, exp, complex multiply and add are
+    sign-symmetric under round-to-nearest), so a pair is one call of the
+    product kernel ``_product`` on that grown rectangle, and every value
+    is ``np.abs(mu_hat)`` at its frequency, bit for bit.  Values depend on
+    their frequency alone and blocks not on ``workers``, so the output is
+    bit-for-bit the same for any worker count.  With ``workers`` > 1 a
+    process pool maps ``_modulus`` over the pairs; closing the iterator
+    shuts it down.
     """
     if not 1 <= T < math.inf:
         raise DomainError("scan radius T must be finite and >= 1")
@@ -223,27 +235,37 @@ def scan_blocks(
         raise DomainError("subgrid_k must be >= 1")
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else int(cell_budget)
     k = subgrid_k
-    least = math.pi * (T * k) ** 2
-    if least > budget:
-        raise BudgetError(f"scan would sample over {least:.0f} points (budget {budget})")
+    # pi (T k)^2 > budget, compared without squaring T, which can overflow
+    if T * k > math.sqrt(budget / math.pi):
+        raise BudgetError(
+            f"scan of radius T = {T!r} at subgrid_k = {k} would sample over "
+            f"pi (T k)^2 points (budget {budget})"
+        )
     ci, cj = _scan_cells(T)
     if ci.size * k * k > budget:
         raise BudgetError(f"scan would sample {ci.size * k * k} points (budget {budget})")
     n = math.ceil(T)
-    axis = (np.arange(-n, n)[:, None] + np.arange(k) / k).ravel()
+    nk2 = 2 * n * k
+    axis = np.arange(-n * k, n * k + 1) / k
     sub = np.arange(k)
     gx = ((ci + n) * k)[:, None, None] + sub[None, :, None]
     gy = ((cj + n) * k)[:, None, None] + sub[None, None, :]
     step = max(1, _ROW_BLOCK // k)
     # cells are sorted by row, so each block of cell rows is a run of cells
-    starts = np.searchsorted(ci, np.arange(-n, n + step, step))
-    spans = list(zip(starts[:-1], starts[1:]))
+    bounds = np.arange(0, n + step, step)
+    own, mirror = np.searchsorted(ci, bounds), np.searchsorted(ci, -bounds)
+    spans = list(zip(zip(own[:-1], own[1:]), zip(mirror[1:], mirror[:-1])))
     blocks = []
-    for s0, s1 in spans:
+    for (s0, s1), (m0, m1) in spans:
         rows, cols = gx[s0:s1], gy[s0:s1]
-        r0, r1, c0, c1 = rows.min(), rows.max() + 1, cols.min(), cols.max() + 1
-        # int32 halves the indices, which the pool holds for every block at once
-        at = ((rows - r0) * (c1 - c0) + cols - c0).ravel().astype(np.int32)
+        r0, r1, c0, c1 = rows.min(), rows.max() + 2, cols.min(), cols.max() + 2
+        # the own points, then the mirror's at (2nk - u, 2nk - v); int32
+        # halves the indices, which the pool holds for every block at once
+        at = np.concatenate([
+            ((rows - r0) * (c1 - c0) + cols - c0).ravel().astype(np.int32),
+            ((nk2 - gx[m0:m1] - r0) * (c1 - c0) + nk2 - gy[m0:m1] - c0)
+            .ravel().astype(np.int32),
+        ])
         blocks.append((ifs, tol, axis[r0:r1, None], axis[None, c0:c1], at))
 
     def stream():
@@ -251,9 +273,11 @@ def scan_blocks(
         pool = ProcessPoolExecutor(size) if size > 1 else None
         try:
             run = map if pool is None else pool.map
-            for (s0, s1), values in zip(spans, run(_modulus, blocks)):
-                xi = (axis[gx[s0:s1]] + 1j * axis[gy[s0:s1]]).ravel()
-                yield ci[s0:s1], cj[s0:s1], xi, values
+            for ((s0, s1), (m0, m1)), values in zip(spans, run(_modulus, blocks)):
+                split = (s1 - s0) * k * k
+                for (b0, b1), part in (((m0, m1), values[split:]), ((s0, s1), values[:split])):
+                    xi = (axis[gx[b0:b1]] + 1j * axis[gy[b0:b1]]).ravel()
+                    yield ci[b0:b1], cj[b0:b1], xi, part
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -274,7 +298,10 @@ def grid_scan(
     Stores, per cell, the maximum sampled value on the subgrid lattice
     in the dense grid of a ``ScanField``, reduced block by block from
     ``scan_blocks`` so no per-point array outlives its block.  The
-    output is identical for any ``workers``.
+    blocks come in pairs mirrored under xi -> -xi, read off one product
+    evaluation since |mu_hat| is even, and are scattered into the grid
+    by cell index, so their order does not matter.  The output is
+    identical for any ``workers``.
     """
     blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
     n = math.ceil(T)

@@ -264,7 +264,12 @@ def _merge_components(x, y, labels, runs, tol: float):
     join.  Exact copies join the first of their run; distinct positions
     join when dx*dx + dy*dy <= tol*tol (cKDTree's rule), met by
     ``strip_pairs`` at a width w in [2 tol, 4 tol): w = tol misses a pair
-    whose dx rounds down to a power-of-two tol.  Pointer jumping hooks
+    whose dx rounds down to a power-of-two tol.  The search is skipped
+    when the steps between consecutive distinct positions in (x, y)
+    order already part every pair: a pair's dx is at least that of any
+    step between them (rounding is monotone), and a pair with equal x
+    spans steps of equal x, so steps with dx*dx > tol*tol, or dx == 0
+    and dy*dy > tol*tol, leave no pair within tol.  Pointer jumping hooks
     larger roots onto smaller ones.
     """
     n = x.size
@@ -272,7 +277,11 @@ def _merge_components(x, y, labels, runs, tol: float):
     a, b = [copies], [runs[labels[copies]]]
     if tol > 0.0:
         x, y = x[runs], y[runs]
-        for i, j, d2 in strip_pairs(x, y, math.floor(-math.log2(tol)) - 1):
+        with np.errstate(over="ignore"):
+            dx, dy = np.diff(x), np.diff(y)
+            apart = np.where(dx == 0.0, dy * dy, dx * dx) > tol * tol
+        scale = math.floor(-math.log2(tol)) - 1
+        for i, j, d2 in () if apart.all() else strip_pairs(x, y, scale):
             keep = d2 <= tol * tol
             a.append(runs[i[keep]])
             b.append(runs[j[keep]])

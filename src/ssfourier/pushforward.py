@@ -381,7 +381,10 @@ def decay_profile(
     lower bound of ``check_second_derivative`` on min |F''| over the
     support disk above 1e-12); a refusal names the root of F'' inside the
     disk.  Affine maps are allowed as controls, since their push-forward
-    transform is a rotated and modulated copy of mu_hat itself.
+    transform is a rotated and modulated copy of mu_hat itself.  A
+    constant map pushes mu to a point mass, whose transform has modulus 1
+    everywhere and no decay to predict: it is a DomainError, raised
+    before any tower is built.
 
     Every float a transform's phases pass through, 2 pi Re(F(z) conj xi)
     as two products of real parts or the quadratic split's coupling
@@ -406,6 +409,8 @@ def decay_profile(
     ``atom_budget`` (BudgetError past it) and sum it directly.  The
     Frostman exponent is estimated under the same ``atom_budget``.
     """
+    if f.degree == 0:
+        raise DomainError("a constant map pushes mu to a point mass: no decay to profile")
     radii = tuple(float(t) for t in radii)
     if len(radii) < 3:
         raise DomainError("need at least 3 radii")

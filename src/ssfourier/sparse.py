@@ -368,9 +368,13 @@ def covering_report(
     truncation error still reaches the threshold) is rescaled to
     t = lam^N * conj(xi) and must land in S(N, et); membership is tested
     with 1e-9 additive slack on rho.  Frequencies with |t| >= 1 are
-    outside the statement and are skipped.  Each row block of
-    ``scan_blocks`` is counted and audited before the next is read, so
-    memory is O(block), not O(points).
+    outside the statement and are skipped.  Each block of ``scan_blocks``
+    is counted and audited before the next is read, so memory is
+    O(block), not O(points).  The blocks come in pairs mirrored under
+    xi -> -xi, whose values the scan reads off one product evaluation
+    (|mu_hat| is even, bit for bit); the audit still rescales and tests
+    the frequencies of both.  A radius |lam|^-N that overflows a float is
+    a BudgetError.
     """
     if ifs.bound_regime() != "complex":
         raise RegimeError("covering reports need the complex (Im lambda != 0) regime")
@@ -378,7 +382,11 @@ def covering_report(
     if N < 2:
         raise DomainError("need N >= 2")
     et = delta_complex(lam, ifs.probs, epsilon).epsilon_tilde
-    T = abs(lam) ** (-N)
+    try:
+        T = abs(lam) ** (-N)
+    except OverflowError:
+        # a disk too large for a float holds more points than any budget
+        raise BudgetError(f"scan radius |lambda|^-N overflows a float at N = {N}") from None
     blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
     threshold = T ** (-epsilon)
     if 0.0 < et < 1.0:

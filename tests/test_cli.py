@@ -380,6 +380,17 @@ class TestPush:
         assert f"radius {float(radii.split(',')[-1])!r} is too large" in error["message"]
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("coeffs", ["0,0,0", "1"])
+    def test_constant_map_refused(self, capsys, coeffs):
+        # a point mass has no decay, so no exponent may be predicted for it
+        code, out, _ = run_cli(
+            capsys, "push", "--lambda", "0.5+0.5i", "--coeffs", coeffs,
+            "--radii", "1,2,4", "--directions", "4", "--depth", "5",
+        )
+        assert code == EXIT_DOMAIN
+        error = json.loads(out)["error"]
+        assert error["kind"] == "DomainError" and "constant map" in error["message"]
+
     def test_huge_finite_radius_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "--budget", "4096", "push", "--lambda", "0.5+0.5i", "--coeffs", "0,0,1",
@@ -694,11 +705,14 @@ class TestScan:
         [
             ["scan", "--lambda", "0.5+0.5i", "--T", "1e9"],
             ["ek", "cover", "--lambda", "0.5+0.5i", "--epsilon", "0.05", "--N", "60"],
+            ["scan", "--lambda", "0.5+0.5i", "--T", "1e200"],
+            ["ek", "cover", "--lambda", "0.5+0.5i", "--epsilon", "0.05", "--N", "3000"],
         ],
-        ids=["scan-T-1e9", "cover-N-60"],
+        ids=["scan-T-1e9", "cover-N-60", "scan-T-1e200", "cover-N-3000"],
     )
     def test_huge_disk_refused_before_cells(self, capsys, argv):
-        # pi T^2 k^2 sampled points at least: refused with no O(T^2) array
+        # pi T^2 k^2 sampled points at least: refused with no O(T^2) array,
+        # also where pi (T k)^2, or T = |lambda|^-N itself, overflows a float
         code, out, _ = run_cli(capsys, "--budget", "1000", *argv)
         assert code == EXIT_BUDGET
         assert json.loads(out)["error"]["kind"] == "budget"

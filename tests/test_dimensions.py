@@ -284,6 +284,18 @@ class TestResolutionCap:
         mu = equal_weights(pts * 2.0**-power)
         assert dimensions._resolution_level_cap(mu, 40) == power - 2 == oracle_cap(mu, 40)
 
+    def test_positions_sorted_once(self, monkeypatch):
+        # the ladder starts from the (x, y) consecutive bound alone: the cap
+        # sorts the positions once, and climbs to a closest pair that only
+        # (y, x) order puts side by side
+        sorts = []
+        sort = dimensions.distinct_positions
+        monkeypatch.setattr(dimensions, "distinct_positions",
+                            lambda x, y: sorts.append(x.size) or sort(x, y))
+        mu = equal_weights([0.0, 0.001 + 5j, 0.002 + 1e-4j])
+        assert dimensions._resolution_level_cap(mu, 40) == 6 == oracle_cap(mu, 40)
+        assert sorts == [3]
+
     def test_one_position(self):
         mu = equal_weights([0.3 + 0.1j] * 5)
         assert dimensions._resolution_level_cap(mu, 12) == 12

@@ -266,7 +266,7 @@ class TestGridScan:
         assert a.cells == b.cells
 
     def test_worker_determinism_across_chunks(self, complex_bernoulli, monkeypatch):
-        # T = 72 samples 264,384 points in more row blocks than workers,
+        # T = 72 samples 264,384 points in more block pairs than workers,
         # so the pool spreads them over both processes
         blocks = []
         kernel = ssfourier.fourier._product
@@ -311,18 +311,47 @@ class TestGridScan:
         assert_scan_matches_oracle(ifs, T, k, tol)
 
     def test_blocks_stream_cells_in_order(self, complex_bernoulli):
-        # T = 40, k = 4: blocks of 16 cell rows, concatenating to every disk
-        # cell in sorted order with k * k points each, cell-major
+        # T = 40, k = 4: pairs of blocks of 16 cell rows, the mirror [-i1, -i0)
+        # then [i0, i1), each a run of disk cells in sorted order, k * k
+        # points each, cell-major; together every disk cell exactly once
         k = 4
         parts = list(scan_blocks(complex_bernoulli, 40.0, k, 1e-9))
-        assert len(parts) == 5
+        rows = [(-16, 0), (0, 16), (-32, -16), (16, 32), (-40, -32), (32, 40)]
+        assert len(parts) == len(rows)
         ci, cj = _scan_cells(40.0)
-        assert np.array_equal(np.concatenate([p[0] for p in parts]), ci)
-        assert np.array_equal(np.concatenate([p[1] for p in parts]), cj)
-        for bi, bj, xi, values in parts:
+        for (lo, hi), (bi, bj, xi, values) in zip(rows, parts):
+            run = (ci >= lo) & (ci < hi)
+            assert np.array_equal(bi, ci[run]) and np.array_equal(bj, cj[run])
             assert xi.shape == values.shape == (bi.size * k * k,)
             assert np.array_equal(np.floor(xi.real).reshape(-1, k * k)[:, 0], bi)
             assert np.array_equal(np.floor(xi.imag).reshape(-1, k * k)[:, 0], bj)
+        seen = np.concatenate([(p[0] + 40) * 80 + p[1] + 40 for p in parts])
+        assert np.array_equal(np.sort(seen), (ci + 40) * 80 + cj + 40)
+
+    @pytest.mark.parametrize("T, k", [(40.0, 4), (7.3, 3), (3.0, 1), (2.0, 65)])
+    def test_pairs_are_mirrored_cells(self, complex_bernoulli, T, k):
+        # the second block of a pair holds the cells (-i - 1, -j - 1) of the
+        # first, in reverse (so in row-major) order
+        parts = list(scan_blocks(complex_bernoulli, T, k, 1e-9))
+        assert len(parts) % 2 == 0
+        for (mi, mj, _, _), (oi, oj, _, _) in zip(parts[::2], parts[1::2]):
+            assert oi.size and oi.min() >= 0
+            assert np.array_equal(oi, (-mi - 1)[::-1])
+            assert np.array_equal(oj, (-mj - 1)[::-1])
+
+    def test_kernel_work_is_about_half_the_points(self, complex_bernoulli, monkeypatch):
+        # one product evaluation per mirrored pair: at T = 40, k = 4 the
+        # grids passed to the kernel hold under 0.6x the sampled points
+        grid_points = []
+        kernel = ssfourier.fourier._product
+        monkeypatch.setattr(
+            ssfourier.fourier, "_product",
+            lambda *args: grid_points.append(np.broadcast(args[2], args[3]).size)
+            or kernel(*args),
+        )
+        sampled = sum(v.size for *_, v in scan_blocks(complex_bernoulli, 40.0, 4, 1e-9))
+        assert sampled == _scan_cells(40.0)[0].size * 16
+        assert sum(grid_points) <= 0.6 * sampled
 
     def test_pool_shut_down_when_consumer_stops(self, complex_bernoulli, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor
@@ -351,6 +380,10 @@ class TestGridScan:
             grid_scan(complex_bernoulli, 1e9, cell_budget=1000)
         with pytest.raises(BudgetError):
             grid_scan(complex_bernoulli, 10.0, subgrid_k=2, cell_budget=1256)
+        # pi (T k)^2 overflows a float: over the budget, not an OverflowError
+        for huge in (1e200, 1e308):
+            with pytest.raises(BudgetError):
+                grid_scan(complex_bernoulli, huge)
 
     def test_exact_budget_still_checked(self, complex_bernoulli):
         # pi * 3^2 * 4^2 = 452.4 points at least; the disk has 36 cells, 576 points
@@ -692,6 +725,22 @@ class TestProductKernel:
         blocks = list(scan_blocks(ifs, 30.5, 4, tol, workers=workers))
         assert len(blocks) == 4
         for _, _, xi, values in blocks:
+            assert np.array_equal(values, np.abs(mu_hat(ifs, xi, tol)))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
+    def test_scan_values_are_mu_hat_bits_at_every_k(self, system, k):
+        # the mirrored half reads the kernel at -xi: the bits still match,
+        # whether or not k is a power of two
+        ifs = KERNEL_SYSTEMS[system]
+        for _, _, xi, values in scan_blocks(ifs, 130.5 / k, k, 1e-9):
+            assert np.array_equal(values, np.abs(mu_hat(ifs, xi, 1e-9)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ifs=RANDOM_SYSTEMS, T=st.floats(1.0, 12.0), k=st.integers(1, 8),
+           tol=st.sampled_from([1e-9, 1e-4]))
+    def test_random_scan_values_are_mu_hat_bits(self, ifs, T, k, tol):
+        for _, _, xi, values in scan_blocks(ifs, T, k, tol):
             assert np.array_equal(values, np.abs(mu_hat(ifs, xi, tol)))
 
     @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))

@@ -348,6 +348,21 @@ class TestMergeAtoms:
         assert len(calls) == 1
         assert got.positions.tolist() == [1j, 2.0, 5.0]
 
+    def test_search_skipped_where_steps_part_every_pair(self, monkeypatch):
+        # on a lattice the steps between consecutive distinct positions are
+        # all over tol, so no tower level runs the strip search; a near
+        # pair that is not consecutive in (x, y) order still meets it
+        calls = []
+        search = measures.strip_pairs
+        monkeypatch.setattr(measures, "strip_pairs",
+                            lambda *args: calls.append(1) or search(*args))
+        got = finite_approximation(LATTICE, 10)
+        assert calls == []
+        assert_same_bits(got, reference_tower(LATTICE, 10, merge=reference_merge))
+        mu = weighted([0.0, 2.5e-7 + 1.0j, 5e-7 + 1e-7j], np.random.default_rng(3))
+        assert merge_atoms(mu, 1e-6).n_atoms == 2 and calls
+        assert_same_bits(merge_atoms(mu, 1e-6), reference_merge(mu, 1e-6))
+
 
 def reference_pairs(pts, tol):
     """The index pairs within ``tol``: cKDTree's, or every pair with

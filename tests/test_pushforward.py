@@ -225,6 +225,20 @@ class TestDecayProfile:
             decay_profile(AnalyticMap((0, 0, 0, 1.0)), complex_bernoulli,
                           [8.0, 16.0, 32.0], directions=16, approx_depth=6)
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0), (1.0,), (0.3 - 2j, 0.0)])
+    def test_constant_map_refused_before_any_tower(self, complex_bernoulli, monkeypatch,
+                                                   coeffs):
+        # F_# mu is a point mass: |transform| = 1 everywhere, no decay to predict
+        def no_tower(*args, **kwargs):
+            raise AssertionError("tower built")
+
+        monkeypatch.setattr(pushforward, "split_pushforward", no_tower)
+        monkeypatch.setattr(pushforward, "finite_approximation", no_tower)
+        monkeypatch.setattr(pushforward, "frostman_estimate", no_tower)
+        with pytest.raises(DomainError, match="constant map"):
+            decay_profile(AnalyticMap(coeffs), complex_bernoulli, [1.0, 2.0, 4.0],
+                          directions=4, approx_depth=5)
+
     def test_outside_both_regimes_predicts_nothing(self, bernoulli_half):
         # real lambda with collinear digits: no covering bound, so only the
         # trivial exponent-0 guarantee is reported

@@ -592,6 +592,13 @@ class TestCoveringReport:
         b = covering_report(complex_bernoulli, 0.05, 12, tol=1e-9, workers=2)
         assert a == b
 
+    @pytest.mark.parametrize("N", [1100, 3000])
+    def test_overflowing_disk_is_over_budget(self, complex_bernoulli, N):
+        # T = |lam|^-N is 2^550 at N = 1100, where pi (T k)^2 overflows, and
+        # overflows itself at N = 3000: both are over any budget
+        with pytest.raises(BudgetError):
+            covering_report(complex_bernoulli, 0.05, N)
+
     def test_regime_refusals(self, bernoulli_half, sierpinski):
         with pytest.raises(RegimeError):
             covering_report(bernoulli_half, 0.05, 8)
