@@ -189,10 +189,14 @@ def good_index_requirement(epsilon_tilde: float, N: int) -> int:
 def sequence_count(branching: int, epsilon_tilde: float, N: int) -> float:
     """M_N * e^{h(et) N}: admissible digit sequences times good-index sets.
 
-    M_N = 3 * 4^3 * branching^(3*et*N + 2); et must lie in [0, 1].
+    M_N = 3 * 4^3 * branching^(3*et*N + 2); et must lie in [0, 1].  A
+    count past the float range is inf, as no finite count applies.
     """
-    m_n = 3.0 * 64.0 * branching ** (3.0 * epsilon_tilde * N + 2.0)
-    return m_n * math.exp(entropy_h(epsilon_tilde) * N)
+    try:
+        m_n = 3.0 * 64.0 * branching ** (3.0 * epsilon_tilde * N + 2.0)
+        return m_n * math.exp(entropy_h(epsilon_tilde) * N)
+    except OverflowError:
+        return math.inf
 
 
 def transition_bound(lam_abs: float) -> float:

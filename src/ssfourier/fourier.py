@@ -3,10 +3,12 @@
 The transform convention is mu_hat(xi) = int exp(2*pi*i*Re(z*conj(xi))) dmu,
 which for a homogeneous self-similar measure factors into the infinite
 product prod_{n>=0} Phi(lam^n * conj(xi)) over the digit character
-Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).  Products are truncated with a
-certified tail bound, so the returned modulus is an upper bound on the true
-|mu_hat| and differs from it by at most 2*tol.  One kernel, ``_product``,
-evaluates it for ``mu_hat``, the scan and the IFS energy.
+Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).  Products keep K factors and
+multiply in the omitted factors' mean phase, with K set by a second-order
+tail bound (``truncation_index``): the value is within tol of mu_hat, and
+its modulus is an upper bound on the true |mu_hat|, both up to
+floating-point rounding of about 1e-14 absolute.  One kernel,
+``_product``, evaluates it for ``mu_hat``, the scan and the IFS energy.
 """
 
 from __future__ import annotations
@@ -34,13 +36,32 @@ _ENERGY_BLOCK = 1 << 13
 _BIN_MAGIC = b"SSFGRID1"
 
 
-def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
-    """Smallest K with sum_{n>=K} 2*pi*max|w|*|lam|^n*|xi| < tol.
+def _digit_moments(ifs: IFSDescriptor) -> tuple[complex, float]:
+    """The digits' mean m = sum_j p_j w_j and variance sum_j p_j |w_j - m|^2."""
+    pairs = list(zip(ifs.digits, ifs.probs))
+    m = sum(p * w for w, p in pairs)
+    return m, sum(p * ((w - m).real ** 2 + (w - m).imag ** 2) for w, p in pairs)
 
-    Uses |Phi(u) - 1| <= 2*pi*max|w|*|u| per omitted factor, summed over
-    the geometric tail.  Vectorized over |xi|; K is 0 everywhere when all
-    digits are 0.  Raises DomainError unless tol and every |xi| are finite
-    and tol > 0, and when the tail bound at some |xi| overflows.
+
+def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
+    """Smallest K with 2*pi^2*|xi|^2*|lam|^(2K)*Var d/(1 - |lam|^2) < tol.
+
+    The omitted factors prod_{n>=K} Phi(lam^n conj xi) are E e(Re(Y conj
+    xi)) for Y = sum_{n>=K} lam^n d_n with independent digits d_n, and Y
+    is M_K = m lam^K / (1 - lam) plus a centred part whose variance is
+    |lam|^(2K) Var d / (1 - |lam|^2), where m = sum_j p_j w_j and Var d =
+    sum_j p_j |w_j - m|^2.  As |e(t) - 1 - 2*pi*i*t| <= 2*pi^2*t^2, the
+    tail is the phase e(Re(M_K conj xi)) to within the bound above, so
+    the first K factors times that phase (``_product``) are within tol
+    of mu_hat, and their modulus alone is at least |mu_hat|, in exact
+    arithmetic: rounding adds about 1e-14 absolute, so a tol below about
+    1e-13 certifies no more than rounding allows.  Both have modulus
+    <= 1, so tol > 2 needs no factor: K = 0, as it is everywhere when
+    Var d = 0 (all digits equal).  Var d <= max|w|^2 keeps K at or below
+    the first-order index, the smallest K with 2*pi*max|w|*|xi|*
+    |lam|^K/(1 - |lam|) < tol.  Vectorized over |xi|.  Raises DomainError
+    unless tol and every |xi| are finite and tol > 0, and when that
+    first-order bound at some |xi| overflows.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -48,17 +69,20 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     if not np.isfinite(abs_xi).all():
         raise DomainError("frequencies must be finite")
     w_max = max(abs(w) for w in ifs.digits)
-    if w_max == 0.0:
-        return np.zeros(abs_xi.shape, dtype=np.int64)
     alam = abs(ifs.lam)
     with np.errstate(over="ignore"):
         tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
     if not np.isfinite(tail0).all():
         raise DomainError("frequency too large: the truncation tail bound overflows")
-    # a subnormal tail0 overflows tol / tail0; tail0 < tol then sets K = 0
-    with np.errstate(divide="ignore", over="ignore"):
-        k = np.ceil(np.log(np.where(tail0 > 0, tol / tail0, 1.0)) / math.log(alam))
-    return np.where(tail0 < tol, 0, np.maximum(k, 0)).astype(np.int64)
+    _, var = _digit_moments(ifs)
+    if var == 0.0 or tol > 2.0:
+        return np.zeros(abs_xi.shape, dtype=np.int64)
+    # the bound at K is (s |lam|^K)^2, and s <= tail0 is finite; s = 0
+    # gives K = -inf, raised to 0 with every other negative K
+    s = math.pi * math.sqrt(2.0 * var / (1.0 - alam * alam)) * abs_xi
+    with np.errstate(divide="ignore"):
+        k = np.ceil((math.log(tol) - 2.0 * np.log(s)) / (2.0 * math.log(alam)))
+    return np.maximum(k, 0).astype(np.int64)
 
 
 def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
@@ -66,10 +90,12 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
     elementwise over an array of frequencies.
 
     Each frequency keeps the first K factors, K = ``truncation_index`` at
-    |xi|, the smallest integer whose geometric tail bound falls below
-    ``tol`` (finite and > 0); the result is within 2*tol of
-    the exact value for tol <= 1/2, and its modulus is an upper bound on
-    |mu_hat|.  A lone frequency goes to ``_product`` as two copies of
+    |xi| (the smallest integer whose second-order tail bound falls below
+    ``tol``, finite and > 0), times the omitted factors' mean phase; the
+    result is within tol of the exact value (so within the 2*tol of the
+    first-order rule for tol <= 1/2), and its modulus is an upper bound
+    on |mu_hat|, both up to floating-point rounding of about 1e-14
+    absolute, which a tol below about 1e-13 does not beat.  A lone frequency goes to ``_product`` as two copies of
     itself, since numpy multiplies a one-element complex array on another
     path, so a scalar call, a batch lane and the scan agree bit for bit.
     """
@@ -89,10 +115,15 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
     Phi(lam^l conj xi) = sum_j p_j e(Re(c_j) x) e(Im(c_j) y), so a level
     costs 2m exponentials per value of x and of y and m complex
     multiply-adds per point.  A point's value is read off after its own
-    truncation index K of factors: it depends on its frequency alone.
+    truncation index K of factors and multiplied by the omitted factors'
+    mean phase e(Re(M_K conj xi)), M_K = m lam^K / (1 - lam) from a table
+    over K, which is 1 and skipped when the digit mean m is 0: it depends
+    on its frequency alone.  The phase's argument M_K.real x + M_K.imag y
+    is exactly odd in xi, so mu_hat(-xi) stays the conjugate bit for bit.
     """
     grid = x + 1j * y
-    k = truncation_index(ifs, np.abs(grid.ravel()[at]), tol)
+    xi = grid.ravel()[at]
+    k = truncation_index(ifs, np.abs(xi), tol)
     order = np.argsort(k, kind="stable")
     kmax = int(k.max(initial=0))
     # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
@@ -114,6 +145,10 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
         done = order[edges[level + 1] : edges[level + 2]]
         values[done] = out.ravel()[at[done]]
         c = c * ifs.lam
+    m, _ = _digit_moments(ifs)
+    if m != 0:
+        mean = (m / (1.0 - ifs.lam) * ifs.lam ** np.arange(kmax + 1))[k]
+        values *= np.exp(2j * np.pi * (mean.real * xi.real + mean.imag * xi.imag))
     return values
 
 

@@ -71,9 +71,10 @@ def _digit_expansion(lam: complex, t, N: int):
     t is a scalar or an array of frequencies with |t| < 1, and lam passes
     ``digit_transition_bound``.  Returns (r_j as floats, eps_j in
     [-1/2, 1/2)).  Raises OverflowError when |lam|^{-(N-1)} would push
-    the digits past exact float integer range (2^52).
+    the digits past exact float integer range (2^52); the guard compares
+    logarithms, as the power itself can overflow a float.
     """
-    if abs(lam) ** (-(N - 1)) > _SAFE_MAGNITUDE:
+    if -(N - 1) * math.log(abs(lam)) > math.log(_SAFE_MAGNITUDE):
         raise OverflowError(
             f"|lambda|^-{N - 1} exceeds the safe digit magnitude 2^52"
         )
@@ -364,13 +365,13 @@ def covering_report(
     """Scan the disk |xi| <= |lam|^{-N} and audit the sparse-set inclusion.
 
     Cells qualify by sampled max >= T^{-epsilon}.  Every sampled
-    frequency xi that certainly qualifies (sampled value minus the 2*tol
-    truncation error still reaches the threshold) is rescaled to
-    t = lam^N * conj(xi) and must land in S(N, et); membership is tested
-    with 1e-9 additive slack on rho.  Frequencies with |t| >= 1 are
-    outside the statement and are skipped.  Each block of ``scan_blocks``
-    is counted and audited before the next is read, so memory is
-    O(block), not O(points).  The blocks come in pairs mirrored under
+    frequency xi that certainly qualifies (sampled value minus 2*tol, at
+    least twice the truncation error, still reaches the threshold) is
+    rescaled to t = lam^N * conj(xi) and must land in S(N, et);
+    membership is tested with 1e-9 additive slack on rho.  Frequencies
+    with |t| >= 1 are outside the statement and are skipped.  Each block
+    of ``scan_blocks`` is counted and audited before the next is read, so
+    memory is O(block), not O(points).  The blocks come in pairs mirrored under
     xi -> -xi, whose values the scan reads off one product evaluation
     (|mu_hat| is even, bit for bit); the audit still rescales and tests
     the frequencies of both.  A radius |lam|^-N that overflows a float is

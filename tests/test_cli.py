@@ -129,6 +129,16 @@ class TestBounds:
         assert doc["regime"] == "real_noncollinear"
         assert abs(f["kappa"] - 2 * f["epsilon"] - f["delta_at_root"]) < 1e-10
 
+    def test_covering_count_past_the_float_range_is_null(self, capsys):
+        # branching^(3 et N + 2) overflows at N = 3000: no finite count
+        # applies, written as null as ek cover writes a non-finite bound_count
+        code, out, _ = run_cli(capsys, "bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5",
+                               "--covering-N", "3000")
+        assert code == EXIT_OK
+        doc = strict_json(out)
+        assert doc["covering_N"] == 3000 and doc["covering_bound"] is None
+        assert math.isinf(ssfourier.covering_bound(0.5 + 0.5j, (0.5, 0.5), 0.01, 3000))
+
     def test_real_regime_refuses_complex_lambda(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--lambda", "0.5+0.5i", "--p", "0.2,0.3,0.5",
@@ -212,6 +222,19 @@ class TestEK:
         )
         assert code == EXIT_OK
         assert json.loads(out)["r"] == [0, 1, 1, 0, -1]
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--lambda", "0.5+0.5i", "--t", "0.3", "--N", "3000"],
+        ["verify", "--lambda", "0.5+0.5i", "--N", "3000"],
+    ], ids=["trace", "verify"])
+    def test_digits_past_2_to_the_52_refused_by_the_guard(self, capsys, argv):
+        # |lambda|^-2999 overflows a float; the guard compares logarithms,
+        # so its own message is reported, not the float power's
+        code, out, _ = run_cli(capsys, "ek", *argv)
+        assert code == EXIT_DOMAIN
+        error = strict_json(out)["error"]
+        assert error == {"kind": "OverflowError",
+                         "message": "|lambda|^-2999 exceeds the safe digit magnitude 2^52"}
 
     def test_enumerate_budget_exit(self, capsys):
         code, out, _ = run_cli(
@@ -468,7 +491,8 @@ class TestDimCsv:
 class TestDimPinned:
     """dim output bytes, pinned before the nested binning and the mirrored
     energy exponentials; both keep every bit.  The alpha keys are those
-    of the self-similar measure's energy through the product kernel."""
+    of the self-similar measure's energy through the product kernel, at
+    the second-order truncation index with the mean phase."""
 
     @pytest.mark.parametrize("argv, want", [
         (["--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8",
@@ -477,12 +501,12 @@ class TestDimPinned:
          '"dim_q":{"estimate":1.9212806653765022,"q":2.0,"stderr":0.04339126382849784}}\n'),
         (["--lambda", "0.5", "--digits", "0,1,i", "--depth", "9",
           "--n-min", "1", "--n-max", "8", "--T-values", "2:8:3"],
-         '{"alpha":{"dim2_via_alpha":1.5869015925739443,"estimate":0.41309840742605575},'
+         '{"alpha":{"dim2_via_alpha":1.5869015925116612,"estimate":0.4130984074883388},'
          '"dim_inf":{"estimate":1.5849625007211656,"stderr":0.0},'
          '"dim_q":{"estimate":1.5849625007211743,"q":2.0,"stderr":0.0}}\n'),
         (["--lambda=0.6+0.5i", "--digits=-1,1", "--depth", "14", "--n-max", "12",
           "--T-values", "2:16:4", "--step", "0.25"],
-         '{"alpha":{"dim2_via_alpha":1.9954749213126544,"estimate":0.004525078687345745},'
+         '{"alpha":{"dim2_via_alpha":1.995474921314399,"estimate":0.00452507868560103},'
          '"dim_inf":{"estimate":1.5605540606497343,"stderr":0.11773364159907602},'
          '"dim_q":{"estimate":1.8028257911401733,"q":2.0,"stderr":0.07572250017412277}}\n'),
     ], ids=["square", "gasket", "complex-bernoulli"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -47,20 +47,53 @@ def phi(ifs, u):
     return complex(out) if u.ndim == 0 else out
 
 
-def product_oracle(ifs, xi, tol):
-    """The truncated product built factor by factor from ``phi``.
+def head_product(ifs, xi, k):
+    """prod_{n<k} Phi(lam^n conj xi), built factor by factor from ``phi``.
 
-    Independent of the library's product kernel: it keeps the first
-    ``truncation_index`` factors at each frequency, as ``mu_hat`` does.
+    Independent of the library's product kernel; ``k`` is one factor
+    count per frequency.
     """
     xi = np.asarray(xi, dtype=np.complex128)
-    k = truncation_index(ifs, np.abs(xi), tol)
     out = np.ones(xi.shape, dtype=np.complex128)
     u = np.conj(xi)
-    for n in range(int(k.max(initial=0))):
+    for n in range(int(np.max(k, initial=0))):
         out = np.where(k > n, out * phi(ifs, u), out)
         u = u * ifs.lam
     return out
+
+
+def product_oracle(ifs, xi, tol):
+    """The first ``truncation_index`` factors at each frequency, as ``mu_hat``
+    keeps them, without the mean phase: its modulus is ``mu_hat``'s."""
+    return head_product(ifs, xi, truncation_index(ifs, np.abs(np.asarray(xi)), tol))
+
+
+def digit_moments(ifs):
+    """The digits' mean m and variance sum_j p_j |w_j - m|^2."""
+    m = sum(p * w for w, p in zip(ifs.digits, ifs.probs))
+    return m, sum(p * abs(w - m) ** 2 for w, p in zip(ifs.digits, ifs.probs))
+
+
+def second_order_tail(ifs, abs_xi, n):
+    """2 pi^2 |xi|^2 |lam|^(2n) Var d / (1 - |lam|^2), squared last so that
+    |xi|^2 cannot overflow."""
+    alam = abs(ifs.lam)
+    return (math.pi * abs_xi * alam**n * math.sqrt(2 * digit_moments(ifs)[1] / (1 - alam**2))) ** 2
+
+
+def first_order_tail(ifs, abs_xi, n):
+    """2 pi max|w| |xi| |lam|^n / (1 - |lam|): the geometric sum of the
+    per-factor bounds |Phi(u) - 1| <= 2 pi max|w| |u| from n on."""
+    alam = abs(ifs.lam)
+    return 2 * math.pi * max(abs(w) for w in ifs.digits) * abs_xi * alam**n / (1 - alam)
+
+
+def first_order_index(ifs, abs_xi, tol):
+    """Smallest K with first_order_tail(K) < tol, by counting."""
+    k = 0
+    while first_order_tail(ifs, abs_xi, k) >= tol:
+        k += 1
+    return k
 
 
 def sinc_ft(xi: float) -> float:
@@ -121,6 +154,35 @@ class TestMuHat:
             )
             budget = 2e-9 + 2 * tail + 1e-12
             assert np.all(np.abs(got - oracle) <= budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(0.1, 0.3),
+        theta=st.floats(0.1, math.pi - 0.1),
+        digits=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),
+                        min_size=2, max_size=4),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_vs_tower_sums_with_nonzero_mean(self, r, theta, digits, tol, seed):
+        # independent oracle where the mean phase is not 1: plain
+        # exponential sums over the front and back towers of mu_D, each
+        # every digit sequence of its levels, with no merging; mu_D is
+        # within the first-order tail at D of mu_hat
+        ifs = _random_scan_system(r, theta, False, digits)
+        assume(abs(digit_moments(ifs)[0]) >= 0.1)
+        half = {2: 14, 3: 9, 4: 7}[ifs.m]  # at most 19,683 atoms a tower
+        rng = np.random.default_rng(seed)
+        xi = 14 * (rng.random(20) + 1j * rng.random(20) - 0.5 - 0.5j)
+        oracle = np.ones(xi.shape, dtype=np.complex128)
+        for start in (0, half):
+            pos, wts = np.zeros(1, dtype=np.complex128), np.ones(1)
+            for n in range(start, start + half):
+                pos = (pos[:, None] + ifs.lam**n * np.array(ifs.digits)[None, :]).ravel()
+                wts = (wts[:, None] * np.array(ifs.probs)[None, :]).ravel()
+            oracle *= fourier_sum(pos, wts, xi)
+        tail = np.expm1([first_order_tail(ifs, a, 2 * half) for a in np.abs(xi)])
+        assert np.all(np.abs(mu_hat(ifs, xi, tol) - oracle) <= tol + tail + 1e-12)
 
     def test_conjugation_symmetry(self):
         rng = np.random.default_rng(31)
@@ -214,18 +276,65 @@ class TestTruncationIndex:
         boundary=st.none() | st.integers(0, 40),
     )
     def test_smallest_index_with_tail_below_tol(self, ifs, tol, abs_xi, boundary):
-        # tail(K) = 2 pi max|w| |xi| |lam|^K / (1 - |lam|) bounds the omitted
-        # factors; ``boundary`` places |xi| where tail(boundary) = tol
-        w_max, alam = max(abs(w) for w in ifs.digits), abs(ifs.lam)
-        if boundary is not None and w_max > 0:
-            abs_xi = tol * (1 - alam) / (2 * math.pi * w_max * alam**boundary)
+        # second_order_tail(K) bounds head_K times the mean phase against
+        # mu_hat; ``boundary`` places |xi| where tail(boundary) = tol
+        alam, var = abs(ifs.lam), digit_moments(ifs)[1]
+        if boundary is not None and var > 0:
+            abs_xi = math.sqrt(tol * (1 - alam**2) / (2 * var)) / (math.pi * alam**boundary)
         k = int(truncation_index(ifs, abs_xi, tol))
 
         def tail(n):
-            return 2 * math.pi * w_max * abs_xi * alam**n / (1 - alam)
+            return second_order_tail(ifs, abs_xi, n)
 
         assert tail(k) <= tol * (1 + 1e-12)
         assert k == 0 or tail(k - 1) >= tol * (1 - 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ifs=RANDOM_SYSTEMS,
+        tol=st.floats(1e-14, 10.0),
+        abs_xi=st.floats(0.0, 1e5),
+        boundary=st.none() | st.integers(0, 40),
+    )
+    def test_never_above_the_first_order_index(self, ifs, tol, abs_xi, boundary):
+        # Var d <= max|w|^2 puts the second-order tail below the square of
+        # the first-order one; past tol = 2 no factor is needed at all.
+        # ``boundary`` places |xi| where the first-order tail is tol,
+        # unless a subnormal max|w| makes tol / tail overflow
+        unit = first_order_tail(ifs, 1.0, boundary or 0)
+        if boundary is not None and unit > 0 and math.isfinite(tol / unit):
+            abs_xi = tol / unit
+        k = int(truncation_index(ifs, abs_xi, tol))
+        assert k <= first_order_index(ifs, abs_xi, tol)
+        assert tol <= 2.0 or k == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ifs=RANDOM_SYSTEMS,
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_within_tol_of_mu_hat(self, ifs, tol, seed):
+        # the reference keeps the factors of the first-order index at
+        # 1e-18, within 2e-18 of mu_hat and with no phase; 5e-14 allows for
+        # the rounding of up to a thousand factors (at tol 1e-15 the
+        # rounding alone reaches 1e-14)
+        rng = np.random.default_rng(seed)
+        xi = 60 * (rng.random(50) + 1j * rng.random(50) - 0.5 - 0.5j)
+        k = np.array([first_order_index(ifs, a, 1e-18) for a in np.abs(xi)])
+        want = head_product(ifs, xi, k)
+        assert np.max(np.abs(mu_hat(ifs, xi, tol) - want)) <= tol + 5e-14
+
+    @pytest.mark.parametrize("c", [1.0, -0.3 + 2j, 1e-3j])
+    def test_atomic_system_is_the_dirac_transform(self, c):
+        # digits (c, c): the law is the Dirac mass at the fixed point
+        # c / (1 - lam), and no factor is kept, only the mean phase
+        lam = 0.6 - 0.5j
+        ifs = IFSDescriptor(lam, (c, c), (0.5, 0.5))
+        xi = np.array([0.0, 1.5 + 2j, -7j, 40.25 - 13j])
+        assert np.all(truncation_index(ifs, np.abs(xi), 1e-12) == 0)
+        want = [cmath.exp(2j * math.pi * (c / (1 - lam) * x.conjugate()).real) for x in xi]
+        assert np.max(np.abs(mu_hat(ifs, xi, 1e-12) - want)) <= 1e-12
 
 
 def assert_scan_matches_oracle(ifs, T, k, tol):

@@ -337,3 +337,69 @@ def test_guard_sees_pair_search():
         assert pair_search_sites(source) == want, source
     source = "close_pairs = _close_d2(x, y, 5)\nmin_gap = mu.gap\nwindow = _WINDOW\n"
     assert pair_search_sites(source) == []
+
+
+_LOGS = ("log", "log2", "log10", "log1p")
+
+
+def truncation_sites(source: str) -> list[str]:
+    """Where ``source`` sets or asks for a product truncation index, sorted.
+
+    - ``F computes`` for a function F that takes the ceiling of an
+      expression holding a logarithm, the shape of a truncation index
+      (the smallest K with a geometric bound below tol)
+    - ``F calls`` for a function F that calls ``truncation_index``, bare
+      or as an attribute; ``<module>`` stands for code outside functions
+    """
+    found = set()
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            if name(node) == "truncation_index":
+                found.add(f"{owner} calls")
+            if name(node) == "ceil" and any(
+                isinstance(inner, ast.Call) and name(inner) in _LOGS
+                for arg in node.args for inner in ast.walk(arg)
+            ):
+                found.add(f"{owner} computes")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_truncation_index():
+    # every K comes from truncation_index, and only the product kernel,
+    # which multiplies in the omitted factors' mean phase, asks for it: a
+    # scan-only path with a K of its own, or one that skips the kernel and
+    # its phase, would be a second rule for the same tail
+    sites = {path.name: truncation_sites(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in sites.items() if found} == {
+        "fourier.py": ["_product calls", "truncation_index computes"],
+    }
+
+
+def test_guard_sees_truncation_sites():
+    source = (
+        "def kernel(ifs, xi, tol):\n"
+        "    return truncation_index(ifs, abs(xi), tol)\n"
+        "def scan(ifs, xi, tol):\n"
+        "    k = np.ceil(np.log(tol / xi) / math.log(abs(ifs.lam)))\n"
+        "def depth(budget, m):\n"
+        "    return math.ceil(math.log2(budget) / m)\n"
+        "def cells(T):\n"
+        "    return math.ceil(T), math.floor(-math.log2(T))\n"
+        "def branching(lam):\n"
+        "    return math.ceil(0.5 * (1.0 + 3.0 / abs(lam) ** 2))\n"
+        "ks = fourier.truncation_index(ifs, [1.0], 1e-9)\n"
+    )
+    assert truncation_sites(source) == [
+        "<module> calls", "depth computes", "kernel calls", "scan computes",
+    ]
