@@ -7,7 +7,7 @@ Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).  Products keep K factors and
 multiply in the omitted factors' mean phase, with K set by a second-order
 tail bound (``truncation_index``): the value is within tol of mu_hat, and
 its modulus is an upper bound on the true |mu_hat|, both up to
-floating-point rounding of about 1e-14 absolute.  One kernel,
+floating-point rounding (so tol >= 1e-12 is required).  One kernel,
 ``_product``, evaluates it for ``mu_hat``, the scan and the IFS energy.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +43,11 @@ def _digit_moments(ifs: IFSDescriptor) -> tuple[complex, float]:
     return m, sum(p * ((w - m).real ** 2 + (w - m).imag ** 2) for w, p in pairs)
 
 
+def _check_tol(tol: float) -> None:
+    if not 1e-12 <= tol < math.inf:  # rounding reaches 1.3e-13 already at |xi| = 42
+        raise DomainError(f"tol must be finite and >= the rounding floor 1e-12, got {tol!r}")
+
+
 def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     """Smallest K with 2*pi^2*|xi|^2*|lam|^(2K)*Var d/(1 - |lam|^2) < tol.
 
@@ -54,14 +59,14 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     tail is the phase e(Re(M_K conj xi)) to within the bound above, so
     the first K factors times that phase (``_product``) are within tol
     of mu_hat, and their modulus alone is at least |mu_hat|, in exact
-    arithmetic: rounding adds about 1e-14 absolute, so a tol below about
-    1e-13 certifies no more than rounding allows.  Both have modulus
-    <= 1, so tol > 2 needs no factor: K = 0, as it is everywhere when
-    Var d = 0 (all digits equal).  Var d <= max|w|^2 keeps K at or below
-    the first-order index, the smallest K with 2*pi*max|w|*|xi|*
-    |lam|^K/(1 - |lam|) < tol.  Vectorized over |xi|.  Raises DomainError
-    unless tol and every |xi| are finite and tol > 0, and when that
-    first-order bound at some |xi| overflows.
+    arithmetic: rounding adds 1e-14 or more, growing with |xi|, so
+    ``_product`` refuses a tol below 1e-12; this formula does not.  Both
+    have modulus <= 1, so tol > 2 needs no factor: K = 0, as it is
+    everywhere when Var d = 0 (all digits equal).  Var d <= max|w|^2 keeps
+    K at or below the first-order index, the smallest K with
+    2*pi*max|w|*|xi|*|lam|^K/(1 - |lam|) < tol.  Vectorized over |xi|.
+    Raises DomainError unless tol and every |xi| are finite and tol > 0,
+    and when that first-order bound at some |xi| overflows.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -91,13 +96,14 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
 
     Each frequency keeps the first K factors, K = ``truncation_index`` at
     |xi| (the smallest integer whose second-order tail bound falls below
-    ``tol``, finite and > 0), times the omitted factors' mean phase; the
-    result is within tol of the exact value (so within the 2*tol of the
-    first-order rule for tol <= 1/2), and its modulus is an upper bound
-    on |mu_hat|, both up to floating-point rounding of about 1e-14
-    absolute, which a tol below about 1e-13 does not beat.  A lone frequency goes to ``_product`` as two copies of
-    itself, since numpy multiplies a one-element complex array on another
-    path, so a scalar call, a batch lane and the scan agree bit for bit.
+    ``tol``, finite and >= 1e-12, else a DomainError), times the omitted
+    factors' mean phase; the result is within tol of the exact value (so
+    within the 2*tol of the first-order rule for tol <= 1/2), and its
+    modulus is an upper bound on |mu_hat|, both up to floating-point
+    rounding, about 1e-14 at small |xi| and 1.3e-13 at |xi| = 42.  A
+    lone frequency goes to ``_product`` as two copies of itself, since
+    numpy multiplies a one-element complex array on another path, so a
+    scalar call, a batch lane and the scan agree bit for bit.
     """
     xi_arr = np.asarray(xi, dtype=np.complex128)
     flat = xi_arr.ravel()
@@ -121,6 +127,7 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
     on its frequency alone.  The phase's argument M_K.real x + M_K.imag y
     is exactly odd in xi, so mu_hat(-xi) stays the conjugate bit for bit.
     """
+    _check_tol(tol)
     grid = x + 1j * y
     xi = grid.ravel()[at]
     k = truncation_index(ifs, np.abs(xi), tol)
@@ -222,11 +229,6 @@ def _scan_cells(T: float):
     return ii - n, jj - n
 
 
-def _modulus(block) -> np.ndarray:
-    """|_product| of one scan block, so that a pool worker sends back floats."""
-    return np.abs(_product(*block))
-
-
 def scan_blocks(
     ifs: IFSDescriptor,
     T: float,
@@ -237,14 +239,14 @@ def scan_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The scan core: sampled |mu_hat| on every unit cell meeting |xi| <= T.
 
-    Checks the arguments and the point budget at once (first the lower
-    bound pi T^2 k^2, as the cells cover the disk, so no O(T^2) work is
-    done past the budget; a T so large that the bound overflows is over
-    it), then returns an iterator over blocks of (ci, cj, xi, values):
-    cell indices, sample frequencies and truncated |mu_hat|, cell-major
-    then subgrid-major.  The blocks come in mirrored pairs, the cell
-    rows [-i1, -i0) and then [i0, i1), for i0 = 0, s, 2s, ... with
-    s = max(1, _ROW_BLOCK // k).
+    Checks the arguments (tol as ``_product`` does) and the point budget
+    at once (first the lower bound pi T^2 k^2, as the cells cover the
+    disk, so no O(T^2) work is done past the budget; a T so large that
+    the bound overflows is over it), then returns an iterator over blocks
+    of (ci, cj, xi, values): cell indices, sample frequencies and
+    truncated |mu_hat|, cell-major then subgrid-major.  The blocks come
+    in mirrored pairs, the cell rows [-i1, -i0) and then [i0, i1), for
+    i0 = 0, s, 2s, ... with s = max(1, _ROW_BLOCK // 2k).
 
     The points lie on the tensor grid axis x axis, axis = arange(-nk,
     nk + 1) / k with n = ceil(T), where the digit character separates;
@@ -258,16 +260,15 @@ def scan_blocks(
     keeps this bit for bit (|xi|, exp, complex multiply and add are
     sign-symmetric under round-to-nearest), so a pair is one call of the
     product kernel ``_product`` on that grown rectangle, and every value
-    is ``np.abs(mu_hat)`` at its frequency, bit for bit.  Values depend on
-    their frequency alone and blocks not on ``workers``, so the output is
-    bit-for-bit the same for any worker count.  With ``workers`` > 1 a
-    process pool maps ``_modulus`` over the pairs; closing the iterator
-    shuts it down.
+    is ``np.abs(mu_hat)`` at its frequency, bit for bit, so the output is
+    the same for any ``workers``: that many threads of this process map
+    the kernel over the pairs; closing the iterator shuts their pool down.
     """
     if not 1 <= T < math.inf:
         raise DomainError("scan radius T must be finite and >= 1")
     if subgrid_k < 1:
         raise DomainError("subgrid_k must be >= 1")
+    _check_tol(tol)
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else int(cell_budget)
     k = subgrid_k
     # pi (T k)^2 > budget, compared without squaring T, which can overflow
@@ -285,30 +286,28 @@ def scan_blocks(
     sub = np.arange(k)
     gx = ((ci + n) * k)[:, None, None] + sub[None, :, None]
     gy = ((cj + n) * k)[:, None, None] + sub[None, None, :]
-    step = max(1, _ROW_BLOCK // k)
+    step = max(1, _ROW_BLOCK // (2 * k))  # 32 point rows: all workers' blocks share this process
     # cells are sorted by row, so each block of cell rows is a run of cells
     bounds = np.arange(0, n + step, step)
     own, mirror = np.searchsorted(ci, bounds), np.searchsorted(ci, -bounds)
     spans = list(zip(zip(own[:-1], own[1:]), zip(mirror[1:], mirror[:-1])))
-    blocks = []
-    for (s0, s1), (m0, m1) in spans:
+
+    def modulus(span):
+        (s0, s1), (m0, m1) = span
         rows, cols = gx[s0:s1], gy[s0:s1]
         r0, r1, c0, c1 = rows.min(), rows.max() + 2, cols.min(), cols.max() + 2
-        # the own points, then the mirror's at (2nk - u, 2nk - v); int32
-        # halves the indices, which the pool holds for every block at once
+        # the own points, then the mirror's at (2nk - u, 2nk - v)
         at = np.concatenate([
-            ((rows - r0) * (c1 - c0) + cols - c0).ravel().astype(np.int32),
-            ((nk2 - gx[m0:m1] - r0) * (c1 - c0) + nk2 - gy[m0:m1] - c0)
-            .ravel().astype(np.int32),
+            ((rows - r0) * (c1 - c0) + cols - c0).ravel(),
+            ((nk2 - gx[m0:m1] - r0) * (c1 - c0) + nk2 - gy[m0:m1] - c0).ravel(),
         ])
-        blocks.append((ifs, tol, axis[r0:r1, None], axis[None, c0:c1], at))
+        return np.abs(_product(ifs, tol, axis[r0:r1, None], axis[None, c0:c1], at))
 
     def stream():
-        size = min(workers, len(blocks))  # workers beyond the blocks would sit idle
-        pool = ProcessPoolExecutor(size) if size > 1 else None
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None  # a thread per pair at most
         try:
             run = map if pool is None else pool.map
-            for ((s0, s1), (m0, m1)), values in zip(spans, run(_modulus, blocks)):
+            for ((s0, s1), (m0, m1)), values in zip(spans, run(modulus, spans)):
                 split = (s1 - s0) * k * k
                 for (b0, b1), part in (((m0, m1), values[split:]), ((s0, s1), values[:split])):
                     xi = (axis[gx[b0:b1]] + 1j * axis[gy[b0:b1]]).ravel()
@@ -332,11 +331,10 @@ def grid_scan(
 
     Stores, per cell, the maximum sampled value on the subgrid lattice
     in the dense grid of a ``ScanField``, reduced block by block from
-    ``scan_blocks`` so no per-point array outlives its block.  The
-    blocks come in pairs mirrored under xi -> -xi, read off one product
-    evaluation since |mu_hat| is even, and are scattered into the grid
-    by cell index, so their order does not matter.  The output is
-    identical for any ``workers``.
+    ``scan_blocks`` (pairs mirrored under xi -> -xi, read off one product
+    evaluation since |mu_hat| is even) and scattered by cell index, so
+    their order does not matter.  ``workers`` threads of this process
+    share the scan, and the output is the same for any count.
     """
     blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
     n = math.ceil(T)

@@ -370,12 +370,13 @@ def covering_report(
     rescaled to t = lam^N * conj(xi) and must land in S(N, et);
     membership is tested with 1e-9 additive slack on rho.  Frequencies
     with |t| >= 1 are outside the statement and are skipped.  Each block
-    of ``scan_blocks`` is counted and audited before the next is read, so
-    memory is O(block), not O(points).  The blocks come in pairs mirrored under
-    xi -> -xi, whose values the scan reads off one product evaluation
-    (|mu_hat| is even, bit for bit); the audit still rescales and tests
-    the frequencies of both.  A radius |lam|^-N that overflows a float is
-    a BudgetError.
+    of ``scan_blocks`` is counted and audited before the next is read.
+    The blocks come in pairs mirrored under xi -> -xi, whose values the
+    scan reads off one product evaluation (|mu_hat| is even, bit for
+    bit); the audit still rescales and tests the frequencies of both.
+    ``workers`` threads of this process share the scan, and the report
+    is the same for any count.  A radius |lam|^-N that overflows a float
+    is a BudgetError.
     """
     if ifs.bound_regime() != "complex":
         raise RegimeError("covering reports need the complex (Im lambda != 0) regime")

@@ -205,6 +205,30 @@ class TestImportPath:
         assert out.strip() == "[]"
         assert len(list(tmp_path.glob("*.json"))) == len(commands)
 
+    def test_scan_workers_load_no_process_machinery(self, tmp_path):
+        # importing the CLI, and running scan and ek cover on two worker
+        # threads, loads neither multiprocessing nor the process pool
+        src = str(Path(ssfourier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        commands = [
+            ["scan", "--lambda", "0.5+0.5i", "--T", "24"],
+            ["ek", "cover", "--lambda", "0.5+0.5i", "--N", "8", "--epsilon", "0.05"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from ssfourier.cli import run\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            f"    out = ['--workers', '2', '--out', {str(tmp_path)!r} + f'/{{i}}.json']\n"
+            "    assert run(out + argv) == 0, argv\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+            "          or m == 'concurrent.futures.process']\n"
+            "print(json.dumps(sorted(loaded)))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+        assert len(list(tmp_path.glob("*.json"))) == len(commands)
+
 
 class TestEK:
     def test_verify_clean(self, capsys):
@@ -813,6 +837,21 @@ class TestParameterRefusals:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_DOMAIN
         assert strict_json(out)["error"]["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--lambda", "0.5+0.5i", "--xi", "5,7.25", "--tol", "1e-13"],
+        ["scan", "--lambda", "0.5+0.5i", "--T", "4", "--tol", "5e-13"],
+        ["ek", "cover", "--lambda", "0.5+0.5i", "--N", "8", "--epsilon", "0.05",
+         "--tol", "9.99e-13"],
+    ], ids=["eval", "scan", "cover"])
+    def test_tol_below_the_rounding_floor(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_DOMAIN
+        error = strict_json(out)["error"]
+        assert error["kind"] == "DomainError"
+        assert "rounding floor 1e-12" in error["message"]
+        # the --tol value comes last; the floor itself is accepted
+        assert run_cli(capsys, *argv[:-1], "1e-12")[0] == EXIT_OK
 
 
 class TestFileErrors:

@@ -347,6 +347,33 @@ def assert_scan_matches_oracle(ifs, T, k, tol):
     assert origin == [1.0]
 
 
+class TestTolFloor:
+    """A tol below 1e-12, which floating-point rounding alone can exceed,
+    is refused by the product kernel; the index formula still takes it."""
+
+    @pytest.mark.parametrize("tol", [9.99e-13, 1e-13, 1e-300])
+    def test_below_the_floor_refused(self, complex_bernoulli, tol):
+        for call in (
+            lambda: mu_hat(complex_bernoulli, 3.0 + 1j, tol),
+            lambda: mu_hat(complex_bernoulli, np.array([0.5, 7j]), tol),
+            lambda: grid_scan(complex_bernoulli, 4.0, tol=tol),
+        ):
+            with pytest.raises(DomainError, match="rounding floor 1e-12"):
+                call()
+
+    def test_floor_accepted(self, complex_bernoulli):
+        xi = np.array([0.0, 3.0 + 1j, -20.5 + 7j])
+        values = mu_hat(complex_bernoulli, xi, 1e-12)
+        assert values[0] == 1.0
+        assert np.max(np.abs(values - mu_hat(complex_bernoulli, xi, 1e-9))) <= 1.1e-9
+        for _, _, x, v in scan_blocks(complex_bernoulli, 3.0, 2, 1e-12):
+            assert np.array_equal(v, np.abs(mu_hat(complex_bernoulli, x, 1e-12)))
+
+    def test_index_formula_takes_any_positive_tol(self, complex_bernoulli):
+        k = [int(truncation_index(complex_bernoulli, 10.0, t)) for t in (1e-12, 1e-14)]
+        assert 0 < k[0] <= k[1]
+
+
 class TestGridScan:
     def test_origin_cell(self, complex_bernoulli):
         field = grid_scan(complex_bernoulli, 1.0, subgrid_k=3, tol=1e-9)
@@ -420,12 +447,13 @@ class TestGridScan:
         assert_scan_matches_oracle(ifs, T, k, tol)
 
     def test_blocks_stream_cells_in_order(self, complex_bernoulli):
-        # T = 40, k = 4: pairs of blocks of 16 cell rows, the mirror [-i1, -i0)
+        # T = 40, k = 4: pairs of blocks of 8 cell rows, the mirror [-i1, -i0)
         # then [i0, i1), each a run of disk cells in sorted order, k * k
         # points each, cell-major; together every disk cell exactly once
         k = 4
         parts = list(scan_blocks(complex_bernoulli, 40.0, k, 1e-9))
-        rows = [(-16, 0), (0, 16), (-32, -16), (16, 32), (-40, -32), (32, 40)]
+        rows = [(-8, 0), (0, 8), (-16, -8), (8, 16), (-24, -16), (16, 24),
+                (-32, -24), (24, 32), (-40, -32), (32, 40)]
         assert len(parts) == len(rows)
         ci, cj = _scan_cells(40.0)
         for (lo, hi), (bi, bj, xi, values) in zip(rows, parts):
@@ -463,20 +491,44 @@ class TestGridScan:
         assert sum(grid_points) <= 0.6 * sampled
 
     def test_pool_shut_down_when_consumer_stops(self, complex_bernoulli, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
         calls = []
 
-        class Pool(ProcessPoolExecutor):
+        class Pool(ThreadPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 calls.append(cancel_futures)
                 super().shutdown(wait, cancel_futures=cancel_futures)
 
-        monkeypatch.setattr(ssfourier.fourier, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(ssfourier.fourier, "ThreadPoolExecutor", Pool)
         blocks = scan_blocks(complex_bernoulli, 72.0, 4, 1e-9, workers=2)
         next(blocks)
         blocks.close()
         assert calls == [True]
+
+    def test_more_threads_than_cores_same_bits(self, complex_bernoulli):
+        # eight worker threads on nine pairs, switching as often as the
+        # interpreter allows: the arrays they share are only read
+        want = grid_scan(complex_bernoulli, 72.0, workers=1).grid
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = grid_scan(complex_bernoulli, 72.0, workers=8).grid
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, 5e-13])
+    def test_tol_checked_at_once(self, complex_bernoulli, monkeypatch, workers, tol):
+        # the call itself raises: no cell is listed and no pool is started
+        def refuse(*args):
+            raise AssertionError("scan work started")
+
+        monkeypatch.setattr(ssfourier.fourier, "_scan_cells", refuse)
+        monkeypatch.setattr(ssfourier.fourier, "ThreadPoolExecutor", refuse)
+        with pytest.raises(DomainError, match="tol must be finite"):
+            scan_blocks(complex_bernoulli, 8.0, 4, tol, workers=workers)
 
     def test_budget_lower_bound_before_cells(self, complex_bernoulli, monkeypatch):
         # pi T^2 k^2 points at least: T = 1e9 is refused without building
@@ -827,12 +879,12 @@ class TestProductKernel:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
     def test_scan_values_are_mu_hat_bits(self, system, workers):
-        # T = 30.5 with k = 4 gives four row blocks, so two workers share them;
+        # T = 30.5 with k = 4 gives eight row blocks, so two workers share them;
         # np.abs, since Python's abs(complex) can differ in the last bit
         ifs = KERNEL_SYSTEMS[system]
         tol = 1e-9
         blocks = list(scan_blocks(ifs, 30.5, 4, tol, workers=workers))
-        assert len(blocks) == 4
+        assert len(blocks) == 8
         for _, _, xi, values in blocks:
             assert np.array_equal(values, np.abs(mu_hat(ifs, xi, tol)))
 
