@@ -7,8 +7,12 @@ Phi(u) = sum_j p_j exp(2*pi*i*Re(w_j*u)).  Products keep K factors and
 multiply in the omitted factors' mean phase, with K set by a second-order
 tail bound (``truncation_index``): the value is within tol of mu_hat, and
 its modulus is an upper bound on the true |mu_hat|, both up to
-floating-point rounding (so tol >= 1e-12 is required).  One kernel,
-``_product``, evaluates it for ``mu_hat``, the scan and the IFS energy.
+floating-point rounding (so tol >= 1e-12 is required).  That rounding
+grows with |xi|: the mean phase's is about 2*pi*|m|*|xi|/|1 - lam| units
+of 2^-53 (m the digit mean), so for lam = 0.744+0.094i and digits (i, i)
+the error reached 1.2e-12 at |xi| <= 420, and "within tol" at tol 1e-12
+does not hold past |xi| ~ 400 there.  One kernel, ``_product``,
+evaluates it for ``mu_hat``, the scan and the IFS energy.
 """
 
 from __future__ import annotations
@@ -100,7 +104,11 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
     factors' mean phase; the result is within tol of the exact value (so
     within the 2*tol of the first-order rule for tol <= 1/2), and its
     modulus is an upper bound on |mu_hat|, both up to floating-point
-    rounding, about 1e-14 at small |xi| and 1.3e-13 at |xi| = 42.  A
+    rounding, about 1e-14 at small |xi| and 1.3e-13 at |xi| = 42.  The
+    rounding grows with |xi|, as 2*pi*|m|*|xi|/|1 - lam| units of 2^-53
+    in the mean phase (m the digit mean): for lam = 0.744+0.094i and
+    digits (i, i) it reached 1.2e-12 at |xi| <= 420, so at tol 1e-12 the
+    value is not within tol past |xi| ~ 400 there.  A
     lone frequency goes to ``_product`` as two copies of itself, since
     numpy multiplies a one-element complex array on another path, so a
     scalar call, a batch lane and the scan agree bit for bit.

@@ -131,6 +131,12 @@ def pushforward_measure(f: AnalyticMap, mu: DiscreteMeasure) -> DiscreteMeasure:
 class DecayProfile:
     """Per-annulus maxima of |FT(F mu)| and the fitted log-log slope.
 
+    ``annulus_max`` is the maximum over the 2 * ``directions`` angles that
+    ``annulus_maxima`` samples on each circle, so it is a lower bound on
+    the sup over the circle, and not a certified one; for even
+    ``directions`` the second half of the equispaced angles is sampled at
+    -xi through FT(-xi) = conj FT(xi).
+
     ``predicted_exponent`` is the explicit min((s - delta)/3, eps/3)
     guarantee evaluated at the best eps; it is reported for comparison
     only, since the unknown prefactor makes it unverifiable at desk
@@ -162,26 +168,38 @@ class DigitTree:
     Atom i of level j is atom ``parent[i]`` of level j - 1 (the root 0
     before level 0) plus ``steps[j, digit[i]]``, where ``steps[j]`` is
     lam**(start + j) times the digits; ``points`` are the final atoms' tree
-    points, in the block's atom order.
+    points, in the block's atom order.  ``groups[j]`` sorts level j's rows
+    by digit up to sign: one ``(d, plus, minus)`` per distinct nonzero digit
+    w = digits[d] up to sign that the level uses, ``plus`` the rows whose
+    digit is w and ``minus`` those whose digit is -w; rows of the digit 0
+    are in no group.
     """
 
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
     steps: np.ndarray
     points: np.ndarray
+    groups: tuple[tuple[tuple[int, np.ndarray, np.ndarray], ...], ...]
 
     def coupling(self, alpha: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndarray:
         """start * e(Re(alpha z w)) for each lane, tree point z and column w.
 
         ``alpha`` has one entry per lane, ``start`` shape (lanes, 1, W).
         Since z = sum_j steps[j, digit_j], the kernel is the product over
-        levels of e(Re(alpha steps[j, d] w)): one lanes x m x W table of
-        exponentials per level, gathered down the tree.
+        levels of e(Re(alpha steps[j, d] w)), gathered down the tree.  A
+        level takes one lanes x W table of exponentials per group, and the
+        rows of -w take its conjugate: steps[j] of -w is the exact
+        negation of that of w, so its phases are too, bit for bit.  The
+        digit 0's table is all ones, so its rows take no multiply.
         """
         out = start
-        for (parent, digit), step in zip(self.levels, self.steps):
-            table = _e(((alpha[:, None] * step)[:, :, None] * cols).real)
-            out = out[:, parent, :]  # a copy: the product in place keeps one array fewer
-            out *= table[:, digit, :]
+        for (parent, _), step, groups in zip(self.levels, self.steps, self.groups):
+            out = out[:, parent, :]  # a copy: the products in place keep one array fewer
+            for d, plus, minus in groups:
+                table = _e(((alpha * step[d])[:, None] * cols).real)[:, None, :]
+                if plus.size:
+                    out[:, plus, :] *= table
+                if minus.size:
+                    out[:, minus, :] *= np.conj(table)
         return out
 
 
@@ -206,14 +224,17 @@ class SplitPushforward:
     E1[u, v1] = w_v1 e(Re((c1 v1 + c2 v1^2) conj xi)) K(u, v1), E2 likewise
     over v2, and G[v1, v2] = K(v1, v2).  The coupling matrices come from
     the digit trees (``trees``) of u and v1: z = sum_j lam^j d_j makes
-    K(z, w) a product over tree levels, so each level costs one m x W table
-    of exponentials and one gather-and-multiply (``DigitTree.coupling``).
-    Per frequency that is k m (V1 + V2) + a m V2 + U + V1 + V2
-    exponentials (k, a the levels of the u and v1 blocks), gathers of
-    N_u (V1 + V2) + N_v1 V2 entries (N the atoms of a tree summed over its
-    levels) and one U x V1 x V2 matrix product; the tower itself is never
-    built.  For affine F (c2 = 0) the sum
-    factors further: the transform is e(Re(c0 conj xi)) times the product
+    K(z, w) a product over tree levels, so each level costs one W-entry
+    table of exponentials per distinct nonzero digit up to sign, a gather
+    and a multiply of the rows of nonzero digits (``DigitTree.coupling``).
+    Per frequency that is k q (V1 + V2) + a q V2 + U + V1 + V2
+    exponentials (k, a the levels of the u and v1 blocks, q <= m the
+    distinct nonzero digits up to sign, 1 for digits -1, 0, 1), gathers
+    of N_u (V1 + V2) + N_v1 V2 entries (N the atoms of a tree summed over
+    its levels) and one U x V1 x V2 matrix product; the tower itself is
+    never built.  Every phase is exactly odd in xi, so FT(-xi) is
+    conj FT(xi) bit for bit, on both branches.  For affine F (c2 = 0) the
+    sum factors further: the transform is e(Re(c0 conj xi)) times the product
     of the three block transforms at conj(c1) xi, each a direct sum, so
     U + V1 + V2 exponentials per frequency.
 
@@ -273,6 +294,25 @@ def _e(phase: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * phase)
 
 
+def _sign_classes(digits) -> list[tuple[int, list[int], list[int]]]:
+    """``(d, plus, minus)`` for one d per distinct nonzero digit w = digits[d]
+    up to sign: the indices of the digits equal to w and to -w."""
+    classes = []
+    for i, w in enumerate(digits):
+        if w == 0:
+            continue
+        for d, plus, minus in classes:
+            if w == digits[d]:
+                plus.append(i)
+                break
+            if w == -digits[d]:
+                minus.append(i)
+                break
+        else:
+            classes.append((i, [i], []))
+    return classes
+
+
 def split_pushforward(
     f: AnalyticMap,
     ifs: IFSDescriptor,
@@ -294,12 +334,16 @@ def split_pushforward(
     k = -(-depth // 3)
     a = -(-(depth - k) // 2)
     digits = np.array(ifs.digits, dtype=np.complex128)
-    # after n levels: mus[n], its tree points points[n]; level n: levels[n], lam**n
+    classes = _sign_classes(ifs.digits)
+    # after n levels: mus[n], its tree points points[n]; level n: levels[n], groups[n], lam**n
     mus, points = [DiscreteMeasure.dirac(0.0)], [np.zeros(1, dtype=np.complex128)]
-    levels, scales = [], [1.0 + 0.0j]
+    levels, groups, scales = [], [], [1.0 + 0.0j]
     for mu, first in tower_levels(ifs, k, atom_budget):
         levels.append(np.divmod(first, ifs.m))
         parent, digit = levels[-1]
+        rows = [(d, np.flatnonzero(np.isin(digit, plus)), np.flatnonzero(np.isin(digit, minus)))
+                for d, plus, minus in classes]
+        groups.append(tuple(g for g in rows if g[1].size or g[2].size))
         # the tower's own sums, so that points equal positions where no merge happened
         points.append(points[-1][parent] + (scales[-1] * digits)[digit])
         mus.append(mu)
@@ -307,7 +351,8 @@ def split_pushforward(
 
     def tree(n: int, start: int) -> DigitTree:
         steps = np.array([ifs.lam**start * s * digits for s in scales[:n]], dtype=np.complex128)
-        return DigitTree(tuple(levels[:n]), steps.reshape(n, ifs.m), points[n] * ifs.lam**start)
+        return DigitTree(tuple(levels[:n]), steps.reshape(n, ifs.m), points[n] * ifs.lam**start,
+                         tuple(groups[:n]))
 
     blocks = tuple(scale_rotate(mus[n], ifs.lam**start)
                    for start, n in ((0, k), (k, a), (k + a, depth - k - a)))
@@ -327,6 +372,14 @@ def annulus_maxima(
 
     Each circle gets ``directions`` equispaced angles and one jittered
     angle per sector, all drawn from one generator seeded with ``seed``.
+    The maximum is over these 2 * ``directions`` samples only, so it is a
+    lower bound on the sup over the circle, and not a certified one.
+
+    For even ``directions`` only the equispaced sectors s < directions/2
+    are evaluated: the other half is sampled at -xi_s, which differs from
+    its equispaced frequency by rounding only, since FT(-xi) = conj FT(xi) bit for bit on
+    every path here (the phases are exactly odd in xi), so |FT(-xi_s)|
+    is |FT(xi_s)|.  Odd ``directions`` evaluate every equispaced angle.
 
     ``mu`` is a DiscreteMeasure, summed directly (the oracle path), or a
     SplitPushforward, evaluated through its tower split.
@@ -338,10 +391,11 @@ def annulus_maxima(
     else:
         transform = partial(fourier_sum, mu.positions, mu.weights)
     rng = np.random.default_rng(seed)
+    sectors = np.arange(directions)
+    evaluated = sectors[: directions // 2] if directions % 2 == 0 else sectors
     out = np.empty(len(radii))
     for i, t_rad in enumerate(radii):
-        sectors = np.arange(directions)
-        angles = 2.0 * np.pi * np.r_[sectors, sectors + rng.random(directions)] / directions
+        angles = 2.0 * np.pi * np.r_[evaluated, sectors + rng.random(directions)] / directions
         xi = t_rad * np.exp(1j * angles)
         out[i] = float(np.max(np.abs(transform(xi))))
     return out
@@ -396,11 +450,13 @@ def decay_profile(
     evaluated through the tower split (``split_pushforward``) whenever
     its U*V1*V2 atom combinations fit in ``atom_budget``; the depth-D
     tower is then never built.  A quadratic map costs about
-    k m (V1 + V2) + a m V2 + U + V1 + V2 exponentials per frequency
-    (k, a the levels of the first two blocks), gathers down the blocks'
-    digit trees and one U x V1 x V2 matrix product; an affine map
-    U + V1 + V2 exponentials.  Blocks are merged separately, each merge
-    moving atoms by about merge_tol per level, and the quadratic split
+    k q (V1 + V2) + a q V2 + U + V1 + V2 exponentials per frequency
+    (k, a the levels of the first two blocks, q the distinct nonzero
+    digits up to sign), gathers down the blocks' digit trees and one
+    U x V1 x V2 matrix product; an affine map U + V1 + V2 exponentials.
+    ``annulus_maxima`` says which frequencies each circle samples.
+    Blocks are merged separately, each merge moving atoms by about
+    merge_tol per level, and the quadratic split
     sums over tree points within its ``displacement`` delta of the merged
     blocks' atoms, so at radius T the result differs from the direct sum
     over the merged tower by at most

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -269,6 +269,10 @@ RANDOM_SYSTEMS = st.builds(
 
 class TestTruncationIndex:
     @settings(max_examples=200, deadline=None)
+    # Var d = 5.4e-321: the placed |xi| overflowed to inf, which
+    # truncation_index rightly refuses
+    @example(ifs=IFSDescriptor(0.5 + 0.5j, (0.0, 1.476e-160j), (0.5, 0.5)),
+             tol=0.0625, abs_xi=0.0, boundary=0)
     @given(
         ifs=RANDOM_SYSTEMS,
         tol=st.floats(1e-14, 0.1),
@@ -277,10 +281,13 @@ class TestTruncationIndex:
     )
     def test_smallest_index_with_tail_below_tol(self, ifs, tol, abs_xi, boundary):
         # second_order_tail(K) bounds head_K times the mean phase against
-        # mu_hat; ``boundary`` places |xi| where tail(boundary) = tol
+        # mu_hat; ``boundary`` places |xi| where tail(boundary) = tol,
+        # unless a subnormal Var d makes that |xi| overflow
         alam, var = abs(ifs.lam), digit_moments(ifs)[1]
         if boundary is not None and var > 0:
-            abs_xi = math.sqrt(tol * (1 - alam**2) / (2 * var)) / (math.pi * alam**boundary)
+            placed = math.sqrt(tol * (1 - alam**2) / (2 * var)) / (math.pi * alam**boundary)
+            if math.isfinite(placed):
+                abs_xi = placed
         k = int(truncation_index(ifs, abs_xi, tol))
 
         def tail(n):

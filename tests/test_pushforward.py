@@ -1,6 +1,8 @@
+import cmath
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -382,6 +384,178 @@ class TestSplitPushforward:
                              seed=2, atom_budget=10**4)
         pushed = pushforward_measure(f, finite_approximation(LATTICE, 9))
         assert prof.annulus_max == tuple(annulus_maxima(pushed, radii, 16, seed=2))
+
+
+def gathered_coupling(tree, alpha, cols, start):
+    """The coupling loop that gathers one table per digit, kept as an oracle.
+
+    Each level exponentiates a lanes x m x W table, one row per digit, and
+    gathers it by the rows' digits.
+    """
+    out = start
+    for (parent, digit), step in zip(tree.levels, tree.steps):
+        table = np.exp(2j * np.pi * ((alpha[:, None] * step)[:, :, None] * cols).real)
+        out = out[:, parent, :]
+        out *= table[:, digit, :]
+    return out
+
+
+def unpaired_annulus_maxima(transform, radii, directions, seed):
+    """Annulus maxima that evaluate every equispaced angle, kept as an oracle."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t_rad in radii:
+        sectors = np.arange(directions)
+        angles = 2.0 * np.pi * np.r_[sectors, sectors + rng.random(directions)] / directions
+        out.append(float(np.max(np.abs(transform(t_rad * np.exp(1j * angles))))))
+    return np.array(out)
+
+
+@st.composite
+def signed_systems(draw):
+    """Systems whose digits mix w with -w, the digit 0 and a repeated digit."""
+    base = draw(st.lists(st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0),
+                         min_size=1, max_size=2))
+    digits = [*base, *(-w for w in base if draw(st.booleans()))]
+    if draw(st.booleans()):
+        digits.append(0.0)
+    if draw(st.booleans()) or len(digits) < 2:
+        digits.append(base[-1])
+    lam = cmath.rect(draw(st.floats(0.3, 0.8)), draw(st.floats(0.1, math.pi - 0.1)))
+    return IFSDescriptor(lam, tuple(digits), (1 / len(digits),) * len(digits))
+
+
+def random_frequencies(seed, n, radius):
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+# the benchmark's quad push: LATTICE at depth 11, radii "1:16:9", 48 directions
+BENCH_RADII = [2.0 ** (k / 2) for k in range(9)]
+SIGNED = {
+    "bench-quad": (LATTICE, 11),
+    "criterion-11": (IFSDescriptor((1 + 1j) / 2, (-1.0, 1.0), (0.5, 0.5)), 16),
+    "nine-digit": (IFSDescriptor(0.5j, tuple(complex(a, b) for a in (-1, 0, 1)
+                                             for b in (-1, 0, 1)), (1 / 9,) * 9), 6),
+    "equal-digits": (IFSDescriptor(0.6 + 0.3j, (1.0, -1.0, 0.5j, 1.0), (0.25,) * 4), 8),
+}
+
+
+class TestSymmetries:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ifs=signed_systems(),
+        coeffs=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3),
+        affine=st.booleans(),
+        depth=st.integers(3, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_transform_conjugate_at_minus_xi(self, ifs, coeffs, affine, depth, seed):
+        # FT(F_# mu_D)(-xi) = conj FT(F_# mu_D)(xi) bit for bit, on the
+        # quadratic split and on the affine one
+        c0, c1, c2 = coeffs
+        f = AnalyticMap((c0, c1) if affine else (c0, c1, c2 or 1.0))
+        split = split_pushforward(f, ifs, depth)
+        xi = random_frequencies(seed, 24, 64.0)
+        assert split.transform(-xi).tobytes() == np.conj(split.transform(xi)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 300), scale=st.floats(0.1, 100.0),
+           seed=st.integers(0, 2**16))
+    def test_fourier_sum_conjugate_at_minus_xi(self, n_atoms, scale, seed):
+        rng = np.random.default_rng(seed)
+        pos = scale * (rng.normal(size=n_atoms) + 1j * rng.normal(size=n_atoms))
+        wts = rng.uniform(0.1, 1.0, n_atoms)
+        xi = random_frequencies(seed + 1, 40, 64.0)
+        assert fourier_sum(pos, wts, -xi).tobytes() == np.conj(fourier_sum(pos, wts, xi)).tobytes()
+
+    @pytest.mark.parametrize("system", SIGNED)
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.3 - 0.1j, 0.8 + 0.5j, 1.2 - 0.4j)],
+                             ids=["z_squared", "quadratic"])
+    def test_coupling_matches_gathered_tables(self, system, coeffs):
+        ifs, depth = SIGNED[system]
+        split = split_pushforward(AnalyticMap(coeffs), ifs, depth)
+        tree_u, tree_v1 = split.trees
+        xi = random_frequencies(7, 12, 48.0)
+        alpha = 2.0 * coeffs[2] * np.conj(xi)
+        v2 = split.blocks[2].positions
+        for tree, cols in ((tree_u, np.concatenate([tree_v1.points, v2])), (tree_v1, v2)):
+            start = np.exp(2j * np.pi * np.random.default_rng(3).random((xi.size, 1, cols.size)))
+            got = tree.coupling(alpha, cols, start)
+            assert got.tobytes() == gathered_coupling(tree, alpha, cols, start).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(ifs=signed_systems(), depth=st.integers(3, 9), seed=st.integers(0, 2**16))
+    def test_coupling_matches_gathered_tables_property(self, ifs, depth, seed):
+        split = split_pushforward(AnalyticMap((0.2, -0.4j, 0.9 + 0.3j)), ifs, depth)
+        tree_u, tree_v1 = split.trees
+        alpha = 2.0 * (0.9 + 0.3j) * np.conj(random_frequencies(seed, 5, 64.0))
+        cols = np.concatenate([tree_v1.points, split.blocks[2].positions])
+        start = np.ones((alpha.size, 1, cols.size), dtype=np.complex128)
+        got = tree_u.coupling(alpha, cols, start)
+        assert got.tobytes() == gathered_coupling(tree_u, alpha, cols, start).tobytes()
+
+    def test_zero_digit_rows_take_no_table(self):
+        split = split_pushforward(Z_SQUARED, LATTICE, 11)
+        for tree in split.trees:
+            for (_, digit), groups in zip(tree.levels, tree.groups):
+                assert [d for d, _, _ in groups] == [0]  # digits -1, 0, 1: one table, of -1
+                _, plus, minus = groups[0]
+                assert np.array_equal(plus, np.flatnonzero(digit == 0))
+                assert np.array_equal(minus, np.flatnonzero(digit == 2))
+
+    @pytest.mark.parametrize("system", ["bench-quad", "criterion-11", "nine-digit"])
+    @pytest.mark.parametrize("directions", [48, 47, 2, 1])
+    def test_annulus_maxima_match_unpaired(self, system, directions):
+        # even directions sample the second half of the equispaced angles at
+        # -xi_s, within an ulp of their own frequencies; odd ones are unchanged
+        ifs, depth = SIGNED[system]
+        split = split_pushforward(Z_SQUARED, ifs, depth)
+        got = annulus_maxima(split, BENCH_RADII, directions, seed=5)
+        want = unpaired_annulus_maxima(split.transform, BENCH_RADII, directions, seed=5)
+        if directions % 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("directions", [32, 31])
+    def test_direct_sum_maxima_match_unpaired(self, complex_bernoulli, directions):
+        mu = pushforward_measure(AnalyticMap((0.4 - 0.3j, 0.9 + 0.2j)),
+                                 finite_approximation(complex_bernoulli, 8))
+        got = annulus_maxima(mu, BENCH_RADII, directions, seed=8)
+        want = unpaired_annulus_maxima(partial(fourier_sum, mu.positions, mu.weights),
+                                       BENCH_RADII, directions, seed=8)
+        if directions % 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_work_count_on_the_bench_quad(self, monkeypatch):
+        # 48 directions: 24 equispaced and 48 jittered frequencies per circle
+        # (96 without the pairs), and one table per tree level, that of the
+        # digit -1 (3 with a table per digit)
+        split = split_pushforward(Z_SQUARED, LATTICE, 11)
+        sizes, exponentials = [], []
+        transform, e = pushforward.SplitPushforward.transform, pushforward._e
+
+        def counting_transform(self, xi):
+            sizes.append(np.size(xi))
+            return transform(self, xi)
+
+        def counting_e(phase):
+            exponentials.append(np.size(phase))
+            return e(phase)
+
+        monkeypatch.setattr(pushforward.SplitPushforward, "transform", counting_transform)
+        monkeypatch.setattr(pushforward, "_e", counting_e)
+        annulus_maxima(split, BENCH_RADII, 48, seed=1)
+        assert sizes == [72] * 9
+        u, v1, v2 = (b.n_atoms for b in split.blocks)
+        k, a = (len(t.levels) for t in split.trees)
+        # per frequency: the phases of F(u) and of the columns v1, v2, then
+        # one lanes x W table per level of the u tree (W = V1 + V2) and of
+        # the v1 tree (W = V2)
+        assert sum(exponentials) == sum(sizes) * (u + v1 + v2 + k * (v1 + v2) + a * v2)
 
 
 def sampled_frostman(ifs, seed=0, atom_budget=None):
