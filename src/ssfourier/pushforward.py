@@ -168,38 +168,34 @@ class DigitTree:
     Atom i of level j is atom ``parent[i]`` of level j - 1 (the root 0
     before level 0) plus ``steps[j, digit[i]]``, where ``steps[j]`` is
     lam**(start + j) times the digits; ``points`` are the final atoms' tree
-    points, in the block's atom order.  ``groups[j]`` sorts level j's rows
-    by digit up to sign: one ``(d, plus, minus)`` per distinct nonzero digit
-    w = digits[d] up to sign that the level uses, ``plus`` the rows whose
-    digit is w and ``minus`` those whose digit is -w; rows of the digit 0
-    are in no group.
+    points, in the block's atom order.  ``reps`` and ``signs`` are
+    ``_sign_classes`` of the digits, the same on every level.
     """
 
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
     steps: np.ndarray
     points: np.ndarray
-    groups: tuple[tuple[tuple[int, np.ndarray, np.ndarray], ...], ...]
+    reps: np.ndarray
+    signs: np.ndarray
 
     def coupling(self, alpha: np.ndarray, cols: np.ndarray, start: np.ndarray) -> np.ndarray:
         """start * e(Re(alpha z w)) for each lane, tree point z and column w.
 
         ``alpha`` has one entry per lane, ``start`` shape (lanes, 1, W).
         Since z = sum_j steps[j, digit_j], the kernel is the product over
-        levels of e(Re(alpha steps[j, d] w)), gathered down the tree.  A
-        level takes one lanes x W table of exponentials per group, and the
-        rows of -w take its conjugate: steps[j] of -w is the exact
-        negation of that of w, so its phases are too, bit for bit.  The
-        digit 0's table is all ones, so its rows take no multiply.
+        levels of e(Re(alpha steps[j, d] w)), gathered down the tree from
+        one lanes x (1 + 2q) x W table per level: all ones (the digit 0),
+        the q rows of ``reps`` and their conjugates, which are the rows of
+        -w bit for bit, as steps[j] of -w is the exact negation of that of w.
         """
         out = start
-        for (parent, _), step, groups in zip(self.levels, self.steps, self.groups):
-            out = out[:, parent, :]  # a copy: the products in place keep one array fewer
-            for d, plus, minus in groups:
-                table = _e(((alpha * step[d])[:, None] * cols).real)[:, None, :]
-                if plus.size:
-                    out[:, plus, :] *= table
-                if minus.size:
-                    out[:, minus, :] *= np.conj(table)
+        ones = np.ones((alpha.size, 1, cols.size), dtype=np.complex128)
+        for (parent, digit), step in zip(self.levels, self.steps):
+            table = _e(((alpha[:, None] * step[self.reps])[:, :, None] * cols).real)
+            table = np.concatenate([ones, table, np.conj(table)], axis=1)
+            # take, not fancy indexing, along the middle axis: several times faster here
+            out = np.take(out, parent, axis=1)  # a copy: the product in place keeps one array fewer
+            out *= np.take(table, self.signs[digit], axis=1)
         return out
 
 
@@ -225,8 +221,8 @@ class SplitPushforward:
     over v2, and G[v1, v2] = K(v1, v2).  The coupling matrices come from
     the digit trees (``trees``) of u and v1: z = sum_j lam^j d_j makes
     K(z, w) a product over tree levels, so each level costs one W-entry
-    table of exponentials per distinct nonzero digit up to sign, a gather
-    and a multiply of the rows of nonzero digits (``DigitTree.coupling``).
+    table of exponentials per distinct nonzero digit up to sign and one
+    gather-and-multiply (``DigitTree.coupling``).
     Per frequency that is k q (V1 + V2) + a q V2 + U + V1 + V2
     exponentials (k, a the levels of the u and v1 blocks, q <= m the
     distinct nonzero digits up to sign, 1 for digits -1, 0, 1), gathers
@@ -294,23 +290,24 @@ def _e(phase: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * phase)
 
 
-def _sign_classes(digits) -> list[tuple[int, list[int], list[int]]]:
-    """``(d, plus, minus)`` for one d per distinct nonzero digit w = digits[d]
-    up to sign: the indices of the digits equal to w and to -w."""
-    classes = []
+def _sign_classes(digits) -> tuple[np.ndarray, np.ndarray]:
+    """``(reps, signs)``: ``reps`` one index d per distinct nonzero digit
+    w = digits[d] up to sign, and ``signs[i]`` the row of digit i in
+    [1, the tables of reps, their conjugates], so 0 for the digit 0,
+    1 + c for digits[reps[c]] and 1 + q + c for its negation, q = len(reps).
+    """
+    reps, code = [], []
     for i, w in enumerate(digits):
+        c = next((c for c, d in enumerate(reps) if w in (digits[d], -digits[d])), None)
         if w == 0:
-            continue
-        for d, plus, minus in classes:
-            if w == digits[d]:
-                plus.append(i)
-                break
-            if w == -digits[d]:
-                minus.append(i)
-                break
+            code.append(0)
+        elif c is None:
+            reps.append(i)
+            code.append(len(reps))
         else:
-            classes.append((i, [i], []))
-    return classes
+            code.append(c + 1 if w == digits[reps[c]] else -(c + 1))
+    signs = [len(reps) - c if c < 0 else c for c in code]
+    return np.array(reps, dtype=np.intp), np.array(signs, dtype=np.intp)
 
 
 def split_pushforward(
@@ -334,16 +331,13 @@ def split_pushforward(
     k = -(-depth // 3)
     a = -(-(depth - k) // 2)
     digits = np.array(ifs.digits, dtype=np.complex128)
-    classes = _sign_classes(ifs.digits)
-    # after n levels: mus[n], its tree points points[n]; level n: levels[n], groups[n], lam**n
+    reps, signs = _sign_classes(ifs.digits)
+    # after n levels: mus[n], its tree points points[n]; level n: levels[n], lam**n
     mus, points = [DiscreteMeasure.dirac(0.0)], [np.zeros(1, dtype=np.complex128)]
-    levels, groups, scales = [], [], [1.0 + 0.0j]
+    levels, scales = [], [1.0 + 0.0j]
     for mu, first in tower_levels(ifs, k, atom_budget):
         levels.append(np.divmod(first, ifs.m))
         parent, digit = levels[-1]
-        rows = [(d, np.flatnonzero(np.isin(digit, plus)), np.flatnonzero(np.isin(digit, minus)))
-                for d, plus, minus in classes]
-        groups.append(tuple(g for g in rows if g[1].size or g[2].size))
         # the tower's own sums, so that points equal positions where no merge happened
         points.append(points[-1][parent] + (scales[-1] * digits)[digit])
         mus.append(mu)
@@ -352,7 +346,7 @@ def split_pushforward(
     def tree(n: int, start: int) -> DigitTree:
         steps = np.array([ifs.lam**start * s * digits for s in scales[:n]], dtype=np.complex128)
         return DigitTree(tuple(levels[:n]), steps.reshape(n, ifs.m), points[n] * ifs.lam**start,
-                         tuple(groups[:n]))
+                         reps, signs)
 
     blocks = tuple(scale_rotate(mus[n], ifs.lam**start)
                    for start, n in ((0, k), (k, a), (k + a, depth - k - a)))
