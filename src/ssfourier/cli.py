@@ -6,11 +6,17 @@ fields also support a binary dump); a metadata line (tool version, config
 hash, seed, wall time) always goes to stderr so result files stay
 byte-reproducible.  Exit codes: 0 success, 1 domain/regime and file errors,
 2 budget errors, 64 usage errors.
+
+``run`` may be called any number of times in one process.  The parser is
+built on the first call, not at import, and reused by the later ones:
+argparse keeps no state of a parse on the parser, so each call parses as
+a fresh process would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -443,6 +449,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process, built on the first ``run``, not at import.
+
+    ``parse_args`` keeps nothing of a parse on the parser, so every call
+    reuses it as a fresh process would use its own.
+    """
+    return build_parser()
+
+
 _COMMANDS = {
     "eval": _cmd_eval,
     "scan": _cmd_scan,
@@ -518,7 +534,7 @@ def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     argv = list(argv)
     start = time.monotonic()
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:

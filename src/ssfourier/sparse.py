@@ -235,8 +235,18 @@ def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None =
     the group holding every ``_FRONTIER_CHUNK``-th node, so no group is
     split between two passes and the stack holds a few chunks per level:
     memory is bounded by the chunks, however many sequences there are.
-    Past ``node_budget`` frontier nodes (default DEFAULT_NODE_BUDGET),
-    live children and leaves alike, the search stops with a BudgetError.
+
+    The square, the strips and the disk are symmetric under t -> -t, and
+    IEEE rounding is too: negating a node's vertices gives, bit for bit,
+    the polygon, digit range, clips and disk test of the node with the
+    negated digits.  So the search walks half of the tree.  Each node
+    carries a weight: 1 while its digit prefix is all zeros (its own
+    mirror), 2 otherwise (itself and its mirror).  A weight-1 node drops
+    its children with r < 0; a child with r != 0 weighs 2 and one with
+    r = 0 its parent's weight.  The leaf pass adds the weights of the
+    groups that qualify.  Past ``node_budget`` frontier nodes of this half
+    search (default DEFAULT_NODE_BUDGET), live children and leaves alike,
+    the search stops with a BudgetError.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
     rho = good_rho(abs(lam))
@@ -245,22 +255,24 @@ def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None =
     count = nodes = 0
     square = (np.array([[-1.0], [1.0], [1.0], [-1.0]]),
               np.array([[-1.0], [-1.0], [1.0], [1.0]]),
-              np.array([4]), np.array([0]), np.array([0]))
+              np.array([4]), np.array([0]), np.array([0]), np.array([1]))
     stack = [(0, square)]
     while stack:
-        j, (x, y, n, tights, group) = stack.pop()
+        j, (x, y, n, tights, group, weight) = stack.pop()
         v = inv_pows[j].real * x - inv_pows[j].imag * y
         real = np.arange(len(x))[:, None] < n
         rmin = np.ceil(np.where(real, v, np.inf).min(axis=0) - 0.5 - FLOAT_SLACK)
         rmax = np.floor(np.where(real, v, -np.inf).max(axis=0) + 0.5 + FLOAT_SLACK)
         choices = 2 * (rmax - rmin + 1).astype(np.int64)
-        # children in (r, tight-first) order per node, after the good-index prune
+        # children in (r, tight-first) order per node, after the good-index
+        # prune; an all-zero prefix keeps only its r >= 0 children
         parent = np.repeat(np.arange(n.size), choices)
         k = np.arange(parent.size) - np.repeat(np.cumsum(choices) - choices, choices)
         tight = k % 2 == 0
-        keep = tight | (tights[parent] + (N - j - 1) >= n_good)
-        parent, tight = parent[keep], tight[keep]
-        r = rmin[parent] + k[keep] // 2
+        r = rmin[parent] + k // 2
+        keep = ((tight | (tights[parent] + (N - j - 1) >= n_good))
+                & ((weight[parent] == 2) | (r >= 0.0)))
+        parent, tight, r = parent[keep], tight[keep], r[keep]
         half = np.where(tight, rho, 0.5)
         cx, cy, cn = _clip_strips(x[:, parent], y[:, parent], v[:, parent], n[parent],
                                   r - half - _STRIP_TOL, r + half + _STRIP_TOL)
@@ -276,9 +288,10 @@ def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None =
         new[1:] = (prefix_group[1:] != prefix_group[:-1]) | (digit[1:] != digit[:-1])
         starts = np.flatnonzero(new)
         child_tights = tights[parent[order]] + tight[order]
+        child_weight = np.where(digit != 0.0, 2, weight[parent[order]])
         if j + 1 == N:
             qualifies = np.logical_or.reduceat(child_tights >= n_good, starts)
-            count += int(np.count_nonzero(qualifies))
+            count += int(child_weight[starts[qualifies]].sum())
             continue
         child_group = np.cumsum(new)
         heads = np.searchsorted(starts, np.arange(0, order.size, _FRONTIER_CHUNK), side="right")
@@ -287,7 +300,7 @@ def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None =
         for a, b in zip(bounds, bounds[1:]):
             rows = order[a:b]
             stack.append((j + 1, (cx[:width, rows], cy[:width, rows], cn[rows],
-                                  child_tights[a:b], child_group[a:b])))
+                                  child_tights[a:b], child_group[a:b], child_weight[a:b])))
     return count
 
 
@@ -306,11 +319,15 @@ def enumerate_digit_sequences(
     by level in numpy passes over chunks of about ``_FRONTIER_CHUNK``
     nodes, never splitting a group of nodes that share a digit prefix,
     and counts the groups that reach level N; its working memory is a few
-    chunks per level, not a multiple of the count.
+    chunks per level, not a multiple of the count.  The admissible set is
+    closed under r -> -r, bit for bit, so only prefixes whose first
+    nonzero digit is positive, and the all-zero prefix, are expanded: the
+    all-zero prefix counts once and every other one twice, for itself and
+    its mirror.
     Returns (count, M_N * e^{h(et) N}); a finite et is clamped to
     [0, 1], so et -> 1 enumerates with no good-index requirement at all.
-    A search past ``node_budget`` frontier nodes (default 1e7) raises
-    BudgetError.
+    A search past ``node_budget`` frontier nodes of that half search
+    (default 1e7) raises BudgetError.
     """
     lam = complex(lam)
     if N < 1:

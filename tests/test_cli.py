@@ -229,6 +229,88 @@ class TestImportPath:
         assert out.strip() == "[]"
         assert len(list(tmp_path.glob("*.json"))) == len(commands)
 
+    def test_cli_import_builds_no_parser(self):
+        # the parser is built on the first run, once: importing the CLI
+        # constructs no ArgumentParser, and a second run constructs none
+        src = str(Path(ssfourier.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import argparse, io, json\n"
+            "from contextlib import redirect_stdout, redirect_stderr\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from ssfourier.cli import run\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            "        assert run(['bernoulli', '--lambda', '0.8+0.3i']) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(json.dumps(counts))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        before, first, second = json.loads(out)
+        assert before == 0 and first > 0 and second == first
+
+
+class TestParserOnce:
+    """``run`` reuses one parser, and no call leaves anything to the next."""
+
+    VERIFY = ["ek", "verify", "--lambda", "0.5+0.5i", "--samples", "200", "--N", "8"]
+    BOUNDS = ["bounds", "--lambda", "0.5+0.5i", "--p", "0.5,0.5"]
+
+    @staticmethod
+    def assert_as_in_a_fresh_process(capsys, argv):
+        # same exit code, result bytes and config hash as a new interpreter
+        code, out, err = run_cli(capsys, *argv)
+        src = str(Path(ssfourier.__file__).resolve().parents[1])
+        fresh = subprocess.run([sys.executable, "-m", "ssfourier.cli", *argv],
+                               env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert code == fresh.returncode == EXIT_OK
+        assert out.encode() == fresh.stdout
+        hashes = [json.loads(text.strip().splitlines()[-1])["config_hash"]
+                  for text in (err, fresh.stderr.decode())]
+        assert hashes[0] == hashes[1]
+
+    def test_two_runs_build_one_parser(self, capsys, monkeypatch):
+        import ssfourier.cli as cli
+
+        built, build = [], cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli(capsys, *self.BOUNDS)[0] == EXIT_OK
+            assert run_cli(capsys, *self.VERIFY)[0] == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_global_seed_does_not_carry_over(self, capsys):
+        assert strict_json(run_cli(capsys, "--seed", "7", *self.VERIFY)[1])["seed"] == 7
+        code, out, _ = run_cli(capsys, *self.VERIFY)
+        assert code == EXIT_OK
+        assert '"seed":0' in out
+
+    def test_config_does_not_carry_over(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.015}))
+        assert run_cli(capsys, "--config", str(cfg), *self.BOUNDS)[0] == EXIT_OK
+        self.assert_as_in_a_fresh_process(capsys, self.BOUNDS)
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "--seed", "-1", *self.VERIFY, "--samples", "x")
+        assert code == EXIT_USAGE and out == ""
+        self.assert_as_in_a_fresh_process(capsys, self.VERIFY)
+
 
 class TestEK:
     def test_verify_clean(self, capsys):
@@ -295,7 +377,7 @@ class TestEK:
         code, out, _ = run_cli(capsys, "--budget", "1", *argv)
         assert code == EXIT_BUDGET
         assert "frontier nodes" in strict_json(out)["error"]["message"]
-        assert run_cli(capsys, "--budget", "13949", *argv)[0] == EXIT_OK
+        assert run_cli(capsys, "--budget", "7709", *argv)[0] == EXIT_OK
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_enumerate_non_finite_eps_tilde_refused(self, capsys, value):

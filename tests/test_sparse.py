@@ -374,10 +374,10 @@ class TestEnumeration:
             enumerate_digit_sequences(0.5, 0.1, 5)
 
     def test_node_budget(self):
-        # the N = 13 search visits 13,949 frontier nodes, leaves included
-        assert enumerate_digit_sequences(LAM, 0.3, 13, node_budget=13_949)[0] == 101
-        with pytest.raises(BudgetError, match="budget 13948"):
-            enumerate_digit_sequences(LAM, 0.3, 13, node_budget=13_948)
+        # the N = 13 half search visits 7,709 frontier nodes, leaves included
+        assert enumerate_digit_sequences(LAM, 0.3, 13, node_budget=7_709)[0] == 101
+        with pytest.raises(BudgetError, match="budget 7708"):
+            enumerate_digit_sequences(LAM, 0.3, 13, node_budget=7_708)
 
 
 class TestEnumerationOracle:
@@ -520,6 +520,35 @@ class TestFrontier:
         # keep the oracle's tree small: about |lam|^{-2(n-1)} cells survive
         n = min(n, 1 + int(math.log(400.0) / (-2.0 * math.log(modulus))))
         assert sparse._admissible_count(lam, et, n) == len(dfs_admissible(lam, et, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modulus=st.floats(0.3, 0.95),
+        angle=st.floats(0.05, math.pi - 0.05),
+        lower=st.booleans(),
+        et=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+        n=st.integers(1, 9),
+    )
+    def test_admissible_set_is_closed_under_negation(self, modulus, angle, lower, et, n):
+        # t -> -t maps every strip, clip and disk test onto the negated
+        # digits bit for bit, which is what lets the search walk half the tree
+        lam = cmath.rect(modulus, -angle if lower else angle)
+        n = min(n, 1 + int(math.log(400.0) / (-2.0 * math.log(modulus))))
+        found = dfs_admissible(lam, et, n)
+        assert {tuple(-r for r in digits) for digits in found} == found
+
+    def test_benchmark_case_walks_half_the_tree(self, monkeypatch):
+        # the full tree clips 14,227 candidate children into 13,949 nodes
+        clipped = []
+        clip = sparse._clip_strips
+
+        def counted(x, *rest):
+            clipped.append(x.shape[1])
+            return clip(x, *rest)
+
+        monkeypatch.setattr(sparse, "_clip_strips", counted)
+        assert sparse._admissible_count(LAM, 0.3, 13, node_budget=7_709) == 101
+        assert sum(clipped) <= 7_848
 
     @pytest.mark.parametrize("lam, et, n, want", [
         (LAM, 0.3, 13, 101), (LAM, 1.0, 6, 341), (LAM, 0.6, 8, 301),
