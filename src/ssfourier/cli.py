@@ -236,8 +236,8 @@ def _cmd_bounds(args):
     if args.sweep:
         lo, hi, n = _parse_range(args.sweep, "sweep", 1)
         lines = ["lambda_re,lambda_im,epsilon,delta,valid"]
-        for eps in np.geomspace(lo, hi, n):
-            b = delta_bound(lam, p, float(eps), args.regime)
+        for eps in np.geomspace(lo, hi, n).tolist():
+            b = delta_bound(lam, p, eps, args.regime)
             lines.append(
                 f"{lam.real!r},{lam.imag!r},{eps!r},{b.delta!r},{int(b.valid)}"
             )

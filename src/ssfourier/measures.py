@@ -257,39 +257,38 @@ def strip_pairs(x: np.ndarray, y: np.ndarray, scale: int, window: int | None = N
 def _merge_components(x, y, labels, runs, tol: float):
     """Components of the graph joining atoms at distance <= ``tol``.
 
-    ``labels, runs`` is ``distinct_positions(x, y)``.  Returns ``(label,
-    roots, near)``, components numbered in the order of their smallest
-    members, ``roots[c]`` the smallest member of component c and ``near``
-    whether any two distinct positions join, or None when no two atoms
-    join.  Exact copies join the first of their run; distinct positions
-    join when dx*dx + dy*dy <= tol*tol (cKDTree's rule), met by
-    ``strip_pairs`` at a width w in [2 tol, 4 tol): w = tol misses a pair
-    whose dx rounds down to a power-of-two tol.  The search is skipped
-    when the steps between consecutive distinct positions in (x, y)
-    order already part every pair: a pair's dx is at least that of any
-    step between them (rounding is monotone), and a pair with equal x
-    spans steps of equal x, so steps with dx*dx > tol*tol, or dx == 0
-    and dy*dy > tol*tol, leave no pair within tol.  Pointer jumping hooks
+    ``labels, runs`` is ``distinct_positions(x, y)``, whose groups of exact
+    copies seed the components: each atom starts on the smallest member of
+    its run.  Returns ``(label, roots)``, components numbered in the order
+    of their smallest members and ``roots[c]`` the smallest member of
+    component c, or None when no two distinct positions join (always for
+    ``tol <= 0``), so the union-find runs only where a distinct pair joins.
+    Distinct positions join when dx*dx + dy*dy <= tol*tol (cKDTree's
+    rule), met by ``strip_pairs`` at a width w in [2 tol, 4 tol): w = tol
+    misses a pair whose dx rounds down to a power-of-two tol.  The search
+    is skipped when the steps between consecutive distinct positions in
+    (x, y) order already part every pair: a pair's dx is at least that of
+    any step between them (rounding is monotone), and a pair with equal x
+    spans steps of equal x, so steps with dx*dx > tol*tol, or dx == 0 and
+    dy*dy > tol*tol, leave no pair within tol.  Pointer jumping hooks
     larger roots onto smaller ones.
     """
-    n = x.size
-    copies = np.flatnonzero(runs[labels] != np.arange(n))
-    a, b = [copies], [runs[labels[copies]]]
-    if tol > 0.0:
-        x, y = x[runs], y[runs]
-        with np.errstate(over="ignore"):
-            dx, dy = np.diff(x), np.diff(y)
-            apart = np.where(dx == 0.0, dy * dy, dx * dx) > tol * tol
-        scale = math.floor(-math.log2(tol)) - 1
-        for i, j, d2 in () if apart.all() else strip_pairs(x, y, scale):
-            keep = d2 <= tol * tol
-            a.append(runs[i[keep]])
-            b.append(runs[j[keep]])
+    if not tol > 0.0:
+        return None
+    a, b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    x, y = x[runs], y[runs]
+    with np.errstate(over="ignore"):
+        dx, dy = np.diff(x), np.diff(y)
+        apart = np.where(dx == 0.0, dy * dy, dx * dx) > tol * tol
+    scale = math.floor(-math.log2(tol)) - 1
+    for i, j, d2 in () if apart.all() else strip_pairs(x, y, scale):
+        keep = d2 <= tol * tol
+        a.append(runs[i[keep]])
+        b.append(runs[j[keep]])
     a, b = np.concatenate(a), np.concatenate(b)
     if a.size == 0:
         return None
-    near = a.size > copies.size
-    label = np.arange(n)
+    label = runs[labels]
     while True:
         la, lb = label[a], label[b]
         cross = la != lb
@@ -302,9 +301,9 @@ def _merge_components(x, y, labels, runs, tol: float):
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    root = label == np.arange(n)
+    root = label == np.arange(label.size)
     comp = np.cumsum(root) - 1
-    return comp[label], np.flatnonzero(root), near
+    return comp[label], np.flatnonzero(root)
 
 
 def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.ndarray]:
@@ -312,19 +311,20 @@ def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.n
 
     Atoms join when dx*dx + dy*dy <= tol*tol, and joins chain: every
     connected group becomes one atom whose weight is the group's sum.
-    Each pass sorts the atoms once with ``distinct_positions``, which joins
-    exact copies, and finds the other pairs with ``strip_pairs`` on exact
-    strips of width about 2 tol, with no tree and no Python loop over atoms
-    or pairs; with ``tol <= 0`` only exact copies join.  A pass that joins
-    a distinct pair weight-averages each group's positions in atom order,
-    so mass and the barycenter are preserved, and merged atoms are tested
-    again.  A pass that joins only exact copies keeps each group's common
-    position, bit for bit, from its smallest member: it met no distinct
-    pair within tol and moved no atom, so it is the last pass, and copies
-    on a lattice stay on it.  Every joining pass removes an atom, so the
-    passes end.  The result is sorted lexicographically by (re, im), the
-    order of the last pass's sort, which makes merged measures canonical
-    for comparison.
+    Each pass sorts the atoms once with ``distinct_positions``, whose
+    groups of exact copies are the pass's starting groups, and finds the
+    pairs of distinct positions with ``strip_pairs`` on exact strips of
+    width about 2 tol, with no tree and no Python loop over atoms or
+    pairs; with ``tol <= 0`` only exact copies join.  A pass that joins a
+    distinct pair runs the union-find over those pairs and weight-averages
+    each group's positions in atom order, so mass and the barycenter are
+    preserved, and merged atoms are tested again.  The first pass that
+    joins no distinct pair is the last: it ends with the sort's own
+    groups, each at the common position of its copies, bit for bit, with
+    the copies' weights summed in atom order, so copies on a lattice stay
+    on it.  Every joining pass removes an atom, so the passes end.  The
+    result is sorted lexicographically by (re, im), the order of the last
+    pass's sort, which makes merged measures canonical for comparison.
 
     Also returns, for each merged atom, the index in ``mu`` of its
     smallest member.  Each pass numbers the merged atoms in the order of
@@ -338,21 +338,15 @@ def _merge_atoms(mu: DiscreteMeasure, tol: float) -> tuple[DiscreteMeasure, np.n
         labels, runs = distinct_positions(x, y)
         components = _merge_components(x, y, labels, runs, tol)
         if components is None:
-            order = runs
             break
-        inverse, roots, near = components
-        k = roots.size
-        wsum = np.bincount(inverse, weights=wts, minlength=k)
+        inverse, roots = components
+        wsum = np.bincount(inverse, weights=wts)
         smallest = smallest[roots]
-        if not near:
-            x, y, wts = x[roots], y[roots], wsum
-            order = inverse[runs]
-            break
-        x = np.bincount(inverse, weights=wts * x, minlength=k) / wsum
-        y = np.bincount(inverse, weights=wts * y, minlength=k) / wsum
+        x = np.bincount(inverse, weights=wts * x) / wsum
+        y = np.bincount(inverse, weights=wts * y) / wsum
         wts = wsum
-    pos = x + 1j * y
-    return DiscreteMeasure(pos[order], wts[order]), smallest[order]
+    pos = x[runs] + 1j * y[runs]
+    return DiscreteMeasure(pos, np.bincount(labels, weights=wts)), smallest[runs]
 
 
 def support_radius(ifs: IFSDescriptor) -> float:
@@ -374,10 +368,12 @@ def finite_approximation(
     This is the depth-fold convolution of the scaled digit laws
     sum_j p_j delta_{lam^n w_j}, n = 0..depth-1.  Atoms within
     1e-12 * max(support radius, 1) are coalesced after every convolution
-    level by ``_merge_atoms``: sums that coincide exactly keep their common
-    position, so a tower whose sums meet exactly (digits on a lattice)
-    stays on its lattice and merges in one pass per level.  The last
-    measure of ``tower_levels``; nothing else is kept.
+    level by ``_merge_atoms``: sums that coincide exactly are grouped once,
+    by the merge's sort, and keep their common position, so a tower whose
+    sums meet exactly (digits on a lattice) stays on its lattice and merges
+    in one pass per level, with no union-find; that runs only in a pass
+    that joins two distinct sums.  The last measure of ``tower_levels``;
+    nothing else is kept.
 
     Parameters
     ----------

@@ -91,7 +91,8 @@ class TestBounds:
         assert lines[0] == "lambda_re,lambda_im,epsilon,delta,valid"
         assert len(lines) == 6
         eps = [line.split(",")[2] for line in lines[1:]]
-        assert eps == [repr(e) for e in np.geomspace(1e-4, 1e-2, 5)]
+        assert eps == [repr(float(e)) for e in np.geomspace(1e-4, 1e-2, 5)]
+        assert [float(e) for e in eps] == np.geomspace(1e-4, 1e-2, 5).tolist()
 
     @pytest.mark.parametrize("text", ["1e-4:1e-3", "1e-4:1e-3:0", "a:b:3", "0:1e-3:5"])
     def test_bad_sweep_refused(self, capsys, text):

@@ -237,6 +237,26 @@ class TestTowerLevels:
             ifs = request.getfixturevalue(system)
         assert_same_bits(finite_approximation(ifs, depth), reference_tower(ifs, depth))
 
+    # digests of each level's positions, weights and first: the lattice
+    # tower merges exact copies at every level past the second, the
+    # complex Bernoulli tower never merges
+    @pytest.mark.parametrize("system, depth, digests", [
+        ("lattice", 13, [
+            "3cf7cdd946a3", "d2d2b7e9e3db", "db96ecdb5df3", "64ca7f92c861", "a67f46f4aa87",
+            "e8300b5b47da", "e4acd3e66da2", "f88bb30aae83", "ee7a2b300d39", "096a372c60ab",
+            "4a7805c3ec3f", "1b0103cfab39", "04d2acb30a9a"]),
+        ("complex_bernoulli", 14, [
+            "a7ab133ae9d8", "a24aa3c2d324", "5da15f5f7db1", "8bcfa993f9fe", "605621e6d1ec",
+            "83cc6e79a4f4", "05e41956a07d", "e7fcd8701ffd", "a286d1da119d", "be4e92753de3",
+            "3adf6aef1f2a", "9c022ed19376", "7876df00ba0e", "9288bee61f87"]),
+    ])
+    def test_pinned_levels(self, request, system, depth, digests):
+        ifs = LATTICE if system == "lattice" else request.getfixturevalue(system)
+        got = [hashlib.sha256(mu.positions.tobytes() + mu.weights.tobytes()
+                              + first.tobytes()).hexdigest()[:12]
+               for mu, first in tower_levels(ifs, depth)]
+        assert got == digests
+
     def test_smallest_member_through_passes(self):
         # TestMergeOracle::test_second_pass: each site's three atoms merge
         # over two passes, and the merged atom keeps member 3 * site
@@ -347,6 +367,16 @@ class TestMergeAtoms:
         got = merge_atoms(mu, 1e-6)
         assert len(calls) == 1
         assert got.positions.tolist() == [1j, 2.0, 5.0]
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    def test_exact_copies_build_no_components(self, tol):
+        # the sort's groups of exact copies are the merge's own: a cloud
+        # whose only joins are copies leaves the union-find unrun
+        mu = weighted([2.0, 1j, 2.0, 1j, 2.0, 5.0], np.random.default_rng(2))
+        x, y = mu.positions.real, mu.positions.imag
+        labels, runs = measures.distinct_positions(x, y)
+        assert runs.size == 3
+        assert measures._merge_components(x, y, labels, runs, tol) is None
 
     def test_search_skipped_where_steps_part_every_pair(self, monkeypatch):
         # on a lattice the steps between consecutive distinct positions are
@@ -466,25 +496,31 @@ class TestMergeOracle:
     @settings(max_examples=60, deadline=None)
     # a coordinate's ulp at 512 is 0.11 tol: a copy planted 0.97 tol from
     # its base is stored 1.0026 tol from it and stays apart
-    @example(seed=0, sites=57, planted=185, tol=1e-12, offset=512 + 0j, reach=0.96875)
+    @example(seed=0, sites=57, planted=185, copies=0, tol=1e-12, offset=512 + 0j,
+             reach=0.96875)
     # x about +-1e300: x 2^scale overflows and every x rounds to the
     # offset, so atoms join by y alone, and merged x differ by ulps
-    @example(seed=4, sites=300, planted=120, tol=1e-9, offset=1e300 + 0j, reach=0.9)
-    @example(seed=5, sites=300, planted=120, tol=1e-12, offset=-1e300 + 2j, reach=0.5)
+    @example(seed=4, sites=300, planted=120, copies=0, tol=1e-9, offset=1e300 + 0j, reach=0.9)
+    @example(seed=5, sites=300, planted=120, copies=0, tol=1e-12, offset=-1e300 + 2j,
+             reach=0.5)
+    # exact copies of base and planted atoms beside near pairs
+    @example(seed=6, sites=60, planted=60, copies=120, tol=1e-6, offset=0j, reach=0.7)
     @given(
         seed=st.integers(0, 2**32 - 1),
         sites=st.integers(1, 300),
         planted=st.integers(0, 300),
+        copies=st.integers(0, 300),
         tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.37]),
         offset=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                                   allow_infinity=False),
         reach=st.floats(0.0, 0.99),
     )
-    def test_planted_near_duplicates(self, seed, sites, planted, tol, offset, reach):
+    def test_planted_near_duplicates(self, seed, sites, planted, copies, tol, offset, reach):
         # base atoms on distinct sites of a lattice of spacing 6 tol, each
         # moved by up to tol / 2 per axis; planted copies lie within
         # reach * tol of a base atom, so every group joins through its base,
-        # except copies that rounding stores more than tol from it
+        # except copies that rounding stores more than tol from it; exact
+        # copies repeat base and planted atoms
         rng = np.random.default_rng(seed)
         cells = rng.choice(40 * 40, size=min(sites, 1600), replace=False)
         base = (cells % 40 + 1j * (cells // 40)) * 6 * tol + offset
@@ -493,7 +529,9 @@ class TestMergeOracle:
         home = base[rng.integers(0, base.size, planted)]
         near = home + reach * tol * rng.uniform(0, 1, planted) * np.exp(
             2j * np.pi * rng.uniform(0, 1, planted))
-        mu = weighted(rng.permutation(np.concatenate([base, near])), rng)
+        atoms = np.concatenate([base, near])
+        atoms = np.concatenate([atoms, atoms[rng.integers(0, atoms.size, copies)]])
+        mu = weighted(rng.permutation(atoms), rng)
         got = merge_atoms(mu, tol)
         dx, dy = near.real - home.real, near.imag - home.imag
         apart = int(np.sum(dx * dx + dy * dy > tol * tol))
