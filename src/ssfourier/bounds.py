@@ -148,11 +148,13 @@ def _assemble_bound(
     """Shared delta assembly for all three regimes.
 
     delta = (coef * log(branching) * et + h(et)) / log(1/|lam|), with
-    et = eps * log|lam| / log(1 - eta).
+    et = eps * log|lam| / log(1 - eta), and et = inf where eta rounds to 0.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise DomainError("epsilon must be finite and > 0")
-    et = epsilon * math.log(lam_abs) / math.log1p(-eta)
+    log_gap = math.log1p(-eta)
+    # an eta that rounds to 0 leaves eps_tilde far above 1: the trivial record
+    et = epsilon * math.log(lam_abs) / log_gap if log_gap else math.inf
     rho = c / 2.0
     if 0.0 < et < 1.0:
         h = entropy_h(et)

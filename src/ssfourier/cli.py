@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: eval, scan, bounds, ek (trace | verify | enumerate | cover),
-dim, push, bernoulli.  Results go to stdout or --out as JSON/CSV (scan
-fields also support a binary dump); a metadata line (tool version, config
-hash, seed, wall time) always goes to stderr so result files stay
-byte-reproducible.  Exit codes: 0 success, 1 domain/regime and file errors,
-2 budget errors, 64 usage errors.
+dim, push, bernoulli.  Each is declared once, in its parser: its flags,
+its handler and the --format values it writes.  Results go to stdout or
+--out as JSON/CSV (scan fields also support a binary dump); a metadata
+line (tool version, config hash, seed, wall time) always goes to stderr
+so result files stay byte-reproducible.  Exit codes: 0 success, 1
+domain/regime and file errors, 2 budget errors, 64 usage errors.
 
 ``run`` may be called any number of times in one process.  The parser is
 built on the first call, not at import, and reused by the later ones:
@@ -254,45 +255,41 @@ def _cmd_bounds(args):
     return _json_dump(doc)
 
 
-def _cmd_ek(args):
-    if args.ek_cmd == "cover":
-        # the system may come from --ifs, so --lambda is not read directly
-        report = covering_report(
-            _ifs_from_args(args), args.epsilon, args.N, args.subgrid_k,
-            tol=args.tol, workers=args.workers, cell_budget=args.budget,
-        )
-        return _json_dump(report.to_json())
+def _cmd_ek_trace(args):
+    trace = ek_trace(parse_complex(args.lam), parse_complex(args.t), args.N)
+    return _json_dump({
+        "t": _cx(trace.t), "N": trace.N, "r": [int(x) for x in trace.r],
+        "eps": [float(x) for x in trace.eps], "rho": trace.rho,
+        "good_indices": sorted(trace.good_indices),
+    })
+
+
+def _cmd_ek_verify(args):
     lam = parse_complex(args.lam)
-    if args.ek_cmd == "trace":
-        trace = ek_trace(lam, parse_complex(args.t), args.N)
-        return _json_dump(
-            {
-                "t": _cx(trace.t),
-                "N": trace.N,
-                "r": [int(x) for x in trace.r],
-                "eps": [float(x) for x in trace.eps],
-                "rho": trace.rho,
-                "good_indices": sorted(trace.good_indices),
-            }
-        )
-    if args.ek_cmd == "verify":
-        bound, branching = digit_transition_bound(lam)
-        violations = verify_digit_inequality(lam, args.samples, args.N, args.seed)
-        return _json_dump(
-            {
-                "violations": violations,
-                "samples": args.samples,
-                "N": args.N,
-                "bound": bound,
-                "branching": branching,
-                "seed": args.seed,
-            }
-        )
-    # enumerate: run refuses a bare ek, so no other subcommand is left
-    count, bound = enumerate_digit_sequences(lam, args.eps_tilde, args.N, args.budget)
+    bound, branching = digit_transition_bound(lam)
+    violations = verify_digit_inequality(lam, args.samples, args.N, args.seed)
+    return _json_dump({
+        "violations": violations, "samples": args.samples, "N": args.N,
+        "bound": bound, "branching": branching, "seed": args.seed,
+    })
+
+
+def _cmd_ek_enumerate(args):
+    count, bound = enumerate_digit_sequences(
+        parse_complex(args.lam), args.eps_tilde, args.N, args.budget
+    )
     return _json_dump(
         {"count": count, "bound": bound, "epsilon_tilde": args.eps_tilde, "N": args.N}
     )
+
+
+def _cmd_ek_cover(args):
+    # the system may come from --ifs, so --lambda is not read directly
+    report = covering_report(
+        _ifs_from_args(args), args.epsilon, args.N, args.subgrid_k,
+        tol=args.tol, workers=args.workers, cell_budget=args.budget,
+    )
+    return _json_dump(report.to_json())
 
 
 def _load_measure(args) -> tuple[DiscreteMeasure, DiscreteMeasure | IFSDescriptor]:
@@ -374,19 +371,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--budget", type=_positive, default=None)
     sub = parser.add_subparsers(dest="command")
 
-    p_eval = sub.add_parser("eval", help="evaluate mu_hat at frequencies")
+    def command(subparsers, name, handler, formats=("json",), **kwargs):
+        """A leaf subcommand: its parser, the handler and the --format values it writes."""
+        leaf = subparsers.add_parser(name, **kwargs)
+        leaf.set_defaults(handler=handler, formats=formats)
+        return leaf
+
+    p_eval = command(sub, "eval", _cmd_eval, help="evaluate mu_hat at frequencies")
     _add_ifs_flags(p_eval)
     p_eval.add_argument("--xi", required=True, help="comma list of frequencies")
     p_eval.add_argument("--tol", type=float, default=1e-12)
 
-    p_scan = sub.add_parser("scan", help="frequency-grid scan of |mu_hat|")
+    p_scan = command(sub, "scan", _cmd_scan, ("json", "csv", "bin"),
+                     help="frequency-grid scan of |mu_hat|")
     _add_ifs_flags(p_scan)
     p_scan.add_argument("--T", type=float, required=True)
     p_scan.add_argument("--subgrid-k", dest="subgrid_k", type=int,
                         default=DEFAULT_SUBGRID_K)
     p_scan.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p_bounds = sub.add_parser("bounds", help="closed-form covering bounds")
+    p_bounds = command(sub, "bounds", _cmd_bounds, help="closed-form covering bounds")
     p_bounds.add_argument("--lambda", dest="lam", required=True)
     p_bounds.add_argument("--p", required=True, help="comma list of weights")
     p_bounds.add_argument("--epsilon", type=float, default=0.01)
@@ -401,28 +405,32 @@ def build_parser() -> _Parser:
 
     p_ek = sub.add_parser("ek", help="Erdos-Kahane digit diagnostics")
     ek_sub = p_ek.add_subparsers(dest="ek_cmd")
-    for name in ("trace", "verify", "enumerate", "cover"):
-        q = ek_sub.add_parser(name)
-        q.add_argument("--N", type=int, required=True)
-        if name == "trace":
-            q.add_argument("--lambda", dest="lam", required=True)
-            q.add_argument("--t", required=True)
-        elif name == "verify":
-            q.add_argument("--lambda", dest="lam", required=True)
-            q.add_argument("--samples", type=int, default=10000)
-            # absent unless given here, so a global --seed is not reset
-            q.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
-        elif name == "enumerate":
-            q.add_argument("--lambda", dest="lam", required=True)
-            q.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)
-        else:
-            _add_ifs_flags(q)
-            q.add_argument("--epsilon", type=float, required=True)
-            q.add_argument("--subgrid-k", dest="subgrid_k", type=int,
-                           default=DEFAULT_SUBGRID_K)
-            q.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_trace = command(ek_sub, "trace", _cmd_ek_trace)
+    p_trace.add_argument("--N", type=int, required=True)
+    p_trace.add_argument("--lambda", dest="lam", required=True)
+    p_trace.add_argument("--t", required=True)
 
-    p_dim = sub.add_parser("dim", help="dimension estimators")
+    p_verify = command(ek_sub, "verify", _cmd_ek_verify)
+    p_verify.add_argument("--N", type=int, required=True)
+    p_verify.add_argument("--lambda", dest="lam", required=True)
+    p_verify.add_argument("--samples", type=int, default=10000)
+    # absent unless given here, so a global --seed is not reset
+    p_verify.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
+
+    p_enum = command(ek_sub, "enumerate", _cmd_ek_enumerate)
+    p_enum.add_argument("--N", type=int, required=True)
+    p_enum.add_argument("--lambda", dest="lam", required=True)
+    p_enum.add_argument("--eps-tilde", dest="eps_tilde", type=float, required=True)
+
+    p_cover = command(ek_sub, "cover", _cmd_ek_cover)
+    p_cover.add_argument("--N", type=int, required=True)
+    _add_ifs_flags(p_cover)
+    p_cover.add_argument("--epsilon", type=float, required=True)
+    p_cover.add_argument("--subgrid-k", dest="subgrid_k", type=int,
+                         default=DEFAULT_SUBGRID_K)
+    p_cover.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+    p_dim = command(sub, "dim", _cmd_dim, ("json", "csv"), help="dimension estimators")
     _add_ifs_flags(p_dim)
     p_dim.add_argument("--measure-csv", dest="measure_csv")
     p_dim.add_argument("--depth", type=int, default=8)
@@ -433,7 +441,8 @@ def build_parser() -> _Parser:
                        help="energy radii (comma list or a:b:count)")
     p_dim.add_argument("--step", type=float, default=0.5)
 
-    p_push = sub.add_parser("push", help="push-forward decay profile")
+    p_push = command(sub, "push", _cmd_push, ("json", "csv"),
+                     help="push-forward decay profile")
     _add_ifs_flags(p_push)
     p_push.add_argument("--coeffs", required=True,
                         help="polynomial coefficients c0,c1,... (a+bi syntax)")
@@ -441,7 +450,8 @@ def build_parser() -> _Parser:
     p_push.add_argument("--directions", type=int, default=256)
     p_push.add_argument("--depth", type=int, default=14)
 
-    p_bern = sub.add_parser("bernoulli", help="Bernoulli dimension lower bounds")
+    p_bern = command(sub, "bernoulli", _cmd_bernoulli,
+                     help="Bernoulli dimension lower bounds")
     p_bern.add_argument("--lambda", dest="lam", required=True)
     p_bern.add_argument("--p-bias", dest="p_bias", type=float, default=0.5)
     p_bern.add_argument("--unbiased", action="store_true")
@@ -457,30 +467,6 @@ def _parser() -> _Parser:
     reuses it as a fresh process would use its own.
     """
     return build_parser()
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "scan": _cmd_scan,
-    "bounds": _cmd_bounds,
-    "ek": _cmd_ek,
-    "dim": _cmd_dim,
-    "push": _cmd_push,
-    "bernoulli": _cmd_bernoulli,
-}
-
-# --format values each subcommand writes; bounds --sweep writes CSV under
-# the default json too
-_FORMATS = {
-    "eval": ("json",),
-    "scan": ("json", "csv", "bin"),
-    "bounds": ("json",),
-    "bounds --sweep": ("json", "csv"),
-    "ek": ("json",),
-    "dim": ("json", "csv"),
-    "push": ("json", "csv"),
-    "bernoulli": ("json",),
-}
 
 
 def _selected_actions(parser, args) -> dict:
@@ -520,8 +506,14 @@ def _config_value(action, key: str, value):
 
 
 def _config_hash(args) -> str:
-    """Hash of the effective arguments, --config contents included."""
-    effective = {k: v for k, v in vars(args).items() if k != "config"}
+    """Hash of the effective arguments, --config contents included.
+
+    The config path is left out, and so are the handler and formats a
+    leaf subcommand's parser sets beside its flags.
+    """
+    effective = {
+        k: v for k, v in vars(args).items() if k not in ("config", "handler", "formats")
+    }
     doc = json.dumps(effective, sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
@@ -553,14 +545,16 @@ def run(argv) -> int:
                 setattr(args, key, _config_value(actions[key], key, value))
         if not args.command:
             raise _UsageError("missing subcommand")
-        if args.command == "ek" and not getattr(args, "ek_cmd", None):
+        if "handler" not in args:
+            # ek is the one subcommand with subcommands of its own
             raise _UsageError("ek needs one of: trace, verify, enumerate, cover")
-        writer = args.command
-        if writer == "bounds" and args.sweep:
-            writer = "bounds --sweep"
-        if args.format not in _FORMATS[writer]:
+        writer, formats = args.command, args.formats
+        if getattr(args, "sweep", None):
+            # bounds --sweep writes its CSV under the default json too
+            writer, formats = "bounds --sweep", ("json", "csv")
+        if args.format not in formats:
             raise _UsageError(f"{writer} cannot write --format {args.format}")
-        _emit(args, _COMMANDS[args.command](args))
+        _emit(args, args.handler(args))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

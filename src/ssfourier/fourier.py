@@ -134,6 +134,7 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
     over K, which is 1 and skipped when the digit mean m is 0: it depends
     on its frequency alone.  The phase's argument M_K.real x + M_K.imag y
     is exactly odd in xi, so mu_hat(-xi) stays the conjugate bit for bit.
+    A K past ``DEFAULT_CELL_BUDGET`` levels is a BudgetError.
     """
     _check_tol(tol)
     grid = x + 1j * y
@@ -141,6 +142,11 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
     k = truncation_index(ifs, np.abs(xi), tol)
     order = np.argsort(k, kind="stable")
     kmax = int(k.max(initial=0))
+    if kmax > DEFAULT_CELL_BUDGET:
+        # the level tables below are kmax long; refused before they are made
+        raise BudgetError(
+            f"the product would keep {kmax} factors (budget {DEFAULT_CELL_BUDGET} levels)"
+        )
     # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
     edges = np.searchsorted(k[order], np.arange(kmax + 2))
     values = np.ones(k.size, dtype=np.complex128)

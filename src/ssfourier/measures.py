@@ -151,7 +151,7 @@ class IFSDescriptor:
         return cls(lam, digits, probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely many weighted atoms in the plane.
 
@@ -400,10 +400,14 @@ def tower_levels(ifs: IFSDescriptor, depth: int, atom_budget: int | None = None)
     divmod(first_n, m)``.  Following parents down from a final atom gives
     its tree point sum_n lam^n digits[digit_n], a member of its merge
     cluster and exactly its position wherever no merge happened.
+    A system whose support radius overflows a float is a DomainError.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    merge_tol = 1e-12 * max(support_radius(ifs), 1.0)
+    radius = support_radius(ifs)
+    if not math.isfinite(radius):
+        raise DomainError(f"support radius max|w|/(1 - |lambda|) = {radius} overflows a float")
+    merge_tol = 1e-12 * max(radius, 1.0)
     digits = np.array(ifs.digits, dtype=np.complex128)
     mu, scale = DiscreteMeasure.dirac(0.0), 1.0 + 0.0j
     for _ in range(depth):

@@ -66,11 +66,19 @@ class AnalyticMap:
         return AnalyticMap(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
 
+def _modulus(c: complex) -> float:
+    """|c|, or inf where it is past a float (``abs`` raises OverflowError there)."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def _majorant(f: AnalyticMap, r: float) -> float:
     """sum_k |c_k| r^k, which bounds |F| on the disk |z| <= r (inf past a float)."""
     out = 0.0
     for c in reversed(f.coeffs):
-        out = out * r + abs(c)
+        out = out * r + _modulus(c)
     return out
 
 
@@ -84,7 +92,7 @@ def _derivative_majorant(f: AnalyticMap, r: float) -> float:
     """
     total = Fraction(0)
     for k, c in enumerate(f.coeffs[1:], start=1):
-        modulus = abs(c)
+        modulus = _modulus(c)
         if modulus == math.inf:
             return math.inf
         while Fraction(modulus) ** 2 < Fraction(c.real) ** 2 + Fraction(c.imag) ** 2:
@@ -161,7 +169,7 @@ class DecayProfile:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DigitTree:
     """The digit tree of one tower block (``measures.tower_levels``' first levels).
 
@@ -199,7 +207,7 @@ class DigitTree:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPushforward:
     """F_# mu_D for a map F of degree <= 2, with the depth-D tower kept split.
 

@@ -40,7 +40,7 @@ DEFAULT_NODE_BUDGET = 10**7
 _SAFE_MAGNITUDE = 2.0**52
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EKTrace:
     """Digit/error sequences r_j, eps_j for one normalized frequency.
 
@@ -246,9 +246,12 @@ def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None =
     r = 0 its parent's weight.  The leaf pass adds the weights of the
     groups that qualify.  Past ``node_budget`` frontier nodes of this half
     search (default DEFAULT_NODE_BUDGET), live children and leaves alike,
-    the search stops with a BudgetError.
+    the search stops with a BudgetError; so does a pass that would make
+    more candidate children than that budget or DEFAULT_NODE_BUDGET,
+    whichever is larger, before it makes them.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else int(node_budget)
+    pass_budget = max(budget, DEFAULT_NODE_BUDGET)
     rho = good_rho(abs(lam))
     n_good = good_index_requirement(et, N)
     inv_pows = [(1.0 / lam) ** j for j in range(N)]
@@ -263,7 +266,15 @@ def _admissible_count(lam: complex, et: float, N: int, node_budget: int | None =
         real = np.arange(len(x))[:, None] < n
         rmin = np.ceil(np.where(real, v, np.inf).min(axis=0) - 0.5 - FLOAT_SLACK)
         rmax = np.floor(np.where(real, v, -np.inf).max(axis=0) + 0.5 + FLOAT_SLACK)
-        choices = 2 * (rmax - rmin + 1).astype(np.int64)
+        digits = rmax - rmin + 1
+        tried = 2.0 * digits.sum()
+        # the children are made before the node count can see them, so a
+        # pass with more candidates than the budget allows is refused first
+        if tried > pass_budget:
+            raise BudgetError(
+                f"enumeration pass would try {tried:.3g} children (budget {pass_budget})"
+            )
+        choices = 2 * digits.astype(np.int64)
         # children in (r, tight-first) order per node, after the good-index
         # prune; an all-zero prefix keeps only its r >= 0 children
         parent = np.repeat(np.arange(n.size), choices)

@@ -157,6 +157,18 @@ class TestDeltaComplex:
         bound = delta_complex(LAM_C, (0.5, 0.5), 0.2)
         assert not bound.valid and bound.delta == 2.0 and bound.reason
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: delta_complex(1e-5 * (1 + 1j), (0.5, 0.5), 0.01), id="complex"),
+        pytest.param(lambda: delta_higherdim(1e-9, P3, 0.01, 3), id="higher-dim"),
+    ])
+    def test_eta_rounding_to_zero_is_trivial(self, call):
+        # eta = p1 + p2 - sqrt(...) rounds to 0, so log(1 - eta) = 0 and
+        # eps_tilde, far above 1, is inf: the trivial record, no division
+        bound = call()
+        assert bound.eta == 0.0 and bound.epsilon_tilde == math.inf
+        assert bound.delta == 2.0 and not bound.valid
+        assert bound.reason.startswith("epsilon_tilde outside (0, 1)")
+
     def test_validity_reason_below_half(self):
         bound = delta_complex(LAM_C, (0.5, 0.5), 0.05)
         assert not bound.valid and "1/2" in bound.reason

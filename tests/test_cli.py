@@ -881,6 +881,50 @@ class TestUsageErrors:
         assert code == EXIT_USAGE and out == "" and "ek needs one of" in err
 
 
+def trivial_bound(doc):
+    return doc["delta"] == 2.0 and doc["valid"] is False and doc["epsilon_tilde"] is None
+
+
+def names_radius(doc):
+    return doc["error"]["kind"] == "DomainError" and "support radius" in doc["error"]["message"]
+
+
+def over_budget(doc):
+    return doc["error"]["kind"] == "budget"
+
+
+class TestReproducers:
+    """Inputs that once ended in a traceback: each ends in one JSON document."""
+
+    @pytest.mark.parametrize("argv, want_code, check", [
+        # eta rounds to 0, so eps_tilde is far above 1: the trivial record
+        pytest.param(["bounds", "--lambda", "1e-5+1e-5i", "--p", "0.5,0.5",
+                      "--epsilon", "0.01"], EXIT_OK, trivial_bound, id="bounds-complex-eta-0"),
+        pytest.param(["bounds", "--lambda", "1e-9", "--p", "0.2,0.3,0.5",
+                      "--regime", "higher_dim", "--epsilon", "0.01"],
+                     EXIT_OK, trivial_bound, id="bounds-higher-dim-eta-0"),
+        pytest.param(["bernoulli", "--lambda", "0.72+0.01i", "--p-bias", "1e-300"], EXIT_OK,
+                     lambda doc: doc["kappa"] == 2.0 + doc["sigma"]
+                     and "epsilon_tilde outside (0, 1)" in doc["note"], id="bernoulli-eta-0"),
+        # terabytes of candidate children, or of product level tables
+        pytest.param(["ek", "enumerate", "--lambda", "1e-5+1e-5i", "--eps-tilde", "0.5",
+                      "--N", "3"], EXIT_BUDGET, over_budget, id="enumerate-wide-pass"),
+        pytest.param(["eval", "--lambda", "0.99999999999", "--xi", "1e6"], EXIT_BUDGET,
+                     over_budget, id="eval-factor-count"),
+        pytest.param(["dim", "--lambda", "0.5", "--digits", "1e308,-1e308", "--depth", "3"],
+                     EXIT_DOMAIN, names_radius, id="dim-radius-overflows"),
+        # |c_1| is past a float, where abs() raises OverflowError
+        pytest.param(["push", "--lambda", "0.5+0.5i", "--coeffs", "0,1.5e308+1.5e308i",
+                      "--radii", "1,2,4", "--directions", "8", "--depth", "4"], EXIT_DOMAIN,
+                     lambda doc: doc["error"]["kind"] == "DomainError"
+                     and "overflow a float" in doc["error"]["message"], id="push-modulus-overflows"),
+    ])
+    def test_ends_in_one_json_document(self, capsys, argv, want_code, check):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want_code
+        assert check(strict_json(out))  # json.loads refuses a second document
+
+
 SQUARE = ["dim", "--lambda", "0.5", "--digits", "0,1,i,1+i", "--depth", "8"]
 
 

@@ -883,6 +883,18 @@ KERNEL_SYSTEMS = {
 class TestProductKernel:
     """mu_hat, the scan and the IFS energy read one kernel's bits."""
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda ifs: mu_hat(ifs, 1e6), id="mu_hat"),
+        pytest.param(lambda ifs: grid_scan(ifs, 2.0), id="scan"),
+        pytest.param(lambda ifs: energy_integral(ifs, 2.0, 0.5), id="energy"),
+    ])
+    def test_factor_count_past_budget_refused(self, call):
+        # |lambda| = 1 - 1e-11 needs K ~ 1e12 factors: refused before the
+        # K-long level tables (tens of TiB) are made
+        ifs = IFSDescriptor(0.99999999999, (-1.0, 1.0), (0.5, 0.5))
+        with pytest.raises(BudgetError, match=r"keep \d{13} factors \(budget 10000000 levels\)"):
+            call(ifs)
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("system", sorted(KERNEL_SYSTEMS))
     def test_scan_values_are_mu_hat_bits(self, system, workers):

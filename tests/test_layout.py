@@ -1,9 +1,11 @@
 """Module layout: what the package exports, imports and loops over."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import ssfourier
+from ssfourier import cli
 
 PACKAGE = Path(ssfourier.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -403,3 +405,76 @@ def test_guard_sees_truncation_sites():
     assert truncation_sites(source) == [
         "<module> calls", "depth computes", "kernel calls", "scan computes",
     ]
+
+
+def leaf_parsers(parser) -> dict:
+    """The parsers of the leaf subcommands, by command path ("ek trace")."""
+    leaves = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                inner = leaf_parsers(sub)
+                leaves.update({f"{name} {path}": leaf for path, leaf in inner.items()}
+                              or {name: sub})
+    return leaves
+
+
+def undeclared_leaves(parser) -> list[str]:
+    """Leaf subcommands whose parser does not set a handler and its formats."""
+    return sorted(path for path, leaf in leaf_parsers(parser).items()
+                  if leaf.get_default("handler") is None or not leaf.get_default("formats"))
+
+
+def command_tables(source: str, commands) -> list[str]:
+    """Module-level names bound to a value naming a handler or a subcommand.
+
+    A handler is a ``_cmd_*`` name; a subcommand is a string constant
+    among ``commands``.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        parts = list(ast.walk(node.value))
+        if any(isinstance(n, ast.Name) and n.id.startswith("_cmd_") for n in parts) or any(
+            isinstance(n, ast.Constant) and n.value in commands for n in parts
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_one_declaration_per_subcommand():
+    # a leaf's parser carries its flags, handler and formats; a table
+    # beside the parser would be a second declaration of the subcommand
+    leaves = leaf_parsers(cli.build_parser())
+    assert sorted(leaves) == [
+        "bernoulli", "bounds", "dim", "ek cover", "ek enumerate", "ek trace",
+        "ek verify", "eval", "push", "scan",
+    ]
+    assert undeclared_leaves(cli.build_parser()) == []
+    commands = {word for path in leaves for word in path.split()}
+    assert command_tables((PACKAGE / "cli.py").read_text(encoding="utf-8"), commands) == []
+
+
+def test_guard_sees_undeclared_leaves_and_command_tables():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("a").set_defaults(handler=print, formats=("json",))
+    sub.add_parser("b").set_defaults(handler=print)
+    sub.add_parser("c").set_defaults(formats=("json",))
+    group = sub.add_parser("g").add_subparsers(dest="g_cmd")
+    group.add_parser("x")
+    group.add_parser("y").set_defaults(handler=print, formats=("csv",))
+    assert sorted(leaf_parsers(parser)) == ["a", "b", "c", "g x", "g y"]
+    assert undeclared_leaves(parser) == ["b", "c", "g x"]
+    source = (
+        "EXIT_OK = 0\n"
+        "_COMMANDS = {'eval': _cmd_eval}\n"
+        "_FORMATS = {'eval': ('json',), 'ek': ('json',)}\n"
+        "HANDLERS: list = [_cmd_scan]\n"
+        "FORMATS = ('json', 'csv')\n"
+        "def run(args):\n"
+        "    table = {'eval': _cmd_eval}\n"
+    )
+    assert command_tables(source, {"eval", "ek"}) == ["_COMMANDS", "_FORMATS", "HANDLERS"]

@@ -205,6 +205,14 @@ def reference_tower(ifs, depth, merge=merge_atoms):
 
 
 class TestTowerLevels:
+    def test_overflowing_support_radius_refused(self):
+        # R = 1e308 / (1 - 1/2) is inf, and so would be the merge tolerance
+        ifs = IFSDescriptor(0.5, (1e308, -1e308), (0.5, 0.5))
+        with pytest.raises(DomainError, match="support radius .* = inf overflows"):
+            next(tower_levels(ifs, 3))
+        with pytest.raises(DomainError, match="support radius"):
+            finite_approximation(ifs, 3)
+
     @pytest.mark.parametrize("system, depth, merges", [
         ("lattice", 11, True), ("complex_bernoulli", 14, False),
     ])
@@ -779,6 +787,12 @@ class TestSerialization:
 
 
 class TestDiscreteMeasureValidation:
+    def test_identity_equality_and_hash(self):
+        # a record of arrays compares and hashes by identity, not by value
+        mu = finite_approximation(LATTICE, 3)
+        assert mu == mu and mu != DiscreteMeasure(mu.positions, mu.weights)
+        assert {mu} == {mu} and len({mu, mu}) == 1
+
     def test_weight_sum(self):
         with pytest.raises(DomainError):
             DiscreteMeasure(np.array([0j, 1j]), np.array([0.5, 0.7]))

@@ -121,6 +121,13 @@ class TestSecondDerivativeCheck:
         with pytest.raises(DomainError, match="roots of F'' overflow"):
             check_second_derivative(AnalyticMap((0.0, 0.0, 1.0, 1e-320)), complex_bernoulli)
 
+    @pytest.mark.parametrize("coeffs, r", [
+        ((0, 1.5e308 + 1.5e308j), 1.0),  # |c_1| itself overflows
+        ((0, 0, 1e308), 1e10),  # 2 |c_2| r is past a float
+    ], ids=["modulus-overflows", "sum-overflows"])
+    def test_majorant_past_a_float_is_inf(self, coeffs, r):
+        assert pushforward._derivative_majorant(AnalyticMap(coeffs), r) == math.inf
+
     @settings(max_examples=60, deadline=None)
     # max |F'| = 1.7277e-322: Horner's rounding returned 1.7e-322, under
     # the float value 1.8e-322 of |F'| at a sampled point
@@ -261,6 +268,13 @@ class TestDecayProfile:
 
 
 class TestSplitPushforward:
+    def test_identity_equality_and_hash(self, complex_bernoulli):
+        # records of arrays compare and hash by identity, not by value
+        split = split_pushforward(Z_SQUARED, complex_bernoulli, 6)
+        for record in (split, *split.trees):
+            assert record == record and len({record, record}) == 1
+        assert split != split_pushforward(Z_SQUARED, complex_bernoulli, 6)
+
     @pytest.mark.parametrize("coeffs, lattice, depth", [
         ((0.0, 0.0, 1.0), False, 12),
         ((0.3 - 0.1j, 0.8 + 0.5j, 1.2 - 0.4j), False, 12),

@@ -221,6 +221,11 @@ class TestEKTrace:
         assert np.all(trace.r == 0) and np.all(trace.eps == 0.0)
         assert trace.good_indices == frozenset(range(6))
 
+    def test_identity_equality_and_hash(self):
+        trace = ek_trace(LAM, 0.3 + 0.4j, 5)
+        assert trace == trace and trace != ek_trace(LAM, 0.3 + 0.4j, 5)
+        assert len({trace, trace}) == 1
+
     def test_known_sequence(self):
         # direct evaluation of Re(lam^-j t) for t = 0.3 + 0.4i
         trace = ek_trace(LAM, 0.3 + 0.4j, 5)
@@ -372,6 +377,12 @@ class TestEnumeration:
             enumerate_digit_sequences(LAM, 0.1, 15)
         with pytest.raises(RegimeError):
             enumerate_digit_sequences(0.5, 0.1, 5)
+
+    def test_wide_pass_refused_before_its_children(self):
+        # |1/lambda| ~ 7e4: the second pass would index 1.47e12 candidate
+        # children, terabytes of arrays, before the node count sees them
+        with pytest.raises(BudgetError, match=r"1\.47e\+12 children \(budget 10000000\)"):
+            enumerate_digit_sequences(1e-5 + 1e-5j, 0.5, 3)
 
     def test_node_budget(self):
         # the N = 13 half search visits 7,709 frontier nodes, leaves included
