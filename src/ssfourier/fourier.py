@@ -12,7 +12,11 @@ grows with |xi|: the mean phase's is about 2*pi*|m|*|xi|/|1 - lam| units
 of 2^-53 (m the digit mean), so for lam = 0.744+0.094i and digits (i, i)
 the error reached 1.2e-12 at |xi| <= 420, and "within tol" at tol 1e-12
 does not hold past |xi| ~ 400 there.  One kernel, ``_product``,
-evaluates it for ``mu_hat``, the scan and the IFS energy.
+evaluates it for ``mu_hat``, the scan and the IFS energy, and folds the
+same levels into the bound B(c, r) = prod_n min(1, |Phi(lam^n conj c)| +
+L |lam|^n r) on |mu_hat| over a disc, L the Lipschitz constant of |Phi|:
+the covering report's quadtree (``quadtree_blocks``) drops the squares
+where B stays below its threshold and samples only the cells left.
 """
 
 from __future__ import annotations
@@ -40,11 +44,22 @@ _ENERGY_BLOCK = 1 << 13
 _BIN_MAGIC = b"SSFGRID1"
 
 
-def _digit_moments(ifs: IFSDescriptor) -> tuple[complex, float]:
-    """The digits' mean m = sum_j p_j w_j and variance sum_j p_j |w_j - m|^2."""
+def _digit_moments(ifs: IFSDescriptor) -> tuple[complex, float, float]:
+    """The digits' mean m = sum_j p_j w_j, variance sum_j p_j |w_j - m|^2
+    and mean deviation sum_j p_j |w_j - m|.
+
+    Digits so far apart that the variance overflows a float are a
+    DomainError; a finite variance keeps every |w_j - m| finite.
+    """
     pairs = list(zip(ifs.digits, ifs.probs))
     m = sum(p * w for w, p in pairs)
-    return m, sum(p * ((w - m).real ** 2 + (w - m).imag ** 2) for w, p in pairs)
+    try:
+        var = sum(p * ((w - m).real ** 2 + (w - m).imag ** 2) for w, p in pairs)
+    except OverflowError:  # float ** raises where * would give inf
+        var = math.inf
+    if not math.isfinite(var):
+        raise DomainError("digits too far apart: their variance overflows a float")
+    return m, var, sum(p * abs(w - m) for w, p in pairs)
 
 
 def _check_tol(tol: float) -> None:
@@ -70,7 +85,8 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
     K at or below the first-order index, the smallest K with
     2*pi*max|w|*|xi|*|lam|^K/(1 - |lam|) < tol.  Vectorized over |xi|.
     Raises DomainError unless tol and every |xi| are finite and tol > 0,
-    and when that first-order bound at some |xi| overflows.
+    and when that first-order bound at some |xi|, or the digits'
+    variance, overflows.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -83,7 +99,7 @@ def truncation_index(ifs: IFSDescriptor, abs_xi, tol: float):
         tail0 = 2.0 * np.pi * w_max * abs_xi / (1.0 - alam)
     if not np.isfinite(tail0).all():
         raise DomainError("frequency too large: the truncation tail bound overflows")
-    _, var = _digit_moments(ifs)
+    _, var, _ = _digit_moments(ifs)
     if var == 0.0 or tol > 2.0:
         return np.zeros(abs_xi.shape, dtype=np.int64)
     # the bound at K is (s |lam|^K)^2, and s <= tail0 is finite; s = 0
@@ -120,26 +136,41 @@ def mu_hat(ifs: IFSDescriptor, xi, tol: float = 1e-12) -> complex | np.ndarray:
     return complex(out[0]) if xi_arr.ndim == 0 else out.reshape(xi_arr.shape)
 
 
-def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
-    """The one product kernel: truncated mu_hat at xi = x + iy.
+def _product(ifs: IFSDescriptor, tol: float, x, y, at, radius: float | None = None) -> np.ndarray:
+    """The one product kernel: truncated mu_hat at xi = x + iy, or its bound.
 
     x and y broadcast to a grid (a column and a row make a tensor grid,
-    two flat arrays a list); the complex values of the grid points at
-    flat indices ``at`` come back in that order.  With c_j = w_j lam^l,
+    two flat arrays a list); the values of the grid points at flat
+    indices ``at`` come back in that order.  With c_j = w_j lam^l,
     Phi(lam^l conj xi) = sum_j p_j e(Re(c_j) x) e(Im(c_j) y), so a level
     costs 2m exponentials per value of x and of y and m complex
     multiply-adds per point.  A point's value is read off after its own
-    truncation index K of factors and multiplied by the omitted factors'
-    mean phase e(Re(M_K conj xi)), M_K = m lam^K / (1 - lam) from a table
-    over K, which is 1 and skipped when the digit mean m is 0: it depends
-    on its frequency alone.  The phase's argument M_K.real x + M_K.imag y
-    is exactly odd in xi, so mu_hat(-xi) stays the conjugate bit for bit.
-    A K past ``DEFAULT_CELL_BUDGET`` levels is a BudgetError.
+    truncation index K of factors.  A K past ``DEFAULT_CELL_BUDGET``
+    levels is a BudgetError.
+
+    Each level folds Phi into the running product.  Without ``radius``
+    the fold multiplies it in, and the complex value is multiplied by
+    the omitted factors' mean phase e(Re(M_K conj xi)), M_K = m lam^K /
+    (1 - lam) from a table over K, which is 1 and skipped when the digit
+    mean m is 0: it depends on its frequency alone.  The phase's argument
+    M_K.real x + M_K.imag y is exactly odd in xi, so mu_hat(-xi) stays
+    the conjugate bit for bit.
+
+    With a ``radius`` r the fold is that of the real bound
+
+        B(c, r) = prod_{l<K} min(1, |Phi(lam^l conj c)| + L |lam|^l r)
+
+    at each centre c = x + iy, K taken at |c| + r, where L = 2*pi*sum_j
+    p_j |w_j - m| is the Lipschitz constant of |Phi| (Phi is e(Re(m u))
+    times the character of the centred digits).  |lam^l conj xi - lam^l
+    conj c| <= |lam|^l r on the closed disc |xi - c| <= r, and the
+    dropped factors are <= 1, so |mu_hat| <= B there, in exact
+    arithmetic, whatever K is.
     """
     _check_tol(tol)
     grid = x + 1j * y
     xi = grid.ravel()[at]
-    k = truncation_index(ifs, np.abs(xi), tol)
+    k = truncation_index(ifs, np.abs(xi) if radius is None else np.abs(xi) + radius, tol)
     order = np.argsort(k, kind="stable")
     kmax = int(k.max(initial=0))
     if kmax > DEFAULT_CELL_BUDGET:
@@ -147,14 +178,17 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
         raise BudgetError(
             f"the product would keep {kmax} factors (budget {DEFAULT_CELL_BUDGET} levels)"
         )
+    m, _, spread = _digit_moments(ifs)
     # order[edges[l]:edges[l + 1]] are the points with K == l; K == 0 keeps 1
     edges = np.searchsorted(k[order], np.arange(kmax + 2))
-    values = np.ones(k.size, dtype=np.complex128)
-    out = np.ones(grid.shape, dtype=np.complex128)
-    phi, term = np.empty_like(out), np.empty_like(out)
+    out = np.ones(grid.shape, dtype=np.complex128 if radius is None else np.float64)
+    values = np.ones(k.size, dtype=out.dtype)
+    phi = np.empty(grid.shape, dtype=np.complex128)
+    term = np.empty_like(phi)
     digit = (slice(None),) + (None,) * out.ndim  # a leading axis over the digits
     probs = np.asarray(ifs.probs, dtype=np.float64)[digit]
     c = np.asarray(ifs.digits, dtype=np.complex128)
+    lip = 0.0 if radius is None else 2.0 * np.pi * spread * radius  # L r
     for level in range(kmax):
         ex = probs * np.exp(2j * np.pi * (c.real[digit] * x))
         ey = np.exp(2j * np.pi * (c.imag[digit] * y))
@@ -162,12 +196,14 @@ def _product(ifs: IFSDescriptor, tol: float, x, y, at) -> np.ndarray:
         for j in range(1, c.size):
             np.multiply(ex[j], ey[j], out=term)
             phi += term
-        out *= phi
+        if radius is None:
+            out *= phi
+        else:
+            out *= np.minimum(np.abs(phi) + lip * abs(ifs.lam) ** level, 1.0)
         done = order[edges[level + 1] : edges[level + 2]]
         values[done] = out.ravel()[at[done]]
         c = c * ifs.lam
-    m, _ = _digit_moments(ifs)
-    if m != 0:
+    if radius is None and m != 0:
         mean = (m / (1.0 - ifs.lam) * ifs.lam ** np.arange(kmax + 1))[k]
         values *= np.exp(2j * np.pi * (mean.real * xi.real + mean.imag * xi.imag))
     return values
@@ -243,40 +279,14 @@ def _scan_cells(T: float):
     return ii - n, jj - n
 
 
-def scan_blocks(
-    ifs: IFSDescriptor,
-    T: float,
-    subgrid_k: int,
-    tol: float,
-    workers: int = 1,
-    cell_budget: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The scan core: sampled |mu_hat| on every unit cell meeting |xi| <= T.
+def _disk_cells(T: float, subgrid_k: int, tol: float, cell_budget: int | None):
+    """The scan's argument and budget checks, then ``_scan_cells(T)``.
 
-    Checks the arguments (tol as ``_product`` does) and the point budget
-    at once (first the lower bound pi T^2 k^2, as the cells cover the
-    disk, so no O(T^2) work is done past the budget; a T so large that
-    the bound overflows is over it), then returns an iterator over blocks
-    of (ci, cj, xi, values): cell indices, sample frequencies and
-    truncated |mu_hat|, cell-major then subgrid-major.  The blocks come
-    in mirrored pairs, the cell rows [-i1, -i0) and then [i0, i1), for
-    i0 = 0, s, 2s, ... with s = max(1, _ROW_BLOCK // 2k).
-
-    The points lie on the tensor grid axis x axis, axis = arange(-nk,
-    nk + 1) / k with n = ceil(T), where the digit character separates;
-    cell i samples axis[(i + n) k + a] = (ik + a) / k for a < k (i + a/k
-    bit for bit when k is a power of two).  The axis is exact under
-    negation, -axis[u] = axis[2nk - u], and the disk's cells map onto
-    themselves under (i, j) -> (-i - 1, -j - 1), so negation sends the
-    points of the block [-i1, -i0) into the rectangle of the points of
-    [i0, i1) grown by one point row and one column.  mu_hat(-xi) is the
-    conjugate of mu_hat(xi) for a probability measure, and the kernel
-    keeps this bit for bit (|xi|, exp, complex multiply and add are
-    sign-symmetric under round-to-nearest), so a pair is one call of the
-    product kernel ``_product`` on that grown rectangle, and every value
-    is ``np.abs(mu_hat)`` at its frequency, bit for bit, so the output is
-    the same for any ``workers``: that many threads of this process map
-    the kernel over the pairs; closing the iterator shuts their pool down.
+    tol is checked as ``_product`` does, and the points are counted
+    against the budget (default ``DEFAULT_CELL_BUDGET``) twice: first the
+    lower bound pi T^2 k^2, as the cells cover the disk, so no O(T^2)
+    work is done past the budget (a T so large that the bound overflows
+    is over it), then the exact cell count times k^2.
     """
     if not 1 <= T < math.inf:
         raise DomainError("scan radius T must be finite and >= 1")
@@ -294,7 +304,34 @@ def scan_blocks(
     ci, cj = _scan_cells(T)
     if ci.size * k * k > budget:
         raise BudgetError(f"scan would sample {ci.size * k * k} points (budget {budget})")
-    n = math.ceil(T)
+    return ci, cj
+
+
+def _mirrored_blocks(ifs: IFSDescriptor, tol: float, n: int, k: int, ci, cj, workers: int):
+    """Sampled |mu_hat| on the cells (ci, cj), in blocks of (ci, cj, xi, values).
+
+    The cells are unit cells of [-n, n)^2 in row-major order, a set that
+    (i, j) -> (-i - 1, -j - 1) maps onto itself.  Each block holds cell
+    indices, sample frequencies and truncated |mu_hat|, cell-major then
+    subgrid-major.  The blocks come in mirrored pairs, the cells of rows
+    [-i1, -i0) and then those of [i0, i1), for i0 = 0, s, 2s, ... with s
+    = max(1, _ROW_BLOCK // 2k); rows without cells give no pair.
+
+    The points lie on the tensor grid axis x axis, axis = arange(-nk,
+    nk + 1) / k, where the digit character separates; cell i samples
+    axis[(i + n) k + a] = (ik + a) / k for a < k (i + a/k bit for bit
+    when k is a power of two).  The axis is exact under negation,
+    -axis[u] = axis[2nk - u], so negation sends the points of the cells
+    of [-i1, -i0) into the rectangle of the points of [i0, i1) grown by
+    one point row and one column.  mu_hat(-xi) is the conjugate of
+    mu_hat(xi) for a probability measure, and the kernel keeps this bit
+    for bit (|xi|, exp, complex multiply and add are sign-symmetric under
+    round-to-nearest), so a pair is one call of the product kernel
+    ``_product`` on that grown rectangle, and every value is
+    ``np.abs(mu_hat)`` at its frequency, bit for bit, so the output is
+    the same for any ``workers``: that many threads of this process map
+    the kernel over the pairs; closing the iterator shuts their pool down.
+    """
     nk2 = 2 * n * k
     axis = np.arange(-n * k, n * k + 1) / k
     sub = np.arange(k)
@@ -304,7 +341,8 @@ def scan_blocks(
     # cells are sorted by row, so each block of cell rows is a run of cells
     bounds = np.arange(0, n + step, step)
     own, mirror = np.searchsorted(ci, bounds), np.searchsorted(ci, -bounds)
-    spans = list(zip(zip(own[:-1], own[1:]), zip(mirror[1:], mirror[:-1])))
+    spans = [((s0, s1), (m0, m1))
+             for s0, s1, m0, m1 in zip(own[:-1], own[1:], mirror[1:], mirror[:-1]) if s0 < s1]
 
     def modulus(span):
         (s0, s1), (m0, m1) = span
@@ -331,6 +369,110 @@ def scan_blocks(
                 pool.shutdown(cancel_futures=True)
 
     return stream()
+
+
+def scan_blocks(
+    ifs: IFSDescriptor,
+    T: float,
+    subgrid_k: int,
+    tol: float,
+    workers: int = 1,
+    cell_budget: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The scan core: sampled |mu_hat| on every unit cell meeting |xi| <= T.
+
+    Checks the arguments and the point budget at once (``_disk_cells``),
+    then returns the iterator of ``_mirrored_blocks`` over the cells of
+    ``_scan_cells(T)``, with n = ceil(T): the disk's cells map onto
+    themselves under (i, j) -> (-i - 1, -j - 1), and every block pair
+    holds cells.  ``grid_scan`` reads it; ``covering_report`` reads
+    ``quadtree_blocks``, the same blocks on fewer cells.
+    """
+    ci, cj = _disk_cells(T, subgrid_k, tol, cell_budget)
+    return _mirrored_blocks(ifs, tol, math.ceil(T), subgrid_k, ci, cj, workers)
+
+
+def _disc_bound(ifs: IFSDescriptor, tol: float, x, y, at, radius: float) -> np.ndarray:
+    """``_product``'s bound B(c, r) at the centres c = x + iy, widened by a rounding margin.
+
+    The margin 1e-9 B + 1e-12 (1 + 2*pi*max|w| (|c| + r) / (1 - |lam|)^2)
+    bounds the rounding of B and that of a sample in the disc, both up
+    to |c| + r: a factor's phases are within a few units of 2^-53 of
+    2*pi*|lam^l w_j xi| each, l times more from the l products in lam^l
+    w_j, and sum_l (l + 1) |lam|^l <= 1 / (1 - |lam|)^2.  So a sample
+    in the disc, which is at most |mu_hat| + tol plus its rounding, is at
+    most the widened bound plus tol.
+    """
+    bound = _product(ifs, tol, x, y, at, radius)
+    drift = 2.0 * np.pi * max(abs(w) for w in ifs.digits) / (1.0 - abs(ifs.lam)) ** 2
+    reach = np.abs((x + 1j * y).ravel()[at]) + radius
+    return bound + 1e-9 * bound + 1e-12 * (1.0 + drift * reach)
+
+
+def quadtree_blocks(
+    ifs: IFSDescriptor,
+    T: float,
+    subgrid_k: int,
+    tol: float,
+    threshold: float,
+    workers: int = 1,
+    cell_budget: int | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The blocks of ``scan_blocks`` on the cells where a sample may reach ``threshold``.
+
+    Checks as ``scan_blocks`` does (``_disk_cells``: the same refusals
+    and messages) and runs a top-down quadtree at once, then returns the
+    iterator of ``_mirrored_blocks`` over the cells it keeps.  The root
+    is the square [-n, s - n]^2, n = ceil(T) and s the smallest power of
+    two >= 2n.  A square of side s is kept while its corner lies below n,
+    its closure meets the disk by ``_scan_cells``' exact expression, and
+    ``_disc_bound`` about its centre, radius s/sqrt 2, plus tol reaches
+    the threshold; kept squares split into four down to unit side.  The
+    centres of a level lie on a lattice, where the digit character
+    separates, so the bounds of each _ROW_BLOCK rows of a level's squares
+    are one ``_product`` call on the tensor grid of their rectangle.  A
+    dropped square holds
+    no sample at or above the threshold.  The cells left, and their
+    mirrors (-i - 1, -j - 1) that the sampling pairs with them, are every
+    cell of ``scan_blocks`` with such a sample, and some more; their
+    values are those of ``scan_blocks``, bit for bit.
+    """
+    _disk_cells(T, subgrid_k, tol, cell_budget)
+    n = math.ceil(T)
+    size = 1 << (2 * n - 1).bit_length()
+    # square (a, b) of side s is [-n + a s, -n + (a + 1) s] x [-n + b s, -n + (b + 1) s]
+    a = b = np.zeros(1, dtype=np.int64)
+    side = size
+    while True:
+        x0, y0 = a * side - n, b * side - n
+        near_x, near_y = np.clip(0.0, x0, x0 + side), np.clip(0.0, y0, y0 + side)
+        inside = (x0 < n) & (y0 < n) & (near_x * near_x + near_y * near_y <= T * T)
+        order = np.argsort(a[inside], kind="stable")
+        a, b = a[inside][order], b[inside][order]
+        if a.size == 0:
+            break
+        centre = (np.arange(size // side) + 0.5) * side - n
+        bound = np.empty(a.size)
+        # a block of _ROW_BLOCK square rows at a time bounds the grid's memory
+        edges = np.searchsorted(a, np.arange(a[0], a[-1] + _ROW_BLOCK + 1, _ROW_BLOCK))
+        for s0, s1 in zip(edges[:-1], edges[1:]):
+            if s0 == s1:
+                continue
+            ra, rb = a[s0:s1], b[s0:s1]
+            a0, a1, b0, b1 = ra[0], ra[-1] + 1, rb.min(), rb.max() + 1
+            bound[s0:s1] = _disc_bound(ifs, tol, centre[a0:a1, None], centre[None, b0:b1],
+                                       (ra - a0) * (b1 - b0) + rb - b0, side * math.sqrt(0.5))
+        keep = bound + tol >= threshold
+        a, b = a[keep], b[keep]
+        if side == 1:
+            break
+        side //= 2
+        a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
+        b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
+    # row-major keys of the kept cells (i, j) = (a - n, b - n) and of their mirrors
+    width = 2 * n
+    keys = np.unique(np.concatenate([a * width + b, (width - 1 - a) * width + width - 1 - b]))
+    return _mirrored_blocks(ifs, tol, n, subgrid_k, keys // width - n, keys % width - n, workers)
 
 
 def grid_scan(

@@ -41,6 +41,15 @@ def random_two_digit_ifs(rng: np.random.Generator) -> IFSDescriptor:
     return IFSDescriptor(lam, digits, (p1, 1.0 - p1))
 
 
+def outcome(call):
+    """A call's result, or the type and message of the exception it raised,
+    so that two implementations' refusals compare with ==."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def measure_to_csv(mu) -> str:
     """The CSV text ``measure_from_csv`` reads, every float written by repr."""
     rows = zip(mu.positions.tolist(), mu.weights.tolist())

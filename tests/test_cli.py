@@ -405,7 +405,10 @@ class TestEK:
         def no_scan(*args, **kwargs):
             raise AssertionError("scan started before epsilon was checked")
 
-        monkeypatch.setattr(ssfourier.sparse, "scan_blocks", no_scan)
+        # the cover's cells come from the quadtree, whose bounds and
+        # samples are all product-kernel calls
+        monkeypatch.setattr(ssfourier.sparse, "quadtree_blocks", no_scan)
+        monkeypatch.setattr(ssfourier.fourier, "_product", no_scan)
         code, out, _ = run_cli(
             capsys, "ek", "cover", "--lambda", "0.5+0.5i",
             "--epsilon", value, "--N", "8",
@@ -893,6 +896,15 @@ def over_budget(doc):
     return doc["error"]["kind"] == "budget"
 
 
+def names_variance(doc):
+    return (doc["error"]["kind"] == "DomainError"
+            and "variance overflows a float" in doc["error"]["message"])
+
+
+# digits whose squared deviation 1e600 overflows a float
+WIDE_DIGITS = ["--lambda", "0.5+0.5i", "--digits", "1e300,-1e300"]
+
+
 class TestReproducers:
     """Inputs that once ended in a traceback: each ends in one JSON document."""
 
@@ -913,6 +925,12 @@ class TestReproducers:
                      over_budget, id="eval-factor-count"),
         pytest.param(["dim", "--lambda", "0.5", "--digits", "1e308,-1e308", "--depth", "3"],
                      EXIT_DOMAIN, names_radius, id="dim-radius-overflows"),
+        pytest.param(["eval", *WIDE_DIGITS, "--xi", "1"], EXIT_DOMAIN, names_variance,
+                     id="eval-variance-overflows"),
+        pytest.param(["scan", *WIDE_DIGITS, "--T", "4"], EXIT_DOMAIN, names_variance,
+                     id="scan-variance-overflows"),
+        pytest.param(["ek", "cover", *WIDE_DIGITS, "--N", "8", "--epsilon", "0.05"],
+                     EXIT_DOMAIN, names_variance, id="cover-variance-overflows"),
         # |c_1| is past a float, where abs() raises OverflowError
         pytest.param(["push", "--lambda", "0.5+0.5i", "--coeffs", "0,1.5e308+1.5e308i",
                       "--radii", "1,2,4", "--directions", "8", "--depth", "4"], EXIT_DOMAIN,

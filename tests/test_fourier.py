@@ -31,9 +31,16 @@ from ssfourier import (
 import ssfourier
 import ssfourier.fourier
 from ssfourier.errors import BudgetError
-from ssfourier.fourier import _ENERGY_BLOCK, _ROW_BLOCK, _scan_cells, scan_blocks
+from ssfourier.fourier import (
+    _ENERGY_BLOCK,
+    _ROW_BLOCK,
+    _disc_bound,
+    _scan_cells,
+    quadtree_blocks,
+    scan_blocks,
+)
 
-from conftest import random_two_digit_ifs
+from conftest import outcome, random_two_digit_ifs
 
 
 def phi(ifs, u):
@@ -954,6 +961,116 @@ class TestProductKernel:
                 assert mu_hat(ifs, xi[lane : lane + 1], 1e-12)[0] == alone
 
 
+class TestQuadtree:
+    """The disc bound of the product kernel, and the scan's blocks on the
+    cells that it keeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ifs=RANDOM_SYSTEMS, cx=st.floats(-300.0, 300.0), cy=st.floats(-300.0, 300.0),
+           radius=st.floats(1e-3, 90.0), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-12, 1e-9, 1e-4]))
+    def test_disc_bound_covers_mu_hat(self, ifs, cx, cy, radius, seed, tol):
+        # at random points of the disc and of its rim: the kernel's samples
+        # stay below the widened bound plus tol, and the phi-built product
+        # of the bound's own K factors below the widened bound
+        rng = np.random.default_rng(seed)
+        c = complex(cx, cy)
+        x, y = np.array([cx, cx]), np.array([cy, cy])
+        bound = _disc_bound(ifs, tol, x, y, np.arange(2), radius)[0]
+        angle = 2.0 * np.pi * rng.random(72)
+        xi = c + radius * np.sqrt(np.r_[rng.random(64), np.ones(8)]) * np.exp(1j * angle)
+        assert np.all(np.abs(mu_hat(ifs, xi, tol)) <= bound + tol)
+        k = truncation_index(ifs, abs(c) + radius, tol)
+        assert np.all(np.abs(head_product(ifs, xi, np.full(xi.shape, k))) <= bound)
+
+    def test_disc_bound_excludes_far_discs(self, complex_bernoulli):
+        # criterion 5's system: the cover's threshold 256^-0.05 = 0.758 is
+        # out of reach of a unit cell's disc far from the origin
+        bound = _disc_bound(complex_bernoulli, 1e-9, np.array([200.5, -100.5]),
+                            np.array([0.5, 150.5]), np.arange(2), math.sqrt(0.5))
+        assert np.all(bound < 0.7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ifs=RANDOM_SYSTEMS, T=st.floats(1.0, 12.0), k=st.integers(1, 6),
+           threshold=st.floats(0.0, 1.0), tol=st.sampled_from([1e-9, 1e-4]))
+    def test_keeps_the_scan_cells_a_sample_reaches(self, ifs, T, k, threshold, tol):
+        # every kept cell is a scan cell with the scan's bits, so is its
+        # mirror, and every scan cell with a sample at or above the
+        # threshold is kept
+        scan = {}
+        for ci, cj, _, values in scan_blocks(ifs, T, k, tol):
+            for cell, v in zip(zip(ci.tolist(), cj.tolist()), values.reshape(ci.size, -1)):
+                scan[cell] = v
+        kept = set()
+        for ci, cj, xi, values in quadtree_blocks(ifs, T, k, tol, threshold):
+            assert np.array_equal(values, np.abs(mu_hat(ifs, xi, tol)))
+            for cell, v in zip(zip(ci.tolist(), cj.tolist()), values.reshape(ci.size, -1)):
+                assert np.array_equal(v, scan[cell])
+                kept.add(cell)
+        assert {(-i - 1, -j - 1) for i, j in kept} == kept
+        assert {cell for cell, v in scan.items() if v.max() >= threshold} <= kept
+
+    def test_cells_kept_on_one_side_are_sampled_with_their_mirrors(
+        self, complex_bernoulli, monkeypatch
+    ):
+        # a bound that keeps only the squares centred right of the imaginary
+        # axis: of the root [-6, 10]^2 that leaves the rows 2..5 (the half
+        # [-6, 2] is centred left), and the sampling pairs each cell with
+        # its mirror (-i - 1, -j - 1), so the rows -6..-3 are sampled too,
+        # with the scan's bits
+        def right_side(ifs, tol, x, y, at, radius):
+            return np.where(np.broadcast_arrays(x, y)[0].ravel()[at] > 0.0, 1.0, 0.0)
+
+        monkeypatch.setattr(ssfourier.fourier, "_disc_bound", right_side)
+        blocks = list(quadtree_blocks(complex_bernoulli, 6.0, 2, 1e-9, 0.5))
+        cells = {cell for ci, cj, _, _ in blocks for cell in zip(ci.tolist(), cj.tolist())}
+        assert {i for i, _ in cells} == {-6, -5, -4, -3, 2, 3, 4, 5}
+        assert {(-i - 1, -j - 1) for i, j in cells} == cells
+        for _, _, xi, values in blocks:
+            assert np.array_equal(values, np.abs(mu_hat(complex_bernoulli, xi, 1e-9)))
+
+    def test_every_square_meeting_the_disk_is_bounded(self, complex_bernoulli, monkeypatch):
+        # a bound of 1 keeps every square, so each level bounds every square
+        # that meets the disk, however many blocks of rows they span: T =
+        # 64.5 (n = 65, root side 256) puts the rows 0..64 of side 2 on two
+        bounded = {}
+
+        def one(ifs, tol, x, y, at, radius):
+            gx, gy = np.broadcast_arrays(x, y)
+            centres = gx.ravel()[at] + 1j * gy.ravel()[at]
+            bounded.setdefault(radius, set()).update(centres.tolist())
+            return np.ones(np.size(at))
+
+        monkeypatch.setattr(ssfourier.fourier, "_disc_bound", one)
+        blocks = list(quadtree_blocks(complex_bernoulli, 64.5, 1, 1e-9, 0.5))
+        n, side = 65, 256
+        while side >= 1:
+            near = [min(max(0, -n + a * side), -n + (a + 1) * side) for a in range(256 // side)]
+            want = {complex(-n + (a + 0.5) * side, -n + (b + 0.5) * side)
+                    for a, u in enumerate(near) for b, v in enumerate(near)
+                    if -n + a * side < n and -n + b * side < n and u * u + v * v <= 64.5**2}
+            assert bounded[side * math.sqrt(0.5)] == want
+            side //= 2
+        cells = {cell for ci, cj, _, _ in blocks for cell in zip(ci.tolist(), cj.tolist())}
+        assert cells == set(zip(*(c.tolist() for c in _scan_cells(64.5))))
+
+    @pytest.mark.parametrize("T, k, tol, budget", [
+        (1e9, 4, 1e-9, 1000),
+        (1e200, 4, 1e-9, None),
+        (3.0, 4, 1e-9, 575),
+        (0.5, 4, 1e-9, None),
+        (math.nan, 4, 1e-9, None),
+        (4.0, 0, 1e-9, None),
+        (4.0, 4, 5e-13, None),
+    ], ids=["lower-bound", "overflowing-bound", "exact-count", "small-T", "nan-T",
+            "k-0", "tol-floor"])
+    def test_refuses_as_the_scan_does(self, complex_bernoulli, T, k, tol, budget):
+        got = outcome(lambda: quadtree_blocks(complex_bernoulli, T, k, tol, 0.5,
+                                              cell_budget=budget))
+        assert got == outcome(lambda: scan_blocks(complex_bernoulli, T, k, tol, 1, budget))
+        assert got[0] in (BudgetError, DomainError)
+
+
 THREE_DIGIT = SCAN_SYSTEMS["three_digit"]
 
 
@@ -969,6 +1086,12 @@ THREE_DIGIT = SCAN_SYSTEMS["three_digit"]
     pytest.param(lambda: truncation_index(THREE_DIGIT, [1.0, 1e308], 1e-12), "overflows",
                  id="xi-1e308"),
     pytest.param(lambda: mu_hat(THREE_DIGIT, 1e308), "overflows", id="mu-hat-xi-1e308"),
+    # |w - m|^2 = 1e600 overflows a float
+    pytest.param(lambda: mu_hat(IFSDescriptor(0.5 + 0.5j, (1e300, -1e300), (0.5, 0.5)), 1.0),
+                 "variance overflows", id="mu-hat-digits-1e300"),
+    pytest.param(lambda: truncation_index(IFSDescriptor(0.5, (1e200, -1e200), (0.5, 0.5)),
+                                          1.0, 1e-9), "variance overflows",
+                 id="index-digits-1e200"),
     pytest.param(lambda: scanfield_from_binary(b"NOTAFLD\0" + bytes(24)), "magic",
                  id="bad-magic"),
     pytest.param(lambda: energy_integral("not a measure", 4.0, 0.5), "target",

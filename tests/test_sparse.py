@@ -1,13 +1,14 @@
 import cmath
 import math
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssfourier import sparse
+from ssfourier import fourier, sparse
 from ssfourier import (
     BudgetError,
     DomainError,
@@ -21,6 +22,10 @@ from ssfourier import (
     enumerate_digit_sequences,
     verify_digit_inequality,
 )
+from ssfourier.bounds import good_rho
+from ssfourier.fourier import DEFAULT_SUBGRID_K, DEFAULT_TOL, scan_blocks
+
+from conftest import outcome
 
 LAM = (1 + 1j) / 2
 OTHER_LAMS = (0.3 + 0.6j, -0.5 + 0.25j, cmath.rect(0.71, 1.0))
@@ -604,7 +609,111 @@ class TestFrontier:
         assert cx.shape[1] == cy.shape[1] == cn.size == 0
 
 
+def full_scan_report(ifs, epsilon, N, subgrid_k=DEFAULT_SUBGRID_K, tol=DEFAULT_TOL,
+                     workers=1, cell_budget=None):
+    """``covering_report`` as it was when it counted and audited every cell
+    of ``scan_blocks``: its body, kept as the oracle of the quadtree."""
+    if ifs.bound_regime() != "complex":
+        raise RegimeError("covering reports need the complex (Im lambda != 0) regime")
+    lam = ifs.lam
+    if N < 2:
+        raise DomainError("need N >= 2")
+    et = delta_complex(lam, ifs.probs, epsilon).epsilon_tilde
+    try:
+        T = abs(lam) ** (-N)
+    except OverflowError:
+        # a disk too large for a float holds more points than any budget
+        raise BudgetError(f"scan radius |lambda|^-N overflows a float at N = {N}") from None
+    blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget)
+    threshold = T ** (-epsilon)
+    if 0.0 < et < 1.0:
+        bound = covering_bound(lam, ifs.probs, epsilon, N)
+    else:
+        # degenerate threshold regime: no finite covering count applies
+        bound = float("inf")
+    empirical = violations = checked = 0
+    with closing(blocks):
+        for ci, _, xi, values in blocks:
+            empirical += int(np.sum(values.reshape(ci.size, -1).max(axis=1) >= threshold))
+            ts = lam**N * np.conj(xi)
+            certain = (values - 2.0 * tol >= threshold) & (np.abs(ts) < 1.0)
+            _, eps = sparse._digit_expansion(lam, ts[certain], N)
+            member = sparse._sparse_membership(eps, good_rho(abs(lam)), et, sparse.FLOAT_SLACK)
+            violations += int(np.sum(~member))
+            checked += member.size
+    return sparse.CoveringReport(
+        T=float(T),
+        N=N,
+        epsilon=float(epsilon),
+        epsilon_tilde=float(et),
+        empirical_count=empirical,
+        bound_count=float(bound),
+        subgrid_k=subgrid_k,
+        inclusion_violations=violations,
+        checked_points=checked,
+    )
+
+
+@st.composite
+def cover_cases(draw):
+    """A complex-regime system of 2-3 weighted complex digits (their mean
+    is almost never 0) at N <= 9 with |lambda|^-N <= 40, and the cover's
+    other arguments."""
+    N = draw(st.integers(2, 9))
+    modulus = draw(st.floats(max(0.5, 40.0 ** (-1.0 / N)), 0.95))
+    angle = draw(st.floats(0.1, math.pi - 0.1)) * draw(st.sampled_from([1, -1]))
+    digits = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1)),
+                           min_size=2, max_size=3))
+    assume(len({(a, b) for a, b, _ in digits}) > 1)  # not atomic
+    total = sum(w for _, _, w in digits)
+    ifs = IFSDescriptor(cmath.rect(modulus, angle), tuple(complex(a, b) for a, b, _ in digits),
+                        tuple(w / total for _, _, w in digits))
+    return (ifs, draw(st.floats(0.01, 4.0)), N, draw(st.integers(1, 4)),
+            draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])))
+
+
 class TestCoveringReport:
+    @settings(max_examples=50, deadline=None)
+    @given(case=cover_cases())
+    def test_equals_the_full_scan(self, case):
+        # every field, and every refusal, as when each disk cell was sampled
+        ifs, epsilon, N, k, tol = case
+        assert (outcome(lambda: covering_report(ifs, epsilon, N, k, tol))
+                == outcome(lambda: full_scan_report(ifs, epsilon, N, k, tol)))
+
+    @pytest.mark.parametrize("N", [12, 14, 16])
+    def test_criterion_5_equals_the_full_scan(self, complex_bernoulli, N):
+        args = (complex_bernoulli, 0.05, N, 4, 1e-9, 2)
+        assert covering_report(*args) == full_scan_report(*args)
+
+    @pytest.mark.parametrize("ifs, epsilon, N, k", [
+        # T = 275.6: the cells kept near the origin and near |xi| ~ 200 lie
+        # more than a block of rows apart at the finer levels
+        (IFSDescriptor(-0.29 + 0.45j, (0.58 + 0.6j, -0.36 + 0.59j), (0.42, 0.58)), 0.12, 9, 2),
+        # T = 64.5 and threshold 1e-8: most squares are kept, and at side 2
+        # their rows 0..64 end on a block boundary
+        (IFSDescriptor(cmath.rect(64.5 ** (-1 / 12), 1.0), (-1.0, 1.0), (0.5, 0.5)), 4.42, 12, 1),
+    ], ids=["rows-apart", "rows-to-a-boundary"])
+    def test_row_blocks_of_a_level_equal_the_full_scan(self, ifs, epsilon, N, k):
+        args = (ifs, epsilon, N, k, 1e-9, 1)
+        assert covering_report(*args) == full_scan_report(*args)
+
+    def test_criterion_5_reads_few_points(self, complex_bernoulli, monkeypatch):
+        # at N = 16 the full scan read pi (256 * 4)^2 ~ 3.3e6 points; the
+        # quadtree's bounds and samples together read, and evaluate on
+        # their grids, under 10,000
+        kernel = fourier._product
+        points = []
+
+        def counting(ifs, tol, x, y, at, radius=None):
+            points.append(max(np.size(at), np.broadcast(x, y).size))
+            return kernel(ifs, tol, x, y, at, radius)
+
+        monkeypatch.setattr(fourier, "_product", counting)
+        report = covering_report(complex_bernoulli, 0.05, 16, subgrid_k=4, tol=1e-9, workers=2)
+        assert report.empirical_count == 1
+        assert 0 < sum(points) < 10_000
+
     def test_small_scan_inclusion_clean(self, complex_bernoulli):
         report = covering_report(complex_bernoulli, 0.05, 8, subgrid_k=3)
         assert report.inclusion_violations == 0
