@@ -15,8 +15,9 @@ does not hold past |xi| ~ 400 there.  One kernel, ``_product``,
 evaluates it for ``mu_hat``, the scan and the IFS energy, and folds the
 same levels into the bound B(c, r) = prod_n min(1, |Phi(lam^n conj c)| +
 L |lam|^n r) on |mu_hat| over a disc, L the Lipschitz constant of |Phi|:
-the covering report's quadtree (``quadtree_blocks``) drops the squares
-where B stays below its threshold and samples only the cells left.
+the scan core ``scan_blocks`` samples every cell of the disk for
+``grid_scan`` and, for the covering report's threshold, only the cells
+a top-down quadtree of these bounds keeps.
 """
 
 from __future__ import annotations
@@ -269,24 +270,142 @@ class ScanField:
         return MappingProxyType(dict(zip(keys, self.grid[ii, jj].tolist())))
 
 
-def _scan_cells(T: float):
-    """Row-major indices (i, j) of the unit cells whose closure meets |xi| <= T."""
+def _cell_squares(T: float) -> np.ndarray:
+    """The scan's disk rule: cell (i, j), i, j in [-n, n) and n = ceil(T),
+    has a closure meeting |xi| <= T when sq[i + n] + sq[j + n] <= T * T.
+
+    sq[i + n] = near_i^2, near_i the point of [i, i + 1] nearest 0: an
+    integer, exact as a float.
+    """
     n = math.ceil(T)
     idx = np.arange(-n, n)
     near = np.clip(0.0, idx, idx + 1.0)
-    sq = near * near
+    return near * near
+
+
+def _scan_cells(T: float):
+    """Row-major indices (i, j) of the unit cells whose closure meets |xi| <= T."""
+    sq = _cell_squares(T)
     ii, jj = np.nonzero(sq[:, None] + sq[None, :] <= T * T)
-    return ii - n, jj - n
+    return ii - sq.size // 2, jj - sq.size // 2
 
 
-def _disk_cells(T: float, subgrid_k: int, tol: float, cell_budget: int | None):
-    """The scan's argument and budget checks, then ``_scan_cells(T)``.
+def _disk_count(T: float) -> int:
+    """``_scan_cells(T)[0].size`` in O(T log T), without listing the cells.
 
-    tol is checked as ``_product`` does, and the points are counted
-    against the budget (default ``DEFAULT_CELL_BUDGET``) twice: first the
-    lower bound pi T^2 k^2, as the cells cover the disk, so no O(T^2)
-    work is done past the budget (a T so large that the bound overflows
-    is over it), then the exact cell count times k^2.
+    The squares are integers, so sq_i + sq_j <= T * T exactly when sq_j
+    <= floor(T * T) - sq_i; sq over the rows [0, n) is 0, 1, ..., (n -
+    1)^2, sorted, and over [-n, 0) the same again.
+    """
+    sq = _cell_squares(T)
+    half = sq[sq.size // 2 :]
+    return 2 * int(np.searchsorted(half, math.floor(T * T) - sq, side="right").sum())
+
+
+def _disc_bound(ifs: IFSDescriptor, tol: float, x, y, at, radius: float) -> np.ndarray:
+    """``_product``'s bound B(c, r) at the centres c = x + iy, widened by a rounding margin.
+
+    The margin 1e-9 B + 1e-12 (1 + 2*pi*max|w| (|c| + r) / (1 - |lam|)^2)
+    bounds the rounding of B and that of a sample in the disc, both up
+    to |c| + r: a factor's phases are within a few units of 2^-53 of
+    2*pi*|lam^l w_j xi| each, l times more from the l products in lam^l
+    w_j, and sum_l (l + 1) |lam|^l <= 1 / (1 - |lam|)^2.  So a sample
+    in the disc, which is at most |mu_hat| + tol plus its rounding, is at
+    most the widened bound plus tol.
+    """
+    bound = _product(ifs, tol, x, y, at, radius)
+    drift = 2.0 * np.pi * max(abs(w) for w in ifs.digits) / (1.0 - abs(ifs.lam)) ** 2
+    reach = np.abs((x + 1j * y).ravel()[at]) + radius
+    return bound + 1e-9 * bound + 1e-12 * (1.0 + drift * reach)
+
+
+def _quadtree_cells(ifs: IFSDescriptor, T: float, tol: float, threshold: float):
+    """Row-major indices (i, j) of the disk cells a top-down quadtree keeps,
+    and of their mirrors (-i - 1, -j - 1), which the sampling pairs with them.
+
+    The root is the square [-n, s - n]^2, n = ceil(T) and s the smallest
+    power of two >= 2n.  A square of side s is kept while its corner
+    lies below n, its closure meets the disk by ``_scan_cells``' rule,
+    and ``_disc_bound`` about its centre, radius s/sqrt 2, plus tol
+    reaches the threshold; kept squares split into four down to unit
+    side.  A level's centres lie on a lattice, where the digit character
+    separates, so the bounds of each _ROW_BLOCK rows of its squares are
+    one ``_product`` call on their rectangle's tensor grid.  A dropped
+    square holds no sample at or above the threshold.
+    """
+    n = math.ceil(T)
+    size = 1 << (2 * n - 1).bit_length()
+    # square (a, b) of side s is [-n + a s, -n + (a + 1) s] x [-n + b s, -n + (b + 1) s]
+    a = b = np.zeros(1, dtype=np.int64)
+    side = size
+    while True:
+        x0, y0 = a * side - n, b * side - n
+        near_x, near_y = np.clip(0.0, x0, x0 + side), np.clip(0.0, y0, y0 + side)
+        inside = (x0 < n) & (y0 < n) & (near_x * near_x + near_y * near_y <= T * T)
+        order = np.argsort(a[inside], kind="stable")
+        a, b = a[inside][order], b[inside][order]
+        if a.size == 0:
+            break
+        centre = (np.arange(size // side) + 0.5) * side - n
+        bound = np.empty(a.size)
+        # a block of _ROW_BLOCK square rows at a time bounds the grid's memory
+        edges = np.searchsorted(a, np.arange(a[0], a[-1] + _ROW_BLOCK + 1, _ROW_BLOCK))
+        for s0, s1 in zip(edges[:-1], edges[1:]):
+            if s0 == s1:
+                continue
+            ra, rb = a[s0:s1], b[s0:s1]
+            a0, a1, b0, b1 = ra[0], ra[-1] + 1, rb.min(), rb.max() + 1
+            bound[s0:s1] = _disc_bound(ifs, tol, centre[a0:a1, None], centre[None, b0:b1],
+                                       (ra - a0) * (b1 - b0) + rb - b0, side * math.sqrt(0.5))
+        keep = bound + tol >= threshold
+        a, b = a[keep], b[keep]
+        if side == 1:
+            break
+        side //= 2
+        a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
+        b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
+    # row-major keys of the kept cells (i, j) = (a - n, b - n) and of their mirrors
+    width = 2 * n
+    keys = np.unique(np.concatenate([a * width + b, (width - 1 - a) * width + width - 1 - b]))
+    return keys // width - n, keys % width - n
+
+
+def scan_blocks(
+    ifs: IFSDescriptor,
+    T: float,
+    subgrid_k: int,
+    tol: float,
+    workers: int = 1,
+    cell_budget: int | None = None,
+    threshold: float = 0.0,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The one scan core: sampled |mu_hat| on the unit cells meeting |xi| <= T
+    where a sample may reach ``threshold``, in blocks of (ci, cj, xi, values).
+
+    The call checks its arguments: tol as ``_product`` does, and the
+    points of the whole disk against the budget (default
+    ``DEFAULT_CELL_BUDGET``), first the lower bound pi (T k)^2 (a T so
+    large that it overflows is over it), then ``_disk_count(T)`` k^2.  A
+    threshold <= tol, as ``grid_scan``'s 0, samples every cell of
+    ``_scan_cells(T)``: every disc bound is > 0, so the quadtree's test
+    bound + tol >= threshold would keep them all.  A higher one, as
+    ``covering_report``'s, the cells that ``_quadtree_cells`` keeps: every
+    cell with a sample at or above it, and some more, with the same bits.
+
+    The cells of [-n, n)^2, n = ceil(T), are row-major and closed under
+    (i, j) -> (-i - 1, -j - 1).  Blocks, cell-major then subgrid-major,
+    come in mirrored pairs, the cells of rows [-i1, -i0) then of [i0, i1)
+    for i0 = 0, s, 2s, ..., s = max(1, _ROW_BLOCK // 2k); rows without
+    cells give no pair.  Cell i samples axis[(i + n) k + a] = (ik + a) / k,
+    a < k, of axis = arange(-nk, nk + 1) / k, where the digit character
+    separates.  -axis[u] = axis[2nk - u] exactly, and the kernel keeps
+    mu_hat(-xi) the conjugate of mu_hat(xi) bit for bit (|xi|, exp,
+    complex multiply and add are sign-symmetric under round-to-nearest),
+    so a pair is one ``_product`` call on the rectangle of [i0, i1) grown
+    by one point row and column.  Every value is ``np.abs(mu_hat)`` at
+    its frequency, bit for bit, for any ``workers``: that many threads of
+    this process map the kernel over the pairs; closing the iterator
+    shuts their pool down.
     """
     if not 1 <= T < math.inf:
         raise DomainError("scan radius T must be finite and >= 1")
@@ -294,44 +413,17 @@ def _disk_cells(T: float, subgrid_k: int, tol: float, cell_budget: int | None):
         raise DomainError("subgrid_k must be >= 1")
     _check_tol(tol)
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else int(cell_budget)
-    k = subgrid_k
+    n, k = math.ceil(T), subgrid_k
     # pi (T k)^2 > budget, compared without squaring T, which can overflow
     if T * k > math.sqrt(budget / math.pi):
         raise BudgetError(
             f"scan of radius T = {T!r} at subgrid_k = {k} would sample over "
             f"pi (T k)^2 points (budget {budget})"
         )
-    ci, cj = _scan_cells(T)
-    if ci.size * k * k > budget:
-        raise BudgetError(f"scan would sample {ci.size * k * k} points (budget {budget})")
-    return ci, cj
-
-
-def _mirrored_blocks(ifs: IFSDescriptor, tol: float, n: int, k: int, ci, cj, workers: int):
-    """Sampled |mu_hat| on the cells (ci, cj), in blocks of (ci, cj, xi, values).
-
-    The cells are unit cells of [-n, n)^2 in row-major order, a set that
-    (i, j) -> (-i - 1, -j - 1) maps onto itself.  Each block holds cell
-    indices, sample frequencies and truncated |mu_hat|, cell-major then
-    subgrid-major.  The blocks come in mirrored pairs, the cells of rows
-    [-i1, -i0) and then those of [i0, i1), for i0 = 0, s, 2s, ... with s
-    = max(1, _ROW_BLOCK // 2k); rows without cells give no pair.
-
-    The points lie on the tensor grid axis x axis, axis = arange(-nk,
-    nk + 1) / k, where the digit character separates; cell i samples
-    axis[(i + n) k + a] = (ik + a) / k for a < k (i + a/k bit for bit
-    when k is a power of two).  The axis is exact under negation,
-    -axis[u] = axis[2nk - u], so negation sends the points of the cells
-    of [-i1, -i0) into the rectangle of the points of [i0, i1) grown by
-    one point row and one column.  mu_hat(-xi) is the conjugate of
-    mu_hat(xi) for a probability measure, and the kernel keeps this bit
-    for bit (|xi|, exp, complex multiply and add are sign-symmetric under
-    round-to-nearest), so a pair is one call of the product kernel
-    ``_product`` on that grown rectangle, and every value is
-    ``np.abs(mu_hat)`` at its frequency, bit for bit, so the output is
-    the same for any ``workers``: that many threads of this process map
-    the kernel over the pairs; closing the iterator shuts their pool down.
-    """
+    points = _disk_count(T) * k * k
+    if points > budget:
+        raise BudgetError(f"scan would sample {points} points (budget {budget})")
+    ci, cj = _scan_cells(T) if threshold <= tol else _quadtree_cells(ifs, T, tol, threshold)
     nk2 = 2 * n * k
     axis = np.arange(-n * k, n * k + 1) / k
     sub = np.arange(k)
@@ -371,110 +463,6 @@ def _mirrored_blocks(ifs: IFSDescriptor, tol: float, n: int, k: int, ci, cj, wor
     return stream()
 
 
-def scan_blocks(
-    ifs: IFSDescriptor,
-    T: float,
-    subgrid_k: int,
-    tol: float,
-    workers: int = 1,
-    cell_budget: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The scan core: sampled |mu_hat| on every unit cell meeting |xi| <= T.
-
-    Checks the arguments and the point budget at once (``_disk_cells``),
-    then returns the iterator of ``_mirrored_blocks`` over the cells of
-    ``_scan_cells(T)``, with n = ceil(T): the disk's cells map onto
-    themselves under (i, j) -> (-i - 1, -j - 1), and every block pair
-    holds cells.  ``grid_scan`` reads it; ``covering_report`` reads
-    ``quadtree_blocks``, the same blocks on fewer cells.
-    """
-    ci, cj = _disk_cells(T, subgrid_k, tol, cell_budget)
-    return _mirrored_blocks(ifs, tol, math.ceil(T), subgrid_k, ci, cj, workers)
-
-
-def _disc_bound(ifs: IFSDescriptor, tol: float, x, y, at, radius: float) -> np.ndarray:
-    """``_product``'s bound B(c, r) at the centres c = x + iy, widened by a rounding margin.
-
-    The margin 1e-9 B + 1e-12 (1 + 2*pi*max|w| (|c| + r) / (1 - |lam|)^2)
-    bounds the rounding of B and that of a sample in the disc, both up
-    to |c| + r: a factor's phases are within a few units of 2^-53 of
-    2*pi*|lam^l w_j xi| each, l times more from the l products in lam^l
-    w_j, and sum_l (l + 1) |lam|^l <= 1 / (1 - |lam|)^2.  So a sample
-    in the disc, which is at most |mu_hat| + tol plus its rounding, is at
-    most the widened bound plus tol.
-    """
-    bound = _product(ifs, tol, x, y, at, radius)
-    drift = 2.0 * np.pi * max(abs(w) for w in ifs.digits) / (1.0 - abs(ifs.lam)) ** 2
-    reach = np.abs((x + 1j * y).ravel()[at]) + radius
-    return bound + 1e-9 * bound + 1e-12 * (1.0 + drift * reach)
-
-
-def quadtree_blocks(
-    ifs: IFSDescriptor,
-    T: float,
-    subgrid_k: int,
-    tol: float,
-    threshold: float,
-    workers: int = 1,
-    cell_budget: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The blocks of ``scan_blocks`` on the cells where a sample may reach ``threshold``.
-
-    Checks as ``scan_blocks`` does (``_disk_cells``: the same refusals
-    and messages) and runs a top-down quadtree at once, then returns the
-    iterator of ``_mirrored_blocks`` over the cells it keeps.  The root
-    is the square [-n, s - n]^2, n = ceil(T) and s the smallest power of
-    two >= 2n.  A square of side s is kept while its corner lies below n,
-    its closure meets the disk by ``_scan_cells``' exact expression, and
-    ``_disc_bound`` about its centre, radius s/sqrt 2, plus tol reaches
-    the threshold; kept squares split into four down to unit side.  The
-    centres of a level lie on a lattice, where the digit character
-    separates, so the bounds of each _ROW_BLOCK rows of a level's squares
-    are one ``_product`` call on the tensor grid of their rectangle.  A
-    dropped square holds
-    no sample at or above the threshold.  The cells left, and their
-    mirrors (-i - 1, -j - 1) that the sampling pairs with them, are every
-    cell of ``scan_blocks`` with such a sample, and some more; their
-    values are those of ``scan_blocks``, bit for bit.
-    """
-    _disk_cells(T, subgrid_k, tol, cell_budget)
-    n = math.ceil(T)
-    size = 1 << (2 * n - 1).bit_length()
-    # square (a, b) of side s is [-n + a s, -n + (a + 1) s] x [-n + b s, -n + (b + 1) s]
-    a = b = np.zeros(1, dtype=np.int64)
-    side = size
-    while True:
-        x0, y0 = a * side - n, b * side - n
-        near_x, near_y = np.clip(0.0, x0, x0 + side), np.clip(0.0, y0, y0 + side)
-        inside = (x0 < n) & (y0 < n) & (near_x * near_x + near_y * near_y <= T * T)
-        order = np.argsort(a[inside], kind="stable")
-        a, b = a[inside][order], b[inside][order]
-        if a.size == 0:
-            break
-        centre = (np.arange(size // side) + 0.5) * side - n
-        bound = np.empty(a.size)
-        # a block of _ROW_BLOCK square rows at a time bounds the grid's memory
-        edges = np.searchsorted(a, np.arange(a[0], a[-1] + _ROW_BLOCK + 1, _ROW_BLOCK))
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            if s0 == s1:
-                continue
-            ra, rb = a[s0:s1], b[s0:s1]
-            a0, a1, b0, b1 = ra[0], ra[-1] + 1, rb.min(), rb.max() + 1
-            bound[s0:s1] = _disc_bound(ifs, tol, centre[a0:a1, None], centre[None, b0:b1],
-                                       (ra - a0) * (b1 - b0) + rb - b0, side * math.sqrt(0.5))
-        keep = bound + tol >= threshold
-        a, b = a[keep], b[keep]
-        if side == 1:
-            break
-        side //= 2
-        a = np.concatenate([2 * a, 2 * a, 2 * a + 1, 2 * a + 1])
-        b = np.concatenate([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
-    # row-major keys of the kept cells (i, j) = (a - n, b - n) and of their mirrors
-    width = 2 * n
-    keys = np.unique(np.concatenate([a * width + b, (width - 1 - a) * width + width - 1 - b]))
-    return _mirrored_blocks(ifs, tol, n, subgrid_k, keys // width - n, keys % width - n, workers)
-
-
 def grid_scan(
     ifs: IFSDescriptor,
     T: float,
@@ -487,8 +475,9 @@ def grid_scan(
 
     Stores, per cell, the maximum sampled value on the subgrid lattice
     in the dense grid of a ``ScanField``, reduced block by block from
-    ``scan_blocks`` (pairs mirrored under xi -> -xi, read off one product
-    evaluation since |mu_hat| is even) and scattered by cell index, so
+    ``scan_blocks`` at its default threshold 0, which samples every cell
+    of the disk (pairs mirrored under xi -> -xi, read off one product
+    evaluation since |mu_hat| is even), and scattered by cell index, so
     their order does not matter.  ``workers`` threads of this process
     share the scan, and the output is the same for any count.
     """
@@ -522,18 +511,30 @@ def scanfield_to_binary(fieldobj: ScanField) -> bytes:
 
 
 def scanfield_from_binary(blob: bytes) -> ScanField:
-    """Inverse of ``scanfield_to_binary``; a malformed blob is a DomainError."""
+    """Inverse of ``scanfield_to_binary``; a blob that ``grid_scan`` cannot
+    have written is a DomainError: T < 1, subgrid_k < 1, a cell of the
+    disk (``_cell_squares``' rule) whose value is not >= 0, one outside
+    it that is not -1.0, or a count that is not that of the cells >= 0.
+    """
     if len(blob) < 32:
         raise DomainError("scan-field blob shorter than its 32-byte header")
     magic, T, k, count = struct.unpack_from("<8sdII", blob)
     if magic != _BIN_MAGIC:
         raise DomainError("bad scan-field magic")
-    if not 0.0 <= T < math.inf:
-        raise DomainError("scan-field radius T must be finite and >= 0")
+    if not 1.0 <= T < math.inf:
+        raise DomainError("scan-field radius T must be finite and >= 1")
+    if k < 1:
+        raise DomainError("scan-field subgrid_k must be >= 1")
     side = 2 * math.ceil(T)
     if len(blob) != 32 + 8 * side * side:
         raise DomainError(f"scan-field blob length {len(blob)} does not fit T = {T!r}")
     grid = np.frombuffer(blob, dtype="<f8", offset=32).reshape(side, side)
+    sq = _cell_squares(T)
+    inside = sq[:, None] + sq[None, :] <= T * T
+    if not (grid[inside] >= 0.0).all():
+        raise DomainError("scan-field cell of the disk holds a value that is not >= 0")
+    if not (grid[~inside] == -1.0).all():
+        raise DomainError("scan-field cell outside the disk does not hold -1.0")
     if np.count_nonzero(grid >= 0.0) != count:
         raise DomainError("scan-field cell count mismatch")
     return ScanField(T=T, subgrid_k=int(k), grid=grid)

@@ -31,7 +31,7 @@ from .bounds import (
     sequence_count,
 )
 from .errors import BudgetError, DomainError, RegimeError
-from .fourier import DEFAULT_SUBGRID_K, DEFAULT_TOL, quadtree_blocks
+from .fourier import DEFAULT_SUBGRID_K, DEFAULT_TOL, scan_blocks
 from .measures import IFSDescriptor
 
 FLOAT_SLACK = 1e-9
@@ -364,9 +364,10 @@ class CoveringReport:
     sampled max |mu_hat| reaches T^{-epsilon}; ``inclusion_violations``
     counts sampled frequencies that certainly qualify yet fail S(N, et)
     membership (the theory predicts 0); ``checked_points`` is how many
-    sampled frequencies were subjected to the membership test.  The
-    samples are those of a scan of the whole disk on its k x k sub-grid,
-    although only the cells a disc bound cannot rule out are sampled.
+    sampled frequencies were subjected to the membership test.  Every
+    field is that of a scan of the whole disk on its k x k sub-grid,
+    although only the cells that ``scan_blocks`` keeps at the threshold
+    are sampled.
     """
 
     T: float
@@ -401,23 +402,17 @@ def covering_report(
     membership is tested with 1e-9 additive slack on rho.  Frequencies
     with |t| >= 1 are outside the statement and are skipped.
 
-    The samples come from ``quadtree_blocks``: a top-down quadtree drops
-    every square on which the product kernel's disc bound, widened by
-    tol and its rounding, stays below the threshold, and only the unit
-    cells left, with their mirrors under xi -> -xi, are sampled, on the
-    scan's k x k sub-grid and with its bits.  A dropped cell holds no
-    sample at or above the threshold, nor one that certainly qualifies,
-    so every field is the one a scan of every cell of the disk gives; at
-    N = 16 on (1+i)/2 with digits +-1 and epsilon 0.05, 499 bounds and
-    288 samples instead of 3.3e6 samples.  Each block is counted and
-    audited before the next is read.  The blocks come in pairs mirrored
-    under xi -> -xi, whose values are read off one product evaluation
-    (|mu_hat| is even, bit for bit); the audit still rescales and tests
-    the frequencies of both.  ``workers`` threads of this process share
-    the pairs, and the report is the same for any count.  The budget is
-    checked as the scan checks it, on the points of the whole disk
-    (default 10^7), and a radius |lam|^-N that overflows a float is a
-    BudgetError.
+    The samples come from ``scan_blocks`` at threshold T^-epsilon: above
+    tol, only the unit cells a quadtree of disc bounds keeps, with their
+    mirrors under xi -> -xi.  A dropped cell holds no sample at or above
+    the threshold, nor one that certainly qualifies, so every field is the
+    one a scan of the whole disk gives; at N = 16 on (1+i)/2 with digits
+    +-1 and epsilon 0.05, 499 bounds and 288 samples instead of 3.3e6.
+    Each block is counted and audited before the next is read.
+    ``workers`` threads share the block pairs, and the report is the same
+    for any count.  The budget is checked as the scan checks it, on the
+    points of the whole disk (default 10^7), and a radius |lam|^-N that
+    overflows a float is a BudgetError.
     """
     if ifs.bound_regime() != "complex":
         raise RegimeError("covering reports need the complex (Im lambda != 0) regime")
@@ -431,7 +426,7 @@ def covering_report(
         # a disk too large for a float holds more points than any budget
         raise BudgetError(f"scan radius |lambda|^-N overflows a float at N = {N}") from None
     threshold = T ** (-epsilon)
-    blocks = quadtree_blocks(ifs, T, subgrid_k, tol, threshold, workers, cell_budget)
+    blocks = scan_blocks(ifs, T, subgrid_k, tol, workers, cell_budget, threshold=threshold)
     if 0.0 < et < 1.0:
         bound = covering_bound(lam, ifs.probs, epsilon, N)
     else:

@@ -405,9 +405,9 @@ class TestEK:
         def no_scan(*args, **kwargs):
             raise AssertionError("scan started before epsilon was checked")
 
-        # the cover's cells come from the quadtree, whose bounds and
+        # the cover's cells come from scan_blocks, whose bounds and
         # samples are all product-kernel calls
-        monkeypatch.setattr(ssfourier.sparse, "quadtree_blocks", no_scan)
+        monkeypatch.setattr(ssfourier.sparse, "scan_blocks", no_scan)
         monkeypatch.setattr(ssfourier.fourier, "_product", no_scan)
         code, out, _ = run_cli(
             capsys, "ek", "cover", "--lambda", "0.5+0.5i",

@@ -35,8 +35,8 @@ from ssfourier.fourier import (
     _ENERGY_BLOCK,
     _ROW_BLOCK,
     _disc_bound,
+    _disk_count,
     _scan_cells,
-    quadtree_blocks,
     scan_blocks,
 )
 
@@ -584,6 +584,41 @@ class TestGridScan:
             grid_scan(complex_bernoulli, 4.0, subgrid_k=0)
 
 
+class TestDiskCount:
+    """The budget's cell count, made in O(T log T), against the listing of the cells."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.floats(1.0, 2000.0))
+    def test_equals_the_listing(self, T):
+        assert _disk_count(T) == _scan_cells(T)[0].size
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(1, 300), b=st.integers(0, 300))
+    def test_equals_the_listing_at_ties(self, a, b):
+        # T = sqrt(a^2 + b^2) puts the corner (a, b) on the circle up to
+        # rounding, and its float neighbours on either side of it
+        T = math.sqrt(a * a + b * b)
+        for t in (math.nextafter(T, 0.0), T, math.nextafter(T, math.inf)):
+            if t >= 1.0:
+                assert _disk_count(t) == _scan_cells(t)[0].size
+
+    @settings(max_examples=30, deadline=None)
+    @given(T=st.floats(1.0, 20.0), k=st.integers(1, 3))
+    def test_budget_edges(self, T, k):
+        # a budget of exactly the listed points passes, one point less is
+        # refused: by the lower bound pi (T k)^2 when it is over the budget
+        # too (at T = 1, 4 cells against pi), else by the exact count
+        ifs = SCAN_SYSTEMS["three_digit"]
+        points = _scan_cells(T)[0].size * k * k
+        assert len(grid_scan(ifs, T, k, cell_budget=points).cells) * k * k == points
+        if T * k > math.sqrt((points - 1) / math.pi):
+            message = rf"^scan of radius T = {T!r} at subgrid_k = {k} would sample over "
+        else:
+            message = rf"^scan would sample {points} points \(budget {points - 1}\)$"
+        with pytest.raises(BudgetError, match=message):
+            grid_scan(ifs, T, k, cell_budget=points - 1)
+
+
 class TestScanFieldIO:
     def test_dense_grid_layout(self, complex_bernoulli):
         field = grid_scan(complex_bernoulli, 2.5, subgrid_k=2)
@@ -645,12 +680,32 @@ class TestScanFieldIO:
         with pytest.raises(DomainError):
             scanfield_from_binary(bytes(blob))
 
+    def test_binary_of_a_scan_grid_accepted(self):
+        # the blobs that test_refused edits are read back when unedited
+        field = scanfield_from_binary(field_blob(2.5, 2, 32, scan_grid()))
+        assert field.cells == grid_scan(SCAN_SYSTEMS["three_digit"], 2.5, 2).cells
+
     def test_binary_cell_count_checked(self, complex_bernoulli):
         blob = bytearray(scanfield_to_binary(grid_scan(complex_bernoulli, 3.0)))
         (count,) = struct.unpack_from("<I", blob, 20)
         struct.pack_into("<I", blob, 20, count - 1)
         with pytest.raises(DomainError):
             scanfield_from_binary(bytes(blob))
+
+
+def field_blob(T, k, count, grid):
+    """A scan-field blob of header (T, k, count) and the given grid."""
+    header = struct.pack("<8sdII8x", b"SSFGRID1", T, k, count)
+    return header + np.asarray(grid, dtype="<f8").tobytes()
+
+
+def scan_grid(*edits):
+    """The grid of a scan of radius 2.5 (side 6, 32 disk cells), with each
+    (i, j, value) of ``edits`` written over it."""
+    grid = np.array(grid_scan(SCAN_SYSTEMS["three_digit"], 2.5, 2).grid)
+    for i, j, value in edits:
+        grid[i + 3, j + 3] = value
+    return grid
 
 
 def energy_unmirrored(mu, t_rad, step, block=_ENERGY_BLOCK):
@@ -1002,7 +1057,7 @@ class TestQuadtree:
             for cell, v in zip(zip(ci.tolist(), cj.tolist()), values.reshape(ci.size, -1)):
                 scan[cell] = v
         kept = set()
-        for ci, cj, xi, values in quadtree_blocks(ifs, T, k, tol, threshold):
+        for ci, cj, xi, values in scan_blocks(ifs, T, k, tol, threshold=threshold):
             assert np.array_equal(values, np.abs(mu_hat(ifs, xi, tol)))
             for cell, v in zip(zip(ci.tolist(), cj.tolist()), values.reshape(ci.size, -1)):
                 assert np.array_equal(v, scan[cell])
@@ -1022,7 +1077,7 @@ class TestQuadtree:
             return np.where(np.broadcast_arrays(x, y)[0].ravel()[at] > 0.0, 1.0, 0.0)
 
         monkeypatch.setattr(ssfourier.fourier, "_disc_bound", right_side)
-        blocks = list(quadtree_blocks(complex_bernoulli, 6.0, 2, 1e-9, 0.5))
+        blocks = list(scan_blocks(complex_bernoulli, 6.0, 2, 1e-9, threshold=0.5))
         cells = {cell for ci, cj, _, _ in blocks for cell in zip(ci.tolist(), cj.tolist())}
         assert {i for i, _ in cells} == {-6, -5, -4, -3, 2, 3, 4, 5}
         assert {(-i - 1, -j - 1) for i, j in cells} == cells
@@ -1042,7 +1097,7 @@ class TestQuadtree:
             return np.ones(np.size(at))
 
         monkeypatch.setattr(ssfourier.fourier, "_disc_bound", one)
-        blocks = list(quadtree_blocks(complex_bernoulli, 64.5, 1, 1e-9, 0.5))
+        blocks = list(scan_blocks(complex_bernoulli, 64.5, 1, 1e-9, threshold=0.5))
         n, side = 65, 256
         while side >= 1:
             near = [min(max(0, -n + a * side), -n + (a + 1) * side) for a in range(256 // side)]
@@ -1065,8 +1120,8 @@ class TestQuadtree:
     ], ids=["lower-bound", "overflowing-bound", "exact-count", "small-T", "nan-T",
             "k-0", "tol-floor"])
     def test_refuses_as_the_scan_does(self, complex_bernoulli, T, k, tol, budget):
-        got = outcome(lambda: quadtree_blocks(complex_bernoulli, T, k, tol, 0.5,
-                                              cell_budget=budget))
+        got = outcome(lambda: scan_blocks(complex_bernoulli, T, k, tol, cell_budget=budget,
+                                          threshold=0.5))
         assert got == outcome(lambda: scan_blocks(complex_bernoulli, T, k, tol, 1, budget))
         assert got[0] in (BudgetError, DomainError)
 
@@ -1096,6 +1151,21 @@ THREE_DIGIT = SCAN_SYSTEMS["three_digit"]
                  id="bad-magic"),
     pytest.param(lambda: energy_integral("not a measure", 4.0, 0.5), "target",
                  id="target-type"),
+    # blobs that grid_scan cannot write: T < 1, subgrid_k < 1, a disk cell
+    # that is not >= 0, or a cell outside the disk that is not -1.0, each
+    # with the count of its cells >= 0
+    pytest.param(lambda: scanfield_from_binary(field_blob(0.5, 4, 4, np.ones((2, 2)))),
+                 "radius T must be finite and >= 1", id="blob-T-0.5"),
+    pytest.param(lambda: scanfield_from_binary(field_blob(2.5, 0, 32, scan_grid())),
+                 "subgrid_k", id="blob-k-0"),
+    pytest.param(lambda: scanfield_from_binary(field_blob(2.5, 2, 33, scan_grid((-3, -3, 0.25)))),
+                 "outside the disk", id="blob-outside-0.25"),
+    pytest.param(lambda: scanfield_from_binary(field_blob(2.5, 2, 32, scan_grid((2, -3, -2.0)))),
+                 "outside the disk", id="blob-outside-minus-2"),
+    pytest.param(lambda: scanfield_from_binary(field_blob(2.5, 2, 31, scan_grid((0, 0, math.nan)))),
+                 "not >= 0", id="blob-disk-nan"),
+    pytest.param(lambda: scanfield_from_binary(field_blob(2.5, 2, 31, scan_grid((-1, 1, -0.5)))),
+                 "not >= 0", id="blob-disk-negative"),
 ])
 def test_refused(call, match):
     with pytest.raises(DomainError, match=match):

@@ -407,6 +407,81 @@ def test_guard_sees_truncation_sites():
     ]
 
 
+_CELL_SOURCES = ("_scan_cells", "_quadtree_cells")
+_RETIRED_BLOCKS = ("quadtree_blocks", "_mirrored_blocks")
+
+
+def block_sites(source: str) -> list[str]:
+    """Where ``source`` reads sampled scan blocks or their cells, sorted.
+
+    - ``F calls G`` for a function F that calls ``scan_blocks`` or a cell
+      source, ``_scan_cells`` or ``_quadtree_cells``, bare or as an
+      attribute; ``<module>`` stands for code outside functions
+    - ``names X`` where it names a retired block generator,
+      ``quadtree_blocks`` or ``_mirrored_blocks``: as a name, an
+      attribute, an imported name or a definition
+    """
+    found = set()
+
+    def visit(node, owner):
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            name = node.name
+        if name in _RETIRED_BLOCKS:
+            found.add(f"names {name}")
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in ("scan_blocks", *_CELL_SOURCES):
+                found.add(f"{owner} calls {callee}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_block_source():
+    # scan_blocks is the one source of sampled blocks: the scan and the
+    # cover read it, and it alone lists the disk's cells or walks the
+    # quadtree.  A second generator would call a cell source itself, or
+    # bring a retired one back; the blob reader checks its grid by the
+    # disk rule, _cell_squares, not by a listing
+    sites = {path.name: block_sites(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in sites.items() if found} == {
+        "fourier.py": ["grid_scan calls scan_blocks", "scan_blocks calls _quadtree_cells",
+                       "scan_blocks calls _scan_cells"],
+        "sparse.py": ["covering_report calls scan_blocks"],
+    }
+
+
+def test_guard_sees_a_second_block_source():
+    source = (
+        "from .fourier import quadtree_blocks\n"
+        "def scan_blocks(ifs, T, threshold=0.0):\n"
+        "    ci, cj = _scan_cells(T)\n"
+        "def cover_blocks(ifs, T, threshold):\n"
+        "    ci, cj = fourier._quadtree_cells(ifs, T, 1e-9, threshold)\n"
+        "def _mirrored_blocks(ifs, n, ci, cj):\n"
+        "    return iter(())\n"
+        "def read_field(blob, T):\n"
+        "    inside = _scan_cells(T)\n"
+        "report = scan_blocks(ifs, 4.0)\n"
+        "scan_cells = _cell_squares(4.0)\n"
+    )
+    assert block_sites(source) == [
+        "<module> calls scan_blocks", "cover_blocks calls _quadtree_cells",
+        "names _mirrored_blocks", "names quadtree_blocks", "read_field calls _scan_cells",
+        "scan_blocks calls _scan_cells",
+    ]
+
+
 def leaf_parsers(parser) -> dict:
     """The parsers of the leaf subcommands, by command path ("ek trace")."""
     leaves = {}

@@ -698,6 +698,28 @@ class TestCoveringReport:
         args = (ifs, epsilon, N, k, 1e-9, 1)
         assert covering_report(*args) == full_scan_report(*args)
 
+    def test_cover_above_tol_never_lists_the_disk(self, complex_bernoulli, monkeypatch):
+        # threshold 256^-0.05 = 0.758 is above tol: the cells are the
+        # quadtree's, and the budget is checked on a count, not a listing
+        def refuse(T):
+            raise AssertionError("disk cells listed")
+
+        args = (complex_bernoulli, 0.05, 16, 4, 1e-9, 2)
+        monkeypatch.setattr(fourier, "_scan_cells", refuse)
+        got = covering_report(*args)
+        monkeypatch.undo()
+        assert got == full_scan_report(*args)
+
+    def test_cover_at_or_below_tol_bounds_nothing(self, complex_bernoulli, monkeypatch):
+        # threshold 64^-4 = 6e-8 is below tol 1e-6: every disc bound reaches
+        # it, so the whole disk is sampled and no bound is evaluated
+        def refuse(*args):
+            raise AssertionError("disc bound evaluated")
+
+        monkeypatch.setattr(fourier, "_disc_bound", refuse)
+        args = (complex_bernoulli, 4.0, 12, 4, 1e-6)
+        assert covering_report(*args) == full_scan_report(*args)
+
     def test_criterion_5_reads_few_points(self, complex_bernoulli, monkeypatch):
         # at N = 16 the full scan read pi (256 * 4)^2 ~ 3.3e6 points; the
         # quadtree's bounds and samples together read, and evaluate on
